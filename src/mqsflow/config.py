@@ -14,8 +14,7 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [time]      T (1), tau (0.015625)
   [initial]   kind (zero), seed (42), path
   [output]    basename (run)
-  [core]      oracle_dim_limit (64), newton_tol (1e-10),
-              newton_max_iter (50), newton_start (prev)
+  [core]      newton_tol (1e-10), newton_max_iter (50), newton_start (prev)
 
 Unknown sections or keys are rejected with the offending line echoed.
 """
@@ -37,8 +36,7 @@ _SCHEMA = {
     "time": {"T", "tau"},
     "initial": {"kind", "seed", "path"},
     "output": {"basename"},
-    "core": {"oracle_dim_limit", "newton_tol", "newton_max_iter",
-             "newton_start"},
+    "core": {"newton_tol", "newton_max_iter", "newton_start"},
 }
 
 
@@ -247,9 +245,6 @@ def build_config(entries, seed=None):
             newton_tol=float(_get(entries, "core", "newton_tol", "1e-10")),
             newton_max_iter=int(_get(entries, "core", "newton_max_iter", "50")),
             newton_start=newton_start,
-            oracle_dim_limit=int(
-                _get(entries, "core", "oracle_dim_limit", "64")
-            ),
         )
     except ConfigError:
         raise

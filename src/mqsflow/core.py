@@ -14,7 +14,7 @@ an explicit basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -160,12 +160,42 @@ def armijo_search(objective, x, d, J, slope, c=1e-4, shrink=0.5):
             raise NonConvergence("line search stalled")
 
 
-def prox_step(phi, E, x_prev, f_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
-              armijo_c=1e-4, armijo_shrink=0.5):
+def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
+                    max_iter=50, armijo_c=1e-4, armijo_shrink=0.5):
+    """Damped Newton with Armijo backtracking for a smooth convex objective.
+
+    Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` is the gradient
+    at x0 when the caller already has it.  Raises SingularStep on a
+    non-descent Newton direction and NonConvergence when ``max_iter``
+    iterations do not reach the tolerance.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    g = gradient(x) if g0 is None else g0
+    J = objective(x)
+    for _ in range(max_iter):
+        if np.linalg.norm(g) <= tol:
+            return x
+        d = _solve_newton_system(hessian(x), -g)
+        slope = float(g @ d)
+        if slope >= 0:
+            raise SingularStep("Newton direction is not a descent direction")
+        x, J = armijo_search(objective, x, d, J, slope,
+                             c=armijo_c, shrink=armijo_shrink)
+        g = gradient(x)
+    if np.linalg.norm(g) <= tol:
+        return x
+    raise NonConvergence(
+        f"Newton did not reach tolerance {tol:.3e} in {max_iter} iterations"
+    )
+
+
+def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, newton_tol=1e-10,
+              newton_max_iter=50, armijo_c=1e-4, armijo_shrink=0.5):
     """One implicit-Euler step as a proximal minimization in the E-metric.
 
-    Returns x_k with || dPhi(x_k) + (1/tau) E^T (E x_k - E x_prev - tau f_k) ||
-    <= newton_tol * (1 + initial residual norm).
+    Newton starts from ``x_start`` (default x_prev).  Returns x_k with
+    || dPhi(x_k) + (1/tau) E^T (E x_k - E x_prev - tau f_k) ||
+    <= newton_tol * (1 + residual norm at x_prev).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -179,28 +209,16 @@ def prox_step(phi, E, x_prev, f_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
     def residual(x):
         return phi.gateaux(x) + E.apply_adjoint(E.apply(x) - b) / tau
 
-    x = x_prev.copy()
-    g = residual(x)
-    g0_norm = float(np.linalg.norm(g))
-    if g0_norm == 0.0:
-        return x
-    tol = newton_tol * (1.0 + g0_norm)
-    J = objective(x)
-    for _ in range(newton_max_iter):
-        if np.linalg.norm(g) <= tol:
-            return x
-        H = _combine(phi.hessian(x), E.gram / tau)
-        d = _solve_newton_system(H, -g)
-        slope = float(g @ d)
-        if slope >= 0:
-            raise SingularStep("Newton direction is not a descent direction")
-        x, J = armijo_search(objective, x, d, J, slope,
-                             c=armijo_c, shrink=armijo_shrink)
-        g = residual(x)
-    if np.linalg.norm(g) <= tol:
-        return x
-    raise NonConvergence(
-        f"Newton did not reach tolerance {tol:.3e} in {newton_max_iter} iterations"
+    x0 = x_prev if x_start is None else np.asarray(x_start, dtype=float)
+    g_prev = residual(x_prev)
+    g0_norm = float(np.linalg.norm(g_prev))
+    if g0_norm == 0.0 and np.array_equal(x0, x_prev):
+        return x0.copy()
+    return newton_minimize(
+        objective, residual, lambda x: _combine(phi.hessian(x), E.gram / tau),
+        x0, newton_tol * (1.0 + g0_norm),
+        g0=g_prev if x_start is None else None, max_iter=newton_max_iter,
+        armijo_c=armijo_c, armijo_shrink=armijo_shrink,
     )
 
 
@@ -226,8 +244,23 @@ def resolve_inputs(f, n_steps, dim_Z, mode="right"):
     return 0.5 * (f[:-1] + f[1:])
 
 
-def solve_trajectory(phi, E, x0, f, config):
-    """Run the prox stepper from x0 over n_steps of size tau."""
+def _with_load(phi, load):
+    """Phi shifted by the linear term -<load, x>."""
+    return EllipticFunctional(
+        eval=lambda x: phi.eval(x) - float(load @ x),
+        gateaux=lambda x: phi.gateaux(x) - load,
+        hessian=phi.hessian,
+        ellipticity_omega=phi.ellipticity_omega,
+    )
+
+
+def solve_trajectory(phi, E, x0, f, config, loads=None, zero_start=False):
+    """Run the prox stepper from x0 over n_steps of size tau.
+
+    ``loads`` (n_steps, dim_X), if given, adds the linear term -<load_k, x>
+    to Phi in step k; the recorded energies are those of the unloaded Phi.
+    ``zero_start`` starts every Newton solve at x = 0 instead of x_{k-1}.
+    """
     config.check_against(phi)
     x0 = np.asarray(x0, dtype=float)
     n = config.n_steps
@@ -238,10 +271,13 @@ def solve_trajectory(phi, E, x0, f, config):
     states[0] = x0
     images[0] = E.apply(x0)
     energies[0] = phi.eval(x0)
+    x_start = np.zeros(E.dim_X) if zero_start else None
     for k in range(1, n + 1):
+        phi_k = phi if loads is None else _with_load(phi, loads[k - 1])
         try:
             states[k] = prox_step(
-                phi, E, states[k - 1], fk[k - 1], config.tau,
+                phi_k, E, states[k - 1], fk[k - 1], config.tau,
+                x_start=x_start,
                 newton_tol=config.newton_tol,
                 newton_max_iter=config.newton_max_iter,
                 armijo_c=config.armijo_c,
@@ -293,7 +329,8 @@ def eval_phi_E(phi, E, z, *, dim_limit=64, feas_tol=1e-10, newton_tol=1e-12,
     """Pushforward functional: inf of Phi over the affine set {x : E x = z}.
 
     Computed by a null-space parameterization plus Newton.  Returns a dict
-    with "value" and "argmin".
+    with "value" and "argmin"; raises NonConvergence when ``max_iter``
+    Newton iterations do not reach the tolerance.
     """
     if E.dim_X > dim_limit:
         raise OracleLimitExceeded(
@@ -308,18 +345,13 @@ def eval_phi_E(phi, E, z, *, dim_limit=64, feas_tol=1e-10, newton_tol=1e-12,
     if N.shape[1] == 0:
         return {"value": float(phi.eval(x_p)), "argmin": x_p}
 
-    y = np.zeros(N.shape[1])
-    for _ in range(max_iter):
-        x = x_p + N @ y
-        g = N.T @ phi.gateaux(x)
-        if np.linalg.norm(g) <= newton_tol * (1.0 + abs(phi.eval(x))):
-            break
-        H = N.T @ (phi.hessian(x) @ N)
-        d = _solve_newton_system(H, -g)
-        slope = float(g @ d)
-        y, _ = armijo_search(
-            lambda yy: phi.eval(x_p + N @ yy), y, d, phi.eval(x), slope
-        )
+    y = newton_minimize(
+        lambda y: phi.eval(x_p + N @ y),
+        lambda y: N.T @ phi.gateaux(x_p + N @ y),
+        lambda y: N.T @ (phi.hessian(x_p + N @ y) @ N),
+        np.zeros(N.shape[1]), newton_tol * (1.0 + abs(phi.eval(x_p))),
+        max_iter=max_iter,
+    )
     x = x_p + N @ y
     return {"value": float(phi.eval(x)), "argmin": x}
 

@@ -111,12 +111,8 @@ def perturbation_experiments(config, kind, adversarial=False, seed=None):
         traj_b = system.solve(other, ops, phi, E)
     else:
         w = _invisible_perturbation(ops, seed=seed, visible=adversarial)
-        a0 = system.initial_field(config, ops)
-        np.save(_tmp_field_path(config, seed), a0 + w)
-        other = replace(
-            config, a0_kind="file", a0_path=_tmp_field_path(config, seed)
-        )
-        traj_b = system.solve(other, ops, phi, E)
+        a0 = system.initial_field(config, ops) + w
+        traj_b = system.solve(config, ops, phi, E, a0=a0)
     scale = max(trajectory_scale(ops, traj_a), trajectory_scale(ops, traj_b))
     start = 1 if kind == "initializability" else 0
     discrepancy = float(np.max(np.linalg.norm(
@@ -128,14 +124,6 @@ def perturbation_experiments(config, kind, adversarial=False, seed=None):
         name=f"{kind}{'_adversarial' if adversarial else ''}",
         passed=bool(passed),
         measured={"discrepancy": discrepancy, "bound": bound, "scale": scale},
-    )
-
-
-def _tmp_field_path(config, seed):
-    import tempfile
-
-    return os.path.join(
-        tempfile.gettempdir(), f"mqsflow_a0_{config.n}_{seed}.npy"
     )
 
 
@@ -186,8 +174,9 @@ def _manufactured_forcing(sigma_C, nu0):
         shape = fem.assemble_load(
             mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y)
         )
-        shape_C = _conducting_load(
-            mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y)
+        shape_C = fem.assemble_load(
+            mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y),
+            element_filter=mesh.element_labels == fem.LABEL_C,
         )
         return (
             sigma_C * np.exp(-t) * shape_C
@@ -195,28 +184,6 @@ def _manufactured_forcing(sigma_C, nu0):
         )
 
     return load
-
-
-def _conducting_load(mesh, dofs, func):
-    """Edge-midpoint load restricted to conducting-labeled elements."""
-    areas, _ = fem._geometry(mesh)
-    pts = mesh.vertices[mesh.triangles]
-    mids = np.stack(
-        [0.5 * (pts[:, 1] + pts[:, 2]),
-         0.5 * (pts[:, 2] + pts[:, 0]),
-         0.5 * (pts[:, 0] + pts[:, 1])], axis=1
-    )
-    flat = mids.reshape(-1, 2)
-    vals = np.asarray(func(flat[:, 0], flat[:, 1]), dtype=float).reshape(-1, 3)
-    vals[mesh.element_labels != fem.LABEL_C] = 0.0
-    basis_at_mid = 0.5 * (1.0 - np.eye(3))
-    contrib = (areas / 3.0)[:, None] * np.einsum("eq,iq->ei", vals, basis_at_mid)
-    out = np.zeros(dofs.n_dofs)
-    gdofs = dofs.vertex_to_dof[mesh.triangles]
-    for i in range(3):
-        sel = gdofs[:, i] >= 0
-        np.add.at(out, gdofs[sel, i], contrib[sel, i])
-    return out
 
 
 def manufactured_config(n=16, tau=1.0 / 64.0, nu0=1.0, sigma_C=1.0, T=1.0):

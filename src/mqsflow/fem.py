@@ -361,10 +361,11 @@ def magnetic_energy(mesh, dofs, model, a):
     return out
 
 
-def assemble_load(mesh, dofs, func, t=None):
+def assemble_load(mesh, dofs, func, t=None, element_filter=None):
     """Load vector l_i = int f phi_i by the edge-midpoint rule.
 
-    ``func(x, y)`` or ``func(x, y, t)`` is evaluated pointwise.
+    ``func(x, y)`` or ``func(x, y, t)`` is evaluated pointwise.  With a
+    boolean ``element_filter``, f is taken as zero on the other elements.
     """
     areas, _ = _geometry(mesh)
     pts = mesh.vertices[mesh.triangles]
@@ -379,6 +380,8 @@ def assemble_load(mesh, dofs, func, t=None):
     else:
         vals = func(flat[:, 0], flat[:, 1], t)
     vals = np.asarray(vals, dtype=float).reshape(-1, 3)
+    if element_filter is not None:
+        vals = np.where(element_filter[:, None], vals, 0.0)
     basis_at_mid = 0.5 * (1.0 - np.eye(3))
     contrib = (areas / 3.0)[:, None] * np.einsum("eq,iq->ei", vals, basis_at_mid)
     out = np.zeros(dofs.n_dofs)
@@ -408,8 +411,9 @@ def estimate_coercivity_constant(mesh, dofs):
             w = eigh(A.toarray(), mass.toarray(), eigvals_only=True)
             lam_min = float(w[0])
         else:
+            # fixed v0: ARPACK's random default start makes L_C vary per call
             w = spla.eigsh(A, k=1, M=mass.tocsc(), sigma=0.0, which="LM",
-                           return_eigenvectors=False)
+                           v0=np.ones(n), return_eigenvectors=False)
             lam_min = float(w[0])
     except Exception as exc:  # arpack / factorization failures
         raise EigenSolveFailure(str(exc)) from exc

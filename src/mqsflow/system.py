@@ -14,15 +14,14 @@ up front and serves as an equivalence witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from . import core, fem, material
-from .errors import NonConvergence, SingularStep, ValidationFailure
+from .errors import ValidationFailure
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,6 @@ class MQSConfig:
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
     newton_start: str = "prev"  # "prev" or "zero" initial Newton guess
-    oracle_dim_limit: int = 64
     # optional manufactured volumetric forcing added to the field equation;
     # callable (mesh, dofs, t) -> load vector, used only by convergence studies
     forcing: Optional[Callable] = None
@@ -228,14 +226,6 @@ def build_system(config):
     return ops, phi, E
 
 
-def mqs_energy(ops, a):
-    return ops.energy(a)
-
-
-def mqs_energy_gateaux(ops, a):
-    return ops.K(a)
-
-
 def initial_field(config, ops):
     if config.a0_kind == "zero":
         return np.zeros(ops.n_dofs)
@@ -291,21 +281,34 @@ def power_balance(ops, traj):
     return out
 
 
-def solve(config, ops=None, phi=None, E=None):
-    """Run the coupled system over [0, T] with the prox stepper."""
+def solve(config, ops=None, phi=None, E=None, a0=None):
+    """Run the coupled system over [0, T] with the prox stepper.
+
+    ``a0`` overrides the configured initial field.
+    """
     if ops is None:
         ops, phi, E = build_system(config)
-    a0 = initial_field(config, ops)
+    if a0 is None:
+        a0 = initial_field(config, ops)
+    a0 = np.asarray(a0, dtype=float)
+    if a0.shape != (ops.n_dofs,):
+        raise ValidationFailure(
+            f"initial field has shape {a0.shape}, expected ({ops.n_dofs},)"
+        )
     v_samples = _voltage_samples(config)
     f = _metric_input(ops, E, v_samples)
     prox_cfg = core.ProxConfig(
         tau=config.tau, n_steps=config.n_steps,
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
     )
-    if config.forcing is None and config.newton_start == "prev":
-        traj = core.solve_trajectory(phi, E, a0, f, prox_cfg)
-    else:
-        traj = _solve_custom(config, ops, phi, E, a0, f, prox_cfg)
+    loads = None
+    if config.forcing is not None:
+        loads = [config.forcing(ops.mesh, ops.dofs, t)
+                 for t in config.tau * np.arange(1, config.n_steps + 1)]
+    traj = core.solve_trajectory(
+        phi, E, a0, f, prox_cfg, loads=loads,
+        zero_start=config.newton_start == "zero",
+    )
     currents, fluxes = recover_currents(ops, traj.states, v_samples, config.tau)
     mqs_traj = MQSTrajectory(
         times=traj.times, fields=traj.states, currents=currents,
@@ -317,73 +320,8 @@ def solve(config, ops=None, phi=None, E=None):
     return mqs_traj
 
 
-def _solve_custom(config, ops, phi, E, a0, f, prox_cfg):
-    """Step loop with per-step functional adjustments (forcing, start guess)."""
-    n = prox_cfg.n_steps
-    fk = core.resolve_inputs(f, n, E.dim_Z, prox_cfg.input_sampling)
-    states = np.empty((n + 1, E.dim_X))
-    states[0] = a0
-    times = prox_cfg.tau * np.arange(n + 1)
-    for k in range(1, n + 1):
-        phi_k = phi
-        if config.forcing is not None:
-            load = config.forcing(ops.mesh, ops.dofs, times[k])
-            phi_k = core.EllipticFunctional(
-                eval=lambda a, load=load: phi.eval(a) - float(load @ a),
-                gateaux=lambda a, load=load: phi.gateaux(a) - load,
-                hessian=phi.hessian,
-                ellipticity_omega=phi.ellipticity_omega,
-            )
-        x_start = states[k - 1]
-        if config.newton_start == "zero":
-            x_start = np.zeros(E.dim_X)
-        try:
-            states[k] = _prox_from(
-                phi_k, E, states[k - 1], fk[k - 1], prox_cfg, x_start
-            )
-        except (NonConvergence, SingularStep) as exc:
-            exc.step = k
-            raise
-    images = np.array([E.apply(x) for x in states])
-    energies = np.array([phi.eval(x) for x in states])
-    rates = np.diff(images, axis=0) / prox_cfg.tau
-    return core.DaeTrajectory(times, states, images, rates, energies, fk)
-
-
-def _prox_from(phi, E, x_prev, f_k, prox_cfg, x_start):
-    """prox_step variant with an explicit Newton starting point."""
-    tau = prox_cfg.tau
-    b = E.apply(x_prev) + tau * np.asarray(f_k, dtype=float)
-
-    def objective(x):
-        mis = E.apply(x) - b
-        return phi.eval(x) + 0.5 / tau * float(mis @ mis)
-
-    def residual(x):
-        return phi.gateaux(x) + E.apply_adjoint(E.apply(x) - b) / tau
-
-    x = np.asarray(x_start, dtype=float).copy()
-    g = residual(x)
-    g0 = float(np.linalg.norm(residual(x_prev)))
-    if g0 == 0.0 and np.array_equal(x, x_prev):
-        return x
-    tol = prox_cfg.newton_tol * (1.0 + g0)
-    J = objective(x)
-    for _ in range(prox_cfg.newton_max_iter):
-        if np.linalg.norm(g) <= tol:
-            return x
-        H = core._combine(phi.hessian(x), E.gram / tau)
-        d = core._solve_newton_system(H, -g)
-        slope = float(g @ d)
-        if slope >= 0:
-            raise SingularStep("Newton direction is not a descent direction")
-        x, J = core.armijo_search(objective, x, d, J, slope,
-                                  c=prox_cfg.armijo_c,
-                                  shrink=prox_cfg.armijo_shrink)
-        g = residual(x)
-    if np.linalg.norm(g) <= tol:
-        return x
-    raise NonConvergence("Newton did not converge")
+# perfbench/measure.py names this attribute when it instruments prox steps.
+_prox_from = core.prox_step
 
 
 def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
@@ -393,6 +331,7 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
     Solves (M_red / tau)(a - a_prev) + K(a) = C R^{-1} v_k with
     M_red = sigma_C M_C + C R^{-1} C^T by damped Newton.
     """
+    a_prev = np.asarray(a_prev, dtype=float)
     M_red = ops.msigma + sp.csr_matrix(ops.coupling @ ops.R_inv @ ops.coupling.T)
     rhs_const = ops.coupling @ (ops.R_inv @ np.atleast_1d(v_k))
     if forcing_load is not None:
@@ -408,26 +347,14 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
             - float(rhs_const @ a)
         )
 
-    a = np.asarray(a_prev, dtype=float).copy()
-    g = residual(a)
-    g0 = float(np.linalg.norm(g))
-    if g0 == 0.0:
-        return a
-    tol = newton_tol * (1.0 + g0)
-    J = merit(a)
-    for _ in range(newton_max_iter):
-        if np.linalg.norm(g) <= tol:
-            return a
-        H = ops.K_tangent(a) + M_red / tau
-        d = core._solve_newton_system(sp.csc_matrix(H), -g)
-        slope = float(g @ d)
-        if slope >= 0:
-            raise SingularStep("Newton direction is not a descent direction")
-        a, J = core.armijo_search(merit, a, d, J, slope)
-        g = residual(a)
-    if np.linalg.norm(g) <= tol:
-        return a
-    raise NonConvergence("Schur Newton did not converge")
+    g = residual(a_prev)
+    g0_norm = float(np.linalg.norm(g))
+    if g0_norm == 0.0:
+        return a_prev.copy()
+    return core.newton_minimize(
+        merit, residual, lambda a: ops.K_tangent(a) + M_red / tau, a_prev,
+        newton_tol * (1.0 + g0_norm), g0=g, max_iter=newton_max_iter,
+    )
 
 
 def solve_schur(config, ops=None):

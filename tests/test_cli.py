@@ -173,3 +173,28 @@ def test_cli_seed_flag_overrides_config(tmp_path, small_cfg):
     entries = cm.load_config_file(small_cfg)
     cfg = cm.build_config(entries, seed=123)
     assert cfg.seed == 123
+
+
+def test_cli_wrong_shape_initial_field_file(tmp_path, small_cfg, capsys):
+    a0 = tmp_path / "a0.npy"
+    np.save(a0, np.zeros(5))
+    code = cli.dispatch(
+        ["run", "--config", small_cfg, "--out", str(tmp_path / "o"),
+         "--set", "initial.kind=file", "--set", f"initial.path={a0}"]
+    )
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_experiment_leaves_temp_dir_empty(tmp_path, small_cfg,
+                                               monkeypatch):
+    import tempfile
+
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    code = cli.dispatch(
+        ["experiment", "--config", small_cfg, "--out", str(tmp_path / "o")]
+    )
+    assert code == 0
+    assert list(tmp.iterdir()) == []

@@ -255,3 +255,55 @@ def test_trajectory_error_annotated_with_step():
     with pytest.raises((SingularStep, NonConvergence)) as exc_info:
         core.solve_trajectory(phi, E, np.array([1.0]), None, cfg)
     assert exc_info.value.step == 1
+
+
+def test_newton_minimize_one_iteration_on_quadratic():
+    rng = np.random.default_rng(7)
+    Q = random_spd(4, rng)
+    b = rng.standard_normal(4)
+    phi = quadratic(Q, b)
+    hessian_calls = []
+
+    def hessian(x):
+        hessian_calls.append(x)
+        return Q
+
+    x = core.newton_minimize(phi.eval, phi.gateaux, hessian, np.zeros(4),
+                             1e-10)
+    assert len(hessian_calls) == 1
+    assert np.allclose(x, np.linalg.solve(Q, b), atol=1e-12)
+
+
+def test_newton_minimize_concave_objective_raises_singular_step():
+    with pytest.raises(SingularStep):
+        core.newton_minimize(
+            lambda x: -float(x @ x), lambda x: -2.0 * x,
+            lambda x: -2.0 * np.eye(2), np.ones(2), 1e-10,
+        )
+
+
+def test_newton_minimize_exhausted_budget_raises():
+    phi = quadratic(np.eye(2))
+    with pytest.raises(NonConvergence):
+        core.newton_minimize(phi.eval, phi.gateaux, phi.hessian, np.ones(2),
+                             1e-10, max_iter=0)
+
+
+def cosh_sum(c):
+    """phi(x) = sum cosh(x_i - c_i), strictly convex and not quadratic."""
+    return core.EllipticFunctional(
+        eval=lambda x: float(np.sum(np.cosh(x - c))),
+        gateaux=lambda x: np.sinh(x - c),
+        hessian=lambda x: np.diag(np.cosh(x - c)),
+    )
+
+
+def test_eval_phi_E_exhausted_budget_raises():
+    phi = cosh_sum(np.array([2.0, -1.0, 0.5]))
+    E = core.LinearMapE(np.ones((1, 3)))
+    with pytest.raises(NonConvergence):
+        core.eval_phi_E(phi, E, np.zeros(1), max_iter=1)
+    # with the default budget the reduced gradient vanishes: equal sinh
+    x = core.eval_phi_E(phi, E, np.zeros(1))["argmin"]
+    assert abs(x.sum()) < 1e-12
+    assert np.ptp(phi.gateaux(x)) < 1e-10

@@ -210,3 +210,25 @@ def test_coercivity_constant_with_conductor_is_smaller():
     plain = fem.estimate_coercivity_constant(*fem.build_mesh(16, None))
     with_c = fem.estimate_coercivity_constant(*fem.build_mesh(16, DISK))
     assert 0 < with_c < plain
+
+
+def test_coercivity_constant_is_deterministic():
+    # n = 16 has 225 dofs, above the dense cutoff: the ARPACK path
+    mesh, dofs = fem.build_mesh(16, DISK)
+    values = {fem.estimate_coercivity_constant(mesh, dofs) for _ in range(5)}
+    assert len(values) == 1
+
+
+def test_filtered_load_vanishes_off_the_filter():
+    mesh, dofs = fem.build_mesh(8, DISK)
+    conducting = mesh.element_labels == fem.LABEL_C
+
+    def one(x, y):
+        return np.ones_like(x)
+
+    inside = fem.assemble_load(mesh, dofs, one, element_filter=conducting)
+    outside = fem.assemble_load(mesh, dofs, one, element_filter=~conducting)
+    total = fem.assemble_load(mesh, dofs, one)
+    assert np.allclose(inside + outside, total, atol=1e-15)
+    areas, _ = fem._geometry(mesh)
+    assert inside.sum() == pytest.approx(areas[conducting].sum(), abs=1e-14)

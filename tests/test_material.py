@@ -156,3 +156,35 @@ def test_region_specific_parameters():
     )
     assert material.model_eval(model, "C", 1.0)[0] == 1.0
     assert material.model_eval(model, "I", 1.0)[0] == 3.0
+
+
+def _all_pairs_constants(model, s_max, n_grid):
+    """Reference: extreme secant slopes of nu(s)*s over every grid pair."""
+    s = np.linspace(0.0, s_max, n_grid)
+    nu, _ = material.model_eval(model, "*", s)
+    g = nu * s
+    iu = np.triu_indices(n_grid, k=1)
+    slopes = np.subtract.outer(g, g)[iu] / np.subtract.outer(s, s)[iu]
+    return float(slopes.min()), float(np.abs(slopes).max())
+
+
+@pytest.mark.parametrize("model", [
+    material.rational_saturation_model(1.0, 5.0),
+    material.rational_saturation_model(1.0, 8.0),
+    material.constant_model(1.0),
+    material.constant_model(2.0),
+    material.tabulated_model(np.column_stack([
+        np.linspace(0.0, 10.0, 41),
+        1.0 + 4.0 / (1.0 + np.linspace(0.0, 10.0, 41) ** 2),
+    ])),
+    material.tabulated_model(np.array(
+        [[0.0, 5.0], [1.0, 5.0], [2.0, 1.0], [4.0, 0.1]]
+    )),
+], ids=["rational_1_5", "rational_1_8", "constant_1", "constant_2",
+        "table_41", "nonmonotone"])
+def test_estimate_constants_matches_all_pairs_oracle(model):
+    report = material.estimate_constants(model, s_max=20.0, n_grid=400)
+    m_ref, L_ref = _all_pairs_constants(model, 20.0, 400)
+    assert report.m_hat == pytest.approx(m_ref, rel=1e-12, abs=1e-12)
+    assert report.L_hat == pytest.approx(L_ref, rel=1e-12, abs=1e-12)
+    assert report.passed == (m_ref > 0.0)

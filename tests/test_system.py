@@ -125,6 +125,29 @@ def test_initial_field_kinds(tmp_path):
     assert np.array_equal(loaded, rnd)
 
 
+
+def test_solve_with_a0_matches_file_initial_field(tmp_path):
+    from dataclasses import replace
+
+    cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
+    ops, phi, E = system.build_system(cfg)
+    x = system.initial_field(replace(cfg, a0_kind="random", seed=3), ops)
+    path = tmp_path / "a0.npy"
+    np.save(path, x)
+    from_file = system.solve(
+        replace(cfg, a0_kind="file", a0_path=str(path)), ops, phi, E
+    )
+    in_memory = system.solve(cfg, ops, phi, E, a0=x)
+    assert np.array_equal(from_file.fields, in_memory.fields)
+    assert np.array_equal(from_file.currents[1:], in_memory.currents[1:])
+
+
+def test_solve_rejects_wrong_shape_initial_field():
+    cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
+    ops, phi, E = system.build_system(cfg)
+    with pytest.raises(ValidationFailure, match="shape"):
+        system.solve(cfg, ops, phi, E, a0=np.zeros(ops.n_dofs + 1))
+
 def test_voltage_signals():
     step = system.VoltageSignal("step", np.array([2.0]))
     assert step(0.0) == np.array([0.0])
