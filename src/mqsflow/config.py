@@ -11,7 +11,7 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [circuit]   sigma_C (1), R ("1"; rows ';'-separated),
               voltage_kind (step), voltage_value ("1"),
               voltage_table (rows "t v_1 .. v_m" ';'-separated)
-  [time]      T (1), tau (0.015625)
+  [time]      T (1), tau (0.015625); T / tau must be a whole number
   [initial]   kind (zero), seed (42), path
   [output]    basename (run)
   [core]      newton_tol (1e-10), newton_max_iter (50), newton_start (prev)

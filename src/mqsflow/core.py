@@ -27,6 +27,7 @@ from .errors import (
     NonConvergence,
     OracleLimitExceeded,
     SingularStep,
+    ValidationFailure,
 )
 
 
@@ -77,8 +78,6 @@ class ProxConfig:
     n_steps: int
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     input_sampling: str = "right"  # "right" endpoint or interval "average"
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ class ProxConfig:
     def check_against(self, phi):
         omega = phi.ellipticity_omega
         if omega > 0 and not self.tau < 1.0 / omega:
-            raise ValueError(
+            raise ValidationFailure(
                 f"tau = {self.tau} too large for ellipticity omega = {omega}"
             )
 
@@ -161,7 +160,7 @@ def armijo_search(objective, x, d, J, slope, c=1e-4, shrink=0.5):
 
 
 def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
-                    max_iter=50, armijo_c=1e-4, armijo_shrink=0.5):
+                    max_iter=50):
     """Damped Newton with Armijo backtracking for a smooth convex objective.
 
     Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` is the gradient
@@ -179,8 +178,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
         slope = float(g @ d)
         if slope >= 0:
             raise SingularStep("Newton direction is not a descent direction")
-        x, J = armijo_search(objective, x, d, J, slope,
-                             c=armijo_c, shrink=armijo_shrink)
+        x, J = armijo_search(objective, x, d, J, slope)
         g = gradient(x)
     if np.linalg.norm(g) <= tol:
         return x
@@ -190,7 +188,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
 
 
 def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, newton_tol=1e-10,
-              newton_max_iter=50, armijo_c=1e-4, armijo_shrink=0.5):
+              newton_max_iter=50):
     """One implicit-Euler step as a proximal minimization in the E-metric.
 
     Newton starts from ``x_start`` (default x_prev).  Returns x_k with
@@ -214,11 +212,11 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, newton_tol=1e-10,
     g0_norm = float(np.linalg.norm(g_prev))
     if g0_norm == 0.0 and np.array_equal(x0, x_prev):
         return x0.copy()
+    metric = E.gram / tau
     return newton_minimize(
-        objective, residual, lambda x: _combine(phi.hessian(x), E.gram / tau),
+        objective, residual, lambda x: _combine(phi.hessian(x), metric),
         x0, newton_tol * (1.0 + g0_norm),
         g0=g_prev if x_start is None else None, max_iter=newton_max_iter,
-        armijo_c=armijo_c, armijo_shrink=armijo_shrink,
     )
 
 
@@ -280,8 +278,6 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, zero_start=False):
                 x_start=x_start,
                 newton_tol=config.newton_tol,
                 newton_max_iter=config.newton_max_iter,
-                armijo_c=config.armijo_c,
-                armijo_shrink=config.armijo_shrink,
             )
         except (NonConvergence, SingularStep) as exc:
             exc.step = k

@@ -10,10 +10,12 @@ grad phi_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import EigenSolveFailure, GeometryError, WindingOverlapsConductor
 from .material import REGION_CONDUCTOR, REGION_INSULATOR, model_eval, theta_eval
@@ -37,17 +39,46 @@ class Mesh2D:
     def n_elements(self):
         return self.triangles.shape[0]
 
+    @cached_property
+    def geometry(self):
+        """(areas, grads) of the elements, computed once per mesh."""
+        return _geometry(self)
+
 
 @dataclass(frozen=True)
 class DofMap:
-    """Interior vertices carry dofs; boundary vertices are fixed to zero."""
+    """Interior vertices carry dofs; boundary vertices are fixed to zero.
+
+    All element-to-dof assembly goes through ``assemble_vector`` and
+    ``assemble_matrix``; local entries at boundary vertices land in one
+    extra slot past the end, which is dropped.
+    """
 
     vertex_to_dof: np.ndarray  # (n_vertices,), -1 at boundary vertices
     dof_to_vertex: np.ndarray  # (n_dofs,)
+    vector_slots: np.ndarray   # (3 M,) int32, local vertex-major
+    pattern: sp.csr_matrix     # P1 sparsity pattern, int32 indices
+    matrix_slots: np.ndarray   # (9 M,) int32, element-major into pattern.data
 
     @property
     def n_dofs(self):
         return self.dof_to_vertex.shape[0]
+
+    def assemble_vector(self, local):
+        """Global vector from element contributions ``local`` (M, 3)."""
+        return np.bincount(self.vector_slots, weights=local.ravel(order="F"),
+                           minlength=self.n_dofs + 1)[:-1]
+
+    def assemble_matrix(self, local):
+        """CSR matrix on the P1 pattern from element blocks ``local`` (M, 3, 3)."""
+        nnz = self.pattern.nnz
+        data = np.bincount(self.matrix_slots, weights=local.ravel(),
+                           minlength=nnz + 1)[:-1]
+        # own index arrays: callers may prune the result in place
+        return sp.csr_matrix(
+            (data, self.pattern.indices.copy(), self.pattern.indptr.copy()),
+            shape=self.pattern.shape,
+        )
 
 
 @dataclass(frozen=True)
@@ -113,21 +144,14 @@ def build_mesh(n, conductor=None):
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if (i + j) % 2 == 0:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # cells in row-major order (i fastest), two triangles per cell
+    i, j = (idx.ravel() for idx in np.meshgrid(np.arange(n), np.arange(n)))
+    v00 = j * (n + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    even = (i + j) % 2 == 0
+    first = np.where(even, [v00, v10, v11], [v00, v10, v01])  # (3, n * n)
+    second = np.where(even, [v00, v11, v01], [v10, v11, v01])
+    triangles = np.stack([first, second]).transpose(2, 0, 1).reshape(-1, 3)
 
     centroids = vertices[triangles].mean(axis=1)
     labels = np.full(triangles.shape[0], LABEL_I, dtype=np.int64)
@@ -144,45 +168,50 @@ def build_mesh(n, conductor=None):
     _check_mesh(mesh)
 
     interior = np.flatnonzero(~boundary)
+    n_dofs = interior.size
     vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    vertex_to_dof[interior] = np.arange(interior.size)
-    dofs = DofMap(vertex_to_dof=vertex_to_dof, dof_to_vertex=interior)
+    vertex_to_dof[interior] = np.arange(n_dofs)
+    gdofs = vertex_to_dof[triangles]  # (M, 3), -1 at boundary
+    vector_slots = np.where(gdofs >= 0, gdofs, n_dofs).ravel(order="F")
+    rows = np.repeat(gdofs, 3, axis=1).ravel()
+    cols = np.tile(gdofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    pattern = sp.csr_matrix(
+        (np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(n_dofs, n_dofs)
+    )
+    # a canonical CSR lists its (row, col) keys in sorted order
+    keys = np.repeat(np.arange(n_dofs) * n_dofs, np.diff(pattern.indptr))
+    keys += pattern.indices
+    matrix_slots = np.where(
+        keep, np.searchsorted(keys, rows * n_dofs + cols), pattern.nnz
+    )
+    dofs = DofMap(
+        vertex_to_dof=vertex_to_dof, dof_to_vertex=interior,
+        vector_slots=vector_slots.astype(np.int32), pattern=pattern,
+        matrix_slots=matrix_slots.astype(np.int32),
+    )
     return mesh, dofs
 
 
 def _check_mesh(mesh):
-    areas, _ = _geometry(mesh)
+    areas, _ = mesh.geometry
     if np.any(areas < 1e-14):
         raise GeometryError("degenerate triangle (area < 1e-14)")
     c_elems = np.flatnonzero(mesh.element_labels == LABEL_C)
     if c_elems.size == 0:
         return
-    c_verts = np.unique(mesh.triangles[c_elems])
-    if np.any(mesh.boundary_vertex_flags[c_verts]):
+    c_tris = mesh.triangles[c_elems]
+    if np.any(mesh.boundary_vertex_flags[c_tris]):
         raise GeometryError("conducting region touches the outer boundary")
-    # edge-connectivity of the conducting region
-    edge_owner = {}
-    adj = [[] for _ in range(c_elems.size)]
-    for k, e in enumerate(c_elems):
-        t = mesh.triangles[e]
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            if key in edge_owner:
-                other = edge_owner[key]
-                adj[k].append(other)
-                adj[other].append(k)
-            else:
-                edge_owner[key] = k
-    seen = np.zeros(c_elems.size, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        k = stack.pop()
-        for o in adj[k]:
-            if not seen[o]:
-                seen[o] = True
-                stack.append(o)
-    if not seen.all():
+    # conducting elements are linked through the edges they share
+    ends = np.sort(c_tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    _, edge = np.unique(ends[:, 0] * mesh.n_vertices + ends[:, 1],
+                        return_inverse=True)
+    incidence = sp.csr_matrix(
+        (np.ones(edge.size), (np.arange(edge.size) // 3, edge.ravel()))
+    )
+    n_parts, _ = connected_components(incidence @ incidence.T, directed=False)
+    if n_parts > 1:
         raise GeometryError("conducting region is not edge-connected")
 
 
@@ -190,22 +219,12 @@ _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 
 
 def _assemble_mass(mesh, dofs, element_filter=None):
-    areas, _ = _geometry(mesh)
-    if element_filter is None:
-        elems = np.arange(mesh.n_elements)
-    else:
-        elems = np.flatnonzero(element_filter)
-    tri = mesh.triangles[elems]
-    gdofs = dofs.vertex_to_dof[tri]  # (M, 3), -1 at boundary
-    local = areas[elems, None, None] * _LOCAL_MASS[None, :, :]
-    rows = np.repeat(gdofs, 3, axis=1).ravel()
-    cols = np.tile(gdofs, (1, 3)).ravel()
-    vals = local.reshape(len(elems), 9).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    M = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(dofs.n_dofs, dofs.n_dofs)
-    )
-    return M.tocsr()
+    areas, _ = mesh.geometry
+    if element_filter is not None:
+        areas = np.where(element_filter, areas, 0.0)
+    M = dofs.assemble_matrix(areas[:, None, None] * _LOCAL_MASS)
+    M.eliminate_zeros()  # a filtered mass keeps only its elements' pattern
+    return M
 
 
 def assemble_sigma_mass(mesh, dofs, sigma_C):
@@ -223,17 +242,10 @@ def assemble_sigma_mass(mesh, dofs, sigma_C):
 
 def assemble_stiffness(mesh, dofs):
     """Unit-coefficient stiffness matrix (the linear curl-curl form)."""
-    areas, grads = _geometry(mesh)
-    local = areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
-    gdofs = dofs.vertex_to_dof[mesh.triangles]
-    rows = np.repeat(gdofs, 3, axis=1).ravel()
-    cols = np.tile(gdofs, (1, 3)).ravel()
-    vals = local.reshape(mesh.n_elements, 9).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(dofs.n_dofs, dofs.n_dofs)
+    areas, grads = mesh.geometry
+    return dofs.assemble_matrix(
+        areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
     )
-    return K.tocsr()
 
 
 def _winding_density(winding, j, points):
@@ -270,23 +282,19 @@ def assemble_coupling(mesh, dofs, winding):
                     f"winding {j + 1} support intersects the conducting region"
                 )
 
-    areas, _ = _geometry(mesh)
+    areas, _ = mesh.geometry
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     C = np.zeros((dofs.n_dofs, winding.m))
-    gdofs = dofs.vertex_to_dof[mesh.triangles]
     w = areas / 3.0  # exact int of each hat over its element
     for j in range(winding.m):
-        chi = _winding_density(winding, j, centroids)
-        contrib = w * chi
-        for i in range(3):
-            sel = gdofs[:, i] >= 0
-            np.add.at(C[:, j], gdofs[sel, i], contrib[sel])
+        contrib = w * _winding_density(winding, j, centroids)
+        C[:, j] = dofs.assemble_vector(np.repeat(contrib[:, None], 3, axis=1))
     return C
 
 
 def _element_state(mesh, dofs, a):
-    """Per-element gradient, magnitude, and region label string."""
-    _, grads = _geometry(mesh)
+    """Per-element field gradient (M, 2) and its magnitude (M,)."""
+    _, grads = mesh.geometry
     a_vert = np.zeros(mesh.n_vertices)
     a_vert[dofs.dof_to_vertex] = a
     coeffs = a_vert[mesh.triangles]  # (M, 3)
@@ -310,22 +318,16 @@ def _element_nu(mesh, model, s, derivative=False):
 
 def curlcurl_residual(mesh, dofs, model, a):
     """Nonlinear form K(a)_i = sum_e nu(|grad a|_e) grad a . grad phi_i area_e."""
-    areas, grads = _geometry(mesh)
+    areas, grads = mesh.geometry
     g, s = _element_state(mesh, dofs, a)
     nu = _element_nu(mesh, model, s)
     flux = (nu * areas)[:, None] * g  # (M, 2)
-    contrib = np.einsum("ek,eik->ei", flux, grads)  # (M, 3)
-    out = np.zeros(dofs.n_dofs)
-    gdofs = dofs.vertex_to_dof[mesh.triangles]
-    for i in range(3):
-        sel = gdofs[:, i] >= 0
-        np.add.at(out, gdofs[sel, i], contrib[sel, i])
-    return out
+    return dofs.assemble_vector(np.einsum("ek,eik->ei", flux, grads))
 
 
 def curlcurl_jacobian(mesh, dofs, model, a):
     """Consistent tangent of the nonlinear curl-curl form, sparse symmetric."""
-    areas, grads = _geometry(mesh)
+    areas, grads = mesh.geometry
     g, s = _element_state(mesh, dofs, a)
     nu, dgds = _element_nu(mesh, model, s, derivative=True)
     # tangent tensor nu I + (d[nu s]/ds - nu) g g^T / s^2, isotropic limit at s = 0
@@ -336,21 +338,14 @@ def curlcurl_jacobian(mesh, dofs, model, a):
     coef = np.zeros_like(s)
     coef[big] = (dgds[big] - nu[big]) / (s[big] * s[big])
     T += coef[:, None, None] * np.einsum("ek,el->ekl", g, g)
-    local = areas[:, None, None] * np.einsum("eik,ekl,ejl->eij", grads, T, grads)
-    gdofs = dofs.vertex_to_dof[mesh.triangles]
-    rows = np.repeat(gdofs, 3, axis=1).ravel()
-    cols = np.tile(gdofs, (1, 3)).ravel()
-    vals = local.reshape(mesh.n_elements, 9).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    J = sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(dofs.n_dofs, dofs.n_dofs)
+    return dofs.assemble_matrix(
+        areas[:, None, None] * np.einsum("eik,ekl,ejl->eij", grads, T, grads)
     )
-    return J.tocsr()
 
 
 def magnetic_energy(mesh, dofs, model, a):
     """Discrete magnetic energy sum_e area_e theta(region_e, |grad a|_e^2)."""
-    areas, _ = _geometry(mesh)
+    areas, _ = mesh.geometry
     _, s = _element_state(mesh, dofs, a)
     rho = s * s
     out = 0.0
@@ -367,13 +362,9 @@ def assemble_load(mesh, dofs, func, t=None, element_filter=None):
     ``func(x, y)`` or ``func(x, y, t)`` is evaluated pointwise.  With a
     boolean ``element_filter``, f is taken as zero on the other elements.
     """
-    areas, _ = _geometry(mesh)
+    areas, _ = mesh.geometry
     pts = mesh.vertices[mesh.triangles]
-    mids = np.stack(
-        [0.5 * (pts[:, 1] + pts[:, 2]),
-         0.5 * (pts[:, 2] + pts[:, 0]),
-         0.5 * (pts[:, 0] + pts[:, 1])], axis=1
-    )
+    mids = 0.5 * (pts[:, [1, 2, 0]] + pts[:, [2, 0, 1]])  # [:, q] faces vertex q
     flat = mids.reshape(-1, 2)
     if t is None:
         vals = func(flat[:, 0], flat[:, 1])
@@ -383,13 +374,9 @@ def assemble_load(mesh, dofs, func, t=None, element_filter=None):
     if element_filter is not None:
         vals = np.where(element_filter[:, None], vals, 0.0)
     basis_at_mid = 0.5 * (1.0 - np.eye(3))
-    contrib = (areas / 3.0)[:, None] * np.einsum("eq,iq->ei", vals, basis_at_mid)
-    out = np.zeros(dofs.n_dofs)
-    gdofs = dofs.vertex_to_dof[mesh.triangles]
-    for i in range(3):
-        sel = gdofs[:, i] >= 0
-        np.add.at(out, gdofs[sel, i], contrib[sel, i])
-    return out
+    return dofs.assemble_vector(
+        (areas / 3.0)[:, None] * np.einsum("eq,iq->ei", vals, basis_at_mid)
+    )
 
 
 def estimate_coercivity_constant(mesh, dofs):

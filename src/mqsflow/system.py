@@ -88,6 +88,13 @@ class MQSConfig:
     # callable (mesh, dofs, t) -> load vector, used only by convergence studies
     forcing: Optional[Callable] = None
 
+    def __post_init__(self):
+        steps = self.T / self.tau
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValidationFailure(
+                f"T = {self.T} is not a whole number of steps tau = "
+                f"{self.tau} (T / tau = {steps:.6g})")
+
     @property
     def n_steps(self):
         return int(round(self.T / self.tau))
@@ -168,25 +175,23 @@ def _metric_matrix(mesh, dofs, sigma_C, coupling, R_inv_sqrt):
     Cholesky factors of the 3x3 local mass blocks, so the adjoint identity
     holds exactly in floating point up to rounding.
     """
-    areas, _ = fem._geometry(mesh)
+    areas, _ = mesh.geometry
     c_elems = np.flatnonzero(mesh.element_labels == fem.LABEL_C)
     local_chol = np.linalg.cholesky(fem._LOCAL_MASS)  # M_loc = L L^T
-    rows, cols, vals = [], [], []
-    for r, e in enumerate(c_elems):
-        gd = dofs.vertex_to_dof[mesh.triangles[e]]
-        block = np.sqrt(sigma_C * areas[e]) * local_chol.T  # block^T block = sigma area M_loc
-        for a in range(3):
-            for b in range(3):
-                if gd[b] >= 0 and block[a, b] != 0.0:
-                    rows.append(3 * r + a)
-                    cols.append(gd[b])
-                    vals.append(block[a, b])
-    n_field_rows = 3 * c_elems.size
-    E1 = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n_field_rows, dofs.n_dofs)
-    ).tocsr()
+    # block_r^T block_r = sigma area M_loc for the r-th conducting element;
+    # its row a is row 3 r + a of E1 and its column b is the dof of vertex b
+    blocks = np.sqrt(sigma_C * areas[c_elems])[:, None, None] * local_chol.T
+    rows, cols = np.broadcast_arrays(
+        np.arange(3 * c_elems.size).reshape(-1, 3, 1),
+        dofs.vertex_to_dof[mesh.triangles[c_elems]][:, None, :],
+    )
+    keep = (cols >= 0) & (blocks != 0.0)
+    E1 = sp.csr_matrix(
+        (blocks[keep], (rows[keep], cols[keep])),
+        shape=(3 * c_elems.size, dofs.n_dofs),
+    )
     E2 = sp.csr_matrix(R_inv_sqrt @ coupling.T)
-    return sp.vstack([E1, E2]).tocsr(), n_field_rows
+    return sp.vstack([E1, E2]).tocsr()
 
 
 def build_system(config):
@@ -221,8 +226,9 @@ def build_system(config):
         eval=ops.energy, gateaux=ops.K, hessian=ops.K_tangent,
         ellipticity_omega=1.0,
     )
-    E_mat, _ = _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt)
-    E = core.LinearMapE(E_mat)
+    E = core.LinearMapE(
+        _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt)
+    )
     return ops, phi, E
 
 

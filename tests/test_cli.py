@@ -198,3 +198,25 @@ def test_cli_experiment_leaves_temp_dir_empty(tmp_path, small_cfg,
     )
     assert code == 0
     assert list(tmp.iterdir()) == []
+
+
+def test_cli_step_too_large_for_ellipticity(tmp_path, small_cfg, capsys):
+    code = cli.dispatch(
+        ["run", "--config", small_cfg, "--out", str(tmp_path / "o"),
+         "--set", "time.T=1", "--set", "time.tau=1"]
+    )
+    assert code == 1
+    assert "error: tau = 1.0 too large" in capsys.readouterr().err
+
+
+def test_cli_rejects_horizon_not_a_whole_number_of_steps(tmp_path, small_cfg,
+                                                          capsys):
+    out = tmp_path / "o"
+    code = cli.dispatch(
+        ["run", "--config", small_cfg, "--out", str(out),
+         "--set", "time.T=1", "--set", "time.tau=0.3"]
+    )
+    assert code == 1
+    assert "error: T = 1.0 is not a whole number of steps" in \
+        capsys.readouterr().err
+    assert not (out / "run.csv").exists()

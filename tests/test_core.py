@@ -10,6 +10,7 @@ from mqsflow.errors import (
     NonConvergence,
     OracleLimitExceeded,
     SingularStep,
+    ValidationFailure,
 )
 
 
@@ -164,7 +165,7 @@ def test_prox_config_validation():
         core.ProxConfig(tau=0.1, n_steps=1, input_sampling="left")
     phi = quadratic(np.eye(2))
     phi.ellipticity_omega = 2.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailure):
         core.ProxConfig(tau=0.6, n_steps=1).check_against(phi)
     core.ProxConfig(tau=0.4, n_steps=1).check_against(phi)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mqsflow import fem, material
@@ -232,3 +233,161 @@ def test_filtered_load_vanishes_off_the_filter():
     assert np.allclose(inside + outside, total, atol=1e-15)
     areas, _ = fem._geometry(mesh)
     assert inside.sum() == pytest.approx(areas[conducting].sum(), abs=1e-14)
+
+
+# Reference assembly by independent COO triplets and np.add.at scatters.
+def _coo_matrix(mesh, dofs, local, elems=None):
+    if elems is None:
+        elems = np.arange(mesh.n_elements)
+    gdofs = dofs.vertex_to_dof[mesh.triangles[elems]]
+    rows = np.repeat(gdofs, 3, axis=1).ravel()
+    cols = np.tile(gdofs, (1, 3)).ravel()
+    vals = local[elems].reshape(len(elems), 9).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(dofs.n_dofs, dofs.n_dofs)
+    ).tocsr()
+
+
+def _add_at_vector(mesh, dofs, contrib):
+    out = np.zeros(dofs.n_dofs)
+    gdofs = dofs.vertex_to_dof[mesh.triangles]
+    for i in range(3):
+        sel = gdofs[:, i] >= 0
+        np.add.at(out, gdofs[sel, i], contrib[sel, i])
+    return out
+
+
+def _assert_same_csr(A, B):
+    A, B = A.tocsr(), B.tocsr()
+    A.sort_indices()
+    B.sort_indices()
+    assert A.nnz == B.nnz
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.array_equal(A.data, B.data)
+
+
+def test_dofmap_assembly_matches_coo_and_add_at_oracle():
+    mesh, dofs = fem.build_mesh(8, DISK)
+    areas, grads = fem._geometry(mesh)
+    conducting = mesh.element_labels == fem.LABEL_C
+    mass_local = areas[:, None, None] * fem._LOCAL_MASS
+    stiff_local = areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
+
+    M_sigma, M = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    _assert_same_csr(M, _coo_matrix(mesh, dofs, mass_local))
+    _assert_same_csr(M_sigma, _coo_matrix(mesh, dofs, mass_local,
+                                          np.flatnonzero(conducting)))
+    _assert_same_csr(fem.assemble_stiffness(mesh, dofs),
+                     _coo_matrix(mesh, dofs, stiff_local))
+
+    model = material.rational_saturation_model(1.0, 5.0)
+    a = 0.3 * np.random.default_rng(4).standard_normal(dofs.n_dofs)
+    a_vert = np.zeros(mesh.n_vertices)
+    a_vert[dofs.dof_to_vertex] = a
+    g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
+    nu = fem._element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
+    flux = (nu * areas)[:, None] * g
+    assert np.array_equal(
+        fem.curlcurl_residual(mesh, dofs, model, a),
+        _add_at_vector(mesh, dofs, np.einsum("ek,eik->ei", flux, grads)),
+    )
+
+    def f(x, y):
+        return np.sin(3 * x) * np.cos(2 * y)
+
+    pts = mesh.vertices[mesh.triangles]
+    mids = 0.5 * (pts[:, [1, 2, 0]] + pts[:, [2, 0, 1]])
+    vals = f(mids[..., 0], mids[..., 1])
+    load = (areas / 3.0)[:, None] * np.einsum(
+        "eq,iq->ei", vals, 0.5 * (1.0 - np.eye(3)))
+    assert np.array_equal(fem.assemble_load(mesh, dofs, f),
+                          _add_at_vector(mesh, dofs, load))
+
+    winding = fem.WindingSpec(rectangles=(
+        ((0.1, 0.2, 0.4, 0.6, 100.0), (0.8, 0.9, 0.4, 0.6, -100.0)),
+        ((0.3, 0.7, 0.05, 0.15, 7.0),),
+    ))
+    centroids = pts.mean(axis=1)
+    C = fem.assemble_coupling(mesh, dofs, winding)
+    for j in range(winding.m):
+        w = areas / 3.0 * fem._winding_density(winding, j, centroids)
+        assert np.array_equal(
+            C[:, j], _add_at_vector(mesh, dofs, np.repeat(w[:, None], 3, axis=1)))
+
+
+def test_dofmap_tangent_matches_coo_oracle():
+    mesh, dofs = fem.build_mesh(8, DISK)
+    model = material.rational_saturation_model(1.0, 5.0)
+    a = 0.3 * np.random.default_rng(5).standard_normal(dofs.n_dofs)
+    areas, grads = fem._geometry(mesh)
+    a_vert = np.zeros(mesh.n_vertices)
+    a_vert[dofs.dof_to_vertex] = a
+    g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
+    s = np.hypot(g[:, 0], g[:, 1])
+    nu, dgds = fem._element_nu(mesh, model, s, derivative=True)
+    T = nu[:, None, None] * np.eye(2) + ((dgds - nu) / s ** 2)[:, None, None] \
+        * np.einsum("ek,el->ekl", g, g)
+    local = areas[:, None, None] * np.einsum("eik,ekl,ejl->eij", grads, T, grads)
+    ref = _coo_matrix(mesh, dofs, local)
+    J = fem.curlcurl_jacobian(mesh, dofs, model, a)
+    _assert_same_csr(J != 0, ref != 0)
+    assert np.allclose(J.toarray(), ref.toarray(), rtol=1e-14, atol=0.0)
+
+
+def test_geometry_computed_once_per_mesh(monkeypatch):
+    calls = []
+    real = fem._geometry
+
+    def counted(mesh):
+        calls.append(mesh)
+        return real(mesh)
+
+    monkeypatch.setattr(fem, "_geometry", counted)
+    mesh, dofs = fem.build_mesh(8, DISK)
+    assert len(calls) == 1
+    model = material.rational_saturation_model(1.0, 5.0)
+    a = np.random.default_rng(6).standard_normal(dofs.n_dofs)
+    for _ in range(3):
+        fem.curlcurl_residual(mesh, dofs, model, a)
+        fem.curlcurl_jacobian(mesh, dofs, model, a)
+        fem.magnetic_energy(mesh, dofs, model, a)
+        fem.assemble_load(mesh, dofs, lambda x, y: x * y)
+    fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    fem.assemble_stiffness(mesh, dofs)
+    assert len(calls) == 1
+    fem.build_mesh(8, DISK)
+    assert len(calls) == 2
+
+
+def _relabelled(elements):
+    base, _ = fem.build_mesh(8, None)
+    labels = np.full(base.n_elements, fem.LABEL_I)
+    labels[list(elements)] = fem.LABEL_C
+    return fem.Mesh2D(base.vertices, base.triangles, labels,
+                      base.boundary_vertex_flags)
+
+
+def _element_in_cell(i, j, k=0):
+    """Index of triangle k of grid cell (i, j) on the n = 8 mesh."""
+    return 2 * (j * 8 + i) + k
+
+
+def test_check_mesh_conducting_region_branches():
+    # the two triangles of one interior cell share its diagonal
+    fem._check_mesh(_relabelled([_element_in_cell(3, 3, 0),
+                                 _element_in_cell(3, 3, 1)]))
+    # cells (3, 3) and (4, 4) meet only at the vertex (4, 4)
+    vertex_only = _relabelled([_element_in_cell(3, 3, 0),
+                               _element_in_cell(4, 4, 0)])
+    shared = set(vertex_only.triangles[_element_in_cell(3, 3, 0)]) & set(
+        vertex_only.triangles[_element_in_cell(4, 4, 0)])
+    assert len(shared) == 1
+    with pytest.raises(GeometryError, match="edge-connected"):
+        fem._check_mesh(vertex_only)
+    with pytest.raises(GeometryError, match="edge-connected"):
+        fem._check_mesh(_relabelled([_element_in_cell(2, 2),
+                                     _element_in_cell(5, 5)]))
+    with pytest.raises(GeometryError, match="boundary"):
+        fem._check_mesh(_relabelled([_element_in_cell(0, 3)]))

@@ -148,6 +148,14 @@ def test_solve_rejects_wrong_shape_initial_field():
     with pytest.raises(ValidationFailure, match="shape"):
         system.solve(cfg, ops, phi, E, a0=np.zeros(ops.n_dofs + 1))
 
+def test_config_rejects_horizon_not_a_whole_number_of_steps():
+    with pytest.raises(ValidationFailure, match="not a whole number"):
+        system.MQSConfig(n=8, T=1.0, tau=0.3)
+    # rounding in T / tau is tolerated
+    assert system.MQSConfig(n=8, T=0.3, tau=0.1).n_steps == 3
+    assert system.MQSConfig(n=8, T=1.0, tau=1.0 / 64.0).n_steps == 64
+
+
 def test_voltage_signals():
     step = system.VoltageSignal("step", np.array([2.0]))
     assert step(0.0) == np.array([0.0])
