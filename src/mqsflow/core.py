@@ -62,8 +62,9 @@ class LinearMapE:
 class EllipticFunctional:
     """Convex functional with value, Gateaux derivative and tangent.
 
-    ``hessian`` returns the matrix (dense or sparse) of second derivatives
-    at a point; it is required by the Newton-based prox step.
+    ``hessian`` returns the matrix of second derivatives at a point, dense
+    or sparse CSC like ``LinearMapE.gram``; it is required by the
+    Newton-based prox step.
     """
 
     eval: Callable[[np.ndarray], float]
@@ -114,20 +115,11 @@ class DaeTrajectory:
         return self.rates.shape[0]
 
 
-def _combine(A, B):
-    """Sum of two operator matrices, densifying on a sparse/dense mix."""
-    if sp.issparse(A) and not sp.issparse(B):
-        return A.toarray() + B
-    if sp.issparse(B) and not sp.issparse(A):
-        return A + B.toarray()
-    return A + B
-
-
 def _solve_newton_system(H, rhs):
+    """Solve H d = rhs with H dense or sparse CSC (SuperLU's format)."""
     try:
         if sp.issparse(H):
-            lu = spla.splu(sp.csc_matrix(H))
-            d = lu.solve(rhs)
+            d = spla.splu(H).solve(rhs)
         else:
             d = np.linalg.solve(H, rhs)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -214,7 +206,7 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, newton_tol=1e-10,
         return x0.copy()
     metric = E.gram / tau
     return newton_minimize(
-        objective, residual, lambda x: _combine(phi.hessian(x), metric),
+        objective, residual, lambda x: phi.hessian(x) + metric,
         x0, newton_tol * (1.0 + g0_norm),
         g0=g_prev if x_start is None else None, max_iter=newton_max_iter,
     )

@@ -44,6 +44,12 @@ class Mesh2D:
         """(areas, grads) of the elements, computed once per mesh."""
         return _geometry(self)
 
+    @cached_property
+    def local_stiffness(self):
+        """Element blocks area grad phi_i . grad phi_j, shape (M, 3, 3)."""
+        areas, grads = self.geometry
+        return areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
+
 
 @dataclass(frozen=True)
 class DofMap:
@@ -51,13 +57,14 @@ class DofMap:
 
     All element-to-dof assembly goes through ``assemble_vector`` and
     ``assemble_matrix``; local entries at boundary vertices land in one
-    extra slot past the end, which is dropped.
+    extra slot past the end, which is dropped.  Every assembled matrix is
+    CSC on the one P1 pattern, the format SuperLU and ARPACK factor.
     """
 
     vertex_to_dof: np.ndarray  # (n_vertices,), -1 at boundary vertices
     dof_to_vertex: np.ndarray  # (n_dofs,)
     vector_slots: np.ndarray   # (3 M,) int32, local vertex-major
-    pattern: sp.csr_matrix     # P1 sparsity pattern, int32 indices
+    pattern: sp.csc_matrix     # P1 sparsity pattern, int32 indices
     matrix_slots: np.ndarray   # (9 M,) int32, element-major into pattern.data
 
     @property
@@ -70,12 +77,12 @@ class DofMap:
                            minlength=self.n_dofs + 1)[:-1]
 
     def assemble_matrix(self, local):
-        """CSR matrix on the P1 pattern from element blocks ``local`` (M, 3, 3)."""
+        """CSC matrix on the P1 pattern from element blocks ``local`` (M, 3, 3)."""
         nnz = self.pattern.nnz
         data = np.bincount(self.matrix_slots, weights=local.ravel(),
                            minlength=nnz + 1)[:-1]
         # own index arrays: callers may prune the result in place
-        return sp.csr_matrix(
+        return sp.csc_matrix(
             (data, self.pattern.indices.copy(), self.pattern.indptr.copy()),
             shape=self.pattern.shape,
         )
@@ -176,14 +183,14 @@ def build_mesh(n, conductor=None):
     rows = np.repeat(gdofs, 3, axis=1).ravel()
     cols = np.tile(gdofs, (1, 3)).ravel()
     keep = (rows >= 0) & (cols >= 0)
-    pattern = sp.csr_matrix(
+    pattern = sp.csc_matrix(
         (np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(n_dofs, n_dofs)
     )
-    # a canonical CSR lists its (row, col) keys in sorted order
+    # a canonical CSC lists its (col, row) keys in sorted order
     keys = np.repeat(np.arange(n_dofs) * n_dofs, np.diff(pattern.indptr))
     keys += pattern.indices
     matrix_slots = np.where(
-        keep, np.searchsorted(keys, rows * n_dofs + cols), pattern.nnz
+        keep, np.searchsorted(keys, cols * n_dofs + rows), pattern.nnz
     )
     dofs = DofMap(
         vertex_to_dof=vertex_to_dof, dof_to_vertex=interior,
@@ -242,10 +249,7 @@ def assemble_sigma_mass(mesh, dofs, sigma_C):
 
 def assemble_stiffness(mesh, dofs):
     """Unit-coefficient stiffness matrix (the linear curl-curl form)."""
-    areas, grads = mesh.geometry
-    return dofs.assemble_matrix(
-        areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
-    )
+    return dofs.assemble_matrix(mesh.local_stiffness)
 
 
 def _winding_density(winding, j, points):
@@ -326,21 +330,22 @@ def curlcurl_residual(mesh, dofs, model, a):
 
 
 def curlcurl_jacobian(mesh, dofs, model, a):
-    """Consistent tangent of the nonlinear curl-curl form, sparse symmetric."""
+    """Consistent tangent of the nonlinear curl-curl form, sparse symmetric.
+
+    Per element it is nu times the local stiffness plus the rank-one term
+    area (d[nu s]/ds - nu) / s^2 q q^T with q_i = grad phi_i . grad a; the
+    rank-one term vanishes in the isotropic limit s = 0.
+    """
     areas, grads = mesh.geometry
     g, s = _element_state(mesh, dofs, a)
     nu, dgds = _element_nu(mesh, model, s, derivative=True)
-    # tangent tensor nu I + (d[nu s]/ds - nu) g g^T / s^2, isotropic limit at s = 0
-    T = np.zeros((mesh.n_elements, 2, 2))
-    T[:, 0, 0] = nu
-    T[:, 1, 1] = nu
     big = s >= 1e-12
     coef = np.zeros_like(s)
-    coef[big] = (dgds[big] - nu[big]) / (s[big] * s[big])
-    T += coef[:, None, None] * np.einsum("ek,el->ekl", g, g)
-    return dofs.assemble_matrix(
-        areas[:, None, None] * np.einsum("eik,ekl,ejl->eij", grads, T, grads)
-    )
+    coef[big] = areas[big] * (dgds[big] - nu[big]) / (s[big] * s[big])
+    q = np.einsum("eik,ek->ei", grads, g)
+    local = nu[:, None, None] * mesh.local_stiffness
+    local += (coef[:, None] * q)[:, :, None] * q[:, None, :]
+    return dofs.assemble_matrix(local)
 
 
 def magnetic_energy(mesh, dofs, model, a):
@@ -388,20 +393,12 @@ def estimate_coercivity_constant(mesh, dofs):
     """
     mass_C = _assemble_mass(mesh, dofs, mesh.element_labels == LABEL_C)
     mass = _assemble_mass(mesh, dofs)
-    K = assemble_stiffness(mesh, dofs)
-    A = (mass_C + K).tocsc()
-    n = dofs.n_dofs
+    A = mass_C + assemble_stiffness(mesh, dofs)
     try:
-        if n <= 200:
-            from scipy.linalg import eigh
-
-            w = eigh(A.toarray(), mass.toarray(), eigvals_only=True)
-            lam_min = float(w[0])
-        else:
-            # fixed v0: ARPACK's random default start makes L_C vary per call
-            w = spla.eigsh(A, k=1, M=mass.tocsc(), sigma=0.0, which="LM",
-                           v0=np.ones(n), return_eigenvectors=False)
-            lam_min = float(w[0])
+        # fixed v0: ARPACK's random default start makes L_C vary per call
+        w = spla.eigsh(A, k=1, M=mass, sigma=0.0, which="LM",
+                       v0=np.ones(dofs.n_dofs), return_eigenvectors=False)
+        lam_min = float(w[0])
     except Exception as exc:  # arpack / factorization failures
         raise EigenSolveFailure(str(exc)) from exc
     if lam_min <= 0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NegativeArgument, NegativeFieldMagnitude
 
@@ -70,17 +69,31 @@ def tabulated_model(table):
     return ReluctivityModel("user_tabulated", {"*": {"table": table}})
 
 
-def _tab_g(table, s):
-    # g(s) = nu(s)*s, piecewise linear in s; extended with the last slope.
+def _tab_curve(table, s):
+    """g(s) = nu(s)*s of a table, dg/ds and int_0^s g, all in closed form.
+
+    g is piecewise linear through the knots (s_k, s_k nu_k), held at its
+    first knot value below the first knot and extended with the last
+    slope beyond the last.  dg/ds is the slope of the piece containing s,
+    right-continuous at the knots; the integral sums exact trapezoids.
+    """
     sk = table[:, 0]
-    gk = table[:, 0] * table[:, 1]
-    s = np.asarray(s, dtype=float)
-    out = np.interp(s, sk, gk)
-    beyond = s > sk[-1]
-    if np.any(beyond):
-        slope = (gk[-1] - gk[-2]) / (sk[-1] - sk[-2])
-        out = np.where(beyond, gk[-1] + slope * (s - sk[-1]), out)
-    return out
+    gk = sk * table[:, 1]
+    slope = np.diff(gk) / np.diff(sk)
+    # slope[j] belongs to piece j - 1: -1 lies below s_0, k - 1 past s_{k-1}
+    slope = np.concatenate([[0.0], slope, slope[-1:]])
+    trapezoids = 0.5 * np.diff(sk) * (gk[:-1] + gk[1:])
+    area = np.concatenate([[0.0], np.cumsum(trapezoids)])  # int_{s_0}^{s_j} g
+
+    def primitive(x):
+        j = np.searchsorted(sk, x, side="right")  # x lies on piece j - 1
+        i = np.maximum(j - 1, 0)
+        dx = x - sk[i]
+        g = slope[j] * dx + gk[i]
+        return g, slope[j], area[i] + 0.5 * dx * (gk[i] + g)
+
+    g, dgds, G = primitive(np.asarray(s, dtype=float))
+    return g, dgds, G - primitive(0.0)[2]
 
 
 def model_eval(model, region, s):
@@ -99,12 +112,8 @@ def model_eval(model, region, s):
         dgds = p["nu_min"] + delta * (1.0 - s * s) / (one_p * one_p)
     else:
         table = p["table"]
-        eps = 1e-8 * max(1.0, float(table[-1, 0]))
-        g = _tab_g(table, s)
+        g, dgds, _ = _tab_curve(table, s)
         nu = np.where(s > 0, g / np.where(s > 0, s, 1.0), table[0, 1])
-        dgds = (_tab_g(table, s + eps) - _tab_g(table, np.maximum(s - eps, 0.0))) / (
-            eps + np.minimum(s, eps)
-        )
     if np.ndim(s) == 0:
         return float(nu), float(dgds)
     return nu, dgds
@@ -113,9 +122,8 @@ def model_eval(model, region, s):
 def theta_eval(model, region, rho):
     """Magnetic energy density theta(rho) = int_0^sqrt(rho) nu(z) z dz.
 
-    Closed form for the constant and rational-saturation kinds, adaptive
-    quadrature (abs tol 1e-12) for tabulated curves.  Accepts scalars or
-    arrays of rho >= 0.
+    Closed form for every kind; for tabulated curves the integral of the
+    piecewise-linear g is exact.  Accepts scalars or arrays of rho >= 0.
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
@@ -127,17 +135,7 @@ def theta_eval(model, region, rho):
         delta = p["nu_max"] - p["nu_min"]
         out = 0.5 * p["nu_min"] * rho_arr + 0.5 * delta * np.log1p(rho_arr)
     else:
-        table = p["table"]
-
-        def _one(r):
-            if r == 0.0:
-                return 0.0
-            val, _ = integrate.quad(
-                lambda z: _tab_g(table, z), 0.0, np.sqrt(r), epsabs=1e-12, limit=200
-            )
-            return val
-
-        out = np.vectorize(_one)(rho_arr)
+        _, _, out = _tab_curve(p["table"], np.sqrt(rho_arr))
     if np.ndim(rho) == 0:
         return float(out)
     return out

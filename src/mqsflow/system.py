@@ -109,10 +109,10 @@ class MQSOperators:
     R: np.ndarray
     R_inv: np.ndarray
     R_inv_sqrt: np.ndarray
-    msigma: sp.csr_matrix      # sigma_C-weighted conducting mass
-    mass_C: sp.csr_matrix      # unit-conductivity conducting mass
-    mass: sp.csr_matrix        # full mass
-    stiffness: sp.csr_matrix   # unit-coefficient stiffness K_lin
+    msigma: sp.csc_matrix      # sigma_C-weighted conducting mass
+    mass_C: sp.csc_matrix      # unit-conductivity conducting mass
+    mass: sp.csc_matrix        # full mass
+    stiffness: sp.csc_matrix   # unit-coefficient stiffness K_lin
     coupling: np.ndarray       # C, (n_dofs, m)
     m_hat: float
     L_hat: float
@@ -338,7 +338,8 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
     M_red = sigma_C M_C + C R^{-1} C^T by damped Newton.
     """
     a_prev = np.asarray(a_prev, dtype=float)
-    M_red = ops.msigma + sp.csr_matrix(ops.coupling @ ops.R_inv @ ops.coupling.T)
+    C = sp.csc_matrix(ops.coupling)
+    M_red = ops.msigma + C @ sp.csc_matrix(ops.R_inv) @ C.T
     rhs_const = ops.coupling @ (ops.R_inv @ np.atleast_1d(v_k))
     if forcing_load is not None:
         rhs_const = rhs_const + forcing_load

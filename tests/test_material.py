@@ -81,6 +81,49 @@ def test_tabulated_model_interpolates_and_integrates():
     assert material.theta_eval(model, "*", 9.0) == pytest.approx(9.0, rel=1e-8)
 
 
+def _quad_theta(table, rho):
+    """Oracle: adaptive quadrature of g = nu s, with the knots as breakpoints."""
+    sk, gk = table[:, 0], table[:, 0] * table[:, 1]
+    last = (gk[-1] - gk[-2]) / (sk[-1] - sk[-2])
+
+    def g(z):  # held below the first knot, last slope beyond the last
+        return np.interp(z, sk, gk) if z <= sk[-1] else gk[-1] + last * (z - sk[-1])
+
+    top = np.sqrt(rho)
+    val, _ = integrate.quad(g, 0.0, top, points=sk[(sk > 0) & (sk < top)],
+                            limit=400, epsabs=0.0, epsrel=1e-13)
+    return val
+
+
+@pytest.mark.parametrize("s0", [0.0, 0.3])
+def test_tabulated_theta_matches_quadrature_oracle(s0):
+    knots = np.linspace(s0, 20.0, 41)
+    table = np.column_stack([knots, 1.0 + 4.0 / (1.0 + knots ** 2)])
+    model = material.tabulated_model(table)
+    # below the first knot, on knots, between knots and past the table
+    s = np.concatenate([[0.1, 0.2], knots[::7], knots[:-1] + 0.13, [23.0]])
+    rho = s * s
+    theta = material.theta_eval(model, "*", rho)
+    oracle = np.array([_quad_theta(table, r) for r in rho])
+    assert np.allclose(theta, oracle, rtol=1e-14, atol=0.0)
+    assert material.theta_eval(model, "*", 0.0) == 0.0
+
+
+def test_tabulated_derivative_is_the_segment_slope():
+    knots = np.array([0.2, 0.5, 1.0, 2.0, 4.0])
+    nu = np.array([3.0, 2.8, 2.0, 1.5, 1.2])
+    model = material.tabulated_model(np.column_stack([knots, nu]))
+    g = knots * nu
+    slopes = np.diff(g) / np.diff(knots)
+    # right-continuous: a knot takes the slope of the piece it starts
+    _, at_knots = material.model_eval(model, "*", knots)
+    assert np.array_equal(at_knots, np.append(slopes, slopes[-1]))
+    _, inside = material.model_eval(model, "*", 0.5 * (knots[:-1] + knots[1:]))
+    assert np.array_equal(inside, slopes)
+    _, outside = material.model_eval(model, "*", np.array([0.0, 0.1, 9.0]))
+    assert np.array_equal(outside, [0.0, 0.0, slopes[-1]])
+
+
 def test_tabulated_model_validates_table():
     with pytest.raises(ValueError):
         material.tabulated_model(np.array([[0.0, 1.0]]))

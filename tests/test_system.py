@@ -1,10 +1,13 @@
 """Coupled field-circuit system: operators, solve paths, and probes."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mqsflow import core, fem, material, system
+from mqsflow import core, diagnostics, fem, material, system
 from mqsflow.errors import ValidationFailure
 
 
@@ -209,6 +212,77 @@ def test_schur_no_coupling_is_mass_parabolic_step():
     A = (ops.msigma / tau + ops.stiffness).toarray()
     a_star = np.linalg.solve(A, ops.msigma @ a_prev / tau)
     assert np.linalg.norm(a - a_star) < 1e-10 * (1 + np.linalg.norm(a_star))
+
+
+def test_schur_step_keeps_the_winding_block_sparse():
+    """M_red is built from sparse factors, never as a dense n_dofs^2 array."""
+    ops, _, _ = system.build_system(system.MQSConfig(n=32))
+    a_prev = 0.1 * np.random.default_rng(9).standard_normal(ops.n_dofs)
+    tracemalloc.start()
+    try:
+        system.schur_step(ops, a_prev, np.array([1.0]), 1.0 / 64.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a dense 961 x 961 product alone takes 7.4 MB
+    assert peak < 2 * 2**20
+
+
+def test_p1_operators_and_newton_matrix_are_csc():
+    cfg = system.MQSConfig(n=8)
+    ops, phi, E = system.build_system(cfg)
+    a = 0.3 * np.random.default_rng(10).standard_normal(ops.n_dofs)
+    for name in ("mass", "msigma", "mass_C", "stiffness"):
+        assert getattr(ops, name).format == "csc", name
+    assert ops.K_tangent(a).format == "csc"
+    assert (ops.K_tangent(a) + E.gram / cfg.tau).format == "csc"
+
+
+def test_tangent_at_zero_field_is_scaled_stiffness():
+    """s = 0 everywhere: the rank-one part drops and nu(0) K_lin remains."""
+    ops, _, _ = system.build_system(system.MQSConfig(n=8))
+    nu0, _ = material.model_eval(ops.model, "*", 0.0)
+    J = ops.K_tangent(np.zeros(ops.n_dofs)).toarray()
+    ref = nu0 * ops.stiffness.toarray()
+    assert np.abs(J - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_tabulated_solve_matches_closed_form_model():
+    """A 2001-point table of the default curve solves like the curve.
+
+    The table interpolates g = nu s with error eps <= h^2/8 max|g''| on
+    its range.  Testing the two step equations with their difference
+    delta_k and using the strong monotonicity m_hat of the closed-form
+    curve gives ||grad delta_k|| <= sqrt(k) eps / m_hat.
+    """
+    rational = material.rational_saturation_model(1.0, 5.0)
+    knots = np.linspace(0.0, 20.0, 2001)
+    nu, _ = material.model_eval(rational, "*", knots)
+    tabulated = material.tabulated_model(np.column_stack([knots, nu]))
+    fine = np.linspace(0.0, 20.0, 200001)
+    g_second = 8.0 * fine * (fine ** 2 - 3.0) / (1.0 + fine ** 2) ** 3
+    eps = (knots[1] - knots[0]) ** 2 / 8.0 * np.abs(g_second).max()
+
+    cfg = system.MQSConfig(n=16, tau=1.0 / 16.0)
+    ops, phi, E = system.build_system(cfg)
+    ref = system.solve(cfg, ops, phi, E)
+    tab_cfg = replace(cfg, model=tabulated)
+    tab_ops, tab_phi, tab_E = system.build_system(tab_cfg)
+    traj = system.solve(tab_cfg, tab_ops, tab_phi, tab_E)
+
+    for a in traj.fields:
+        _, s = fem._element_state(tab_ops.mesh, tab_ops.dofs, a)
+        assert s.max() < knots[-1]  # inside the tabulated range
+    delta = traj.fields - ref.fields
+    grad_err = np.sqrt(np.einsum("ki,ki->k", delta, (ops.stiffness @ delta.T).T))
+    k = np.arange(cfg.n_steps + 1)
+    assert np.all(grad_err <= np.sqrt(k) * eps / ops.m_hat)
+
+    report = system.check_weak_solution(tab_ops, traj)
+    bound = 10.0 * cfg.newton_tol * diagnostics.trajectory_scale(tab_ops, traj)
+    assert max(report.max_field_residual, report.max_circuit_residual) <= bound
+    assert diagnostics.balance_order_study(
+        tab_cfg, taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128)).passed
 
 
 def test_weak_solution_residuals_small(default_small):
