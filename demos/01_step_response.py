@@ -14,13 +14,13 @@ from mqsflow import MQSConfig, build_system, solve
 from mqsflow.diagnostics import write_field_vtk, write_timeseries_csv
 
 cfg = MQSConfig(n=32, tau=1.0 / 64.0, T=1.0)
-ops, phi, E = build_system(cfg)
+ops = build_system(cfg)[0]
 
 print(f"mesh: {ops.n_dofs} unknowns, {ops.mesh.n_elements} triangles")
 print(f"certified constants: m_hat={ops.m_hat:.4f}, L_hat={ops.L_hat:.4f}, "
       f"L_C={ops.L_C:.4f}, coercivity c={ops.coercivity_constant:.4f}")
 
-traj = solve(cfg, ops, phi, E)
+traj = solve(cfg, ops)
 
 print("\n  t      current    flux       energy")
 for k in range(0, traj.n_steps + 1, 8):

@@ -15,7 +15,8 @@ from mqsflow import MQSConfig, build_system, monotonicity_probe
 from mqsflow.system import coercivity_bound_check
 
 cfg = MQSConfig(n=32)
-ops, phi, E = build_system(cfg)
+ops = build_system(cfg)[0]
+phi = ops.phi  # the magnetic energy as an elliptic functional
 rng = np.random.default_rng(0)
 
 # 1. strong monotonicity of the nonlinear form
@@ -45,6 +46,6 @@ print(f"gateaux check: finite-difference relative error "
       f"{abs(fd - exact) / abs(exact):.3e}")
 
 # 4. coercivity of the shifted energy with the certified constant
-out = coercivity_bound_check(ops, phi, E, n_samples=100, seed=0)
+out = coercivity_bound_check(ops, n_samples=100, seed=0)
 print(f"coercivity: c = {out['c']:.4f}, sampled minimum slack "
       f"{out['min_slack']:.3e} (>= 0 required)")

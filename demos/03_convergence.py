@@ -9,11 +9,12 @@ width (order 1 in the energy norm, piecewise-linear elements).
 Run:  python3 demos/03_convergence.py   (takes ~1 minute)
 """
 
-from mqsflow import MQSConfig, convergence_study
+from mqsflow import MQSConfig, build_system, convergence_study
 from mqsflow.diagnostics import balance_order_study, manufactured_config
 
 print("power-balance defect under step halving (nonlinear, n = 32):")
-result = balance_order_study(MQSConfig(n=32))
+cfg = MQSConfig(n=32)
+result = balance_order_study(cfg, build_system(cfg)[0])
 for k in range(5):
     print(f"  level {k}: max |defect| = "
           f"{result.measured[f'max_abs_delta_{k}']:.3e}")

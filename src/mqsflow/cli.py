@@ -117,8 +117,8 @@ def _cmd_constants(args):
 
 
 def _experiment_battery(cfg, out_dir):
-    ops, phi, E = system.build_system(cfg)
-    traj = system.solve(cfg, ops, phi, E)
+    ops = system.build_system(cfg)[0]
+    traj = system.solve(cfg, ops)
     scale = diagnostics.trajectory_scale(ops, traj)
     results = []
 
@@ -140,20 +140,19 @@ def _experiment_battery(cfg, out_dir):
         measured={"min_ratio": mono.min_ratio, "n_checked": mono.n_checked},
     ))
 
-    coer = system.coercivity_bound_check(ops, phi, E, seed=cfg.seed)
+    coer = system.coercivity_bound_check(ops, seed=cfg.seed)
     results.append(diagnostics.ExperimentResult(
         name="coercivity_bound",
         passed=bool(coer["passed"]),
         measured={"c": coer["c"], "min_slack": coer["min_slack"]},
     ))
 
-    results.append(diagnostics.balance_order_study(cfg))
-    results.append(diagnostics.perturbation_experiments(cfg, "uniqueness"))
-    results.append(
-        diagnostics.perturbation_experiments(cfg, "initializability")
-    )
+    results.append(diagnostics.balance_order_study(cfg, ops))
+    for kind in ("uniqueness", "initializability"):
+        results.append(
+            diagnostics.perturbation_experiments(cfg, ops, traj, kind))
     adv = diagnostics.perturbation_experiments(
-        cfg, "initializability", adversarial=True
+        cfg, ops, traj, "initializability", adversarial=True
     )
     results.append(diagnostics.ExperimentResult(
         name="initializability_adversarial_detects_change",

@@ -10,7 +10,7 @@ Recognized sections and keys (all optional; defaults in parentheses):
               table (path to a two-column CSV of s, nu samples)
   [circuit]   sigma_C (1), R ("1"; rows ';'-separated),
               voltage_kind (step), voltage_value ("1"),
-              voltage_table (rows "t v_1 .. v_m" ';'-separated)
+              voltage_table (rows "t v_1 .. v_m" ';'-separated, t increasing)
   [time]      T (1), tau (0.015625); T / tau must be a whole number
   [initial]   kind (zero), seed (42), path
   [output]    basename (run)

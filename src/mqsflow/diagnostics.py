@@ -68,14 +68,14 @@ def observed_order(errors):
     return float(np.mean(window))
 
 
-def balance_order_study(config, taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)):
+def balance_order_study(config, ops,
+                        taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)):
     """Observed decay order of max_k |delta_k| under step halving."""
     if len(taus) < 3:
         raise InsufficientLevels("balance order study needs >= 3 step sizes")
-    ops, phi, E = system.build_system(config)
     maxima = []
     for tau in taus:
-        traj = system.solve(replace(config, tau=tau), ops, phi, E)
+        traj = system.solve(replace(config, tau=tau), ops)
         maxima.append(float(np.max(np.abs(traj.balance_residuals[1:]))))
     order = observed_order(maxima)
     return ExperimentResult(
@@ -88,8 +88,11 @@ def balance_order_study(config, taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256))
     )
 
 
-def perturbation_experiments(config, kind, adversarial=False, seed=None):
+def perturbation_experiments(config, ops, traj, kind, adversarial=False,
+                             seed=None):
     """Paired solves probing uniqueness or initializability.
+
+    ``traj`` is ``system.solve(config, ops)``, the first of each pair.
 
     uniqueness: same data, different Newton starts and inner tolerances;
     pass iff trajectories agree to 100 * newton_tol * scale.
@@ -104,19 +107,17 @@ def perturbation_experiments(config, kind, adversarial=False, seed=None):
         raise ValueError(f"unknown experiment kind {kind!r}")
     if seed is None:
         seed = config.seed
-    ops, phi, E = system.build_system(config)
-    traj_a = system.solve(config, ops, phi, E)
     if kind == "uniqueness":
         other = replace(config, newton_tol=1e-12, newton_start="zero")
-        traj_b = system.solve(other, ops, phi, E)
+        traj_b = system.solve(other, ops)
     else:
         w = _invisible_perturbation(ops, seed=seed, visible=adversarial)
         a0 = system.initial_field(config, ops) + w
-        traj_b = system.solve(config, ops, phi, E, a0=a0)
-    scale = max(trajectory_scale(ops, traj_a), trajectory_scale(ops, traj_b))
+        traj_b = system.solve(config, ops, a0=a0)
+    scale = max(trajectory_scale(ops, traj), trajectory_scale(ops, traj_b))
     start = 1 if kind == "initializability" else 0
     discrepancy = float(np.max(np.linalg.norm(
-        traj_a.fields[start:] - traj_b.fields[start:], axis=1
+        traj.fields[start:] - traj_b.fields[start:], axis=1
     )))
     bound = 100.0 * config.newton_tol * scale
     passed = discrepancy <= bound
@@ -240,11 +241,11 @@ def convergence_study(config, levels, refine):
         )
     if refine == "tau":
         base = manufactured_config(n=config.n, tau=config.tau, T=config.T)
-        ops, phi, E = system.build_system(base)
+        ops = system.build_system(base)[0]
         finals = []
         for lev in range(levels + 1):
             run = replace(base, tau=base.tau / 2 ** lev)
-            finals.append(system.solve(run, ops, phi, E).fields[-1])
+            finals.append(system.solve(run, ops).fields[-1])
         errors = []
         for u, v in zip(finals[:-1], finals[1:]):
             d = u - v
@@ -257,8 +258,8 @@ def convergence_study(config, levels, refine):
             run = manufactured_config(
                 n=config.n * 2 ** lev, tau=config.tau, T=config.T
             )
-            ops, phi, E = system.build_system(run)
-            a_T = system.solve(run, ops, phi, E).fields[-1]
+            ops = system.build_system(run)[0]
+            a_T = system.solve(run, ops).fields[-1]
             errors.append(energy_norm_error(ops, a_T, run.T))
         order = observed_order(errors)
         name = "convergence_h"

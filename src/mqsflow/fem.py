@@ -384,20 +384,17 @@ def assemble_load(mesh, dofs, func, t=None, element_filter=None):
     )
 
 
-def estimate_coercivity_constant(mesh, dofs):
+def estimate_coercivity_constant(mass_C, stiffness, mass):
     """Discrete optimal constant in ||a||^2 <= L_C (||a||_C^2 + ||grad a||^2).
 
     Computed as 1/lambda_min of the pencil (M_C + K) x = lambda M x with
     M_C the unit-conductivity conducting mass, K the unit stiffness, and
-    M the full mass.
+    M the full mass, all CSC on one dof numbering.
     """
-    mass_C = _assemble_mass(mesh, dofs, mesh.element_labels == LABEL_C)
-    mass = _assemble_mass(mesh, dofs)
-    A = mass_C + assemble_stiffness(mesh, dofs)
     try:
         # fixed v0: ARPACK's random default start makes L_C vary per call
-        w = spla.eigsh(A, k=1, M=mass, sigma=0.0, which="LM",
-                       v0=np.ones(dofs.n_dofs), return_eigenvectors=False)
+        w = spla.eigsh(mass_C + stiffness, k=1, M=mass, sigma=0.0, which="LM",
+                       v0=np.ones(mass.shape[0]), return_eigenvectors=False)
         lam_min = float(w[0])
     except Exception as exc:  # arpack / factorization failures
         raise EigenSolveFailure(str(exc)) from exc

@@ -36,6 +36,12 @@ class VoltageSignal:
     value: np.ndarray = None          # (m,) for constant/step
     table: np.ndarray = None          # (k, 1+m) rows of t, v_1..v_m
 
+    def __post_init__(self):
+        if self.kind == "table" and np.any(np.diff(self.table[:, 0]) <= 0):
+            raise ValidationFailure(
+                "voltage table times must be strictly increasing, got "
+                f"{self.table[:, 0].tolist()}")
+
     def __call__(self, t):
         if self.kind == "constant":
             return np.array(self.value, dtype=float)
@@ -89,6 +95,14 @@ class MQSConfig:
     forcing: Optional[Callable] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationFailure(f"seed must be nonnegative, got {self.seed}")
+        if not self.newton_tol > 0:
+            raise ValidationFailure(
+                f"newton_tol must be positive, got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ValidationFailure(
+                f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
         steps = self.T / self.tau
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationFailure(
@@ -117,6 +131,16 @@ class MQSOperators:
     m_hat: float
     L_hat: float
     L_C: float
+    E: core.LinearMapE         # metric map, E^T E = msigma + C R^{-1} C^T
+
+    @property
+    def phi(self):
+        """The energy as an omega = 1 elliptic functional.  Built per access:
+        a stored one would refer back to ``self``, a reference cycle."""
+        return core.EllipticFunctional(
+            eval=self.energy, gateaux=self.K, hessian=self.K_tangent,
+            ellipticity_omega=1.0,
+        )
 
     @property
     def m(self):
@@ -195,7 +219,7 @@ def _metric_matrix(mesh, dofs, sigma_C, coupling, R_inv_sqrt):
 
 
 def build_system(config):
-    """Assemble operators, the energy functional, and the metric map."""
+    """Assemble the operators; returns ``(ops, ops.phi, ops.E)``."""
     report = material.validate_assumptions(config.model, config.sigma_C, config.R)
     if not report.passed:
         raise ValidationFailure(report.reasons)
@@ -213,23 +237,17 @@ def build_system(config):
         )
     R_inv = np.linalg.inv(R)
     R_inv_sqrt = _principal_inv_sqrt(R)
-    L_C = fem.estimate_coercivity_constant(mesh, dofs)
-
     ops = MQSOperators(
         mesh=mesh, dofs=dofs, model=config.model, sigma_C=config.sigma_C,
         R=R, R_inv=R_inv, R_inv_sqrt=R_inv_sqrt,
         msigma=msigma, mass_C=mass_C, mass=mass, stiffness=stiffness,
         coupling=coupling,
-        m_hat=report.material.m_hat, L_hat=report.material.L_hat, L_C=L_C,
+        m_hat=report.material.m_hat, L_hat=report.material.L_hat,
+        L_C=fem.estimate_coercivity_constant(mass_C, stiffness, mass),
+        E=core.LinearMapE(
+            _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt)),
     )
-    phi = core.EllipticFunctional(
-        eval=ops.energy, gateaux=ops.K, hessian=ops.K_tangent,
-        ellipticity_omega=1.0,
-    )
-    E = core.LinearMapE(
-        _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt)
-    )
-    return ops, phi, E
+    return ops, ops.phi, ops.E
 
 
 def initial_field(config, ops):
@@ -239,7 +257,14 @@ def initial_field(config, ops):
         rng = np.random.default_rng(config.seed)
         return 0.1 * rng.standard_normal(ops.n_dofs)
     if config.a0_kind == "file":
-        return np.load(config.a0_path)
+        try:  # .npy only: np.load would hand back an .npz archive as is
+            with open(config.a0_path, "rb") as fh:
+                return np.lib.format.read_array(fh)
+        except FileNotFoundError:
+            raise
+        except (ValueError, OSError) as exc:
+            raise ValidationFailure(
+                f"cannot read initial field {config.a0_path!r}: {exc}") from exc
     raise ValidationFailure(f"unknown initial field kind {config.a0_kind!r}")
 
 
@@ -249,9 +274,9 @@ def _voltage_samples(config):
     return np.array([config.voltage(t) for t in times])
 
 
-def _metric_input(ops, E, v_samples):
+def _metric_input(ops, v_samples):
     """Input in metric coordinates: (0 field block, R^{-1/2} v)."""
-    n_rows = E.dim_Z
+    n_rows = ops.E.dim_Z
     m = ops.m
     f = np.zeros((v_samples.shape[0], n_rows))
     f[:, n_rows - m:] = v_samples @ ops.R_inv_sqrt.T
@@ -287,13 +312,14 @@ def power_balance(ops, traj):
     return out
 
 
-def solve(config, ops=None, phi=None, E=None, a0=None):
+def solve(config, ops=None, a0=None):
     """Run the coupled system over [0, T] with the prox stepper.
 
-    ``a0`` overrides the configured initial field.
+    ``ops`` defaults to ``build_system(config)[0]``; ``a0`` overrides the
+    configured initial field.
     """
     if ops is None:
-        ops, phi, E = build_system(config)
+        ops = build_system(config)[0]
     if a0 is None:
         a0 = initial_field(config, ops)
     a0 = np.asarray(a0, dtype=float)
@@ -302,7 +328,7 @@ def solve(config, ops=None, phi=None, E=None, a0=None):
             f"initial field has shape {a0.shape}, expected ({ops.n_dofs},)"
         )
     v_samples = _voltage_samples(config)
-    f = _metric_input(ops, E, v_samples)
+    f = _metric_input(ops, v_samples)
     prox_cfg = core.ProxConfig(
         tau=config.tau, n_steps=config.n_steps,
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
@@ -312,7 +338,7 @@ def solve(config, ops=None, phi=None, E=None, a0=None):
         loads = [config.forcing(ops.mesh, ops.dofs, t)
                  for t in config.tau * np.arange(1, config.n_steps + 1)]
     traj = core.solve_trajectory(
-        phi, E, a0, f, prox_cfg, loads=loads,
+        ops.phi, ops.E, a0, f, prox_cfg, loads=loads,
         zero_start=config.newton_start == "zero",
     )
     currents, fluxes = recover_currents(ops, traj.states, v_samples, config.tau)
@@ -364,10 +390,8 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
     )
 
 
-def solve_schur(config, ops=None):
+def solve_schur(config, ops):
     """Full trajectory through the Schur-reduced path (equivalence witness)."""
-    if ops is None:
-        ops, _, _ = build_system(config)
     a0 = initial_field(config, ops)
     v_samples = _voltage_samples(config)
     n = config.n_steps
@@ -452,16 +476,15 @@ def monotonicity_probe(ops, n_pairs=200, seed=42, scale=1.0):
     )
 
 
-def coercivity_bound_check(ops, phi, E, n_samples=100, seed=0, omega=1.0,
-                           scale=1.0):
+def coercivity_bound_check(ops, n_samples=100, seed=0, omega=1.0, scale=1.0):
     """Sampled check of E_omega(a) >= c ||a||^2_{L^2} with the certified c."""
     rng = np.random.default_rng(seed)
     c = min(ops.m_hat, omega * ops.sigma_C) / (2.0 * ops.L_C)
     worst = np.inf
     for _ in range(n_samples):
         a = scale * rng.standard_normal(ops.n_dofs)
-        Ea = E.apply(a)
-        lhs = phi.eval(a) + 0.5 * omega * float(Ea @ Ea)
+        Ea = ops.E.apply(a)
+        lhs = ops.energy(a) + 0.5 * omega * float(Ea @ Ea)
         rhs = c * float(a @ (ops.mass @ a))
         worst = min(worst, lhs - rhs)
     return {"c": c, "min_slack": float(worst), "passed": worst >= -1e-10}

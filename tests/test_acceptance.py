@@ -34,8 +34,8 @@ def default_build():
 
 @pytest.fixture(scope="module")
 def default_traj(default_build):
-    cfg, ops, phi, E = default_build
-    return system.solve(cfg, ops, phi, E)
+    cfg, ops, _, _ = default_build
+    return system.solve(cfg, ops)
 
 
 def test_criterion_01_material_certification():
@@ -106,13 +106,15 @@ def test_criterion_04_gateaux_consistency():
 
 
 def test_criterion_05_coercivity_constant(default_build):
-    _, ops, phi, E = default_build
+    _, ops, _, _ = default_build
     mesh, dofs = fem.build_mesh(64, None)  # no conducting subdomain
-    L_C = fem.estimate_coercivity_constant(mesh, dofs)
+    mass_C, mass = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    L_C = fem.estimate_coercivity_constant(
+        mass_C, fem.assemble_stiffness(mesh, dofs), mass)
     target = 1.0 / (2.0 * np.pi ** 2)
     rel = abs(L_C - target) / target
     sampled = system.coercivity_bound_check(
-        ops, phi, E, n_samples=100, seed=42, omega=1.0
+        ops, n_samples=100, seed=42, omega=1.0
     )
     ok = rel <= 0.05 and sampled["passed"]
     _report(5, "coercivity-constant", ok,
@@ -133,9 +135,9 @@ def test_criterion_06_weak_solution_residuals(default_build, default_traj):
 
 
 def test_criterion_07_schur_equivalence(default_build):
-    cfg, ops, phi, E = default_build
+    cfg, ops, _, _ = default_build
     tight = replace(cfg, newton_tol=1e-12)
-    traj = system.solve(tight, ops, phi, E)
+    traj = system.solve(tight, ops)
     fields_schur = system.solve_schur(tight, ops)
     scale = diagnostics.trajectory_scale(ops, traj)
     worst = float(np.max(np.linalg.norm(traj.fields - fields_schur, axis=1)))
@@ -146,10 +148,10 @@ def test_criterion_07_schur_equivalence(default_build):
 
 
 def test_criterion_08_power_balance_order(default_build):
-    cfg, _, _, _ = default_build
+    cfg, ops, _, _ = default_build
     t0 = time.perf_counter()
     result = diagnostics.balance_order_study(
-        cfg, taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
+        cfg, ops, taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
     )
     elapsed = time.perf_counter() - t0
     ok = result.passed and elapsed < 120.0
@@ -158,12 +160,15 @@ def test_criterion_08_power_balance_order(default_build):
             f"{elapsed:.1f}s)")
 
 
-def test_criterion_09_uniqueness_and_initializability(default_build):
-    cfg, _, _, _ = default_build
-    uniq = diagnostics.perturbation_experiments(cfg, "uniqueness")
-    init = diagnostics.perturbation_experiments(cfg, "initializability")
+def test_criterion_09_uniqueness_and_initializability(default_build,
+                                                      default_traj):
+    cfg, ops, _, _ = default_build
+    uniq = diagnostics.perturbation_experiments(
+        cfg, ops, default_traj, "uniqueness")
+    init = diagnostics.perturbation_experiments(
+        cfg, ops, default_traj, "initializability")
     adv = diagnostics.perturbation_experiments(
-        cfg, "initializability", adversarial=True
+        cfg, ops, default_traj, "initializability", adversarial=True
     )
     ok = uniq.passed and init.passed and not adv.passed
     _report(9, "uniqueness-initializability", ok,
@@ -176,10 +181,10 @@ def test_criterion_10_regularity_monitors():
     taus = [2.0 ** -p for p in range(4, 9)]
 
     def monitor_series(cfg):
-        ops, phi, E = system.build_system(cfg)
+        ops = system.build_system(cfg)[0]
         rows = []
         for tau in taus:
-            traj = system.solve(replace(cfg, tau=tau), ops, phi, E)
+            traj = system.solve(replace(cfg, tau=tau), ops)
             mon = core.regularity_monitors(traj.core_trajectory)
             mon["I2"] = float(tau * np.nansum(traj.currents[1:] ** 2))
             rows.append(mon)

@@ -220,3 +220,58 @@ def test_cli_rejects_horizon_not_a_whole_number_of_steps(tmp_path, small_cfg,
     assert "error: T = 1.0 is not a whole number of steps" in \
         capsys.readouterr().err
     assert not (out / "run.csv").exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["run", "--set", "initial.kind=random", "--seed", "-1"], "seed"),
+    (["experiment", "--seed", "-2"], "seed"),
+    (["run", "--set", "core.newton_tol=nan"], "newton_tol"),
+    (["run", "--set", "core.newton_max_iter=0"], "newton_max_iter"),
+    (["run", "--set", "circuit.voltage_kind=table",
+      "--set", "circuit.voltage_table=0 0 ; 0.5 1 ; 0.25 2"],
+     "strictly increasing"),
+])
+def test_cli_rejects_invalid_settings_before_solving(tmp_path, small_cfg,
+                                                     capsys, argv, cause):
+    out = tmp_path / "o"
+    code = cli.dispatch(argv + ["--config", small_cfg, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
+    assert not (out / "run.csv").exists()
+
+
+def test_cli_unreadable_initial_field_file(tmp_path, small_cfg, capsys):
+    a0 = tmp_path / "a0.npy"
+    a0.write_text("0 0 0\n")
+    code = cli.dispatch(
+        ["run", "--config", small_cfg, "--out", str(tmp_path / "o"),
+         "--set", "initial.kind=file", "--set", f"initial.path={a0}"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(a0) in err
+
+
+def test_experiment_battery_builds_once_and_reuses_its_trajectory(
+        tmp_path, small_cfg, monkeypatch):
+    from mqsflow import system
+
+    calls = {"build_system": 0, "solve": 0}
+
+    def counted(name):
+        real = getattr(system, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(system, name, counted(name))
+    cfg = config.build_config(config.load_config_file(small_cfg))
+    results = cli._experiment_battery(cfg, str(tmp_path))
+    assert all(r.passed for r in results)
+    # the base solve, five balance-order step sizes, one partner per
+    # perturbation experiment
+    assert calls == {"build_system": 1, "solve": 9}

@@ -10,8 +10,8 @@ from mqsflow.errors import InsufficientLevels
 @pytest.fixture(scope="module")
 def small_run():
     cfg = system.MQSConfig(n=16, tau=1.0 / 16.0)
-    ops, phi, E = system.build_system(cfg)
-    traj = system.solve(cfg, ops, phi, E)
+    ops = system.build_system(cfg)[0]
+    traj = system.solve(cfg, ops)
     return cfg, ops, traj
 
 
@@ -34,9 +34,9 @@ def test_power_balance_series(small_run, tmp_path):
 
 
 def test_balance_order_needs_three_levels(small_run):
-    cfg, _, _ = small_run
+    cfg, ops, _ = small_run
     with pytest.raises(InsufficientLevels):
-        diagnostics.balance_order_study(cfg, taus=(0.1, 0.05))
+        diagnostics.balance_order_study(cfg, ops, taus=(0.1, 0.05))
 
 
 def test_invisible_perturbation_properties(small_run):
@@ -49,31 +49,28 @@ def test_invisible_perturbation_properties(small_run):
 
 
 def test_uniqueness_experiment(small_run):
-    cfg, _, _ = small_run
-    result = diagnostics.perturbation_experiments(cfg, "uniqueness")
+    result = diagnostics.perturbation_experiments(*small_run, "uniqueness")
     assert result.passed
     assert result.measured["discrepancy"] <= result.measured["bound"]
 
 
 def test_initializability_experiment(small_run):
-    cfg, _, _ = small_run
-    result = diagnostics.perturbation_experiments(cfg, "initializability")
+    result = diagnostics.perturbation_experiments(*small_run,
+                                                  "initializability")
     assert result.passed
 
 
 def test_adversarial_initializability_fails_as_designed(small_run):
-    cfg, _, _ = small_run
     result = diagnostics.perturbation_experiments(
-        cfg, "initializability", adversarial=True
+        *small_run, "initializability", adversarial=True
     )
     assert not result.passed
     assert result.measured["discrepancy"] > result.measured["bound"]
 
 
 def test_unknown_experiment_kind_rejected(small_run):
-    cfg, _, _ = small_run
     with pytest.raises(ValueError):
-        diagnostics.perturbation_experiments(cfg, "telepathy")
+        diagnostics.perturbation_experiments(*small_run, "telepathy")
 
 
 def test_convergence_study_insufficient_levels():
@@ -99,8 +96,8 @@ def test_energy_norm_error_vanishes_for_interpolant_limit():
     e = []
     for n in (8, 16):
         cfg = diagnostics.manufactured_config(n=n, tau=1.0 / 64.0, T=0.5)
-        ops, phi, E = system.build_system(cfg)
-        traj = system.solve(cfg, ops, phi, E)
+        ops = system.build_system(cfg)[0]
+        traj = system.solve(cfg, ops)
         e.append(diagnostics.energy_norm_error(ops, traj.fields[-1], 0.5))
     assert e[1] < 0.7 * e[0]
 

@@ -196,11 +196,15 @@ def test_load_vector_constant_function():
     )
 
 
+def _coercivity_constant(n, disk):
+    mesh, dofs = fem.build_mesh(n, disk)
+    mass_C, mass = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    return fem.estimate_coercivity_constant(
+        mass_C, fem.assemble_stiffness(mesh, dofs), mass)
+
+
 def test_coercivity_constant_no_conductor_approaches_analytic():
-    values = [
-        fem.estimate_coercivity_constant(*fem.build_mesh(n, None))
-        for n in (8, 16, 32)
-    ]
+    values = [_coercivity_constant(n, None) for n in (8, 16, 32)]
     target = 1.0 / (2 * np.pi ** 2)
     # monotone from below on nested meshes, converging to 1/(2 pi^2)
     assert values[0] < values[1] < values[2] < target
@@ -208,8 +212,8 @@ def test_coercivity_constant_no_conductor_approaches_analytic():
 
 
 def test_coercivity_constant_with_conductor_is_smaller():
-    plain = fem.estimate_coercivity_constant(*fem.build_mesh(16, None))
-    with_c = fem.estimate_coercivity_constant(*fem.build_mesh(16, DISK))
+    plain = _coercivity_constant(16, None)
+    with_c = _coercivity_constant(16, DISK)
     assert 0 < with_c < plain
 
 
@@ -217,7 +221,10 @@ def test_coercivity_constant_is_deterministic():
     # ARPACK from a fixed start vector, at 49 and at 225 dofs
     for n in (8, 16):
         mesh, dofs = fem.build_mesh(n, DISK)
-        values = {fem.estimate_coercivity_constant(mesh, dofs) for _ in range(5)}
+        mass_C, mass = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+        stiffness = fem.assemble_stiffness(mesh, dofs)
+        values = {fem.estimate_coercivity_constant(mass_C, stiffness, mass)
+                  for _ in range(5)}
         assert len(values) == 1
 
 

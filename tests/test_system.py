@@ -1,6 +1,8 @@
 """Coupled field-circuit system: operators, solve paths, and probes."""
 
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ def default_small():
 
 
 def test_build_system_defaults(default_small):
-    _, ops, phi, E = default_small
+    _, ops, _, E = default_small
     assert ops.n_dofs == 15 * 15
     assert ops.m == 1
     assert ops.m_hat > 0.49 and ops.L_hat < 5.01
@@ -77,13 +79,13 @@ def test_constant_reluctivity_energy_is_quadratic():
 
 
 def test_zero_voltage_zero_initial_stays_zero(default_small):
-    cfg, ops, phi, E = default_small
+    cfg, ops, _, _ = default_small
     from dataclasses import replace
 
     quiet = replace(
         cfg, voltage=system.VoltageSignal("constant", np.array([0.0]))
     )
-    traj = system.solve(quiet, ops, phi, E)
+    traj = system.solve(quiet, ops)
     assert np.all(traj.fields == 0.0)
     assert np.all(traj.currents[1:] == 0.0)
     assert np.all(traj.energies == 0.0)
@@ -92,9 +94,9 @@ def test_zero_voltage_zero_initial_stays_zero(default_small):
 def test_zero_winding_decouples_circuit():
     winding = fem.WindingSpec(rectangles=(((0.1, 0.2, 0.4, 0.6, 0.0),),))
     cfg = system.MQSConfig(n=8, tau=1.0 / 8.0, winding=winding)
-    ops, phi, E = system.build_system(cfg)
+    ops = system.build_system(cfg)[0]
     assert np.all(ops.coupling == 0.0)
-    traj = system.solve(cfg, ops, phi, E)
+    traj = system.solve(cfg, ops)
     # i_k = R^{-1} v_k once flux linkage is identically constant
     assert np.allclose(traj.currents[1:], 1.0, atol=1e-14)
     assert np.all(traj.fields == 0.0)
@@ -133,23 +135,75 @@ def test_solve_with_a0_matches_file_initial_field(tmp_path):
     from dataclasses import replace
 
     cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
-    ops, phi, E = system.build_system(cfg)
+    ops = system.build_system(cfg)[0]
     x = system.initial_field(replace(cfg, a0_kind="random", seed=3), ops)
     path = tmp_path / "a0.npy"
     np.save(path, x)
     from_file = system.solve(
-        replace(cfg, a0_kind="file", a0_path=str(path)), ops, phi, E
+        replace(cfg, a0_kind="file", a0_path=str(path)), ops
     )
-    in_memory = system.solve(cfg, ops, phi, E, a0=x)
+    in_memory = system.solve(cfg, ops, a0=x)
     assert np.array_equal(from_file.fields, in_memory.fields)
     assert np.array_equal(from_file.currents[1:], in_memory.currents[1:])
 
 
 def test_solve_rejects_wrong_shape_initial_field():
     cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
-    ops, phi, E = system.build_system(cfg)
+    ops = system.build_system(cfg)[0]
     with pytest.raises(ValidationFailure, match="shape"):
-        system.solve(cfg, ops, phi, E, a0=np.zeros(ops.n_dofs + 1))
+        system.solve(cfg, ops, a0=np.zeros(ops.n_dofs + 1))
+
+def test_solve_on_given_operators_matches_solve_from_config():
+    cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
+    given = system.solve(cfg, system.build_system(cfg)[0])
+    built = system.solve(cfg)
+    for name in ("fields", "currents", "fluxes", "energies",
+                 "balance_residuals"):
+        np.testing.assert_array_equal(getattr(given, name),
+                                      getattr(built, name), err_msg=name)
+
+
+def test_operators_are_freed_without_the_cycle_collector():
+    """ops.phi is built per access, so ops holds no reference to itself."""
+    cfg = system.MQSConfig(n=8)
+    gc.disable()
+    try:
+        ops = system.build_system(cfg)[0]
+        assert ops.phi.eval(np.zeros(ops.n_dofs)) == 0.0
+        ref = weakref.ref(ops)
+        del ops
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_unreadable_initial_field_file_is_a_validation_failure(tmp_path):
+    cfg = system.MQSConfig(n=8)
+    ops = system.build_system(cfg)[0]
+    garbage = tmp_path / "a0.npy"
+    garbage.write_bytes(b"not an array\n" * 8)
+    archive = tmp_path / "a0.npz"
+    np.savez(archive, a0=np.zeros(ops.n_dofs))
+    for path in (garbage, archive, tmp_path):
+        with pytest.raises(ValidationFailure, match=str(path)):
+            system.initial_field(
+                replace(cfg, a0_kind="file", a0_path=str(path)), ops)
+    with pytest.raises(FileNotFoundError):
+        system.initial_field(
+            replace(cfg, a0_kind="file", a0_path=str(tmp_path / "no.npy")),
+            ops)
+
+
+def test_config_rejects_negative_seed_and_bad_newton_settings():
+    with pytest.raises(ValidationFailure, match="seed"):
+        system.MQSConfig(n=8, seed=-1)
+    for tol in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ValidationFailure, match="newton_tol"):
+            system.MQSConfig(n=8, newton_tol=tol)
+    with pytest.raises(ValidationFailure, match="newton_max_iter"):
+        system.MQSConfig(n=8, newton_max_iter=0)
+    assert system.MQSConfig(n=8, seed=0, newton_max_iter=1).seed == 0
+
 
 def test_config_rejects_horizon_not_a_whole_number_of_steps():
     with pytest.raises(ValidationFailure, match="not a whole number"):
@@ -169,6 +223,13 @@ def test_voltage_signals():
         "table", table=np.array([[0.0, 0.0], [1.0, 2.0]])
     )
     assert table(0.5) == pytest.approx(1.0)
+
+
+def test_voltage_table_times_must_increase():
+    for times in ((0.0, 0.5, 0.25), (0.0, 0.5, 0.5)):
+        table = np.column_stack([times, [0.0, 1.0, 2.0]])
+        with pytest.raises(ValidationFailure, match="strictly increasing"):
+            system.VoltageSignal("table", table=table)
 
 
 def test_schur_equivalence_random_steps(default_small):
@@ -230,7 +291,7 @@ def test_schur_step_keeps_the_winding_block_sparse():
 
 def test_p1_operators_and_newton_matrix_are_csc():
     cfg = system.MQSConfig(n=8)
-    ops, phi, E = system.build_system(cfg)
+    ops, _, E = system.build_system(cfg)
     a = 0.3 * np.random.default_rng(10).standard_normal(ops.n_dofs)
     for name in ("mass", "msigma", "mass_C", "stiffness"):
         assert getattr(ops, name).format == "csc", name
@@ -264,11 +325,11 @@ def test_tabulated_solve_matches_closed_form_model():
     eps = (knots[1] - knots[0]) ** 2 / 8.0 * np.abs(g_second).max()
 
     cfg = system.MQSConfig(n=16, tau=1.0 / 16.0)
-    ops, phi, E = system.build_system(cfg)
-    ref = system.solve(cfg, ops, phi, E)
+    ops = system.build_system(cfg)[0]
+    ref = system.solve(cfg, ops)
     tab_cfg = replace(cfg, model=tabulated)
-    tab_ops, tab_phi, tab_E = system.build_system(tab_cfg)
-    traj = system.solve(tab_cfg, tab_ops, tab_phi, tab_E)
+    tab_ops = system.build_system(tab_cfg)[0]
+    traj = system.solve(tab_cfg, tab_ops)
 
     for a in traj.fields:
         _, s = fem._element_state(tab_ops.mesh, tab_ops.dofs, a)
@@ -282,12 +343,12 @@ def test_tabulated_solve_matches_closed_form_model():
     bound = 10.0 * cfg.newton_tol * diagnostics.trajectory_scale(tab_ops, traj)
     assert max(report.max_field_residual, report.max_circuit_residual) <= bound
     assert diagnostics.balance_order_study(
-        tab_cfg, taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128)).passed
+        tab_cfg, tab_ops, taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128)).passed
 
 
 def test_weak_solution_residuals_small(default_small):
-    cfg, ops, phi, E = default_small
-    traj = system.solve(cfg, ops, phi, E)
+    cfg, ops, _, _ = default_small
+    traj = system.solve(cfg, ops)
     report = system.check_weak_solution(ops, traj)
     from mqsflow.diagnostics import trajectory_scale
 
@@ -297,8 +358,8 @@ def test_weak_solution_residuals_small(default_small):
 
 
 def test_weak_residual_detects_corrupted_current(default_small):
-    cfg, ops, phi, E = default_small
-    traj = system.solve(cfg, ops, phi, E)
+    cfg, ops, _, _ = default_small
+    traj = system.solve(cfg, ops)
     corrupted = traj.currents.copy()
     corrupted[3, 0] += 1e-3
     bad = system.MQSTrajectory(
@@ -312,13 +373,13 @@ def test_weak_residual_detects_corrupted_current(default_small):
 
 
 def test_weak_solution_zero_trajectory(default_small):
-    cfg, ops, phi, E = default_small
+    cfg, ops, _, _ = default_small
     from dataclasses import replace
 
     quiet = replace(
         cfg, voltage=system.VoltageSignal("constant", np.array([0.0]))
     )
-    traj = system.solve(quiet, ops, phi, E)
+    traj = system.solve(quiet, ops)
     report = system.check_weak_solution(ops, traj)
     assert report.max_field_residual == 0.0
     assert report.max_circuit_residual == 0.0
@@ -348,8 +409,8 @@ def test_monotonicity_probe_counts_trivial_pairs(default_small):
 
 
 def test_coercivity_bound_sampled(default_small):
-    _, ops, phi, E = default_small
-    out = system.coercivity_bound_check(ops, phi, E, n_samples=100, seed=0)
+    _, ops, _, _ = default_small
+    out = system.coercivity_bound_check(ops, n_samples=100, seed=0)
     assert out["passed"]
     assert out["c"] == pytest.approx(
         min(ops.m_hat, ops.sigma_C) / (2 * ops.L_C)
@@ -357,13 +418,13 @@ def test_coercivity_bound_sampled(default_small):
 
 
 def test_power_balance_zero_trajectory(default_small):
-    cfg, ops, phi, E = default_small
+    cfg, ops, _, _ = default_small
     from dataclasses import replace
 
     quiet = replace(
         cfg, voltage=system.VoltageSignal("constant", np.array([0.0]))
     )
-    traj = system.solve(quiet, ops, phi, E)
+    traj = system.solve(quiet, ops)
     assert np.all(traj.balance_residuals[1:] == 0.0)
     assert np.isnan(traj.balance_residuals[0])
 
@@ -371,25 +432,25 @@ def test_power_balance_zero_trajectory(default_small):
 def test_power_balance_equals_generic_energy_identity(default_small):
     """The circuit-level power balance and the abstract dissipation
     identity are the same defect, computed from different arrays."""
-    cfg, ops, phi, E = default_small
-    traj = system.solve(cfg, ops, phi, E)
+    cfg, ops, _, _ = default_small
+    traj = system.solve(cfg, ops)
     rho = core.energy_identity_residual(traj.core_trajectory)
     assert np.allclose(traj.balance_residuals[1:], rho, atol=1e-12)
 
 
 def test_current_recovery_row0_is_undefined(default_small):
-    cfg, ops, phi, E = default_small
-    traj = system.solve(cfg, ops, phi, E)
+    cfg, ops, _, _ = default_small
+    traj = system.solve(cfg, ops)
     assert np.all(np.isnan(traj.currents[0]))
     assert np.all(np.isfinite(traj.currents[1:]))
 
 
 def test_initial_data_reproduced_in_metric_image(default_small):
-    cfg, ops, phi, E = default_small
+    cfg, ops, _, _ = default_small
     from dataclasses import replace
 
     rough = replace(cfg, a0_kind="random", seed=3)
     a0 = system.initial_field(rough, ops)
-    traj = system.solve(rough, ops, phi, E)
+    traj = system.solve(rough, ops)
     assert np.array_equal(traj.fields[0], a0)
     assert np.allclose(traj.fluxes[0], ops.coupling.T @ a0)
