@@ -2,7 +2,7 @@
 
 Recognized sections and keys (all optional; defaults in parentheses):
 
-  [mesh]      n (32)
+  [mesh]      n (32; at most 256)
   [conductor] center ("0.5 0.5"), radius (0.2)
   [winding]   w1, w2, ... — each a ';'-separated list of rectangles
               "x0 x1 y0 y1 kappa" (two opposing coils by default)
@@ -11,12 +11,15 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [circuit]   sigma_C (1), R ("1"; rows ';'-separated),
               voltage_kind (step), voltage_value ("1"),
               voltage_table (rows "t v_1 .. v_m" ';'-separated, t increasing)
-  [time]      T (1), tau (0.015625); T / tau must be a whole number
+  [time]      T (1), tau (0.015625); T / tau must be a whole number,
+              at most 100000
   [initial]   kind (zero), seed (42), path
   [output]    basename (run)
-  [core]      newton_tol (1e-10), newton_max_iter (50), newton_start (prev)
+  [core]      newton_tol (1e-10; at most 1e-3), newton_max_iter (50),
+              newton_start (prev)
 
-Unknown sections or keys are rejected with the offending line echoed.
+Unknown sections or keys are rejected with the offending line echoed;
+every number must be finite.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ stepping is implicit Euler realized as one convex minimization per step:
 solved by damped Newton.  Minimizing the E-misfit implicitly projects the
 data onto the closure of range(E), so the degenerate directions never need
 an explicit basis.
+
+When the last k rows of a sparse E form a thin block U (k << dim_X), the
+Newton matrix  hessian + E^T E / tau  is a sparse SPD part  H_s = hessian +
+E_1^T E_1 / tau  plus the rank-k term  U^T U / tau.  Only H_s is factored,
+in SuperLU's symmetric mode, and the rank-k term is added back by the
+Sherman-Morrison-Woodbury identity.
 """
 
 from __future__ import annotations
@@ -32,14 +38,26 @@ from .errors import (
 
 
 class LinearMapE:
-    """Linear metric map E : R^dim_X -> R^dim_Z, dense or sparse."""
+    """Linear metric map E : R^dim_X -> R^dim_Z, dense or sparse.
 
-    def __init__(self, matrix):
+    The last ``k`` rows may form a thin block U (default k = 0): for a
+    sparse E (and a functional with a sparse hessian), prox steps then
+    factor only the leading block's part of the Newton matrix and add
+    U^T U by the Woodbury identity.
+    """
+
+    def __init__(self, matrix, k=0):
         if not sp.issparse(matrix):
             matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.matrix = matrix
         self.dim_Z, self.dim_X = matrix.shape
+        if not 0 <= k <= self.dim_Z:
+            raise ValueError(f"thin block of {k} rows in a map with {self.dim_Z}")
+        self.k = k
         self._gram = None
+        self._lead_gram = None
+        self._thin = None
+        self._slots = None  # (indptr, indices, slots) of the last H pattern
 
     def apply(self, x):
         return self.matrix @ x
@@ -56,6 +74,62 @@ class LinearMapE:
             else:
                 self._gram = self.matrix.T @ self.matrix
         return self._gram
+
+    @property
+    def lead_gram(self):
+        """E_1^T E_1 of the rows above the thin block, cached, canonical CSC."""
+        if self._lead_gram is None:
+            lead = sp.csr_matrix(self.matrix)[:self.dim_Z - self.k]
+            self._lead_gram = (lead.T @ lead).tocsc()
+            self._lead_gram.sum_duplicates()
+        return self._lead_gram
+
+    @property
+    def thin(self):
+        """The thin block U, the last k rows, as a dense (k, dim_X) array."""
+        if self._thin is None:
+            self._thin = sp.csr_matrix(self.matrix)[self.dim_Z - self.k:].toarray()
+        return self._thin
+
+    def add_lead_gram(self, H, tau):
+        """H + E_1^T E_1 / tau.
+
+        For H in CSC on a pattern that holds E_1^T E_1's, the result keeps
+        H's pattern: the lead gram's slots in it are found once and its data
+        is added into a copy of H's.  Otherwise it is the plain sum.
+        """
+        G = self.lead_gram
+        slots = self._slots_in(H) if sp.issparse(H) and H.format == "csc" \
+            else None
+        if slots is None:
+            return H + G / tau
+        data = H.data.copy()
+        data[slots] += G.data / tau
+        return sp.csc_matrix((data, H.indices, H.indptr), shape=H.shape)
+
+    def _slots_in(self, H):
+        """Positions of the lead gram's entries in H.data, or None."""
+        if self._slots is not None:
+            indptr, indices, slots = self._slots
+            if np.array_equal(H.indptr, indptr) and np.array_equal(H.indices, indices):
+                return slots
+        G = self.lead_gram
+        if H.shape != G.shape:
+            return None
+        h_keys, g_keys = _csc_keys(H), _csc_keys(G)
+        if np.any(np.diff(h_keys) <= 0):  # not canonical: unsorted or repeated
+            return None
+        slots = np.searchsorted(h_keys, g_keys)
+        if np.any(slots == h_keys.size) or np.any(h_keys[slots] != g_keys):
+            return None
+        self._slots = (H.indptr.copy(), H.indices.copy(), slots)
+        return slots
+
+
+def _csc_keys(A):
+    """col * n_rows + row of each stored entry of a CSC matrix."""
+    cols = np.repeat(np.arange(A.shape[1], dtype=np.int64), np.diff(A.indptr))
+    return cols * A.shape[0] + A.indices
 
 
 @dataclass
@@ -115,13 +189,34 @@ class DaeTrajectory:
         return self.rates.shape[0]
 
 
-def _solve_newton_system(H, rhs):
-    """Solve H d = rhs with H dense or sparse CSC (SuperLU's format)."""
+def _solve_newton_system(H, rhs, thin=None):
+    """Solve (H + U^T U / tau) d = rhs, with ``thin = (U, tau)`` or no U term.
+
+    H is dense or sparse CSC (SuperLU's format).  Without a thin block a
+    sparse H gets SuperLU's default (COLAMD, partial pivoting).  With one,
+    H is the sparse SPD part: it is factored with a symmetric ordering and
+    diagonal pivots (once more with the defaults if SuperLU meets a zero
+    pivot), [rhs, U^T] is solved in one call, and the k x k capacitance
+    system tau I + U H^{-1} U^T adds the rank-k term (Woodbury).
+    """
     try:
-        if sp.issparse(H):
-            d = spla.splu(H).solve(rhs)
+        if thin is None:
+            if sp.issparse(H):
+                d = spla.splu(H).solve(rhs)
+            else:
+                d = np.linalg.solve(H, rhs)
         else:
-            d = np.linalg.solve(H, rhs)
+            U, tau = thin
+            try:
+                lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+            except RuntimeError:
+                lu = spla.splu(H)
+            Y = lu.solve(np.column_stack([rhs, U.T]))
+            y, W = Y[:, 0], Y[:, 1:]
+            capacitance = tau * np.eye(U.shape[0]) + U @ W
+            d = y - W @ np.linalg.solve(capacitance, U @ y)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise SingularStep(f"Newton linear system not solvable: {exc}")
     if not np.all(np.isfinite(d)):
@@ -152,13 +247,14 @@ def armijo_search(objective, x, d, J, slope, c=1e-4, shrink=0.5):
 
 
 def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
-                    max_iter=50):
+                    max_iter=50, thin=None):
     """Damped Newton with Armijo backtracking for a smooth convex objective.
 
     Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` is the gradient
-    at x0 when the caller already has it.  Raises SingularStep on a
-    non-descent Newton direction and NonConvergence when ``max_iter``
-    iterations do not reach the tolerance.
+    at x0 when the caller already has it.  ``thin = (U, tau)`` makes the
+    Newton matrix hessian(x) + U^T U / tau (see _solve_newton_system).
+    Raises SingularStep on a non-descent Newton direction and
+    NonConvergence when ``max_iter`` iterations do not reach the tolerance.
     """
     x = np.asarray(x0, dtype=float).copy()
     g = gradient(x) if g0 is None else g0
@@ -166,7 +262,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     for _ in range(max_iter):
         if np.linalg.norm(g) <= tol:
             return x
-        d = _solve_newton_system(hessian(x), -g)
+        d = _solve_newton_system(hessian(x), -g, thin)
         slope = float(g @ d)
         if slope >= 0:
             raise SingularStep("Newton direction is not a descent direction")
@@ -204,11 +300,20 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, newton_tol=1e-10,
     g0_norm = float(np.linalg.norm(g_prev))
     if g0_norm == 0.0 and np.array_equal(x0, x_prev):
         return x0.copy()
-    metric = E.gram / tau
+    if E.k and sp.issparse(E.matrix):
+        thin = (E.thin, tau)
+
+        def hessian(x):
+            return E.add_lead_gram(phi.hessian(x), tau)
+    else:
+        thin, metric = None, E.gram / tau
+
+        def hessian(x):
+            return phi.hessian(x) + metric
     return newton_minimize(
-        objective, residual, lambda x: phi.hessian(x) + metric,
-        x0, newton_tol * (1.0 + g0_norm),
+        objective, residual, hessian, x0, newton_tol * (1.0 + g0_norm),
         g0=g_prev if x_start is None else None, max_iter=newton_max_iter,
+        thin=thin,
     )
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class MqsflowError(Exception):
     """Base class for all package errors."""
@@ -61,6 +63,14 @@ class ValidationFailure(MqsflowError):
             reasons = [reasons]
         self.reasons = list(reasons)
         super().__init__("; ".join(self.reasons))
+
+
+def check_finite(what, value):
+    """Raise ValidationFailure naming ``what`` unless every entry of
+    ``value`` is a finite number."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationFailure(f"{what} must be finite, got {arr.tolist()}")
 
 
 class InsufficientLevels(MqsflowError):

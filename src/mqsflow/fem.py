@@ -17,7 +17,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .errors import EigenSolveFailure, GeometryError, WindingOverlapsConductor
+from .errors import (
+    EigenSolveFailure, GeometryError, WindingOverlapsConductor, check_finite,
+)
 from .material import REGION_CONDUCTOR, REGION_INSULATOR, model_eval, theta_eval
 
 LABEL_I = 0
@@ -98,6 +100,10 @@ class WindingSpec:
     """
 
     rectangles: tuple  # tuple over windings of tuples of rectangles
+
+    def __post_init__(self):
+        for j, rects in enumerate(self.rectangles):
+            check_finite(f"winding w{j + 1}", rects)
 
     @property
     def m(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeArgument, NegativeFieldMagnitude
+from .errors import NegativeArgument, NegativeFieldMagnitude, check_finite
 
 REGION_CONDUCTOR = "C"
 REGION_INSULATOR = "I"
@@ -42,6 +42,9 @@ class ReluctivityModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown reluctivity kind {self.kind!r}")
+        for p in self.params.values():
+            for key, value in p.items():
+                check_finite(f"reluctivity {key}", value)
 
     def region_params(self, region):
         if region in self.params:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import core, fem, material
-from .errors import ValidationFailure
+from .errors import ValidationFailure, check_finite
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,11 @@ class VoltageSignal:
     table: np.ndarray = None          # (k, 1+m) rows of t, v_1..v_m
 
     def __post_init__(self):
-        if self.kind == "table" and np.any(np.diff(self.table[:, 0]) <= 0):
+        if self.kind != "table":
+            check_finite("voltage value", self.value)
+            return
+        check_finite("voltage table", self.table)
+        if np.any(np.diff(self.table[:, 0]) <= 0):
             raise ValidationFailure(
                 "voltage table times must be strictly increasing, got "
                 f"{self.table[:, 0].tolist()}")
@@ -68,6 +72,13 @@ DEFAULT_WINDING = fem.WindingSpec(
 )
 
 
+# Desk-scale caps: a run above them would not finish at desk scale (mesh,
+# steps) or would stop Newton before it moved (tolerance).
+MAX_MESH_N = 256
+MAX_STEPS = 100_000
+MAX_NEWTON_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class MQSConfig:
     n: int = 32
@@ -95,15 +106,27 @@ class MQSConfig:
     forcing: Optional[Callable] = None
 
     def __post_init__(self):
+        for name in ("conductor_center", "conductor_radius", "sigma_C", "R",
+                     "T", "tau"):
+            check_finite(name, getattr(self, name))
         if self.seed < 0:
             raise ValidationFailure(f"seed must be nonnegative, got {self.seed}")
-        if not self.newton_tol > 0:
+        if not 0 < self.newton_tol <= MAX_NEWTON_TOL:
             raise ValidationFailure(
-                f"newton_tol must be positive, got {self.newton_tol}")
+                f"newton_tol must be positive and at most {MAX_NEWTON_TOL:g}, "
+                f"got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValidationFailure(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
+        if self.n > MAX_MESH_N:
+            raise ValidationFailure(f"n must be at most {MAX_MESH_N}, got {self.n}")
+        if not (self.T > 0 and self.tau > 0):
+            raise ValidationFailure(
+                f"T and tau must be positive, got T = {self.T}, tau = {self.tau}")
         steps = self.T / self.tau
+        if steps > MAX_STEPS:
+            raise ValidationFailure(
+                f"T / tau = {steps:.6g} steps exceeds the cap of {MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationFailure(
                 f"T = {self.T} is not a whole number of steps tau = "
@@ -131,7 +154,8 @@ class MQSOperators:
     m_hat: float
     L_hat: float
     L_C: float
-    E: core.LinearMapE         # metric map, E^T E = msigma + C R^{-1} C^T
+    E: core.LinearMapE         # metric map, E^T E = msigma + C R^{-1} C^T;
+                               # its last m rows R^{-1/2} C^T are the thin block
 
     @property
     def phi(self):
@@ -245,7 +269,8 @@ def build_system(config):
         m_hat=report.material.m_hat, L_hat=report.material.L_hat,
         L_C=fem.estimate_coercivity_constant(mass_C, stiffness, mass),
         E=core.LinearMapE(
-            _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt)),
+            _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt),
+            k=coupling.shape[1]),
     )
     return ops, ops.phi, ops.E
 

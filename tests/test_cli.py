@@ -230,6 +230,15 @@ def test_cli_rejects_horizon_not_a_whole_number_of_steps(tmp_path, small_cfg,
     (["run", "--set", "circuit.voltage_kind=table",
       "--set", "circuit.voltage_table=0 0 ; 0.5 1 ; 0.25 2"],
      "strictly increasing"),
+    (["run", "--set", "time.T=inf"], "T must be finite"),
+    (["run", "--set", "conductor.center=nan 0.5"], "conductor_center"),
+    (["run", "--set", "circuit.voltage_value=nan"], "voltage value"),
+    (["run", "--set", "circuit.R=nan"], "R must be finite"),
+    (["run", "--set", "winding.w1=0.1 0.2 0.4 0.6 nan"], "winding w1"),
+    (["run", "--set", "material.nu_max=inf"], "nu_max"),
+    (["run", "--set", "core.newton_tol=1e300"], "newton_tol"),
+    (["run", "--set", "mesh.n=100000"], "n must be at most 256"),
+    (["run", "--set", "time.tau=1e-9"], "exceeds the cap"),
 ])
 def test_cli_rejects_invalid_settings_before_solving(tmp_path, small_cfg,
                                                      capsys, argv, cause):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mqsflow import core
 from mqsflow.errors import (
@@ -308,3 +310,130 @@ def test_eval_phi_E_exhausted_budget_raises():
     x = core.eval_phi_E(phi, E, np.zeros(1))["argmin"]
     assert abs(x.sum()) < 1e-12
     assert np.ptp(phi.gateaux(x)) < 1e-10
+
+
+def sparse_spd(n, rng, density=0.3):
+    """Sparse SPD CSC matrix on a random symmetric pattern with a full diagonal."""
+    A = sp.random(n, n, density=density, random_state=rng, format="csc")
+    return (A @ A.T + n * sp.eye(n, format="csc")).tocsc()
+
+
+def thin_map(rng, n=12, k=2):
+    """Sparse E whose last k rows are dense: E^T E = sparse part + rank k."""
+    lead = sp.random(n, n, density=0.15, random_state=rng, format="csr")
+    thin = sp.csr_matrix(rng.standard_normal((k, n)))
+    return sp.vstack([lead, thin]).tocsr()
+
+
+def test_linear_map_thin_block_splits_the_gram():
+    rng = np.random.default_rng(20)
+    matrix = thin_map(rng)
+    E = core.LinearMapE(matrix, k=2)
+    assert E.k == 2 and core.LinearMapE(matrix).k == 0
+    assert np.allclose(E.thin, matrix[-2:].toarray())
+    split = E.lead_gram.toarray() + E.thin.T @ E.thin
+    assert np.abs(split - E.gram.toarray()).max() < 1e-13
+    for k in (-1, matrix.shape[0] + 1):
+        with pytest.raises(ValueError):
+            core.LinearMapE(matrix, k=k)
+
+
+def test_add_lead_gram_keeps_the_pattern_that_holds_it():
+    rng = np.random.default_rng(21)
+    E = core.LinearMapE(thin_map(rng), k=2)
+    G = E.lead_gram
+    # H's pattern holds G's plus explicit zeros
+    H = (sparse_spd(12, rng) + (G != 0).astype(float)).tocsc()
+    H.sort_indices()
+    H.data[::3] = 0.0
+    for _ in range(2):  # found once, then reused
+        S = E.add_lead_gram(H, 0.1)
+        assert S.nnz == H.nnz and np.array_equal(S.indices, H.indices)
+        assert np.abs((S - H - G / 0.1).toarray()).max() < 1e-12
+    # a pattern without G's entries gets the plain sum
+    D = sp.eye(12, format="csc")
+    S = E.add_lead_gram(D, 0.1)
+    assert np.abs((S - D - G / 0.1).toarray()).max() < 1e-12
+
+
+def test_woodbury_direction_matches_factoring_the_full_matrix():
+    rng = np.random.default_rng(22)
+    E = core.LinearMapE(thin_map(rng), k=2)
+    H = sparse_spd(12, rng)
+    rhs = rng.standard_normal(12)
+    tau = 0.05
+    d = core._solve_newton_system(E.add_lead_gram(H, tau), rhs, (E.thin, tau))
+    ref = np.linalg.solve((H + E.gram / tau).toarray(), rhs)
+    assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_dense_map_and_empty_thin_block_take_the_full_matrix_path():
+    """k = 0, or a dense E with any k, factors hessian + E^T E / tau as is:
+    bit for bit the plain Newton loop on that matrix."""
+    rng = np.random.default_rng(23)
+    n = 6
+    dense = rng.standard_normal((4, n))
+    x_prev = rng.standard_normal(n)
+    f_k = rng.standard_normal(4)
+    tau = 0.2
+    quart = quartic(n)
+    sparse_quart = core.EllipticFunctional(
+        eval=quart.eval, gateaux=quart.gateaux,
+        hessian=lambda x: sp.csc_matrix(quart.hessian(x)))
+
+    def plain(phi, E):
+        b = E.apply(x_prev) + tau * f_k
+        metric = E.gram / tau
+
+        def objective(x):
+            mis = E.apply(x) - b
+            return phi.eval(x) + 0.5 / tau * float(mis @ mis)
+
+        def residual(x):
+            return phi.gateaux(x) + E.apply_adjoint(E.apply(x) - b) / tau
+
+        g_prev = residual(x_prev)
+        return core.newton_minimize(
+            objective, residual, lambda x: phi.hessian(x) + metric, x_prev,
+            1e-12 * (1.0 + np.linalg.norm(g_prev)), g0=g_prev,
+        )
+
+    for phi, E, E0 in ((quart, core.LinearMapE(dense), core.LinearMapE(dense)),
+                       (quart, core.LinearMapE(dense, k=2), core.LinearMapE(dense)),
+                       (sparse_quart, core.LinearMapE(sp.csr_matrix(dense)),
+                        core.LinearMapE(sp.csr_matrix(dense)))):
+        x = core.prox_step(phi, E, x_prev, f_k, tau, newton_tol=1e-12)
+        assert np.array_equal(x, plain(phi, E0))
+
+
+class _FailingSplu:
+    """Stands in for scipy.sparse.linalg: splu raises like SuperLU on a
+    zero pivot, in symmetric mode only or always."""
+
+    def __init__(self, always):
+        self.always = always
+        self.calls = []
+
+    def splu(self, A, **kwargs):
+        self.calls.append(kwargs)
+        if self.always or kwargs.get("options", {}).get("SymmetricMode"):
+            raise RuntimeError("Factor is exactly singular")
+        return spla.splu(A, **kwargs)
+
+
+def test_symmetric_factor_failure_falls_back_then_raises(monkeypatch):
+    rng = np.random.default_rng(24)
+    E = core.LinearMapE(thin_map(rng), k=2)
+    H = E.add_lead_gram(sparse_spd(12, rng), 0.05)
+    rhs = rng.standard_normal(12)
+    d = core._solve_newton_system(H, rhs, (E.thin, 0.05))
+
+    stub = _FailingSplu(always=False)
+    monkeypatch.setattr(core, "spla", stub)
+    d_fallback = core._solve_newton_system(H, rhs, (E.thin, 0.05))
+    assert len(stub.calls) == 2 and stub.calls[1] == {}
+    assert np.linalg.norm(d_fallback - d) <= 1e-12 * np.linalg.norm(d)
+
+    monkeypatch.setattr(core, "spla", _FailingSplu(always=True))
+    with pytest.raises(SingularStep, match="not solvable"):
+        core._solve_newton_system(H, rhs, (E.thin, 0.05))

@@ -197,12 +197,54 @@ def test_unreadable_initial_field_file_is_a_validation_failure(tmp_path):
 def test_config_rejects_negative_seed_and_bad_newton_settings():
     with pytest.raises(ValidationFailure, match="seed"):
         system.MQSConfig(n=8, seed=-1)
-    for tol in (0.0, -1e-10, float("nan")):
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ValidationFailure, match="newton_tol"):
             system.MQSConfig(n=8, newton_tol=tol)
     with pytest.raises(ValidationFailure, match="newton_max_iter"):
         system.MQSConfig(n=8, newton_max_iter=0)
     assert system.MQSConfig(n=8, seed=0, newton_max_iter=1).seed == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("T", float("inf")), ("tau", float("nan")),
+    ("conductor_center", (float("nan"), 0.5)),
+    ("conductor_radius", float("nan")), ("sigma_C", float("inf")),
+    ("R", np.array([[float("nan")]])),
+])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValidationFailure, match=f"{field} must be finite"):
+        system.MQSConfig(n=8, **{field: value})
+
+
+def test_signals_windings_and_materials_reject_non_finite_numbers():
+    nan = float("nan")
+    with pytest.raises(ValidationFailure, match="voltage value"):
+        system.VoltageSignal("step", np.array([nan]))
+    with pytest.raises(ValidationFailure, match="voltage table"):
+        system.VoltageSignal("table", table=np.array([[0.0, 0.0], [1.0, np.inf]]))
+    with pytest.raises(ValidationFailure, match="winding w2"):
+        fem.WindingSpec(rectangles=(((0.1, 0.2, 0.4, 0.6, 1.0),),
+                                    ((0.1, 0.2, 0.4, nan, 1.0),)))
+    for make, key in ((lambda: material.constant_model(np.inf), "nu0"),
+                      (lambda: material.rational_saturation_model(nan, 5.0),
+                       "nu_min"),
+                      (lambda: material.tabulated_model([[0.0, 1.0], [1.0, nan]]),
+                       "table")):
+        with pytest.raises(ValidationFailure, match=f"reluctivity {key}"):
+            make()
+
+
+def test_config_enforces_desk_scale_caps():
+    with pytest.raises(ValidationFailure, match="n must be at most 256"):
+        system.MQSConfig(n=257)
+    with pytest.raises(ValidationFailure, match="cap of 100000"):
+        system.MQSConfig(n=8, T=2.0, tau=1e-5)
+    with pytest.raises(ValidationFailure, match="newton_tol"):
+        system.MQSConfig(n=8, newton_tol=2e-3)
+    with pytest.raises(ValidationFailure, match="T and tau must be positive"):
+        system.MQSConfig(n=8, tau=0.0)
+    cfg = system.MQSConfig(n=256, T=1.0, tau=1e-5, newton_tol=1e-3)
+    assert cfg.n_steps == 100_000
 
 
 def test_config_rejects_horizon_not_a_whole_number_of_steps():
@@ -454,3 +496,58 @@ def test_initial_data_reproduced_in_metric_image(default_small):
     traj = system.solve(rough, ops)
     assert np.array_equal(traj.fields[0], a0)
     assert np.allclose(traj.fluxes[0], ops.coupling.T @ a0)
+
+
+THREE_WINDINGS = fem.WindingSpec(rectangles=(
+    ((0.1, 0.2, 0.4, 0.6, 100.0), (0.8, 0.9, 0.4, 0.6, -100.0)),
+    ((0.4, 0.6, 0.8, 0.9, 100.0), (0.4, 0.6, 0.1, 0.2, -100.0)),
+    ((0.1, 0.2, 0.1, 0.2, 100.0), (0.8, 0.9, 0.8, 0.9, -100.0)),
+))
+
+
+@pytest.mark.parametrize("winding, R", [
+    (system.DEFAULT_WINDING, np.array([[1.0]])),
+    (THREE_WINDINGS, np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]])),
+])
+def test_woodbury_newton_direction_matches_full_factor(winding, R):
+    """Factoring the sparse part and adding the m winding rows by Woodbury
+    gives the direction of one factor of the whole Newton matrix."""
+    cfg = system.MQSConfig(n=8, winding=winding, R=R)
+    ops, _, E = system.build_system(cfg)
+    assert E.k == ops.m == winding.m
+    rng = np.random.default_rng(11)
+    a = 0.3 * rng.standard_normal(ops.n_dofs)
+    rhs = rng.standard_normal(ops.n_dofs)
+    H = ops.K_tangent(a)
+    d = core._solve_newton_system(E.add_lead_gram(H, cfg.tau), rhs,
+                                  (E.thin, cfg.tau))
+    ref = sp.linalg.splu(H + E.gram / cfg.tau).solve(rhs)
+    assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_thin_block_stays_out_of_the_factor(monkeypatch):
+    """Every prox-step factor is on the P1 pattern, sparser than the whole
+    Newton matrix with the winding block, and there is one per Newton
+    system."""
+    cfg = system.MQSConfig(n=16, T=4.0 / 64.0)
+    ops, _, E = system.build_system(cfg)
+    factored = []
+    newton_systems = []
+    real_splu, real_solve = core.spla.splu, core._solve_newton_system
+
+    class Spla:
+        def splu(self, A, **kwargs):
+            factored.append(A.nnz)
+            return real_splu(A, **kwargs)
+
+    def counted(*args):
+        newton_systems.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(core, "spla", Spla())
+    monkeypatch.setattr(core, "_solve_newton_system", counted)
+    system.solve(cfg, ops)
+    assert len(factored) == len(newton_systems) > 0
+    assert set(factored) == {ops.dofs.pattern.nnz}
+    full = ops.K_tangent(np.zeros(ops.n_dofs)) + E.gram / cfg.tau
+    assert ops.dofs.pattern.nnz < full.nnz
