@@ -1,8 +1,9 @@
 """Batch command-line entry point.
 
 Subcommands:
-  run          solve the configured problem; write time-series CSV and a
-               VTK snapshot of the final field under --out
+  run          solve the configured problem, check its weak residuals;
+               write time-series CSV and a VTK snapshot of the final
+               field under --out
   validate     check the configuration and model assumptions
   constants    print the certified material and coercivity constants
   experiment   run the diagnostic experiment battery and write a summary
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import diagnostics, system
-from .errors import MqsflowError
+from .errors import MqsflowError, ValidationFailure
 
 log = logging.getLogger("mqsflow")
 
@@ -70,6 +71,7 @@ def _cmd_run(args):
     base = config_mod.output_basename(entries)
     traj = system.solve(cfg)
     ops, _, _ = system.build_system(cfg)
+    _check_run(cfg, ops, traj)
     csv_path = os.path.join(args.out, f"{base}.csv")
     vtk_path = os.path.join(args.out, f"{base}.vtk")
     diagnostics.write_timeseries_csv(traj, csv_path)
@@ -77,6 +79,18 @@ def _cmd_run(args):
     log.info("wrote %s and %s", csv_path, vtk_path)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
     return 0
+
+
+def _check_run(cfg, ops, traj):
+    """Raise unless both weak residuals stay within 10 newton_tol scale."""
+    weak = system.check_weak_solution(ops, traj)
+    bound = 10.0 * cfg.newton_tol * diagnostics.trajectory_scale(ops, traj)
+    worst = np.maximum(weak.field_residuals, weak.circuit_residuals)
+    k = int(np.argmax(worst))
+    if not worst[k] <= bound:
+        raise ValidationFailure(
+            f"self-check failed at step {k + 1}: weak residual "
+            f"{worst[k]:.3e} exceeds {bound:.3e}")
 
 
 def _cmd_validate(args):

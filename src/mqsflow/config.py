@@ -16,7 +16,9 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [initial]   kind (zero), seed (42), path
   [output]    basename (run)
   [core]      newton_tol (1e-10; at most 1e-3), newton_max_iter (50),
-              newton_start (prev)
+              newton_start extrapolate|prev|zero (extrapolate): Newton's
+              start in each step, the guarded quadratic extrapolation of
+              the last three states, the last state, or zero
 
 Unknown sections or keys are rejected with the offending line echoed;
 every number must be finite.
@@ -226,11 +228,6 @@ def build_config(entries, seed=None):
         cfg_seed = int(_get(entries, "initial", "seed", "42"))
         if seed is not None:
             cfg_seed = int(seed)
-        newton_start = _get(entries, "core", "newton_start", "prev")
-        if newton_start not in ("prev", "zero"):
-            raise ConfigError(
-                f"core.newton_start must be 'prev' or 'zero', got {newton_start!r}"
-            )
         return system.MQSConfig(
             n=n,
             conductor_center=(center[0], center[1]),
@@ -247,7 +244,7 @@ def build_config(entries, seed=None):
             seed=cfg_seed,
             newton_tol=float(_get(entries, "core", "newton_tol", "1e-10")),
             newton_max_iter=int(_get(entries, "core", "newton_max_iter", "50")),
-            newton_start=newton_start,
+            newton_start=_get(entries, "core", "newton_start", "extrapolate"),
         )
     except ConfigError:
         raise

@@ -100,7 +100,7 @@ class MQSConfig:
     seed: int = 42
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    newton_start: str = "prev"  # "prev" or "zero" initial Newton guess
+    newton_start: str = "extrapolate"  # extrapolate | prev | zero, see core
     # optional manufactured volumetric forcing added to the field equation;
     # callable (mesh, dofs, t) -> load vector, used only by convergence studies
     forcing: Optional[Callable] = None
@@ -115,6 +115,10 @@ class MQSConfig:
             raise ValidationFailure(
                 f"newton_tol must be positive and at most {MAX_NEWTON_TOL:g}, "
                 f"got {self.newton_tol}")
+        if self.newton_start not in core.NEWTON_STARTS:
+            raise ValidationFailure(
+                f"newton_start must be one of {', '.join(core.NEWTON_STARTS)}, "
+                f"got {self.newton_start!r}")
         if self.newton_max_iter < 1:
             raise ValidationFailure(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
@@ -364,7 +368,7 @@ def solve(config, ops=None, a0=None):
                  for t in config.tau * np.arange(1, config.n_steps + 1)]
     traj = core.solve_trajectory(
         ops.phi, ops.E, a0, f, prox_cfg, loads=loads,
-        zero_start=config.newton_start == "zero",
+        start=config.newton_start,
     )
     currents, fluxes = recover_currents(ops, traj.states, v_samples, config.tau)
     mqs_traj = MQSTrajectory(

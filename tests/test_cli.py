@@ -284,3 +284,35 @@ def test_experiment_battery_builds_once_and_reuses_its_trajectory(
     # the base solve, five balance-order step sizes, one partner per
     # perturbation experiment
     assert calls == {"build_system": 1, "solve": 9}
+
+
+def test_cli_run_rejects_output_that_fails_its_weak_residual_check(
+        tmp_path, small_cfg, monkeypatch, capsys):
+    from mqsflow import system
+
+    real = system.solve
+
+    def corrupted(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        traj.fields[3] += 1e-3
+        return traj
+
+    monkeypatch.setattr(system, "solve", corrupted)
+    out = tmp_path / "o"
+    code = cli.dispatch(["run", "--config", small_cfg, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: self-check failed at step 3")
+    assert not (out / "run.csv").exists()
+
+
+def test_cli_newton_start_setting(tmp_path, small_cfg, capsys):
+    out = tmp_path / "o"
+    argv = ["run", "--config", small_cfg, "--out", str(out)]
+    assert cli.dispatch(argv + ["--set", "core.newton_start=extrapolate"]) == 0
+    capsys.readouterr()
+    assert cli.dispatch(argv + ["--set", "core.newton_start=guess"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: newton_start must be one of")
+    assert all(mode in err for mode in ("extrapolate", "prev", "zero"))

@@ -172,6 +172,29 @@ def test_prox_config_validation():
     core.ProxConfig(tau=0.4, n_steps=1).check_against(phi)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"tau": float("nan")}, "tau"),
+    ({"tau": float("inf")}, "tau"),
+    ({"tau": 0.1, "newton_tol": float("nan")}, "newton_tol"),
+])
+def test_prox_config_rejects_non_finite_tau_and_tolerance(kwargs, name):
+    with pytest.raises(ValidationFailure, match=f"^{name} must be finite"):
+        core.ProxConfig(n_steps=1, **kwargs)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_prox_config_rejects_nonpositive_tolerance(tol):
+    with pytest.raises(ValueError, match="newton_tol must be positive"):
+        core.ProxConfig(tau=0.1, n_steps=1, newton_tol=tol)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+def test_prox_step_rejects_non_finite_tau(tau):
+    with pytest.raises(ValidationFailure, match="^tau must be finite"):
+        core.prox_step(quadratic(np.eye(2)), core.LinearMapE(np.eye(2)),
+                       np.ones(2), np.zeros(2), tau)
+
+
 def test_eval_phi_E_matches_kkt_oracle():
     """Constrained minimum against the dense saddle-point (KKT) solve."""
     rng = np.random.default_rng(5)
@@ -437,3 +460,102 @@ def test_symmetric_factor_failure_falls_back_then_raises(monkeypatch):
     monkeypatch.setattr(core, "spla", _FailingSplu(always=True))
     with pytest.raises(SingularStep, match="not solvable"):
         core._solve_newton_system(H, rhs, (E.thin, 0.05))
+
+
+def smooth_core_problems():
+    """(phi, E, x0, f) on a dense map and on a sparse map with a thin block,
+    each driven by a smooth input."""
+    rng = np.random.default_rng(30)
+    n, t = 6, np.linspace(0.0, 1.0, 21)
+    dense = (quartic(n), core.LinearMapE(rng.standard_normal((4, n))),
+             rng.standard_normal(n), np.outer(np.sin(3.0 * t), np.ones(4)))
+    c = rng.standard_normal(12)
+    cosh = cosh_sum(c)
+    sparse_cosh = core.EllipticFunctional(
+        eval=cosh.eval, gateaux=cosh.gateaux,
+        hessian=lambda x: sp.diags(np.cosh(x - c), format="csc"))
+    thin = (sparse_cosh, core.LinearMapE(thin_map(rng), k=2), np.zeros(12),
+            np.outer(np.cos(2.0 * t), rng.standard_normal(14)))
+    return [dense, thin]
+
+
+_UNPATCHED = (core.prox_step, core.newton_minimize, core._solve_newton_system)
+
+
+def record_steps(monkeypatch):
+    """Per prox step: its Newton start and its number of Newton solves."""
+    steps = []
+    real_step, real_newton, real_solve = _UNPATCHED
+
+    def prox_step(*args, **kwargs):
+        steps.append({"solves": 0})
+        return real_step(*args, **kwargs)
+
+    def newton_minimize(objective, gradient, hessian, x0, *args, **kwargs):
+        steps[-1]["start"] = np.array(x0)
+        return real_newton(objective, gradient, hessian, x0, *args, **kwargs)
+
+    def solve(*args, **kwargs):
+        steps[-1]["solves"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(core, "prox_step", prox_step)
+    monkeypatch.setattr(core, "newton_minimize", newton_minimize)
+    monkeypatch.setattr(core, "_solve_newton_system", solve)
+    return steps
+
+
+@pytest.mark.parametrize("problem", range(2))
+def test_prev_start_reproduces_the_step_from_the_last_state(problem):
+    phi, E, x0, f = smooth_core_problems()[problem]
+    cfg = core.ProxConfig(tau=0.05, n_steps=20)
+    traj = core.solve_trajectory(phi, E, x0, f, cfg, start="prev")
+    fk = core.resolve_inputs(f, cfg.n_steps, E.dim_Z)
+    x = x0
+    for k in range(1, cfg.n_steps + 1):
+        x = core.prox_step(phi, E, x, fk[k - 1], cfg.tau)
+        assert np.array_equal(traj.states[k], x)
+
+
+@pytest.mark.parametrize("problem", range(2))
+def test_extrapolated_start_agrees_with_prev_and_saves_iterations(
+        problem, monkeypatch):
+    phi, E, x0, f = smooth_core_problems()[problem]
+    cfg = core.ProxConfig(tau=0.05, n_steps=20, newton_tol=1e-12)
+    runs = {}
+    for start in ("prev", "extrapolate"):
+        steps = record_steps(monkeypatch)
+        runs[start] = (core.solve_trajectory(phi, E, x0, f, cfg, start=start),
+                       sum(s["solves"] for s in steps))
+    prev, extra = runs["prev"][0].states, runs["extrapolate"][0].states
+    scale = 1.0 + np.abs(prev).max()
+    assert np.abs(extra - prev).max() <= 1e-10 * scale
+    assert runs["extrapolate"][1] < runs["prev"][1]
+
+
+def test_bad_prediction_falls_back_to_the_last_state(monkeypatch):
+    """A sign-reversing input makes every extrapolation overshoot: the guard
+    starts each step at x_{k-1}, so the run is the prev run bit for bit."""
+    n = 3
+    phi, E = quartic(n), core.LinearMapE(np.eye(n))
+    f = np.outer([(-1.0) ** k for k in range(11)], 4.0 * np.ones(n))
+    cfg = core.ProxConfig(tau=0.1, n_steps=10)
+    runs = {}
+    for start in ("prev", "extrapolate"):
+        steps = record_steps(monkeypatch)
+        traj = core.solve_trajectory(phi, E, np.zeros(n), f, cfg, start=start)
+        runs[start] = (traj, steps)
+    traj, steps = runs["extrapolate"]
+    for k in range(2, cfg.n_steps + 1):
+        assert np.array_equal(steps[k - 1]["start"], traj.states[k - 1])
+    assert [s["solves"] for s in steps] == \
+        [s["solves"] for s in runs["prev"][1]]
+    assert min(s["solves"] for s in steps) > 1
+    assert np.array_equal(traj.states, runs["prev"][0].states)
+
+
+def test_unknown_newton_start_raises():
+    phi, E = quadratic(np.eye(2)), core.LinearMapE(np.eye(2))
+    cfg = core.ProxConfig(tau=0.1, n_steps=2)
+    with pytest.raises(ValueError, match="extrapolate, prev, zero"):
+        core.solve_trajectory(phi, E, np.ones(2), None, cfg, start="guess")

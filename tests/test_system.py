@@ -551,3 +551,32 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
     assert set(factored) == {ops.dofs.pattern.nnz}
     full = ops.K_tangent(np.zeros(ops.n_dofs)) + E.gram / cfg.tau
     assert ops.dofs.pattern.nnz < full.nnz
+
+
+def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
+        monkeypatch):
+    cfg = system.MQSConfig(n=16)
+    ops = system.build_system(cfg)[0]
+    real_solve = core._solve_newton_system
+    runs = {}
+    for start in ("prev", "extrapolate"):
+        calls = []
+
+        def counted(*args, calls=calls):
+            calls.append(1)
+            return real_solve(*args)
+
+        monkeypatch.setattr(core, "_solve_newton_system", counted)
+        runs[start] = (system.solve(replace(cfg, newton_start=start), ops),
+                       len(calls))
+    (prev, n_prev), (extra, n_extra) = runs["prev"], runs["extrapolate"]
+    assert n_extra <= 0.7 * n_prev
+    scale = diagnostics.trajectory_scale(ops, prev)
+    assert np.abs(extra.fields - prev.fields).max() <= 1e-10 * scale
+
+
+def test_config_rejects_unknown_newton_start():
+    assert system.MQSConfig(n=8).newton_start == "extrapolate"
+    with pytest.raises(ValidationFailure,
+                       match="newton_start must be one of extrapolate, prev, zero"):
+        system.MQSConfig(n=8, newton_start="guess")
