@@ -83,14 +83,29 @@ def _cmd_run(args):
 
 def _check_run(cfg, ops, traj):
     """Raise unless both weak residuals stay within 10 newton_tol scale."""
+    result, step, worst = _weak_residuals(cfg, ops, traj)
+    if not result.passed:
+        raise ValidationFailure(
+            f"self-check failed at step {step}: weak residual "
+            f"{worst:.3e} exceeds {result.measured['bound']:.3e}")
+
+
+def _weak_residuals(cfg, ops, traj):
+    """The weak_solution_residuals experiment: both weak residuals of every
+    step within 10 newton_tol scale.  Also returns the worst step and its
+    residual."""
     weak = system.check_weak_solution(ops, traj)
     bound = 10.0 * cfg.newton_tol * diagnostics.trajectory_scale(ops, traj)
     worst = np.maximum(weak.field_residuals, weak.circuit_residuals)
     k = int(np.argmax(worst))
-    if not worst[k] <= bound:
-        raise ValidationFailure(
-            f"self-check failed at step {k + 1}: weak residual "
-            f"{worst[k]:.3e} exceeds {bound:.3e}")
+    result = diagnostics.ExperimentResult(
+        name="weak_solution_residuals",
+        passed=bool(worst[k] <= bound),
+        measured={"max_field_residual": weak.max_field_residual,
+                  "max_circuit_residual": weak.max_circuit_residual,
+                  "bound": bound},
+    )
+    return result, k + 1, float(worst[k])
 
 
 def _cmd_validate(args):
@@ -133,19 +148,7 @@ def _cmd_constants(args):
 def _experiment_battery(cfg, out_dir):
     ops = system.build_system(cfg)[0]
     traj = system.solve(cfg, ops)
-    scale = diagnostics.trajectory_scale(ops, traj)
-    results = []
-
-    weak = system.check_weak_solution(ops, traj)
-    bound = 10.0 * cfg.newton_tol * scale
-    results.append(diagnostics.ExperimentResult(
-        name="weak_solution_residuals",
-        passed=bool(max(weak.max_field_residual, weak.max_circuit_residual)
-                    <= bound),
-        measured={"max_field_residual": weak.max_field_residual,
-                  "max_circuit_residual": weak.max_circuit_residual,
-                  "bound": bound},
-    ))
+    results = [_weak_residuals(cfg, ops, traj)[0]]
 
     mono = system.monotonicity_probe(ops, n_pairs=200, seed=cfg.seed)
     results.append(diagnostics.ExperimentResult(

@@ -16,9 +16,9 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [initial]   kind (zero), seed (42), path
   [output]    basename (run)
   [core]      newton_tol (1e-10; at most 1e-3), newton_max_iter (50),
-              newton_start extrapolate|prev|zero (extrapolate): Newton's
-              start in each step, the guarded quadratic extrapolation of
-              the last three states, the last state, or zero
+              newton_start extrapolate|zero (extrapolate): Newton's start
+              in each step, the guarded extrapolation of the last states
+              or zero
 
 Unknown sections or keys are rejected with the offending line echoed;
 every number must be finite.

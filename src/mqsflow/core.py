@@ -17,12 +17,14 @@ E_1^T E_1 / tau  plus the rank-k term  U^T U / tau.  Only H_s is factored,
 in SuperLU's symmetric mode, and the rank-k term is added back by the
 Sherman-Morrison-Woodbury identity.
 
-Each step's Newton solve starts, by default, from the quadratic
-extrapolation of the last three states (the standard starting value for
-Newton inside implicit integrators):  x_0 at step 1, 2 x_1 - x_0 at step
-2 and 3 x_{k-1} - 3 x_{k-2} + x_{k-3} from step 3 on.  A guard keeps it
-only if its prox objective is no higher than that of x_{k-1}; otherwise
-Newton starts at x_{k-1}.  The stopping tolerance is the same either way.
+Each step's Newton solve starts, by default, from the extrapolation of
+the past states (the standard starting value for Newton inside implicit
+integrators): the polynomial through the last min(k, 4) states, taken one
+step ahead, so x_0 at step 1, 2 x_1 - x_0 at step 2, the parabola at step
+3 and the cubic from step 4 on.  A guard keeps it only if its prox
+objective is no higher than that of x_{k-1}; otherwise Newton starts at
+x_{k-1}.  The stopping tolerance is the same either way, and a step whose
+x_{k-1} already meets it returns x_{k-1}.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     check_finite,
 )
 
-NEWTON_STARTS = ("extrapolate", "prev", "zero")
+NEWTON_STARTS = ("extrapolate", "zero")
 
 
 class LinearMapE:
@@ -299,8 +301,8 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     x_prev, and starts at x_prev otherwise (one extra objective evaluation).
     Returns x_k with
     || dPhi(x_k) + (1/tau) E^T (E x_k - E x_prev - tau f_k) ||
-    <= newton_tol * (1 + residual norm at x_prev), or x_prev itself when
-    that residual is exactly zero (unless an unguarded x_start is given).
+    <= newton_tol * (1 + residual norm at x_prev), and x_prev itself when
+    x_prev already meets that bound (unless an unguarded x_start is given).
     """
     check_finite("tau", tau)
     if tau <= 0:
@@ -317,7 +319,8 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
 
     g_prev = residual(x_prev)
     g0_norm = float(np.linalg.norm(g_prev))
-    if g0_norm == 0.0 and (x_start is None or guard):
+    tol = newton_tol * (1.0 + g0_norm)
+    if g0_norm <= tol and (x_start is None or guard):
         return x_prev.copy()
     x0, g0, J0 = x_prev, g_prev, None
     if x_start is not None:
@@ -337,7 +340,7 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
         def hessian(x):
             return phi.hessian(x) + metric
     return newton_minimize(
-        objective, residual, hessian, x0, newton_tol * (1.0 + g0_norm),
+        objective, residual, hessian, x0, tol,
         g0=g0, J0=J0, max_iter=newton_max_iter, thin=thin,
     )
 
@@ -375,11 +378,14 @@ def _with_load(phi, load):
 
 
 def _extrapolate(states, k):
-    """Newton start for step k >= 2: the line through the last two states
-    at k = 2, the parabola through the last three after, one step ahead."""
-    if k == 2:
-        return 2.0 * states[1] - states[0]
-    return 3.0 * (states[k - 1] - states[k - 2]) + states[k - 3]
+    """Newton start for step k: the polynomial through the last min(k, 4)
+    states, one step ahead, summed from its backward differences."""
+    recent = states[max(k - 4, 0):k]
+    x = recent[-1].copy()
+    for _ in range(len(recent) - 1):
+        recent = np.diff(recent, axis=0)
+        x += recent[-1]
+    return x
 
 
 def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
@@ -388,9 +394,10 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
     ``loads`` (n_steps, dim_X), if given, adds the linear term -<load_k, x>
     to Phi in step k; the recorded energies are those of the unloaded Phi.
     ``start`` picks each Newton solve's starting point: "extrapolate"
-    (default) the guarded quadratic extrapolation x_0, 2 x_1 - x_0,
-    3 x_{k-1} - 3 x_{k-2} + x_{k-3}, ..., which falls back to x_{k-1}
-    whenever its prox objective is higher; "prev" x_{k-1}; "zero" x = 0.
+    (default) the polynomial through the last min(k, 4) states, one step
+    ahead (x_0, 2 x_1 - x_0, 3 x_2 - 3 x_1 + x_0, then
+    4 x_{k-1} - 6 x_{k-2} + 4 x_{k-3} - x_{k-4}), which falls back to
+    x_{k-1} whenever its prox objective is higher; "zero" x = 0, unguarded.
     """
     if start not in NEWTON_STARTS:
         raise ValueError(

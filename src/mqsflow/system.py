@@ -100,7 +100,7 @@ class MQSConfig:
     seed: int = 42
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    newton_start: str = "extrapolate"  # extrapolate | prev | zero, see core
+    newton_start: str = "extrapolate"  # extrapolate | zero, see core
     # optional manufactured volumetric forcing added to the field equation;
     # callable (mesh, dofs, t) -> load vector, used only by convergence studies
     forcing: Optional[Callable] = None

@@ -315,4 +315,4 @@ def test_cli_newton_start_setting(tmp_path, small_cfg, capsys):
     assert cli.dispatch(argv + ["--set", "core.newton_start=guess"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: newton_start must be one of")
-    assert all(mode in err for mode in ("extrapolate", "prev", "zero"))
+    assert "extrapolate, zero" in err

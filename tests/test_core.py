@@ -505,57 +505,85 @@ def record_steps(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("problem", range(2))
-def test_prev_start_reproduces_the_step_from_the_last_state(problem):
-    phi, E, x0, f = smooth_core_problems()[problem]
-    cfg = core.ProxConfig(tau=0.05, n_steps=20)
-    traj = core.solve_trajectory(phi, E, x0, f, cfg, start="prev")
+def last_state_run(phi, E, x0, f, cfg):
+    """States of plain prox steps, each starting Newton at x_{k-1}."""
     fk = core.resolve_inputs(f, cfg.n_steps, E.dim_Z)
-    x = x0
+    states = [np.asarray(x0, dtype=float)]
     for k in range(1, cfg.n_steps + 1):
-        x = core.prox_step(phi, E, x, fk[k - 1], cfg.tau)
-        assert np.array_equal(traj.states[k], x)
+        states.append(core.prox_step(phi, E, states[-1], fk[k - 1], cfg.tau,
+                                     newton_tol=cfg.newton_tol))
+    return np.array(states)
+
+
+def test_extrapolation_is_the_polynomial_through_the_last_four_states():
+    t = np.arange(6.0)
+    states = np.column_stack([t ** 3 - 2.0 * t, np.exp(t)])
+    x = states[::-1]  # x[1] = x_4, x[2] = x_3, ... before step 5
+    assert np.array_equal(core._extrapolate(states, 1), states[0])
+    assert np.allclose(core._extrapolate(states, 2), 2.0 * x[4] - x[5])
+    assert np.allclose(core._extrapolate(states, 3),
+                       3.0 * x[3] - 3.0 * x[4] + x[5])
+    cubic = core._extrapolate(states, 5)
+    assert np.allclose(cubic, 4.0 * x[1] - 6.0 * x[2] + 4.0 * x[3] - x[4])
+    assert cubic[0] == pytest.approx(5.0 ** 3 - 2.0 * 5.0)
 
 
 @pytest.mark.parametrize("problem", range(2))
-def test_extrapolated_start_agrees_with_prev_and_saves_iterations(
+def test_extrapolated_start_agrees_with_last_state_start_and_saves_iterations(
         problem, monkeypatch):
     phi, E, x0, f = smooth_core_problems()[problem]
     cfg = core.ProxConfig(tau=0.05, n_steps=20, newton_tol=1e-12)
-    runs = {}
-    for start in ("prev", "extrapolate"):
-        steps = record_steps(monkeypatch)
-        runs[start] = (core.solve_trajectory(phi, E, x0, f, cfg, start=start),
-                       sum(s["solves"] for s in steps))
-    prev, extra = runs["prev"][0].states, runs["extrapolate"][0].states
-    scale = 1.0 + np.abs(prev).max()
-    assert np.abs(extra - prev).max() <= 1e-10 * scale
-    assert runs["extrapolate"][1] < runs["prev"][1]
+    steps = record_steps(monkeypatch)
+    reference = last_state_run(phi, E, x0, f, cfg)
+    n_reference = sum(s["solves"] for s in steps)
+    steps.clear()
+    traj = core.solve_trajectory(phi, E, x0, f, cfg)
+    scale = 1.0 + np.abs(reference).max()
+    assert np.abs(traj.states - reference).max() <= 1e-10 * scale
+    assert np.abs(traj.rates - np.diff(reference @ E.matrix.T, axis=0)
+                  / cfg.tau).max() <= 1e-10 * scale
+    assert sum(s["solves"] for s in steps) < n_reference
 
 
 def test_bad_prediction_falls_back_to_the_last_state(monkeypatch):
     """A sign-reversing input makes every extrapolation overshoot: the guard
-    starts each step at x_{k-1}, so the run is the prev run bit for bit."""
+    starts each step at x_{k-1}, so the run is the plain prox-step loop bit
+    for bit, with the same Newton solves per step."""
     n = 3
     phi, E = quartic(n), core.LinearMapE(np.eye(n))
     f = np.outer([(-1.0) ** k for k in range(11)], 4.0 * np.ones(n))
     cfg = core.ProxConfig(tau=0.1, n_steps=10)
-    runs = {}
-    for start in ("prev", "extrapolate"):
-        steps = record_steps(monkeypatch)
-        traj = core.solve_trajectory(phi, E, np.zeros(n), f, cfg, start=start)
-        runs[start] = (traj, steps)
-    traj, steps = runs["extrapolate"]
+    steps = record_steps(monkeypatch)
+    reference = last_state_run(phi, E, np.zeros(n), f, cfg)
+    reference_solves = [s["solves"] for s in steps]
+    steps.clear()
+    traj = core.solve_trajectory(phi, E, np.zeros(n), f, cfg)
     for k in range(2, cfg.n_steps + 1):
         assert np.array_equal(steps[k - 1]["start"], traj.states[k - 1])
-    assert [s["solves"] for s in steps] == \
-        [s["solves"] for s in runs["prev"][1]]
-    assert min(s["solves"] for s in steps) > 1
-    assert np.array_equal(traj.states, runs["prev"][0].states)
+    assert [s["solves"] for s in steps] == reference_solves
+    assert min(reference_solves) > 1
+    assert np.array_equal(traj.states, reference)
+
+
+def test_guarded_step_keeps_a_last_state_that_meets_the_tolerance():
+    """x_prev within the tolerance is the step's answer, even when the
+    prediction is the exact minimizer: no objective is evaluated."""
+    phi, E, tau = quadratic(np.eye(2)), core.LinearMapE(np.eye(2)), 0.1
+    x_prev = np.array([1.0, -2.0])
+    f_k = x_prev + 1e-12  # residual at x_prev: 1.4e-12 < 1e-10
+    exact = (x_prev / tau + f_k) / (1.0 + 1.0 / tau)
+    calls = []
+    counted = core.EllipticFunctional(
+        eval=lambda x: calls.append(1) or phi.eval(x), gateaux=phi.gateaux,
+        hessian=phi.hessian)
+    x = core.prox_step(counted, E, x_prev, f_k, tau, x_start=exact, guard=True)
+    assert np.array_equal(x, x_prev) and not calls
+    unguarded = core.prox_step(phi, E, x_prev, f_k, tau, x_start=exact)
+    assert np.array_equal(unguarded, exact)
 
 
 def test_unknown_newton_start_raises():
     phi, E = quadratic(np.eye(2)), core.LinearMapE(np.eye(2))
     cfg = core.ProxConfig(tau=0.1, n_steps=2)
-    with pytest.raises(ValueError, match="extrapolate, prev, zero"):
-        core.solve_trajectory(phi, E, np.ones(2), None, cfg, start="guess")
+    with pytest.raises(ValueError, match="extrapolate, zero, got 'prev'"):
+        core.solve_trajectory(phi, E, np.ones(2), None, cfg, start="prev")

@@ -555,11 +555,14 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
 
 def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
         monkeypatch):
+    """Against a predictor stuck at x_{k-1}, which starts every step where
+    a plain prox step does: fields and currents within 1e-10 scale."""
     cfg = system.MQSConfig(n=16)
     ops = system.build_system(cfg)[0]
-    real_solve = core._solve_newton_system
+    real_solve, real_extrapolate = core._solve_newton_system, core._extrapolate
     runs = {}
-    for start in ("prev", "extrapolate"):
+    for name, predictor in (("last", lambda states, k: states[k - 1]),
+                            ("extrapolate", real_extrapolate)):
         calls = []
 
         def counted(*args, calls=calls):
@@ -567,16 +570,18 @@ def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
             return real_solve(*args)
 
         monkeypatch.setattr(core, "_solve_newton_system", counted)
-        runs[start] = (system.solve(replace(cfg, newton_start=start), ops),
-                       len(calls))
-    (prev, n_prev), (extra, n_extra) = runs["prev"], runs["extrapolate"]
-    assert n_extra <= 0.7 * n_prev
-    scale = diagnostics.trajectory_scale(ops, prev)
-    assert np.abs(extra.fields - prev.fields).max() <= 1e-10 * scale
+        monkeypatch.setattr(core, "_extrapolate", predictor)
+        runs[name] = (system.solve(cfg, ops), len(calls))
+    (last, n_last), (extra, n_extra) = runs["last"], runs["extrapolate"]
+    assert n_extra <= 0.7 * n_last
+    scale = diagnostics.trajectory_scale(ops, last)
+    assert np.abs(extra.fields - last.fields).max() <= 1e-10 * scale
+    assert np.abs(extra.currents[1:] - last.currents[1:]).max() <= 1e-10 * scale
 
 
 def test_config_rejects_unknown_newton_start():
     assert system.MQSConfig(n=8).newton_start == "extrapolate"
     with pytest.raises(ValidationFailure,
-                       match="newton_start must be one of extrapolate, prev, zero"):
-        system.MQSConfig(n=8, newton_start="guess")
+                       match="newton_start must be one of extrapolate, zero, "
+                             "got 'prev'"):
+        system.MQSConfig(n=8, newton_start="prev")
