@@ -313,26 +313,89 @@ def _element_state(mesh, dofs, a):
     return g, s
 
 
-def _element_nu(mesh, model, s, derivative=False):
-    labels = mesh.element_labels
+_REGIONS = ((LABEL_C, REGION_CONDUCTOR), (LABEL_I, REGION_INSULATOR))
+
+
+def _element_nu(mesh, model, s):
+    """(nu, d(nu s)/ds) per element, one model_eval per region."""
     nu = np.empty_like(s)
-    dg = np.empty_like(s)
-    for lab, region in ((LABEL_C, REGION_CONDUCTOR), (LABEL_I, REGION_INSULATOR)):
-        mask = labels == lab
+    dgds = np.empty_like(s)
+    for lab, region in _REGIONS:
+        mask = mesh.element_labels == lab
         if np.any(mask):
-            nu[mask], dg[mask] = model_eval(model, region, s[mask])
-    if derivative:
-        return nu, dg
-    return nu
+            nu[mask], dgds[mask] = model_eval(model, region, s[mask])
+    return nu, dgds
+
+
+class _FieldPoint:
+    """One element pass at a field point a: g = grad a and s = |g| per
+    element, with nu, d(nu s)/ds, the energy and K filled in on first use.
+
+    It holds no reference to its mesh, which holds it (see ``_field_point``).
+    """
+
+    __slots__ = ("dofs", "model", "a", "g", "s", "_nu", "_energy", "_K")
+
+    def __init__(self, mesh, dofs, model, a):
+        self.dofs, self.model, self.a = dofs, model, a.copy()
+        self.g, self.s = _element_state(mesh, dofs, a)
+        self._nu = self._energy = self._K = None
+
+    def nu(self, mesh):
+        if self._nu is None:
+            self._nu = _element_nu(mesh, self.model, self.s)
+        return self._nu
+
+    def energy(self, mesh):
+        if self._energy is None:
+            areas, _ = mesh.geometry
+            rho = self.s * self.s
+            out = 0.0
+            for lab, region in _REGIONS:
+                mask = mesh.element_labels == lab
+                if np.any(mask):
+                    out += float(np.dot(areas[mask],
+                                        theta_eval(self.model, region, rho[mask])))
+            self._energy = out
+        return self._energy
+
+    def K(self, mesh):
+        if self._K is None:
+            areas, grads = mesh.geometry
+            nu, _ = self.nu(mesh)
+            flux = (nu * areas)[:, None] * self.g  # (M, 2)
+            self._K = self.dofs.assemble_vector(
+                np.einsum("ek,eik->ei", flux, grads))
+        return self._K
+
+
+def _field_point(mesh, dofs, model, a):
+    """The element pass at ``a``, shared by K, K_tangent and the energy.
+
+    Damped Newton asks for all three at nearly the same few iterates, so
+    the last two points are kept in the mesh's ``__dict__``, as its cached
+    properties are, and live exactly as long as the mesh.  Two, because a
+    guarded prox step evaluates its start and then x_{k-1} before Newton's
+    first iteration.  A point matches on ``dofs`` and ``model`` identity
+    and on the values of ``a``, compared with a stored copy, so an array
+    mutated in place is a new point.  Models and meshes are treated as
+    immutable, as ``Mesh2D.geometry`` already assumes.
+    """
+    a = np.asarray(a, dtype=float)
+    points = mesh.__dict__.setdefault("_field_points", [])
+    for i, pt in enumerate(points):
+        if pt.dofs is dofs and pt.model is model and np.array_equal(pt.a, a):
+            points.insert(0, points.pop(i))
+            return pt
+    pt = _FieldPoint(mesh, dofs, model, a)
+    points.insert(0, pt)
+    del points[2:]
+    return pt
 
 
 def curlcurl_residual(mesh, dofs, model, a):
     """Nonlinear form K(a)_i = sum_e nu(|grad a|_e) grad a . grad phi_i area_e."""
-    areas, grads = mesh.geometry
-    g, s = _element_state(mesh, dofs, a)
-    nu = _element_nu(mesh, model, s)
-    flux = (nu * areas)[:, None] * g  # (M, 2)
-    return dofs.assemble_vector(np.einsum("ek,eik->ei", flux, grads))
+    return _field_point(mesh, dofs, model, a).K(mesh).copy()
 
 
 def curlcurl_jacobian(mesh, dofs, model, a):
@@ -343,12 +406,13 @@ def curlcurl_jacobian(mesh, dofs, model, a):
     rank-one term vanishes in the isotropic limit s = 0.
     """
     areas, grads = mesh.geometry
-    g, s = _element_state(mesh, dofs, a)
-    nu, dgds = _element_nu(mesh, model, s, derivative=True)
+    pt = _field_point(mesh, dofs, model, a)
+    s = pt.s
+    nu, dgds = pt.nu(mesh)
     big = s >= 1e-12
     coef = np.zeros_like(s)
     coef[big] = areas[big] * (dgds[big] - nu[big]) / (s[big] * s[big])
-    q = np.einsum("eik,ek->ei", grads, g)
+    q = np.einsum("eik,ek->ei", grads, pt.g)
     local = nu[:, None, None] * mesh.local_stiffness
     local += (coef[:, None] * q)[:, :, None] * q[:, None, :]
     return dofs.assemble_matrix(local)
@@ -356,15 +420,7 @@ def curlcurl_jacobian(mesh, dofs, model, a):
 
 def magnetic_energy(mesh, dofs, model, a):
     """Discrete magnetic energy sum_e area_e theta(region_e, |grad a|_e^2)."""
-    areas, _ = mesh.geometry
-    _, s = _element_state(mesh, dofs, a)
-    rho = s * s
-    out = 0.0
-    for lab, region in ((LABEL_C, REGION_CONDUCTOR), (LABEL_I, REGION_INSULATOR)):
-        mask = mesh.element_labels == lab
-        if np.any(mask):
-            out += float(np.dot(areas[mask], theta_eval(model, region, rho[mask])))
-    return out
+    return _field_point(mesh, dofs, model, a).energy(mesh)
 
 
 def assemble_load(mesh, dofs, func, t=None, element_filter=None):

@@ -189,6 +189,60 @@ def test_vtk_point_data_matches_field(small_run, tmp_path):
     assert np.array_equal(values, a_vert)
 
 
+def _element_wise_csv(traj):
+    """The CSV text formatted one numpy scalar at a time."""
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    m = traj.currents.shape[1]
+    lines = [",".join(["t"] + [f"i_{j + 1}" for j in range(m)]
+                      + [f"flux_{j + 1}" for j in range(m)]
+                      + ["energy", "balance_residual"])]
+    for k in range(traj.times.shape[0]):
+        row = [fmt(traj.times[k])]
+        row += ["" if np.isnan(v) else fmt(v) for v in traj.currents[k]]
+        row += [fmt(v) for v in traj.fluxes[k]]
+        row.append(fmt(traj.energies[k]))
+        b = traj.balance_residuals[k]
+        row.append("" if np.isnan(b) else fmt(b))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _element_wise_vtk(mesh, dofs, a, title):
+    """The VTK text formatted one numpy scalar at a time."""
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    a_vert = np.zeros(mesh.n_vertices)
+    a_vert[dofs.dof_to_vertex] = a
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
+    for x, y in mesh.vertices:
+        lines.append(f"{fmt(x)} {fmt(y)} 0.0")
+    lines.append(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}")
+    for tri in mesh.triangles:
+        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
+    lines.append(f"CELL_TYPES {mesh.n_elements}")
+    lines.extend(["5"] * mesh.n_elements)
+    lines += [f"POINT_DATA {mesh.n_vertices}", "SCALARS A_z double 1",
+              "LOOKUP_TABLE default"]
+    lines.extend(fmt(v) for v in a_vert)
+    lines += [f"CELL_DATA {mesh.n_elements}", "SCALARS subdomain int 1",
+              "LOOKUP_TABLE default"]
+    lines.extend(str(int(lab)) for lab in mesh.element_labels)
+    return "\n".join(lines) + "\n"
+
+
+def test_writers_match_element_wise_formatting(tmp_path):
+    cfg = system.MQSConfig(n=8, a0_kind="random")
+    ops = system.build_system(cfg)[0]
+    traj = system.solve(cfg, ops)
+    csv_path, vtk_path = tmp_path / "run.csv", tmp_path / "run.vtk"
+    diagnostics.write_timeseries_csv(traj, csv_path)
+    diagnostics.write_field_vtk(ops.mesh, ops.dofs, traj.fields[-1], vtk_path,
+                                title="t")
+    assert csv_path.read_bytes() == _element_wise_csv(traj).encode()
+    assert vtk_path.read_bytes() == _element_wise_vtk(
+        ops.mesh, ops.dofs, traj.fields[-1], "t").encode()
+
+
 def test_summary_writers(tmp_path):
     results = [
         diagnostics.ExperimentResult("alpha", True, {"x": 1.0}),

@@ -295,7 +295,7 @@ def test_dofmap_assembly_matches_coo_and_add_at_oracle():
     a_vert = np.zeros(mesh.n_vertices)
     a_vert[dofs.dof_to_vertex] = a
     g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
-    nu = fem._element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
+    nu, _ = fem._element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
     flux = (nu * areas)[:, None] * g
     assert np.array_equal(
         fem.curlcurl_residual(mesh, dofs, model, a),
@@ -334,7 +334,7 @@ def test_dofmap_tangent_matches_coo_oracle():
     a_vert[dofs.dof_to_vertex] = a
     g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
     s = np.hypot(g[:, 0], g[:, 1])
-    nu, dgds = fem._element_nu(mesh, model, s, derivative=True)
+    nu, dgds = fem._element_nu(mesh, model, s)
     T = nu[:, None, None] * np.eye(2) + ((dgds - nu) / s ** 2)[:, None, None] \
         * np.einsum("ek,el->ekl", g, g)
     local = areas[:, None, None] * np.einsum("eik,ekl,ejl->eij", grads, T, grads)
@@ -367,6 +367,58 @@ def test_geometry_computed_once_per_mesh(monkeypatch):
     assert len(calls) == 1
     fem.build_mesh(8, DISK)
     assert len(calls) == 2
+
+
+def _fresh_point(model, a):
+    """K, tangent and energy at ``a`` on a mesh that has seen no other point."""
+    mesh, dofs = fem.build_mesh(8, DISK)
+    return (fem.curlcurl_residual(mesh, dofs, model, a),
+            fem.curlcurl_jacobian(mesh, dofs, model, a).toarray(),
+            fem.magnetic_energy(mesh, dofs, model, a))
+
+
+def _assert_point(mesh, dofs, model, a, expected):
+    K, J, energy = expected
+    assert np.array_equal(fem.curlcurl_residual(mesh, dofs, model, a), K)
+    assert np.array_equal(fem.curlcurl_jacobian(mesh, dofs, model, a).toarray(), J)
+    assert fem.magnetic_energy(mesh, dofs, model, a) == energy
+
+
+def test_shared_pass_follows_a_field_mutated_in_place():
+    mesh, dofs = fem.build_mesh(8, DISK)
+    model = material.rational_saturation_model(1.0, 5.0)
+    rng = np.random.default_rng(7)
+    a = 0.3 * rng.standard_normal(dofs.n_dofs)
+    b = 0.3 * rng.standard_normal(dofs.n_dofs)
+    at_b = _fresh_point(model, b)
+    _assert_point(mesh, dofs, model, a, _fresh_point(model, a))
+    a[:] = b
+    _assert_point(mesh, dofs, model, a, at_b)
+
+
+def test_shared_pass_keeps_reluctivity_models_apart():
+    mesh, dofs = fem.build_mesh(8, DISK)
+    soft = material.rational_saturation_model(1.0, 5.0)
+    hard = material.constant_model(3.0)
+    a = 0.3 * np.random.default_rng(8).standard_normal(dofs.n_dofs)
+    expected = {id(m): _fresh_point(m, a) for m in (soft, hard)}
+    for model in (soft, hard, soft, hard):
+        _assert_point(mesh, dofs, model, a, expected[id(model)])
+    # an equal but distinct model is a different key, with the same values
+    twin = material.constant_model(3.0)
+    _assert_point(mesh, dofs, twin, a, expected[id(hard)])
+
+
+def test_shared_pass_hands_out_fresh_residuals():
+    mesh, dofs = fem.build_mesh(8, DISK)
+    model = material.rational_saturation_model(1.0, 5.0)
+    a = 0.3 * np.random.default_rng(9).standard_normal(dofs.n_dofs)
+    first = fem.curlcurl_residual(mesh, dofs, model, a)
+    kept = first.copy()
+    first += 1.0
+    again = fem.curlcurl_residual(mesh, dofs, model, a)
+    assert again is not first
+    assert np.array_equal(again, kept)
 
 
 def _relabelled(elements):

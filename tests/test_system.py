@@ -164,17 +164,58 @@ def test_solve_on_given_operators_matches_solve_from_config():
 
 
 def test_operators_are_freed_without_the_cycle_collector():
-    """ops.phi is built per access, so ops holds no reference to itself."""
-    cfg = system.MQSConfig(n=8)
+    """ops.phi is built per access, so ops holds no reference to itself,
+    and the field points a solve leaves on the mesh go with the mesh."""
+    cfg = system.MQSConfig(n=8, T=4.0 / 64.0)
     gc.disable()
     try:
         ops = system.build_system(cfg)[0]
         assert ops.phi.eval(np.zeros(ops.n_dofs)) == 0.0
-        ref = weakref.ref(ops)
+        system.solve(cfg, ops)
+        refs = weakref.ref(ops), weakref.ref(ops.mesh)
         del ops
-        assert ref() is None
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_solve_shares_element_passes_between_energy_K_and_tangent(
+        monkeypatch):
+    """At most two element passes per Newton system, one per step for its
+    extrapolated start, and one for the initial state."""
+    cfg = system.MQSConfig(n=8)
+    ops = system.build_system(cfg)[0]
+    passes = _count_calls(monkeypatch, fem, "_element_state")
+    newton_systems = _count_calls(monkeypatch, core, "_solve_newton_system")
+    system.solve(cfg, ops)
+    assert 0 < len(newton_systems)
+    assert len(passes) <= 2 * len(newton_systems) + cfg.n_steps + 1
+
+
+def test_a_solve_is_bit_identical_without_shared_passes(monkeypatch):
+    cfg = system.MQSConfig(n=16)
+    ops = system.build_system(cfg)[0]
+    shared = system.solve(cfg, ops)
+    monkeypatch.setattr(
+        fem, "_field_point",
+        lambda mesh, dofs, model, a: fem._FieldPoint(
+            mesh, dofs, model, np.asarray(a, dtype=float)))
+    unshared = system.solve(cfg, ops)
+    for name in ("fields", "currents", "energies"):
+        assert np.array_equal(getattr(shared, name), getattr(unshared, name),
+                              equal_nan=True), name
 
 
 def test_unreadable_initial_field_file_is_a_validation_failure(tmp_path):
