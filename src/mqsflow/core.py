@@ -48,6 +48,9 @@ from .errors import (
 
 NEWTON_STARTS = ("extrapolate", "zero")
 
+# eval_phi_E builds a dense null-space basis, so it refuses larger maps
+ORACLE_DIM_LIMIT = 64
+
 
 class LinearMapE:
     """Linear metric map E : R^dim_X -> R^dim_Z, dense or sparse.
@@ -165,7 +168,6 @@ class ProxConfig:
     n_steps: int
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    input_sampling: str = "right"  # "right" endpoint or interval "average"
 
     def __post_init__(self):
         check_finite("tau", self.tau)
@@ -176,8 +178,6 @@ class ProxConfig:
             raise ValueError("newton_tol must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
-        if self.input_sampling not in ("right", "average"):
-            raise ValueError("input_sampling must be 'right' or 'average'")
 
     def check_against(self, phi):
         omega = phi.ellipticity_omega
@@ -191,8 +191,7 @@ class ProxConfig:
 class DaeTrajectory:
     times: np.ndarray     # (N+1,)
     states: np.ndarray    # (N+1, dim_X)
-    images: np.ndarray    # (N+1, dim_Z), z_k = E x_k
-    rates: np.ndarray     # (N, dim_Z), (z_k - z_{k-1}) / tau
+    rates: np.ndarray     # (N, dim_Z), (E x_k - E x_{k-1}) / tau
     energies: np.ndarray  # (N+1,), Phi(x_k)
     inputs: np.ndarray    # (N, dim_Z), the per-step samples f_k
 
@@ -240,8 +239,9 @@ def _solve_newton_system(H, rhs, thin=None):
     return d
 
 
-def armijo_search(objective, x, d, J, slope, c=1e-4, shrink=0.5):
-    """Backtracking line search on a descent direction.
+def armijo_search(objective, x, d, J, slope):
+    """Backtracking line search on a descent direction: halve the step
+    until the objective falls by 1e-4 of the predicted decrease.
 
     When the predicted decrease is below the rounding floor of the
     objective the full step is accepted: sufficient decrease can no longer
@@ -255,9 +255,9 @@ def armijo_search(objective, x, d, J, slope, c=1e-4, shrink=0.5):
     while True:
         x_trial = x + step * d
         J_trial = objective(x_trial)
-        if J_trial <= J + c * step * slope:
+        if J_trial <= J + 1e-4 * step * slope:
             return x_trial, J_trial
-        step *= shrink
+        step *= 0.5
         if step < 1e-14:
             raise NonConvergence("line search stalled")
 
@@ -345,26 +345,18 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     )
 
 
-def resolve_inputs(f, n_steps, dim_Z, mode="right"):
-    """Turn grid samples of the input into per-step values f_k, k = 1..N.
-
-    ``f`` may be None (zero input), an (n_steps+1, dim_Z) array of samples
-    on the time grid, or an (n_steps, dim_Z) array of already-resolved
-    per-step values.
-    """
+def resolve_inputs(f, n_steps, dim_Z):
+    """Per-step inputs f_k, k = 1..N: the right-endpoint samples of ``f``,
+    an (n_steps+1, dim_Z) array on the time grid, or zero for None."""
     if f is None:
         return np.zeros((n_steps, dim_Z))
     f = np.atleast_2d(np.asarray(f, dtype=float))
-    if f.shape == (n_steps, dim_Z):
-        return f
     if f.shape != (n_steps + 1, dim_Z):
         raise ValueError(
-            f"input samples must have shape ({n_steps + 1}, {dim_Z}) "
-            f"or ({n_steps}, {dim_Z}), got {f.shape}"
+            f"input samples must have shape ({n_steps + 1}, {dim_Z}), "
+            f"got {f.shape}"
         )
-    if mode == "right":
-        return f[1:]
-    return 0.5 * (f[:-1] + f[1:])
+    return f[1:]
 
 
 def _with_load(phi, load):
@@ -405,7 +397,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
     config.check_against(phi)
     x0 = np.asarray(x0, dtype=float)
     n = config.n_steps
-    fk = resolve_inputs(f, n, E.dim_Z, config.input_sampling)
+    fk = resolve_inputs(f, n, E.dim_Z)
     states = np.empty((n + 1, E.dim_X))
     images = np.empty((n + 1, E.dim_Z))
     energies = np.empty(n + 1)
@@ -431,19 +423,16 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
         energies[k] = phi.eval(states[k])
     times = config.tau * np.arange(n + 1)
     rates = np.diff(images, axis=0) / config.tau
-    return DaeTrajectory(times, states, images, rates, energies, fk)
+    return DaeTrajectory(times, states, rates, energies, fk)
 
 
-def energy_identity_residual(traj, f=None):
+def energy_identity_residual(traj):
     """Per-step defects of the dissipation identity.
 
     rho_k = Phi(x_k) - Phi(x_{k-1}) - tau <f_k, r_k> + tau ||r_k||^2.
     """
     tau = traj.tau
-    fk = traj.inputs if f is None else resolve_inputs(
-        f, traj.n_steps, traj.rates.shape[1]
-    )
-    power = np.einsum("kj,kj->k", fk, traj.rates)
+    power = np.einsum("kj,kj->k", traj.inputs, traj.rates)
     dissip = np.einsum("kj,kj->k", traj.rates, traj.rates)
     return np.diff(traj.energies) - tau * power + tau * dissip
 
@@ -465,22 +454,21 @@ def regularity_monitors(traj):
     }
 
 
-def eval_phi_E(phi, E, z, *, dim_limit=64, feas_tol=1e-10, newton_tol=1e-12,
-               max_iter=100):
+def eval_phi_E(phi, E, z, *, max_iter=100):
     """Pushforward functional: inf of Phi over the affine set {x : E x = z}.
 
     Computed by a null-space parameterization plus Newton.  Returns a dict
     with "value" and "argmin"; raises NonConvergence when ``max_iter``
     Newton iterations do not reach the tolerance.
     """
-    if E.dim_X > dim_limit:
+    if E.dim_X > ORACLE_DIM_LIMIT:
         raise OracleLimitExceeded(
-            f"dim_X = {E.dim_X} exceeds oracle limit {dim_limit}"
+            f"dim_X = {E.dim_X} exceeds oracle limit {ORACLE_DIM_LIMIT}"
         )
     A = E.matrix.toarray() if sp.issparse(E.matrix) else E.matrix
     z = np.asarray(z, dtype=float)
     x_p, *_ = np.linalg.lstsq(A, z, rcond=None)
-    if np.linalg.norm(A @ x_p - z) > feas_tol * (1.0 + np.linalg.norm(z)):
+    if np.linalg.norm(A @ x_p - z) > 1e-10 * (1.0 + np.linalg.norm(z)):
         raise InfeasibleLevelSet("z is not in the range of E within tolerance")
     N = null_space(A)
     if N.shape[1] == 0:
@@ -490,7 +478,7 @@ def eval_phi_E(phi, E, z, *, dim_limit=64, feas_tol=1e-10, newton_tol=1e-12,
         lambda y: phi.eval(x_p + N @ y),
         lambda y: N.T @ phi.gateaux(x_p + N @ y),
         lambda y: N.T @ (phi.hessian(x_p + N @ y) @ N),
-        np.zeros(N.shape[1]), newton_tol * (1.0 + abs(phi.eval(x_p))),
+        np.zeros(N.shape[1]), 1e-12 * (1.0 + abs(phi.eval(x_p))),
         max_iter=max_iter,
     )
     x = x_p + N @ y
@@ -505,7 +493,7 @@ class EllipticityReport:
     first_violation: object = None
 
 
-def check_E_ellipticity(phi, E, omega, samples, seed=0, scale=1.0):
+def check_E_ellipticity(phi, E, omega, samples, seed=0):
     """Sampled convexity and coercivity check of Phi_omega.
 
     Phi_omega(x) = (omega/2) ||E x||^2 + Phi(x) is tested for midpoint
@@ -522,8 +510,8 @@ def check_E_ellipticity(phi, E, omega, samples, seed=0, scale=1.0):
     first = None
     convex_ok = True
     for _ in range(samples):
-        x = scale * rng.standard_normal(E.dim_X)
-        y = scale * rng.standard_normal(E.dim_X)
+        x = rng.standard_normal(E.dim_X)
+        y = rng.standard_normal(E.dim_X)
         lhs = phi_omega(0.5 * (x + y))
         rhs = 0.5 * (phi_omega(x) + phi_omega(y))
         if lhs > rhs + 1e-10 * (1.0 + abs(rhs)):
@@ -536,8 +524,8 @@ def check_E_ellipticity(phi, E, omega, samples, seed=0, scale=1.0):
         for _ in range(samples):
             d = rng.standard_normal(E.dim_X)
             d /= np.linalg.norm(d)
-            base = phi_omega(scale * d)
-            far = phi_omega(1024.0 * scale * d)
+            base = phi_omega(d)
+            far = phi_omega(1024.0 * d)
             if not (far > base and far > 1.0):
                 coercive_ok = False
                 first = ("coercivity", d, far)

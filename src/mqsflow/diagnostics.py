@@ -22,7 +22,6 @@ class ExperimentResult:
     name: str
     passed: bool
     measured: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
 
 
 def trajectory_scale(ops, traj):
@@ -89,8 +88,7 @@ def balance_order_study(config, ops,
     )
 
 
-def perturbation_experiments(config, ops, traj, kind, adversarial=False,
-                             seed=None):
+def perturbation_experiments(config, ops, traj, kind, adversarial=False):
     """Paired solves probing uniqueness or initializability.
 
     ``traj`` is ``system.solve(config, ops)``, the first of each pair.
@@ -100,19 +98,18 @@ def perturbation_experiments(config, ops, traj, kind, adversarial=False,
 
     initializability: initial fields differing by a perturbation invisible
     to the metric map (zero on the conducting region, orthogonal to the
-    winding coupling columns); pass iff trajectories for k >= 1 agree to
-    the same bound.  With ``adversarial=True`` the perturbation is made
-    visible on purpose and the experiment is expected to FAIL.
+    winding coupling columns, drawn from ``config.seed``); pass iff
+    trajectories for k >= 1 agree to the same bound.  With
+    ``adversarial=True`` the perturbation is made visible on purpose and
+    the experiment is expected to FAIL.
     """
     if kind not in ("uniqueness", "initializability"):
         raise ValueError(f"unknown experiment kind {kind!r}")
-    if seed is None:
-        seed = config.seed
     if kind == "uniqueness":
         other = replace(config, newton_tol=1e-12, newton_start="zero")
         traj_b = system.solve(other, ops)
     else:
-        w = _invisible_perturbation(ops, seed=seed, visible=adversarial)
+        w = _invisible_perturbation(ops, seed=config.seed, visible=adversarial)
         a0 = system.initial_field(config, ops) + w
         traj_b = system.solve(config, ops, a0=a0)
     scale = max(trajectory_scale(ops, traj), trajectory_scale(ops, traj_b))
@@ -129,7 +126,7 @@ def perturbation_experiments(config, ops, traj, kind, adversarial=False,
     )
 
 
-def _invisible_perturbation(ops, seed=0, visible=False, magnitude=0.5):
+def _invisible_perturbation(ops, seed=0, visible=False):
     """Dof vector w with M_sigma w = 0 and C^T w = 0 (unless ``visible``).
 
     Supported on dofs whose vertex touches no conducting element, then
@@ -143,7 +140,7 @@ def _invisible_perturbation(ops, seed=0, visible=False, magnitude=0.5):
     support = ~touched
     rng = np.random.default_rng(seed)
     w = np.zeros(dofs.n_dofs)
-    w[support] = magnitude * rng.standard_normal(int(support.sum()))
+    w[support] = 0.5 * rng.standard_normal(int(support.sum()))
     if not visible:
         Cs = ops.coupling[support]
         coeffs, *_ = np.linalg.lstsq(
@@ -156,6 +153,10 @@ def _invisible_perturbation(ops, seed=0, visible=False, magnitude=0.5):
 # --- manufactured linear-case convergence -------------------------------
 
 _PI = np.pi
+# coefficients of the manufactured problem, shared by its forcing, its
+# configuration and its error norm
+_NU0 = 1.0
+_SIGMA_C = 1.0
 
 
 def manufactured_field(x, y, t):
@@ -163,44 +164,40 @@ def manufactured_field(x, y, t):
     return np.sin(_PI * x) * np.sin(_PI * y) * (1.0 - np.exp(-t))
 
 
-def _manufactured_forcing(sigma_C, nu0):
-    """Load assembler matching the element-wise conductivity labeling.
+def _manufactured_forcing(mesh, dofs, t):
+    """Load vector at time t matching the element-wise conductivity labeling.
 
     The volumetric forcing sigma(x) dA/dt - nu0 Lap(A) uses the same
     per-element conducting/insulating classification as the mass matrix,
     so the smooth reference field solves the semidiscrete problem without
     an interface-layer inconsistency.
     """
-
-    def load(mesh, dofs, t):
-        shape = fem.assemble_load(
-            mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y)
-        )
-        shape_C = fem.assemble_load(
-            mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y),
-            element_filter=mesh.element_labels == fem.LABEL_C,
-        )
-        return (
-            sigma_C * np.exp(-t) * shape_C
-            + 2.0 * _PI ** 2 * nu0 * (1.0 - np.exp(-t)) * shape
-        )
-
-    return load
+    shape = fem.assemble_load(
+        mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y)
+    )
+    shape_C = fem.assemble_load(
+        mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y),
+        element_filter=mesh.element_labels == fem.LABEL_C,
+    )
+    return (
+        _SIGMA_C * np.exp(-t) * shape_C
+        + 2.0 * _PI ** 2 * _NU0 * (1.0 - np.exp(-t)) * shape
+    )
 
 
-def manufactured_config(n=16, tau=1.0 / 64.0, nu0=1.0, sigma_C=1.0, T=1.0):
+def manufactured_config(n=16, tau=1.0 / 64.0, T=1.0):
     """Linear constant-reluctivity setup driven purely by the manufactured
     forcing: a single zero-strength winding decouples the circuit."""
     winding = fem.WindingSpec(rectangles=(((0.1, 0.2, 0.4, 0.6, 0.0),),))
     return system.MQSConfig(
-        n=n, winding=winding, model=material.constant_model(nu0),
-        sigma_C=sigma_C, T=T, tau=tau,
+        n=n, winding=winding, model=material.constant_model(_NU0),
+        sigma_C=_SIGMA_C, T=T, tau=tau,
         voltage=system.VoltageSignal("constant", np.array([0.0])),
-        forcing=_manufactured_forcing(sigma_C, nu0),
+        forcing=_manufactured_forcing,
     )
 
 
-def energy_norm_error(ops, a, t, nu0=1.0):
+def energy_norm_error(ops, a, t):
     """Energy-norm distance between a dof vector and the reference field,
     integrated element by element with the exact gradient sampled at the
     three edge midpoints (avoids the superconvergence of nodal comparison)."""
@@ -213,7 +210,7 @@ def energy_norm_error(ops, a, t, nu0=1.0):
     gx = amp * _PI * np.cos(_PI * mids[..., 0]) * np.sin(_PI * mids[..., 1])
     gy = amp * _PI * np.sin(_PI * mids[..., 0]) * np.cos(_PI * mids[..., 1])
     diff2 = (gx - gh[:, None, 0]) ** 2 + (gy - gh[:, None, 1]) ** 2
-    return float(np.sqrt(nu0 * np.sum(areas / 3.0 * diff2.sum(axis=1))))
+    return float(np.sqrt(_NU0 * np.sum(areas / 3.0 * diff2.sum(axis=1))))
 
 
 def convergence_study(config, levels, refine):
@@ -324,7 +321,7 @@ def read_timeseries_csv(path):
     return cols
 
 
-def write_field_vtk(mesh, dofs, a, path, title="mqsflow field"):
+def write_field_vtk(mesh, dofs, a, path):
     """Legacy-ASCII VTK unstructured grid with the scalar field and labels.
 
     POINT_DATA carries the out-of-plane potential ``A_z`` (boundary
@@ -335,7 +332,7 @@ def write_field_vtk(mesh, dofs, a, path, title="mqsflow field"):
     a_vert[dofs.dof_to_vertex] = a
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "mqsflow field",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_vertices} double",

@@ -423,21 +423,17 @@ def magnetic_energy(mesh, dofs, model, a):
     return _field_point(mesh, dofs, model, a).energy(mesh)
 
 
-def assemble_load(mesh, dofs, func, t=None, element_filter=None):
+def assemble_load(mesh, dofs, func, element_filter=None):
     """Load vector l_i = int f phi_i by the edge-midpoint rule.
 
-    ``func(x, y)`` or ``func(x, y, t)`` is evaluated pointwise.  With a
-    boolean ``element_filter``, f is taken as zero on the other elements.
+    ``func(x, y)`` is evaluated pointwise.  With a boolean
+    ``element_filter``, f is taken as zero on the other elements.
     """
     areas, _ = mesh.geometry
     pts = mesh.vertices[mesh.triangles]
     mids = 0.5 * (pts[:, [1, 2, 0]] + pts[:, [2, 0, 1]])  # [:, q] faces vertex q
     flat = mids.reshape(-1, 2)
-    if t is None:
-        vals = func(flat[:, 0], flat[:, 1])
-    else:
-        vals = func(flat[:, 0], flat[:, 1], t)
-    vals = np.asarray(vals, dtype=float).reshape(-1, 3)
+    vals = np.asarray(func(flat[:, 0], flat[:, 1]), dtype=float).reshape(-1, 3)
     if element_filter is not None:
         vals = np.where(element_filter[:, None], vals, 0.0)
     basis_at_mid = 0.5 * (1.0 - np.eye(3))

@@ -13,12 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NegativeArgument, NegativeFieldMagnitude, check_finite
+from .errors import (
+    NegativeArgument, NegativeFieldMagnitude, ValidationFailure, check_finite,
+)
 
 REGION_CONDUCTOR = "C"
 REGION_INSULATOR = "I"
 
-_KINDS = ("constant", "rational_saturation", "user_tabulated")
+# the parameter keys each kind needs in every region
+_KIND_KEYS = {
+    "constant": ("nu0",),
+    "rational_saturation": ("nu_min", "nu_max"),
+    "user_tabulated": ("table",),
+}
 
 
 @dataclass(frozen=True)
@@ -33,16 +40,31 @@ class ReluctivityModel:
                             nu(s)*s is interpolated piecewise linearly.
 
     ``params`` maps a subdomain label ("C" or "I") to that region's
-    parameter dict.  A single entry under label "*" applies everywhere.
+    parameter dict.  An entry under label "*" applies to every region
+    without its own; both regions must be covered.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _KIND_KEYS:
             raise ValueError(f"unknown reluctivity kind {self.kind!r}")
-        for p in self.params.values():
+        regions = ("*", REGION_CONDUCTOR, REGION_INSULATOR)
+        unknown = sorted(set(self.params) - set(regions))
+        if unknown:
+            raise ValidationFailure(
+                f"reluctivity regions must be among {regions}, got {unknown}")
+        if "*" not in self.params and len(self.params) < 2:
+            raise ValidationFailure(
+                "reluctivity params must cover both regions: give '*' or "
+                f"both 'C' and 'I', got {sorted(self.params)}")
+        for region, p in self.params.items():
+            missing = [k for k in _KIND_KEYS[self.kind] if k not in p]
+            if missing:
+                raise ValidationFailure(
+                    f"reluctivity region {region!r} of kind {self.kind!r} "
+                    f"needs {', '.join(missing)}")
             for key, value in p.items():
                 check_finite(f"reluctivity {key}", value)
 
@@ -150,7 +172,6 @@ class MaterialValidationReport:
 
     m_hat: float
     L_hat: float
-    grid: np.ndarray
     violations: list
 
     @property
@@ -190,7 +211,7 @@ def estimate_constants(model, region="*", s_max=100.0, n_grid=2000):
     bad_high = pos & (nu > L_hat + 1e-12)
     for idx in np.flatnonzero(bad_low | bad_high):
         violations.append((float(s[idx]), float(s[idx]), float(nu[idx])))
-    return MaterialValidationReport(m_hat=m_hat, L_hat=L_hat, grid=s, violations=violations)
+    return MaterialValidationReport(m_hat=m_hat, L_hat=L_hat, violations=violations)
 
 
 @dataclass
@@ -200,7 +221,7 @@ class AssumptionReport:
     material: MaterialValidationReport | None = None
 
 
-def validate_assumptions(model, sigma_C, R, s_max=100.0, n_grid=2000):
+def validate_assumptions(model, sigma_C, R):
     """Check conductivity, resistance-matrix, and reluctivity requirements.
 
     Passes iff sigma_C > 0, R is symmetric positive definite, and the
@@ -223,7 +244,7 @@ def validate_assumptions(model, sigma_C, R, s_max=100.0, n_grid=2000):
     mat_report = None
     regions = sorted(model.params.keys())
     for region in regions:
-        rep = estimate_constants(model, region, s_max=s_max, n_grid=n_grid)
+        rep = estimate_constants(model, region)
         if mat_report is None or rep.m_hat < mat_report.m_hat:
             mat_report = rep
         if not rep.passed:

@@ -37,11 +37,18 @@ class VoltageSignal:
     table: np.ndarray = None          # (k, 1+m) rows of t, v_1..v_m
 
     def __post_init__(self):
-        if self.kind != "table":
-            check_finite("voltage value", self.value)
-            return
-        check_finite("voltage table", self.table)
-        if np.any(np.diff(self.table[:, 0]) <= 0):
+        kinds = ("constant", "step", "table")
+        if self.kind not in kinds:
+            raise ValidationFailure(
+                f"voltage kind must be one of {', '.join(kinds)}, "
+                f"got {self.kind!r}")
+        name = "table" if self.kind == "table" else "value"
+        data = getattr(self, name)
+        if data is None:
+            raise ValidationFailure(
+                f"voltage {name} is required for kind {self.kind!r}")
+        check_finite(f"voltage {name}", data)
+        if self.kind == "table" and np.any(np.diff(self.table[:, 0]) <= 0):
             raise ValidationFailure(
                 "voltage table times must be strictly increasing, got "
                 f"{self.table[:, 0].tolist()}")
@@ -119,6 +126,10 @@ class MQSConfig:
             raise ValidationFailure(
                 f"newton_start must be one of {', '.join(core.NEWTON_STARTS)}, "
                 f"got {self.newton_start!r}")
+        if self.voltage.m != self.winding.m:
+            raise ValidationFailure(
+                f"voltage has {self.voltage.m} channels but there are "
+                f"{self.winding.m} windings")
         if self.newton_max_iter < 1:
             raise ValidationFailure(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
@@ -505,15 +516,16 @@ def monotonicity_probe(ops, n_pairs=200, seed=42, scale=1.0):
     )
 
 
-def coercivity_bound_check(ops, n_samples=100, seed=0, omega=1.0, scale=1.0):
-    """Sampled check of E_omega(a) >= c ||a||^2_{L^2} with the certified c."""
+def coercivity_bound_check(ops, n_samples=100, seed=0):
+    """Sampled check of Phi(a) + ||E a||^2 / 2 >= c ||a||^2_{L^2} with the
+    certified c = ``ops.coercivity_constant`` (omega = 1)."""
     rng = np.random.default_rng(seed)
-    c = min(ops.m_hat, omega * ops.sigma_C) / (2.0 * ops.L_C)
+    c = ops.coercivity_constant
     worst = np.inf
     for _ in range(n_samples):
-        a = scale * rng.standard_normal(ops.n_dofs)
+        a = rng.standard_normal(ops.n_dofs)
         Ea = ops.E.apply(a)
-        lhs = ops.energy(a) + 0.5 * omega * float(Ea @ Ea)
+        lhs = ops.energy(a) + 0.5 * float(Ea @ Ea)
         rhs = c * float(a @ (ops.mass @ a))
         worst = min(worst, lhs - rhs)
     return {"c": c, "min_slack": float(worst), "passed": worst >= -1e-10}

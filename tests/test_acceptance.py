@@ -113,9 +113,7 @@ def test_criterion_05_coercivity_constant(default_build):
         mass_C, fem.assemble_stiffness(mesh, dofs), mass)
     target = 1.0 / (2.0 * np.pi ** 2)
     rel = abs(L_C - target) / target
-    sampled = system.coercivity_bound_check(
-        ops, n_samples=100, seed=42, omega=1.0
-    )
+    sampled = system.coercivity_bound_check(ops, n_samples=100, seed=42)
     ok = rel <= 0.05 and sampled["passed"]
     _report(5, "coercivity-constant", ok,
             f"(L_C={L_C:.6f}, target={target:.6f}, rel={rel:.2%}, "

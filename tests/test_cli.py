@@ -1,5 +1,6 @@
 """Command-line interface and configuration parsing."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -56,6 +57,30 @@ def test_default_config_roundtrip():
     assert cfg.n == 32
     assert cfg.tau == pytest.approx(1.0 / 64.0)
     assert cfg.winding.m == 1
+
+
+def _same(a, b):
+    """Equal values, recursing into dataclasses and comparing arrays."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def test_default_cfg_file_gives_the_default_config():
+    """configs/default.cfg spells out every [core] key, and loading it gives
+    config.default_config() field by field."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "default.cfg")
+    entries = config.load_config_file(path)
+    assert {k for s, k in entries if s == "core"} == config._SCHEMA["core"]
+    assert config.output_basename(entries) == "run"
+    loaded, default = config.build_config(entries), config.default_config()
+    for f in dataclasses.fields(default):
+        assert _same(getattr(loaded, f.name), getattr(default, f.name)), f.name
 
 
 def test_overrides_applied_and_validated():

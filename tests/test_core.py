@@ -148,11 +148,7 @@ def test_energy_identity_residual_nonpositive_and_consistent():
 
 def test_resolve_inputs_shapes_and_modes():
     f = np.arange(8.0).reshape(4, 2)
-    right = core.resolve_inputs(f, 3, 2, "right")
-    assert np.array_equal(right, f[1:])
-    avg = core.resolve_inputs(f, 3, 2, "average")
-    assert np.allclose(avg, 0.5 * (f[:-1] + f[1:]))
-    assert np.array_equal(core.resolve_inputs(f[1:], 3, 2), f[1:])
+    assert np.array_equal(core.resolve_inputs(f, 3, 2), f[1:])
     assert np.all(core.resolve_inputs(None, 3, 2) == 0.0)
     with pytest.raises(ValueError):
         core.resolve_inputs(f, 5, 2)
@@ -163,8 +159,6 @@ def test_prox_config_validation():
         core.ProxConfig(tau=0.0, n_steps=1)
     with pytest.raises(ValueError):
         core.ProxConfig(tau=0.1, n_steps=0)
-    with pytest.raises(ValueError):
-        core.ProxConfig(tau=0.1, n_steps=1, input_sampling="left")
     phi = quadratic(np.eye(2))
     phi.ellipticity_omega = 2.0
     with pytest.raises(ValidationFailure):
@@ -226,7 +220,7 @@ def test_eval_phi_E_dimension_limit():
     phi = quadratic(np.eye(n))
     E = core.LinearMapE(np.eye(n))
     with pytest.raises(OracleLimitExceeded):
-        core.eval_phi_E(phi, E, np.zeros(n), dim_limit=64)
+        core.eval_phi_E(phi, E, np.zeros(n))
 
 
 def test_eval_phi_E_injective_map_returns_preimage():

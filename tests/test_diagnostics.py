@@ -236,11 +236,10 @@ def test_writers_match_element_wise_formatting(tmp_path):
     traj = system.solve(cfg, ops)
     csv_path, vtk_path = tmp_path / "run.csv", tmp_path / "run.vtk"
     diagnostics.write_timeseries_csv(traj, csv_path)
-    diagnostics.write_field_vtk(ops.mesh, ops.dofs, traj.fields[-1], vtk_path,
-                                title="t")
+    diagnostics.write_field_vtk(ops.mesh, ops.dofs, traj.fields[-1], vtk_path)
     assert csv_path.read_bytes() == _element_wise_csv(traj).encode()
     assert vtk_path.read_bytes() == _element_wise_vtk(
-        ops.mesh, ops.dofs, traj.fields[-1], "t").encode()
+        ops.mesh, ops.dofs, traj.fields[-1], "mqsflow field").encode()
 
 
 def test_summary_writers(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from scipy import integrate
 
 from mqsflow import material
-from mqsflow.errors import NegativeArgument, NegativeFieldMagnitude
+from mqsflow.errors import (
+    NegativeArgument, NegativeFieldMagnitude, ValidationFailure,
+)
 
 
 def test_constant_model_eval():
@@ -191,6 +193,27 @@ def test_validate_assumptions_rejects_bad_data(sigma, R, fragment):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         material.ReluctivityModel("mystery", {"*": {}})
+
+
+@pytest.mark.parametrize("kind, params, fragment", [
+    ("constant", {"c": {"nu0": 1.0}, "*": {"nu0": 1.0}},
+     "reluctivity regions must be among ('*', 'C', 'I'), got ['c']"),
+    ("constant", {"C": {"nu0": 1.0}},
+     "must cover both regions: give '*' or both 'C' and 'I', got ['C']"),
+    ("constant", {}, "must cover both regions"),
+    ("rational_saturation", {"*": {"nu_min": 1.0}},
+     "region '*' of kind 'rational_saturation' needs nu_max"),
+    ("constant", {"C": {"nu0": 1.0}, "I": {"nu": 3.0}},
+     "region 'I' of kind 'constant' needs nu0"),
+    ("user_tabulated", {"*": {}}, "region '*' of kind 'user_tabulated' needs table"),
+], ids=["typo_region", "conductor_only", "no_region", "missing_nu_max",
+        "missing_nu0", "missing_table"])
+def test_region_params_are_checked(kind, params, fragment):
+    """Unknown regions, an uncovered region and missing parameter keys are
+    rejected when the model is made, not as a KeyError inside fem."""
+    with pytest.raises(ValidationFailure) as info:
+        material.ReluctivityModel(kind, params)
+    assert fragment in str(info.value)
 
 
 def test_region_specific_parameters():

@@ -315,6 +315,34 @@ def test_voltage_table_times_must_increase():
             system.VoltageSignal("table", table=table)
 
 
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: system.VoltageSignal("ramp", np.array([1.0])),
+     "voltage kind must be one of constant, step, table, got 'ramp'"),
+    (lambda: system.VoltageSignal("step"),
+     "voltage value is required for kind 'step'"),
+    (lambda: system.VoltageSignal("constant", table=np.ones((2, 2))),
+     "voltage value is required for kind 'constant'"),
+    (lambda: system.VoltageSignal("table", np.array([1.0])),
+     "voltage table is required for kind 'table'"),
+    (lambda: system.MQSConfig(
+        n=8, voltage=system.VoltageSignal("step", np.ones(2))),
+     "voltage has 2 channels but there are 1 windings"),
+    (lambda: system.MQSConfig(
+        n=8, winding=THREE_WINDINGS, R=np.eye(3),
+        voltage=system.VoltageSignal("table", table=np.array([[0.0, 0.0],
+                                                              [1.0, 1.0]]))),
+     "voltage has 1 channels but there are 3 windings"),
+], ids=["unknown_kind", "step_without_value", "constant_without_value",
+        "table_without_table", "two_channels_one_winding",
+        "one_channel_three_windings"])
+def test_voltage_kind_data_and_channels_are_checked(make, fragment):
+    """An unknown kind, missing data or a channel count other than the
+    winding count is rejected when the signal or config is made."""
+    with pytest.raises(ValidationFailure) as info:
+        make()
+    assert fragment in str(info.value)
+
+
 def test_schur_equivalence_random_steps(default_small):
     """Both step formulations solve the same stationarity condition."""
     cfg, ops, phi, E = default_small
@@ -553,7 +581,8 @@ THREE_WINDINGS = fem.WindingSpec(rectangles=(
 def test_woodbury_newton_direction_matches_full_factor(winding, R):
     """Factoring the sparse part and adding the m winding rows by Woodbury
     gives the direction of one factor of the whole Newton matrix."""
-    cfg = system.MQSConfig(n=8, winding=winding, R=R)
+    voltage = system.VoltageSignal("step", np.ones(winding.m))
+    cfg = system.MQSConfig(n=8, winding=winding, R=R, voltage=voltage)
     ops, _, E = system.build_system(cfg)
     assert E.k == ops.m == winding.m
     rng = np.random.default_rng(11)
