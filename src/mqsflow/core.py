@@ -69,6 +69,7 @@ class LinearMapE:
         if not 0 <= k <= self.dim_Z:
             raise ValueError(f"thin block of {k} rows in a map with {self.dim_Z}")
         self.k = k
+        self._adjoint = None
         self._gram = None
         self._lead_gram = None
         self._thin = None
@@ -78,7 +79,10 @@ class LinearMapE:
         return self.matrix @ x
 
     def apply_adjoint(self, z):
-        return self.matrix.T @ z
+        if self._adjoint is None:  # E^T, cached as gram is
+            self._adjoint = (self.matrix.T.tocsr() if sp.issparse(self.matrix)
+                             else self.matrix.T)
+        return self._adjoint @ z
 
     @property
     def gram(self):

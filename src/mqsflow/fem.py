@@ -24,6 +24,7 @@ from .material import REGION_CONDUCTOR, REGION_INSULATOR, model_eval, theta_eval
 
 LABEL_I = 0
 LABEL_C = 1
+_REGIONS = ((LABEL_C, REGION_CONDUCTOR), (LABEL_I, REGION_INSULATOR))
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,29 @@ class Mesh2D:
         return _geometry(self)
 
     @cached_property
-    def local_stiffness(self):
-        """Element blocks area grad phi_i . grad phi_j, shape (M, 3, 3)."""
-        areas, grads = self.geometry
-        return areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
+    def tangent_basis(self):
+        """Per element the products d_x phi_i d_x phi_j, d_y phi_i d_y phi_j
+        and d_x phi_i d_y phi_j + d_y phi_i d_x phi_j, shape (M, 3, 9) with
+        (i, j) flattened, computed once per mesh."""
+        _, grads = self.geometry
+        # filled in place, so building it takes no temporary of its size
+        basis = np.empty((self.n_elements, 3, 3, 3))
+        for k, (p, q) in enumerate(((0, 0), (1, 1), (0, 1))):
+            np.multiply(grads[:, :, None, p], grads[:, None, :, q],
+                        out=basis[:, k])
+        # numpy buffers the overlapping transposed operand
+        basis[:, 2] += basis[:, 2].transpose(0, 2, 1)
+        return basis.reshape(-1, 3, 9)
+
+    @cached_property
+    def regions(self):
+        """(region name, element mask) for each region with elements."""
+        out = []
+        for lab, region in _REGIONS:
+            mask = self.element_labels == lab
+            if np.any(mask):
+                out.append((region, mask))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -255,7 +275,9 @@ def assemble_sigma_mass(mesh, dofs, sigma_C):
 
 def assemble_stiffness(mesh, dofs):
     """Unit-coefficient stiffness matrix (the linear curl-curl form)."""
-    return dofs.assemble_matrix(mesh.local_stiffness)
+    areas, grads = mesh.geometry
+    return dofs.assemble_matrix(
+        areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads))
 
 
 def _winding_density(winding, j, points):
@@ -302,28 +324,49 @@ def assemble_coupling(mesh, dofs, winding):
     return C
 
 
+def _gradient_operator(mesh, dofs):
+    """CSR G (2 M, n_dofs) with (G a)[2 e + k] = d_k a on element e.
+
+    Built once per (mesh, dofs) and kept in the mesh's ``__dict__``, keyed
+    on ``dofs`` identity as the field points are.  Each row lists its
+    interior vertices in local-vertex order, so G a sums in the order of
+    an element-wise contraction over the local vertices.
+    """
+    built = mesh.__dict__.setdefault("_gradient_operators", [])
+    for owner, G in built:
+        if owner is dofs:
+            return G
+    G = _build_gradient_operator(mesh, dofs)
+    built.append((dofs, G))
+    return G
+
+
+def _build_gradient_operator(mesh, dofs):
+    _, grads = mesh.geometry
+    gdofs = dofs.vertex_to_dof[mesh.triangles]            # (M, 3)
+    cols = np.broadcast_to(gdofs[:, None, :], (mesh.n_elements, 2, 3))
+    keep = cols >= 0
+    indptr = np.zeros(2 * mesh.n_elements + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix(
+        (grads.transpose(0, 2, 1)[keep], cols[keep], indptr),
+        shape=(2 * mesh.n_elements, dofs.n_dofs),
+    )
+
+
 def _element_state(mesh, dofs, a):
     """Per-element field gradient (M, 2) and its magnitude (M,)."""
-    _, grads = mesh.geometry
-    a_vert = np.zeros(mesh.n_vertices)
-    a_vert[dofs.dof_to_vertex] = a
-    coeffs = a_vert[mesh.triangles]  # (M, 3)
-    g = np.einsum("ei,eik->ek", coeffs, grads)  # (M, 2)
+    g = (_gradient_operator(mesh, dofs) @ a).reshape(-1, 2)
     s = np.hypot(g[:, 0], g[:, 1])
     return g, s
-
-
-_REGIONS = ((LABEL_C, REGION_CONDUCTOR), (LABEL_I, REGION_INSULATOR))
 
 
 def _element_nu(mesh, model, s):
     """(nu, d(nu s)/ds) per element, one model_eval per region."""
     nu = np.empty_like(s)
     dgds = np.empty_like(s)
-    for lab, region in _REGIONS:
-        mask = mesh.element_labels == lab
-        if np.any(mask):
-            nu[mask], dgds[mask] = model_eval(model, region, s[mask])
+    for region, mask in mesh.regions:
+        nu[mask], dgds[mask] = model_eval(model, region, s[mask])
     return nu, dgds
 
 
@@ -351,11 +394,9 @@ class _FieldPoint:
             areas, _ = mesh.geometry
             rho = self.s * self.s
             out = 0.0
-            for lab, region in _REGIONS:
-                mask = mesh.element_labels == lab
-                if np.any(mask):
-                    out += float(np.dot(areas[mask],
-                                        theta_eval(self.model, region, rho[mask])))
+            for region, mask in mesh.regions:
+                out += float(np.dot(areas[mask],
+                                    theta_eval(self.model, region, rho[mask])))
             self._energy = out
         return self._energy
 
@@ -365,7 +406,7 @@ class _FieldPoint:
             nu, _ = self.nu(mesh)
             flux = (nu * areas)[:, None] * self.g  # (M, 2)
             self._K = self.dofs.assemble_vector(
-                np.einsum("ek,eik->ei", flux, grads))
+                flux[:, :1] * grads[:, :, 0] + flux[:, 1:] * grads[:, :, 1])
         return self._K
 
 
@@ -402,20 +443,24 @@ def curlcurl_jacobian(mesh, dofs, model, a):
     """Consistent tangent of the nonlinear curl-curl form, sparse symmetric.
 
     Per element it is nu times the local stiffness plus the rank-one term
-    area (d[nu s]/ds - nu) / s^2 q q^T with q_i = grad phi_i . grad a; the
-    rank-one term vanishes in the isotropic limit s = 0.
+    c q q^T with c = area (d[nu s]/ds - nu) / s^2 and q_i = grad phi_i .
+    grad a; the rank-one term vanishes in the isotropic limit s = 0.  With
+    g = grad a both are one combination of ``Mesh2D.tangent_basis``, with
+    weights nu area + c g_x^2, nu area + c g_y^2 and c g_x g_y.
     """
-    areas, grads = mesh.geometry
+    areas, _ = mesh.geometry
     pt = _field_point(mesh, dofs, model, a)
-    s = pt.s
+    s, g = pt.s, pt.g
     nu, dgds = pt.nu(mesh)
     big = s >= 1e-12
     coef = np.zeros_like(s)
     coef[big] = areas[big] * (dgds[big] - nu[big]) / (s[big] * s[big])
-    q = np.einsum("eik,ek->ei", grads, pt.g)
-    local = nu[:, None, None] * mesh.local_stiffness
-    local += (coef[:, None] * q)[:, :, None] * q[:, None, :]
-    return dofs.assemble_matrix(local)
+    iso = nu * areas
+    weights = np.column_stack([iso + coef * g[:, 0] * g[:, 0],
+                               iso + coef * g[:, 1] * g[:, 1],
+                               coef * g[:, 0] * g[:, 1]])
+    local = np.einsum("ek,ekj->ej", weights, mesh.tangent_basis)
+    return dofs.assemble_matrix(local.reshape(-1, 3, 3))
 
 
 def magnetic_energy(mesh, dofs, model, a):

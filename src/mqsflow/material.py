@@ -71,7 +71,11 @@ class ReluctivityModel:
     def region_params(self, region):
         if region in self.params:
             return self.params[region]
-        return self.params["*"]
+        if "*" in self.params:
+            return self.params["*"]
+        raise ValidationFailure(
+            f"reluctivity model has no parameters for region {region!r}; "
+            f"it has regions {sorted(self.params)}")
 
 
 def constant_model(nu0):

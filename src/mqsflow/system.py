@@ -15,6 +15,7 @@ up front and serves as an equivalence witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +49,17 @@ class VoltageSignal:
             raise ValidationFailure(
                 f"voltage {name} is required for kind {self.kind!r}")
         check_finite(f"voltage {name}", data)
-        if self.kind == "table" and np.any(np.diff(self.table[:, 0]) <= 0):
+        shape = np.shape(data)
+        if self.kind != "table":
+            if len(shape) != 1:
+                raise ValidationFailure(
+                    f"voltage value must be 1-D, got shape {shape}")
+            return
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 2:
+            raise ValidationFailure(
+                "voltage table must be 2-D with at least one row, a time "
+                f"column and a voltage column, got shape {shape}")
+        if np.any(np.diff(self.table[:, 0]) <= 0):
             raise ValidationFailure(
                 "voltage table times must be strictly increasing, got "
                 f"{self.table[:, 0].tolist()}")
@@ -69,7 +80,7 @@ class VoltageSignal:
     def m(self):
         if self.kind == "table":
             return self.table.shape[1] - 1
-        return np.atleast_1d(self.value).shape[0]
+        return len(self.value)
 
 
 DEFAULT_WINDING = fem.WindingSpec(
@@ -154,6 +165,13 @@ class MQSConfig:
 
 @dataclass
 class MQSOperators:
+    """The assembled operators of one configuration.
+
+    ``L_C`` is computed on first read, by a shift-invert eigensolve that
+    no solve needs, so its ``EigenSolveFailure`` surfaces there and not
+    when the operators are built.
+    """
+
     mesh: fem.Mesh2D
     dofs: fem.DofMap
     model: material.ReluctivityModel
@@ -168,9 +186,14 @@ class MQSOperators:
     coupling: np.ndarray       # C, (n_dofs, m)
     m_hat: float
     L_hat: float
-    L_C: float
     E: core.LinearMapE         # metric map, E^T E = msigma + C R^{-1} C^T;
                                # its last m rows R^{-1/2} C^T are the thin block
+
+    @cached_property
+    def L_C(self):
+        """Discrete constant in ||a||^2 <= L_C (||a||_C^2 + ||grad a||^2)."""
+        return fem.estimate_coercivity_constant(
+            self.mass_C, self.stiffness, self.mass)
 
     @property
     def phi(self):
@@ -258,7 +281,11 @@ def _metric_matrix(mesh, dofs, sigma_C, coupling, R_inv_sqrt):
 
 
 def build_system(config):
-    """Assemble the operators; returns ``(ops, ops.phi, ops.E)``."""
+    """Assemble the operators; returns ``(ops, ops.phi, ops.E)``.
+
+    ``ops.L_C`` is left to its first read, which runs the eigensolve and
+    raises any ``EigenSolveFailure``.
+    """
     report = material.validate_assumptions(config.model, config.sigma_C, config.R)
     if not report.passed:
         raise ValidationFailure(report.reasons)
@@ -282,7 +309,6 @@ def build_system(config):
         msigma=msigma, mass_C=mass_C, mass=mass, stiffness=stiffness,
         coupling=coupling,
         m_hat=report.material.m_hat, L_hat=report.material.L_hat,
-        L_C=fem.estimate_coercivity_constant(mass_C, stiffness, mass),
         E=core.LinearMapE(
             _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt),
             k=coupling.shape[1]),

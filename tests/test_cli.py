@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from mqsflow import cli, config
-from mqsflow.errors import ConfigError
+from mqsflow import cli, config, fem
+from mqsflow.errors import ConfigError, EigenSolveFailure
 
 SMALL = """
 [mesh]
@@ -165,6 +165,26 @@ def test_cli_constants(tmp_path, small_cfg, capsys):
     text = capsys.readouterr().out
     assert "m_hat=" in text and "L_C=" in text
     assert (out / "constants.kv").exists()
+
+
+def test_cli_eigensolve_runs_only_where_L_C_is_read(tmp_path, small_cfg,
+                                                    monkeypatch, capsys):
+    """L_C is computed on first read: a failing eigensolve stops
+    ``constants`` with one error line, and ``run`` never calls it."""
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        raise EigenSolveFailure("ARPACK did not converge")
+
+    monkeypatch.setattr(fem, "estimate_coercivity_constant", failing)
+    code = cli.dispatch(["constants", "--config", small_cfg,
+                         "--out", str(tmp_path / "c")])
+    assert code == 1 and len(calls) == 1
+    assert capsys.readouterr().err == "error: ARPACK did not converge\n"
+    assert cli.dispatch(["run", "--config", small_cfg,
+                         "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_usage_errors():

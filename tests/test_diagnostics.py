@@ -1,5 +1,7 @@
 """Experiments, convergence studies, and the CSV/VTK writers."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,9 +250,9 @@ def test_summary_writers(tmp_path):
         diagnostics.ExperimentResult("beta", False, {"y": 2.5}),
     ]
     table_path, kv_path = diagnostics.write_summary(results, tmp_path)
-    table = open(table_path).read()
+    table = Path(table_path).read_text()
     assert "PASS" in table and "FAIL" in table
-    kv = open(kv_path).read().splitlines()
+    kv = Path(kv_path).read_text().splitlines()
     assert "alpha.pass=true" in kv
     assert "beta.pass=false" in kv
     assert "beta.y=2.5" in kv

@@ -295,6 +295,7 @@ def test_dofmap_assembly_matches_coo_and_add_at_oracle():
     a_vert = np.zeros(mesh.n_vertices)
     a_vert[dofs.dof_to_vertex] = a
     g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
+    assert np.array_equal(fem._element_state(mesh, dofs, a)[0], g)
     nu, _ = fem._element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
     flux = (nu * areas)[:, None] * g
     assert np.array_equal(
@@ -366,6 +367,36 @@ def test_geometry_computed_once_per_mesh(monkeypatch):
     fem.assemble_stiffness(mesh, dofs)
     assert len(calls) == 1
     fem.build_mesh(8, DISK)
+    assert len(calls) == 2
+
+
+def test_element_operators_built_once_per_mesh_and_dofs(monkeypatch):
+    calls = []
+    real = fem._build_gradient_operator
+
+    def counted(mesh, dofs):
+        calls.append(dofs)
+        return real(mesh, dofs)
+
+    monkeypatch.setattr(fem, "_build_gradient_operator", counted)
+    mesh, dofs = fem.build_mesh(8, DISK)
+    model = material.rational_saturation_model(1.0, 5.0)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        a = rng.standard_normal(dofs.n_dofs)
+        fem.curlcurl_residual(mesh, dofs, model, a)
+        fem.curlcurl_jacobian(mesh, dofs, model, a)
+        fem.magnetic_energy(mesh, dofs, model, a)
+    assert len(calls) == 1 and calls[0] is dofs
+
+    # an equal DofMap on the same mesh is a different key
+    _, other = fem.build_mesh(8, DISK)
+    a = rng.standard_normal(dofs.n_dofs)
+    assert np.array_equal(fem.curlcurl_residual(mesh, other, model, a),
+                          fem.curlcurl_residual(mesh, dofs, model, a))
+    assert len(calls) == 2 and calls[1] is other
+    assert fem._gradient_operator(mesh, other) is not \
+        fem._gradient_operator(mesh, dofs)
     assert len(calls) == 2
 
 

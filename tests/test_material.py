@@ -216,6 +216,17 @@ def test_region_params_are_checked(kind, params, fragment):
     assert fragment in str(info.value)
 
 
+def test_estimate_constants_names_a_region_the_model_lacks():
+    model = material.ReluctivityModel(
+        "constant", {"C": {"nu0": 1.0}, "I": {"nu0": 2.0}})
+    with pytest.raises(ValidationFailure) as info:
+        material.estimate_constants(model)
+    assert str(info.value) == (
+        "reluctivity model has no parameters for region '*'; "
+        "it has regions ['C', 'I']")
+    assert material.estimate_constants(model, "I").m_hat == pytest.approx(2.0)
+
+
 def test_region_specific_parameters():
     model = material.ReluctivityModel(
         "constant", {"C": {"nu0": 1.0}, "I": {"nu0": 3.0}}

@@ -218,6 +218,17 @@ def test_a_solve_is_bit_identical_without_shared_passes(monkeypatch):
                               equal_nan=True), name
 
 
+def test_L_C_is_computed_once_on_first_read(monkeypatch):
+    calls = _count_calls(monkeypatch, fem, "estimate_coercivity_constant")
+    ops = system.build_system(system.MQSConfig(n=8))[0]
+    assert calls == []
+    values = {ops.L_C for _ in range(3)}
+    assert ops.coercivity_constant > 0
+    assert len(calls) == 1
+    assert values == {fem.estimate_coercivity_constant(
+        ops.mass_C, ops.stiffness, ops.mass)}
+
+
 def test_unreadable_initial_field_file_is_a_validation_failure(tmp_path):
     cfg = system.MQSConfig(n=8)
     ops = system.build_system(cfg)[0]
@@ -332,12 +343,24 @@ def test_voltage_table_times_must_increase():
         voltage=system.VoltageSignal("table", table=np.array([[0.0, 0.0],
                                                               [1.0, 1.0]]))),
      "voltage has 1 channels but there are 3 windings"),
+    (lambda: system.VoltageSignal("table", table=np.array([0.0, 1.0])),
+     "voltage table must be 2-D with at least one row, a time column and a "
+     "voltage column, got shape (2,)"),
+    (lambda: system.VoltageSignal("table", table=np.array([[0.0], [1.0]])),
+     "voltage table must be 2-D"),
+    (lambda: system.VoltageSignal("table", table=np.empty((0, 2))),
+     "voltage table must be 2-D"),
+    (lambda: system.VoltageSignal("step", np.ones((2, 1))),
+     "voltage value must be 1-D, got shape (2, 1)"),
+    (lambda: system.VoltageSignal("constant", np.array(1.0)),
+     "voltage value must be 1-D, got shape ()"),
 ], ids=["unknown_kind", "step_without_value", "constant_without_value",
         "table_without_table", "two_channels_one_winding",
-        "one_channel_three_windings"])
+        "one_channel_three_windings", "table_1d", "table_without_voltage",
+        "table_without_rows", "value_2d", "value_0d"])
 def test_voltage_kind_data_and_channels_are_checked(make, fragment):
-    """An unknown kind, missing data or a channel count other than the
-    winding count is rejected when the signal or config is made."""
+    """An unknown kind, missing or misshapen data or a channel count other
+    than the winding count is rejected when the signal or config is made."""
     with pytest.raises(ValidationFailure) as info:
         make()
     assert fragment in str(info.value)
