@@ -35,5 +35,5 @@ print(f"worst power-balance defect    = "
       f"{np.nanmax(np.abs(traj.balance_residuals)):.3e}")
 
 write_timeseries_csv(traj, "step_response.csv")
-write_field_vtk(ops.mesh, ops.dofs, traj.fields[-1], "step_response.vtk")
+write_field_vtk(ops.mesh, traj.fields[-1], "step_response.vtk")
 print("wrote step_response.csv and step_response.vtk")

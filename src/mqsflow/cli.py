@@ -75,7 +75,7 @@ def _cmd_run(args):
     csv_path = os.path.join(args.out, f"{base}.csv")
     vtk_path = os.path.join(args.out, f"{base}.vtk")
     diagnostics.write_timeseries_csv(traj, csv_path)
-    diagnostics.write_field_vtk(ops.mesh, ops.dofs, traj.fields[-1], vtk_path)
+    diagnostics.write_field_vtk(ops.mesh, traj.fields[-1], vtk_path)
     log.info("wrote %s and %s", csv_path, vtk_path)
     print(f"run complete: {traj.n_steps} steps, outputs in {args.out}")
     return 0

@@ -132,14 +132,12 @@ def _invisible_perturbation(ops, seed=0, visible=False):
     Supported on dofs whose vertex touches no conducting element, then
     projected against the coupling columns restricted to that support.
     """
-    mesh, dofs = ops.mesh, ops.dofs
-    c_verts = np.unique(mesh.triangles[mesh.element_labels == fem.LABEL_C])
-    touched = np.zeros(dofs.n_dofs, dtype=bool)
-    cd = dofs.vertex_to_dof[c_verts]
-    touched[cd[cd >= 0]] = True
-    support = ~touched
+    mesh = ops.mesh
+    cd = mesh.element_dofs[mesh.element_labels == fem.LABEL_C]
+    support = np.ones(mesh.n_dofs, dtype=bool)
+    support[cd[cd >= 0]] = False
     rng = np.random.default_rng(seed)
-    w = np.zeros(dofs.n_dofs)
+    w = np.zeros(mesh.n_dofs)
     w[support] = 0.5 * rng.standard_normal(int(support.sum()))
     if not visible:
         Cs = ops.coupling[support]
@@ -164,7 +162,7 @@ def manufactured_field(x, y, t):
     return np.sin(_PI * x) * np.sin(_PI * y) * (1.0 - np.exp(-t))
 
 
-def _manufactured_forcing(mesh, dofs, t):
+def _manufactured_forcing(mesh, t):
     """Load vector at time t matching the element-wise conductivity labeling.
 
     The volumetric forcing sigma(x) dA/dt - nu0 Lap(A) uses the same
@@ -172,13 +170,11 @@ def _manufactured_forcing(mesh, dofs, t):
     so the smooth reference field solves the semidiscrete problem without
     an interface-layer inconsistency.
     """
-    shape = fem.assemble_load(
-        mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y)
-    )
-    shape_C = fem.assemble_load(
-        mesh, dofs, lambda x, y: np.sin(_PI * x) * np.sin(_PI * y),
-        element_filter=mesh.element_labels == fem.LABEL_C,
-    )
+    def bump(x, y):
+        return np.sin(_PI * x) * np.sin(_PI * y)
+
+    shape = fem.assemble_load(mesh, bump)
+    shape_C = fem.assemble_load(mesh, bump, mesh.element_labels == fem.LABEL_C)
     return (
         _SIGMA_C * np.exp(-t) * shape_C
         + 2.0 * _PI ** 2 * _NU0 * (1.0 - np.exp(-t)) * shape
@@ -201,9 +197,9 @@ def energy_norm_error(ops, a, t):
     """Energy-norm distance between a dof vector and the reference field,
     integrated element by element with the exact gradient sampled at the
     three edge midpoints (avoids the superconvergence of nodal comparison)."""
-    mesh, dofs = ops.mesh, ops.dofs
+    mesh = ops.mesh
     areas, _ = mesh.geometry
-    gh, _ = fem._element_state(mesh, dofs, a)
+    gh, _ = fem._element_state(mesh, a)
     pts = mesh.vertices[mesh.triangles]
     mids = 0.5 * (pts[:, [1, 2, 0]] + pts[:, [2, 0, 1]])  # [:, q] faces vertex q
     amp = 1.0 - np.exp(-t)
@@ -321,7 +317,7 @@ def read_timeseries_csv(path):
     return cols
 
 
-def write_field_vtk(mesh, dofs, a, path):
+def write_field_vtk(mesh, a, path):
     """Legacy-ASCII VTK unstructured grid with the scalar field and labels.
 
     POINT_DATA carries the out-of-plane potential ``A_z`` (boundary
@@ -329,7 +325,7 @@ def write_field_vtk(mesh, dofs, a, path):
     conducting/insulating subdomain label.
     """
     a_vert = np.zeros(mesh.n_vertices)
-    a_vert[dofs.dof_to_vertex] = a
+    a_vert[mesh.dof_to_vertex] = a
     lines = [
         "# vtk DataFile Version 3.0",
         "mqsflow field",

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
+from .core import _csc_keys
 from .errors import (
     EigenSolveFailure, GeometryError, WindingOverlapsConductor, check_finite,
 )
@@ -29,6 +30,16 @@ _REGIONS = ((LABEL_C, REGION_CONDUCTOR), (LABEL_I, REGION_INSULATOR))
 
 @dataclass(frozen=True)
 class Mesh2D:
+    """P1 mesh and its dof numbering: interior vertices carry dofs, in
+    vertex order; boundary vertices are fixed to zero.
+
+    The numbering and all data derived from it are cached properties of
+    the mesh.  All element-to-dof assembly goes through ``assemble_vector``
+    and ``assemble_matrix``; local entries at boundary vertices land in one
+    extra slot past the end, which is dropped.  Every assembled matrix is
+    CSC on the one P1 pattern, the format SuperLU and ARPACK factor.
+    """
+
     vertices: np.ndarray      # (n_vertices, 2)
     triangles: np.ndarray     # (n_elements, 3), positively oriented
     element_labels: np.ndarray  # (n_elements,), LABEL_C / LABEL_I
@@ -41,6 +52,60 @@ class Mesh2D:
     @property
     def n_elements(self):
         return self.triangles.shape[0]
+
+    @property
+    def n_dofs(self):
+        return self.dof_to_vertex.shape[0]
+
+    @cached_property
+    def dof_to_vertex(self):
+        """(n_dofs,) vertex of each dof: the interior vertices in order."""
+        return np.flatnonzero(~self.boundary_vertex_flags)
+
+    @cached_property
+    def vertex_to_dof(self):
+        """(n_vertices,) dof of each vertex, -1 at boundary vertices."""
+        flags = self.boundary_vertex_flags
+        return np.where(flags, -1, np.cumsum(~flags) - 1)
+
+    @cached_property
+    def element_dofs(self):
+        """(M, 3) dof of each element's vertices, -1 at boundary vertices."""
+        return self.vertex_to_dof[self.triangles]
+
+    @cached_property
+    def vector_slots(self):
+        """(3 M,) int32 slot of each local entry, local vertex-major."""
+        gdofs = self.element_dofs
+        return np.where(gdofs >= 0, gdofs, self.n_dofs).ravel(
+            order="F").astype(np.int32)
+
+    def _local_pairs(self):
+        """(rows, cols, keep) of the 9 M local matrix entries, element-major."""
+        gdofs = self.element_dofs
+        rows = np.repeat(gdofs, 3, axis=1).ravel()
+        cols = np.tile(gdofs, (1, 3)).ravel()
+        return rows, cols, (rows >= 0) & (cols >= 0)
+
+    @cached_property
+    def pattern(self):
+        """P1 sparsity pattern, CSC with int32 indices."""
+        rows, cols, keep = self._local_pairs()
+        return sp.csc_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
+                             shape=(self.n_dofs, self.n_dofs))
+
+    @cached_property
+    def matrix_slots(self):
+        """(9 M,) int32 slot of each local entry in ``pattern.data``."""
+        rows, cols, keep = self._local_pairs()
+        # a canonical CSC lists its (col, row) keys in sorted order
+        slots = np.searchsorted(_csc_keys(self.pattern), cols * self.n_dofs + rows)
+        return np.where(keep, slots, self.pattern.nnz).astype(np.int32)
+
+    @cached_property
+    def gradient_operator(self):
+        """CSR G (2 M, n_dofs) with (G a)[2 e + k] = d_k a on element e."""
+        return _gradient_operator(self)
 
     @cached_property
     def geometry(self):
@@ -71,27 +136,6 @@ class Mesh2D:
             if np.any(mask):
                 out.append((region, mask))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Interior vertices carry dofs; boundary vertices are fixed to zero.
-
-    All element-to-dof assembly goes through ``assemble_vector`` and
-    ``assemble_matrix``; local entries at boundary vertices land in one
-    extra slot past the end, which is dropped.  Every assembled matrix is
-    CSC on the one P1 pattern, the format SuperLU and ARPACK factor.
-    """
-
-    vertex_to_dof: np.ndarray  # (n_vertices,), -1 at boundary vertices
-    dof_to_vertex: np.ndarray  # (n_dofs,)
-    vector_slots: np.ndarray   # (3 M,) int32, local vertex-major
-    pattern: sp.csc_matrix     # P1 sparsity pattern, int32 indices
-    matrix_slots: np.ndarray   # (9 M,) int32, element-major into pattern.data
-
-    @property
-    def n_dofs(self):
-        return self.dof_to_vertex.shape[0]
 
     def assemble_vector(self, local):
         """Global vector from element contributions ``local`` (M, 3)."""
@@ -137,15 +181,9 @@ def _geometry(mesh):
     d2 = pts[:, 2] - pts[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     areas = 0.5 * det
-    # grad phi_i = rotated opposite edge / (2 * area)
-    e0 = pts[:, 2] - pts[:, 1]
-    e1 = pts[:, 0] - pts[:, 2]
-    e2 = pts[:, 1] - pts[:, 0]
-    grads = np.empty((mesh.n_elements, 3, 2))
-    for i, e in enumerate((e0, e1, e2)):
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= det[:, None, None]
+    # grad phi_i = rotated edge opposite vertex i / (2 * area)
+    e = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
+    grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / det[:, None, None]
     return areas, grads
 
 
@@ -166,8 +204,7 @@ def build_mesh(n, conductor=None):
             raise GeometryError("conductor radius must be nonnegative")
         if radius > 0:
             clearance = 2.0 / n
-            if (cx - radius < clearance or cx + radius > 1 - clearance
-                    or cy - radius < clearance or cy + radius > 1 - clearance):
+            if min(cx, cy) - radius < clearance or max(cx, cy) + radius > 1 - clearance:
                 raise GeometryError(
                     "conductor disk must stay inside the unit square with "
                     f"clearance >= {clearance:.4g}"
@@ -193,37 +230,10 @@ def build_mesh(n, conductor=None):
         inside = (centroids[:, 0] - cx) ** 2 + (centroids[:, 1] - cy) ** 2 < radius ** 2
         labels[inside] = LABEL_C
 
-    boundary = (
-        np.isclose(vertices[:, 0], 0.0) | np.isclose(vertices[:, 0], 1.0)
-        | np.isclose(vertices[:, 1], 0.0) | np.isclose(vertices[:, 1], 1.0)
-    )
+    boundary = np.any(np.isclose(vertices, 0.0) | np.isclose(vertices, 1.0), axis=1)
     mesh = Mesh2D(vertices, triangles, labels, boundary)
     _check_mesh(mesh)
-
-    interior = np.flatnonzero(~boundary)
-    n_dofs = interior.size
-    vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    vertex_to_dof[interior] = np.arange(n_dofs)
-    gdofs = vertex_to_dof[triangles]  # (M, 3), -1 at boundary
-    vector_slots = np.where(gdofs >= 0, gdofs, n_dofs).ravel(order="F")
-    rows = np.repeat(gdofs, 3, axis=1).ravel()
-    cols = np.tile(gdofs, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    pattern = sp.csc_matrix(
-        (np.ones(keep.sum()), (rows[keep], cols[keep])), shape=(n_dofs, n_dofs)
-    )
-    # a canonical CSC lists its (col, row) keys in sorted order
-    keys = np.repeat(np.arange(n_dofs) * n_dofs, np.diff(pattern.indptr))
-    keys += pattern.indices
-    matrix_slots = np.where(
-        keep, np.searchsorted(keys, cols * n_dofs + rows), pattern.nnz
-    )
-    dofs = DofMap(
-        vertex_to_dof=vertex_to_dof, dof_to_vertex=interior,
-        vector_slots=vector_slots.astype(np.int32), pattern=pattern,
-        matrix_slots=matrix_slots.astype(np.int32),
-    )
-    return mesh, dofs
+    return mesh
 
 
 def _check_mesh(mesh):
@@ -251,16 +261,16 @@ def _check_mesh(mesh):
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
-def _assemble_mass(mesh, dofs, element_filter=None):
+def _assemble_mass(mesh, element_filter=None):
     areas, _ = mesh.geometry
     if element_filter is not None:
         areas = np.where(element_filter, areas, 0.0)
-    M = dofs.assemble_matrix(areas[:, None, None] * _LOCAL_MASS)
+    M = mesh.assemble_matrix(areas[:, None, None] * _LOCAL_MASS)
     M.eliminate_zeros()  # a filtered mass keeps only its elements' pattern
     return M
 
 
-def assemble_sigma_mass(mesh, dofs, sigma_C):
+def assemble_sigma_mass(mesh, sigma_C):
     """Conductivity-weighted mass on the conducting region and full mass.
 
     Returns (M_sigma, M) with (M_sigma)_ij = sigma_C * int_{Omega_C}
@@ -268,15 +278,15 @@ def assemble_sigma_mass(mesh, dofs, sigma_C):
     """
     if sigma_C <= 0:
         raise ValueError("sigma_C must be positive")
-    mass_C = _assemble_mass(mesh, dofs, mesh.element_labels == LABEL_C)
-    mass = _assemble_mass(mesh, dofs)
+    mass_C = _assemble_mass(mesh, mesh.element_labels == LABEL_C)
+    mass = _assemble_mass(mesh)
     return sigma_C * mass_C, mass
 
 
-def assemble_stiffness(mesh, dofs):
+def assemble_stiffness(mesh):
     """Unit-coefficient stiffness matrix (the linear curl-curl form)."""
     areas, grads = mesh.geometry
-    return dofs.assemble_matrix(
+    return mesh.assemble_matrix(
         areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads))
 
 
@@ -292,7 +302,7 @@ def _winding_density(winding, j, points):
     return out
 
 
-def assemble_coupling(mesh, dofs, winding):
+def assemble_coupling(mesh, winding):
     """Winding coupling matrix C with C_ij = int chi_j phi_i.
 
     The density is sampled at element centroids and paired with the exact
@@ -302,61 +312,44 @@ def assemble_coupling(mesh, dofs, winding):
     overlap guard is conservative: it also probes edge midpoints, so a
     winding merely touching the conducting region is rejected.
     """
-    c_elems = mesh.element_labels == LABEL_C
-    if np.any(c_elems):
-        pts = mesh.vertices[mesh.triangles[c_elems]]
-        probes = np.concatenate(
-            [pts.mean(axis=1)] + [0.5 * (pts[:, a] + pts[:, b]) for a, b in ((0, 1), (1, 2), (2, 0))]
-        )
-        for j in range(winding.m):
-            if np.any(_winding_density(winding, j, probes) != 0.0):
-                raise WindingOverlapsConductor(
-                    f"winding {j + 1} support intersects the conducting region"
-                )
+    pts = mesh.vertices[mesh.triangles[mesh.element_labels == LABEL_C]]
+    probes = np.concatenate(
+        [pts.mean(axis=1)] + [0.5 * (pts[:, a] + pts[:, b]) for a, b in ((0, 1), (1, 2), (2, 0))]
+    )
+    for j in range(winding.m):
+        if np.any(_winding_density(winding, j, probes) != 0.0):
+            raise WindingOverlapsConductor(
+                f"winding {j + 1} support intersects the conducting region"
+            )
 
     areas, _ = mesh.geometry
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    C = np.zeros((dofs.n_dofs, winding.m))
+    C = np.zeros((mesh.n_dofs, winding.m))
     w = areas / 3.0  # exact int of each hat over its element
     for j in range(winding.m):
         contrib = w * _winding_density(winding, j, centroids)
-        C[:, j] = dofs.assemble_vector(np.repeat(contrib[:, None], 3, axis=1))
+        C[:, j] = mesh.assemble_vector(np.repeat(contrib[:, None], 3, axis=1))
     return C
 
 
-def _gradient_operator(mesh, dofs):
-    """CSR G (2 M, n_dofs) with (G a)[2 e + k] = d_k a on element e.
-
-    Built once per (mesh, dofs) and kept in the mesh's ``__dict__``, keyed
-    on ``dofs`` identity as the field points are.  Each row lists its
-    interior vertices in local-vertex order, so G a sums in the order of
-    an element-wise contraction over the local vertices.
-    """
-    built = mesh.__dict__.setdefault("_gradient_operators", [])
-    for owner, G in built:
-        if owner is dofs:
-            return G
-    G = _build_gradient_operator(mesh, dofs)
-    built.append((dofs, G))
-    return G
-
-
-def _build_gradient_operator(mesh, dofs):
+def _gradient_operator(mesh):
+    """``Mesh2D.gradient_operator``.  Each row lists its interior vertices
+    in local-vertex order, so G a sums in the order of an element-wise
+    contraction over the local vertices."""
     _, grads = mesh.geometry
-    gdofs = dofs.vertex_to_dof[mesh.triangles]            # (M, 3)
-    cols = np.broadcast_to(gdofs[:, None, :], (mesh.n_elements, 2, 3))
+    cols = np.repeat(mesh.element_dofs[:, None, :], 2, axis=1)
     keep = cols >= 0
     indptr = np.zeros(2 * mesh.n_elements + 1, dtype=np.int64)
     np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
     return sp.csr_matrix(
         (grads.transpose(0, 2, 1)[keep], cols[keep], indptr),
-        shape=(2 * mesh.n_elements, dofs.n_dofs),
+        shape=(2 * mesh.n_elements, mesh.n_dofs),
     )
 
 
-def _element_state(mesh, dofs, a):
+def _element_state(mesh, a):
     """Per-element field gradient (M, 2) and its magnitude (M,)."""
-    g = (_gradient_operator(mesh, dofs) @ a).reshape(-1, 2)
+    g = (mesh.gradient_operator @ a).reshape(-1, 2)
     s = np.hypot(g[:, 0], g[:, 1])
     return g, s
 
@@ -377,11 +370,11 @@ class _FieldPoint:
     It holds no reference to its mesh, which holds it (see ``_field_point``).
     """
 
-    __slots__ = ("dofs", "model", "a", "g", "s", "_nu", "_energy", "_K")
+    __slots__ = ("model", "a", "g", "s", "_nu", "_energy", "_K")
 
-    def __init__(self, mesh, dofs, model, a):
-        self.dofs, self.model, self.a = dofs, model, a.copy()
-        self.g, self.s = _element_state(mesh, dofs, a)
+    def __init__(self, mesh, model, a):
+        self.model, self.a = model, a.copy()
+        self.g, self.s = _element_state(mesh, a)
         self._nu = self._energy = self._K = None
 
     def nu(self, mesh):
@@ -405,41 +398,41 @@ class _FieldPoint:
             areas, grads = mesh.geometry
             nu, _ = self.nu(mesh)
             flux = (nu * areas)[:, None] * self.g  # (M, 2)
-            self._K = self.dofs.assemble_vector(
+            self._K = mesh.assemble_vector(
                 flux[:, :1] * grads[:, :, 0] + flux[:, 1:] * grads[:, :, 1])
         return self._K
 
 
-def _field_point(mesh, dofs, model, a):
+def _field_point(mesh, model, a):
     """The element pass at ``a``, shared by K, K_tangent and the energy.
 
     Damped Newton asks for all three at nearly the same few iterates, so
     the last two points are kept in the mesh's ``__dict__``, as its cached
     properties are, and live exactly as long as the mesh.  Two, because a
     guarded prox step evaluates its start and then x_{k-1} before Newton's
-    first iteration.  A point matches on ``dofs`` and ``model`` identity
-    and on the values of ``a``, compared with a stored copy, so an array
-    mutated in place is a new point.  Models and meshes are treated as
-    immutable, as ``Mesh2D.geometry`` already assumes.
+    first iteration.  A point matches on ``model`` identity and on the
+    values of ``a``, compared with a stored copy, so an array mutated in
+    place is a new point.  Models and meshes are treated as immutable, as
+    the cached properties of ``Mesh2D`` already assume.
     """
     a = np.asarray(a, dtype=float)
     points = mesh.__dict__.setdefault("_field_points", [])
     for i, pt in enumerate(points):
-        if pt.dofs is dofs and pt.model is model and np.array_equal(pt.a, a):
+        if pt.model is model and np.array_equal(pt.a, a):
             points.insert(0, points.pop(i))
             return pt
-    pt = _FieldPoint(mesh, dofs, model, a)
+    pt = _FieldPoint(mesh, model, a)
     points.insert(0, pt)
     del points[2:]
     return pt
 
 
-def curlcurl_residual(mesh, dofs, model, a):
+def curlcurl_residual(mesh, model, a):
     """Nonlinear form K(a)_i = sum_e nu(|grad a|_e) grad a . grad phi_i area_e."""
-    return _field_point(mesh, dofs, model, a).K(mesh).copy()
+    return _field_point(mesh, model, a).K(mesh).copy()
 
 
-def curlcurl_jacobian(mesh, dofs, model, a):
+def curlcurl_jacobian(mesh, model, a):
     """Consistent tangent of the nonlinear curl-curl form, sparse symmetric.
 
     Per element it is nu times the local stiffness plus the rank-one term
@@ -449,7 +442,7 @@ def curlcurl_jacobian(mesh, dofs, model, a):
     weights nu area + c g_x^2, nu area + c g_y^2 and c g_x g_y.
     """
     areas, _ = mesh.geometry
-    pt = _field_point(mesh, dofs, model, a)
+    pt = _field_point(mesh, model, a)
     s, g = pt.s, pt.g
     nu, dgds = pt.nu(mesh)
     big = s >= 1e-12
@@ -460,15 +453,15 @@ def curlcurl_jacobian(mesh, dofs, model, a):
                                iso + coef * g[:, 1] * g[:, 1],
                                coef * g[:, 0] * g[:, 1]])
     local = np.einsum("ek,ekj->ej", weights, mesh.tangent_basis)
-    return dofs.assemble_matrix(local.reshape(-1, 3, 3))
+    return mesh.assemble_matrix(local.reshape(-1, 3, 3))
 
 
-def magnetic_energy(mesh, dofs, model, a):
+def magnetic_energy(mesh, model, a):
     """Discrete magnetic energy sum_e area_e theta(region_e, |grad a|_e^2)."""
-    return _field_point(mesh, dofs, model, a).energy(mesh)
+    return _field_point(mesh, model, a).energy(mesh)
 
 
-def assemble_load(mesh, dofs, func, element_filter=None):
+def assemble_load(mesh, func, element_filter=None):
     """Load vector l_i = int f phi_i by the edge-midpoint rule.
 
     ``func(x, y)`` is evaluated pointwise.  With a boolean
@@ -482,7 +475,7 @@ def assemble_load(mesh, dofs, func, element_filter=None):
     if element_filter is not None:
         vals = np.where(element_filter[:, None], vals, 0.0)
     basis_at_mid = 0.5 * (1.0 - np.eye(3))
-    return dofs.assemble_vector(
+    return mesh.assemble_vector(
         (areas / 3.0)[:, None] * np.einsum("eq,iq->ei", vals, basis_at_mid)
     )
 

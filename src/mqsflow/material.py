@@ -67,6 +67,12 @@ class ReluctivityModel:
                     f"needs {', '.join(missing)}")
             for key, value in p.items():
                 check_finite(f"reluctivity {key}", value)
+        if self.kind == "user_tabulated":  # kept as checked float arrays
+            object.__setattr__(self, "params", {
+                region: {**p, "table": _checked_table(
+                    p["table"], ValidationFailure,
+                    f"reluctivity table of region {region!r}")}
+                for region, p in self.params.items()})
 
     def region_params(self, region):
         if region in self.params:
@@ -89,12 +95,19 @@ def rational_saturation_model(nu_min, nu_max):
     )
 
 
-def tabulated_model(table):
+def _checked_table(table, error, what):
+    """``table`` as a float array; raises ``error`` naming ``what`` unless
+    it is (k, 2) with k >= 2 and strictly increasing s."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
-        raise ValueError("table must be (k, 2) with k >= 2")
+        raise error(f"{what} must be (k, 2) with k >= 2, got shape {table.shape}")
     if not np.all(np.diff(table[:, 0]) > 0):
-        raise ValueError("table s-column must be strictly increasing")
+        raise error(f"{what} s-column must be strictly increasing")
+    return table
+
+
+def tabulated_model(table):
+    table = _checked_table(table, ValueError, "table")
     return ReluctivityModel("user_tabulated", {"*": {"table": table}})
 
 

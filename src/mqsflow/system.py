@@ -49,32 +49,29 @@ class VoltageSignal:
             raise ValidationFailure(
                 f"voltage {name} is required for kind {self.kind!r}")
         check_finite(f"voltage {name}", data)
-        shape = np.shape(data)
+        data = np.asarray(data, dtype=float)  # kept as a float array
+        object.__setattr__(self, name, data)
         if self.kind != "table":
-            if len(shape) != 1:
+            if data.ndim != 1:
                 raise ValidationFailure(
-                    f"voltage value must be 1-D, got shape {shape}")
+                    f"voltage value must be 1-D, got shape {data.shape}")
             return
-        if len(shape) != 2 or shape[0] < 1 or shape[1] < 2:
+        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 2:
             raise ValidationFailure(
                 "voltage table must be 2-D with at least one row, a time "
-                f"column and a voltage column, got shape {shape}")
-        if np.any(np.diff(self.table[:, 0]) <= 0):
+                f"column and a voltage column, got shape {data.shape}")
+        if np.any(np.diff(data[:, 0]) <= 0):
             raise ValidationFailure(
                 "voltage table times must be strictly increasing, got "
-                f"{self.table[:, 0].tolist()}")
+                f"{data[:, 0].tolist()}")
 
     def __call__(self, t):
         if self.kind == "constant":
-            return np.array(self.value, dtype=float)
+            return self.value.copy()
         if self.kind == "step":
-            v = np.array(self.value, dtype=float)
-            return v if t > 0 else np.zeros_like(v)
+            return self.value.copy() if t > 0 else np.zeros_like(self.value)
         ts = self.table[:, 0]
-        return np.array([
-            np.interp(t, ts, self.table[:, 1 + j])
-            for j in range(self.table.shape[1] - 1)
-        ])
+        return np.array([np.interp(t, ts, vs) for vs in self.table[:, 1:].T])
 
     @property
     def m(self):
@@ -120,7 +117,7 @@ class MQSConfig:
     newton_max_iter: int = 50
     newton_start: str = "extrapolate"  # extrapolate | zero, see core
     # optional manufactured volumetric forcing added to the field equation;
-    # callable (mesh, dofs, t) -> load vector, used only by convergence studies
+    # callable (mesh, t) -> load vector, used only by convergence studies
     forcing: Optional[Callable] = None
 
     def __post_init__(self):
@@ -173,7 +170,6 @@ class MQSOperators:
     """
 
     mesh: fem.Mesh2D
-    dofs: fem.DofMap
     model: material.ReluctivityModel
     sigma_C: float
     R: np.ndarray
@@ -210,16 +206,16 @@ class MQSOperators:
 
     @property
     def n_dofs(self):
-        return self.dofs.n_dofs
+        return self.mesh.n_dofs
 
     def K(self, a):
-        return fem.curlcurl_residual(self.mesh, self.dofs, self.model, a)
+        return fem.curlcurl_residual(self.mesh, self.model, a)
 
     def K_tangent(self, a):
-        return fem.curlcurl_jacobian(self.mesh, self.dofs, self.model, a)
+        return fem.curlcurl_jacobian(self.mesh, self.model, a)
 
     def energy(self, a):
-        return fem.magnetic_energy(self.mesh, self.dofs, self.model, a)
+        return fem.magnetic_energy(self.mesh, self.model, a)
 
     @property
     def coercivity_constant(self):
@@ -254,7 +250,7 @@ def _principal_inv_sqrt(R):
     return (V * (1.0 / np.sqrt(w))) @ V.T
 
 
-def _metric_matrix(mesh, dofs, sigma_C, coupling, R_inv_sqrt):
+def _metric_matrix(mesh, sigma_C, coupling, R_inv_sqrt):
     """Sparse factor E with E^T E = sigma_C M_C + C R^{-1} C^T.
 
     The conducting-mass part is factored element by element through the
@@ -269,12 +265,12 @@ def _metric_matrix(mesh, dofs, sigma_C, coupling, R_inv_sqrt):
     blocks = np.sqrt(sigma_C * areas[c_elems])[:, None, None] * local_chol.T
     rows, cols = np.broadcast_arrays(
         np.arange(3 * c_elems.size).reshape(-1, 3, 1),
-        dofs.vertex_to_dof[mesh.triangles[c_elems]][:, None, :],
+        mesh.element_dofs[c_elems][:, None, :],
     )
     keep = (cols >= 0) & (blocks != 0.0)
     E1 = sp.csr_matrix(
         (blocks[keep], (rows[keep], cols[keep])),
-        shape=(3 * c_elems.size, dofs.n_dofs),
+        shape=(3 * c_elems.size, mesh.n_dofs),
     )
     E2 = sp.csr_matrix(R_inv_sqrt @ coupling.T)
     return sp.vstack([E1, E2]).tocsr()
@@ -289,13 +285,13 @@ def build_system(config):
     report = material.validate_assumptions(config.model, config.sigma_C, config.R)
     if not report.passed:
         raise ValidationFailure(report.reasons)
-    mesh, dofs = fem.build_mesh(
+    mesh = fem.build_mesh(
         config.n, (*config.conductor_center, config.conductor_radius)
     )
-    msigma, mass = fem.assemble_sigma_mass(mesh, dofs, config.sigma_C)
+    msigma, mass = fem.assemble_sigma_mass(mesh, config.sigma_C)
     mass_C = msigma / config.sigma_C
-    stiffness = fem.assemble_stiffness(mesh, dofs)
-    coupling = fem.assemble_coupling(mesh, dofs, config.winding)
+    stiffness = fem.assemble_stiffness(mesh)
+    coupling = fem.assemble_coupling(mesh, config.winding)
     R = np.atleast_2d(np.asarray(config.R, dtype=float))
     if R.shape[0] != config.winding.m:
         raise ValidationFailure(
@@ -304,13 +300,13 @@ def build_system(config):
     R_inv = np.linalg.inv(R)
     R_inv_sqrt = _principal_inv_sqrt(R)
     ops = MQSOperators(
-        mesh=mesh, dofs=dofs, model=config.model, sigma_C=config.sigma_C,
+        mesh=mesh, model=config.model, sigma_C=config.sigma_C,
         R=R, R_inv=R_inv, R_inv_sqrt=R_inv_sqrt,
         msigma=msigma, mass_C=mass_C, mass=mass, stiffness=stiffness,
         coupling=coupling,
         m_hat=report.material.m_hat, L_hat=report.material.L_hat,
         E=core.LinearMapE(
-            _metric_matrix(mesh, dofs, config.sigma_C, coupling, R_inv_sqrt),
+            _metric_matrix(mesh, config.sigma_C, coupling, R_inv_sqrt),
             k=coupling.shape[1]),
     )
     return ops, ops.phi, ops.E
@@ -401,7 +397,7 @@ def solve(config, ops=None, a0=None):
     )
     loads = None
     if config.forcing is not None:
-        loads = [config.forcing(ops.mesh, ops.dofs, t)
+        loads = [config.forcing(ops.mesh, t)
                  for t in config.tau * np.arange(1, config.n_steps + 1)]
     traj = core.solve_trajectory(
         ops.phi, ops.E, a0, f, prox_cfg, loads=loads,
@@ -466,7 +462,7 @@ def solve_schur(config, ops):
     for k in range(1, n + 1):
         load = None
         if config.forcing is not None:
-            load = config.forcing(ops.mesh, ops.dofs, config.tau * k)
+            load = config.forcing(ops.mesh, config.tau * k)
         fields[k] = schur_step(
             ops, fields[k - 1], v_samples[k], config.tau,
             newton_tol=config.newton_tol,
@@ -484,10 +480,8 @@ class WeakResidualReport:
     circuit_residuals: np.ndarray  # (N,)
 
 
-def check_weak_solution(ops, traj, v_samples=None):
+def check_weak_solution(ops, traj):
     """Residuals of both coupled equations tested against every basis function."""
-    if v_samples is None:
-        v_samples = traj.voltages
     tau = traj.tau
     n = traj.n_steps
     r1 = np.empty(n)
@@ -501,7 +495,7 @@ def check_weak_solution(ops, traj, v_samples=None):
         r1[k - 1] = np.max(np.abs(field_res))
         flux_rate = (traj.fluxes[k] - traj.fluxes[k - 1]) / tau
         r2[k - 1] = np.linalg.norm(
-            flux_rate + ops.R @ traj.currents[k] - v_samples[k]
+            flux_rate + ops.R @ traj.currents[k] - traj.voltages[k]
         )
     return WeakResidualReport(float(r1.max()), float(r2.max()), r1, r2)
 

@@ -107,10 +107,10 @@ def test_criterion_04_gateaux_consistency():
 
 def test_criterion_05_coercivity_constant(default_build):
     _, ops, _, _ = default_build
-    mesh, dofs = fem.build_mesh(64, None)  # no conducting subdomain
-    mass_C, mass = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    mesh = fem.build_mesh(64, None)  # no conducting subdomain
+    mass_C, mass = fem.assemble_sigma_mass(mesh, 1.0)
     L_C = fem.estimate_coercivity_constant(
-        mass_C, fem.assemble_stiffness(mesh, dofs), mass)
+        mass_C, fem.assemble_stiffness(mesh), mass)
     target = 1.0 / (2.0 * np.pi ** 2)
     rel = abs(L_C - target) / target
     sampled = system.coercivity_bound_check(ops, n_samples=100, seed=42)

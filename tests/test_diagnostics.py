@@ -162,9 +162,9 @@ def test_csv_writes_are_deterministic(small_run, tmp_path):
 
 
 def test_vtk_writer_zero_field(tmp_path):
-    mesh, dofs = fem.build_mesh(8, (0.5, 0.5, 0.2))
+    mesh = fem.build_mesh(8, (0.5, 0.5, 0.2))
     path = tmp_path / "field.vtk"
-    diagnostics.write_field_vtk(mesh, dofs, np.zeros(dofs.n_dofs), path)
+    diagnostics.write_field_vtk(mesh, np.zeros(mesh.n_dofs), path)
     text = path.read_text().splitlines()
     assert text[0] == "# vtk DataFile Version 3.0"
     assert "DATASET UNSTRUCTURED_GRID" in text
@@ -180,14 +180,14 @@ def test_vtk_writer_zero_field(tmp_path):
 def test_vtk_point_data_matches_field(small_run, tmp_path):
     _, ops, traj = small_run
     path = tmp_path / "field.vtk"
-    diagnostics.write_field_vtk(ops.mesh, ops.dofs, traj.fields[-1], path)
+    diagnostics.write_field_vtk(ops.mesh, traj.fields[-1], path)
     text = path.read_text().splitlines()
     i = text.index("SCALARS A_z double 1")
     values = np.array(
         [float(v) for v in text[i + 2:i + 2 + ops.mesh.n_vertices]]
     )
     a_vert = np.zeros(ops.mesh.n_vertices)
-    a_vert[ops.dofs.dof_to_vertex] = traj.fields[-1]
+    a_vert[ops.mesh.dof_to_vertex] = traj.fields[-1]
     assert np.array_equal(values, a_vert)
 
 
@@ -209,11 +209,11 @@ def _element_wise_csv(traj):
     return "\n".join(lines) + "\n"
 
 
-def _element_wise_vtk(mesh, dofs, a, title):
+def _element_wise_vtk(mesh, a, title):
     """The VTK text formatted one numpy scalar at a time."""
     fmt = lambda x: repr(float(x))  # noqa: E731
     a_vert = np.zeros(mesh.n_vertices)
-    a_vert[dofs.dof_to_vertex] = a
+    a_vert[mesh.dof_to_vertex] = a
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.n_vertices} double"]
     for x, y in mesh.vertices:
@@ -238,10 +238,10 @@ def test_writers_match_element_wise_formatting(tmp_path):
     traj = system.solve(cfg, ops)
     csv_path, vtk_path = tmp_path / "run.csv", tmp_path / "run.vtk"
     diagnostics.write_timeseries_csv(traj, csv_path)
-    diagnostics.write_field_vtk(ops.mesh, ops.dofs, traj.fields[-1], vtk_path)
+    diagnostics.write_field_vtk(ops.mesh, traj.fields[-1], vtk_path)
     assert csv_path.read_bytes() == _element_wise_csv(traj).encode()
     assert vtk_path.read_bytes() == _element_wise_vtk(
-        ops.mesh, ops.dofs, traj.fields[-1], "mqsflow field").encode()
+        ops.mesh, traj.fields[-1], "mqsflow field").encode()
 
 
 def test_summary_writers(tmp_path):

@@ -13,28 +13,39 @@ DISK = (0.5, 0.5, 0.2)
 
 def test_mesh_counts_and_dofs():
     n = 8
-    mesh, dofs = fem.build_mesh(n, DISK)
+    mesh = fem.build_mesh(n, DISK)
     assert mesh.n_vertices == (n + 1) ** 2
     assert mesh.n_elements == 2 * n * n
-    assert dofs.n_dofs == (n - 1) ** 2
+    assert mesh.n_dofs == (n - 1) ** 2
 
 
 def test_mesh_areas_sum_to_unit_square():
-    mesh, _ = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     areas, _ = fem._geometry(mesh)
     assert np.all(areas > 0)
     assert np.sum(areas) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_geometry_gradients_match_an_edge_loop():
+    """grad phi_i is the edge opposite vertex i, rotated, over 2 area."""
+    mesh = fem.build_mesh(8, DISK)
+    areas, grads = fem._geometry(mesh)
+    pts = mesh.vertices[mesh.triangles]
+    for i in range(3):
+        e = pts[:, (i + 2) % 3] - pts[:, (i + 1) % 3]
+        expected = np.column_stack([-e[:, 1], e[:, 0]]) / (2.0 * areas)[:, None]
+        assert np.array_equal(grads[:, i], expected)
+
+
 def test_refined_mesh_vertices_are_nested():
-    coarse, _ = fem.build_mesh(8, DISK)
-    fine, _ = fem.build_mesh(16, DISK)
+    coarse = fem.build_mesh(8, DISK)
+    fine = fem.build_mesh(16, DISK)
     fine_set = {tuple(np.round(v, 12)) for v in fine.vertices}
     assert all(tuple(np.round(v, 12)) in fine_set for v in coarse.vertices)
 
 
 def test_conductor_labeling_area():
-    mesh, _ = fem.build_mesh(64, DISK)
+    mesh = fem.build_mesh(64, DISK)
     areas, _ = fem._geometry(mesh)
     c_area = areas[mesh.element_labels == fem.LABEL_C].sum()
     assert c_area == pytest.approx(np.pi * 0.2 ** 2, rel=0.02)
@@ -52,8 +63,8 @@ def test_geometry_errors():
 def test_mass_matrix_row_sums_are_hat_integrals():
     """M row sums equal int phi_i = (sum of incident element areas) / 3."""
     n = 8
-    mesh, dofs = fem.build_mesh(n, DISK)
-    _, M = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    mesh = fem.build_mesh(n, DISK)
+    _, M = fem.assemble_sigma_mass(mesh, 1.0)
     row_sums = np.asarray(M.sum(axis=1)).ravel()
     areas, _ = fem._geometry(mesh)
     expected = np.zeros(mesh.n_vertices)
@@ -65,18 +76,18 @@ def test_mass_matrix_row_sums_are_hat_integrals():
     for tri in mesh.triangles:
         if np.any(mesh.boundary_vertex_flags[tri]):
             adj[tri] = True
-    strict = ~adj[dofs.dof_to_vertex]
+    strict = ~adj[mesh.dof_to_vertex]
     assert np.allclose(
-        row_sums[strict], expected[dofs.dof_to_vertex][strict], atol=1e-14
+        row_sums[strict], expected[mesh.dof_to_vertex][strict], atol=1e-14
     )
 
 
 def test_sigma_mass_restricted_to_conductor():
-    mesh, dofs = fem.build_mesh(16, DISK)
-    M_sigma, M = fem.assemble_sigma_mass(mesh, dofs, 2.0)
+    mesh = fem.build_mesh(16, DISK)
+    M_sigma, M = fem.assemble_sigma_mass(mesh, 2.0)
     areas, _ = fem._geometry(mesh)
     c_area = areas[mesh.element_labels == fem.LABEL_C].sum()
-    ones = np.ones(dofs.n_dofs)
+    ones = np.ones(mesh.n_dofs)
     # conductor is interior, so 1^T M_sigma 1 = sigma * |Omega_C|
     assert ones @ (M_sigma @ ones) == pytest.approx(2.0 * c_area, rel=1e-12)
     assert (M - M_sigma / 2.0).min() is not None  # shapes compatible
@@ -84,9 +95,9 @@ def test_sigma_mass_restricted_to_conductor():
 
 def test_stiffness_matches_laplace_eigenvalue():
     """Smallest pencil eigenvalue K x = lambda M x approximates 2 pi^2."""
-    mesh, dofs = fem.build_mesh(32, None)
-    K = fem.assemble_stiffness(mesh, dofs)
-    _, M = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    mesh = fem.build_mesh(32, None)
+    K = fem.assemble_stiffness(mesh)
+    _, M = fem.assemble_sigma_mass(mesh, 1.0)
     w = spla.eigsh(K.tocsc(), k=1, M=M.tocsc(), sigma=0.0, which="LM",
                    return_eigenvectors=False)
     assert w[0] == pytest.approx(2 * np.pi ** 2, rel=0.01)
@@ -95,64 +106,64 @@ def test_stiffness_matches_laplace_eigenvalue():
 def test_stiffness_exact_on_linear_field():
     """K applied to the interpolant of x + 2y gives boundary-only residual:
     interior rows must vanish since linear fields are harmonic."""
-    mesh, dofs = fem.build_mesh(8, None)
-    coords = mesh.vertices[dofs.dof_to_vertex]
+    mesh = fem.build_mesh(8, None)
+    coords = mesh.vertices[mesh.dof_to_vertex]
     a = coords[:, 0] + 2.0 * coords[:, 1]
-    K = fem.assemble_stiffness(mesh, dofs)
+    K = fem.assemble_stiffness(mesh)
     r = K @ a
     # rows of strictly interior dofs (vertices not adjacent to boundary)
     adj = np.zeros(mesh.n_vertices, dtype=bool)
     for tri in mesh.triangles:
         if np.any(mesh.boundary_vertex_flags[tri]):
             adj[tri] = True
-    strict = ~adj[dofs.dof_to_vertex]
+    strict = ~adj[mesh.dof_to_vertex]
     assert np.max(np.abs(r[strict])) < 1e-12
 
 
 def test_curlcurl_residual_linear_case():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     model = material.constant_model(3.0)
     rng = np.random.default_rng(1)
-    a = rng.standard_normal(dofs.n_dofs)
-    K = fem.assemble_stiffness(mesh, dofs)
+    a = rng.standard_normal(mesh.n_dofs)
+    K = fem.assemble_stiffness(mesh)
     assert np.allclose(
-        fem.curlcurl_residual(mesh, dofs, model, a), 3.0 * (K @ a),
+        fem.curlcurl_residual(mesh, model, a), 3.0 * (K @ a),
         atol=1e-12,
     )
 
 
 def test_curlcurl_jacobian_matches_finite_difference():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
     rng = np.random.default_rng(2)
-    a = 0.2 * rng.standard_normal(dofs.n_dofs)
-    v = rng.standard_normal(dofs.n_dofs)
-    J = fem.curlcurl_jacobian(mesh, dofs, model, a)
+    a = 0.2 * rng.standard_normal(mesh.n_dofs)
+    v = rng.standard_normal(mesh.n_dofs)
+    J = fem.curlcurl_jacobian(mesh, model, a)
     h = 1e-6
     fd = (
-        fem.curlcurl_residual(mesh, dofs, model, a + h * v)
-        - fem.curlcurl_residual(mesh, dofs, model, a - h * v)
+        fem.curlcurl_residual(mesh, model, a + h * v)
+        - fem.curlcurl_residual(mesh, model, a - h * v)
     ) / (2 * h)
     assert np.linalg.norm(J @ v - fd) < 1e-6 * (1 + np.linalg.norm(fd))
 
 
 def test_magnetic_energy_linear_case():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     model = material.constant_model(2.0)
     rng = np.random.default_rng(3)
-    a = rng.standard_normal(dofs.n_dofs)
-    K = fem.assemble_stiffness(mesh, dofs)
-    assert fem.magnetic_energy(mesh, dofs, model, a) == pytest.approx(
+    a = rng.standard_normal(mesh.n_dofs)
+    K = fem.assemble_stiffness(mesh)
+    assert fem.magnetic_energy(mesh, model, a) == pytest.approx(
         a @ (K @ a), rel=1e-12
     )
 
 
 def test_energy_zero_at_zero_field():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
-    assert fem.magnetic_energy(mesh, dofs, model, np.zeros(dofs.n_dofs)) == 0.0
+    assert fem.magnetic_energy(mesh, model, np.zeros(mesh.n_dofs)) == 0.0
     assert np.all(
-        fem.curlcurl_residual(mesh, dofs, model, np.zeros(dofs.n_dofs)) == 0.0
+        fem.curlcurl_residual(mesh, model, np.zeros(mesh.n_dofs)) == 0.0
     )
 
 
@@ -162,45 +173,45 @@ def test_coupling_column_integral():
     winding = fem.WindingSpec(rectangles=((
         (0.25, 0.375, 0.25, 0.375, 8.0),
     ),))
-    mesh, dofs = fem.build_mesh(16, None)
-    C = fem.assemble_coupling(mesh, dofs, winding)
+    mesh = fem.build_mesh(16, None)
+    C = fem.assemble_coupling(mesh, winding)
     assert C.sum() == pytest.approx(8.0 * 0.125 * 0.125, rel=1e-12)
 
 
 def test_zero_strength_winding_gives_zero_coupling():
     winding = fem.WindingSpec(rectangles=(((0.1, 0.2, 0.4, 0.6, 0.0),),))
-    mesh, dofs = fem.build_mesh(8, DISK)
-    C = fem.assemble_coupling(mesh, dofs, winding)
+    mesh = fem.build_mesh(8, DISK)
+    C = fem.assemble_coupling(mesh, winding)
     assert np.all(C == 0.0)
 
 
 def test_winding_overlapping_conductor_rejected():
     winding = fem.WindingSpec(rectangles=(((0.4, 0.6, 0.4, 0.6, 1.0),),))
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     with pytest.raises(WindingOverlapsConductor):
-        fem.assemble_coupling(mesh, dofs, winding)
+        fem.assemble_coupling(mesh, winding)
 
 
 def test_load_vector_constant_function():
     """For f = 1 the load entries are the exact hat integrals, which on the
     alternating-diagonal mesh are (incident area)/3 per vertex."""
-    mesh, dofs = fem.build_mesh(8, None)
-    load = fem.assemble_load(mesh, dofs, lambda x, y: np.ones_like(x))
+    mesh = fem.build_mesh(8, None)
+    load = fem.assemble_load(mesh, lambda x, y: np.ones_like(x))
     areas, _ = fem._geometry(mesh)
     expected = np.zeros(mesh.n_vertices)
     for e, tri in enumerate(mesh.triangles):
         expected[tri] += areas[e] / 3.0
-    assert np.allclose(load, expected[dofs.dof_to_vertex], atol=1e-14)
+    assert np.allclose(load, expected[mesh.dof_to_vertex], atol=1e-14)
     assert load.sum() == pytest.approx(
-        expected[dofs.dof_to_vertex].sum(), abs=1e-14
+        expected[mesh.dof_to_vertex].sum(), abs=1e-14
     )
 
 
 def _coercivity_constant(n, disk):
-    mesh, dofs = fem.build_mesh(n, disk)
-    mass_C, mass = fem.assemble_sigma_mass(mesh, dofs, 1.0)
+    mesh = fem.build_mesh(n, disk)
+    mass_C, mass = fem.assemble_sigma_mass(mesh, 1.0)
     return fem.estimate_coercivity_constant(
-        mass_C, fem.assemble_stiffness(mesh, dofs), mass)
+        mass_C, fem.assemble_stiffness(mesh), mass)
 
 
 def test_coercivity_constant_no_conductor_approaches_analytic():
@@ -220,46 +231,52 @@ def test_coercivity_constant_with_conductor_is_smaller():
 def test_coercivity_constant_is_deterministic():
     # ARPACK from a fixed start vector, at 49 and at 225 dofs
     for n in (8, 16):
-        mesh, dofs = fem.build_mesh(n, DISK)
-        mass_C, mass = fem.assemble_sigma_mass(mesh, dofs, 1.0)
-        stiffness = fem.assemble_stiffness(mesh, dofs)
+        mesh = fem.build_mesh(n, DISK)
+        mass_C, mass = fem.assemble_sigma_mass(mesh, 1.0)
+        stiffness = fem.assemble_stiffness(mesh)
         values = {fem.estimate_coercivity_constant(mass_C, stiffness, mass)
                   for _ in range(5)}
         assert len(values) == 1
 
 
 def test_filtered_load_vanishes_off_the_filter():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     conducting = mesh.element_labels == fem.LABEL_C
 
     def one(x, y):
         return np.ones_like(x)
 
-    inside = fem.assemble_load(mesh, dofs, one, element_filter=conducting)
-    outside = fem.assemble_load(mesh, dofs, one, element_filter=~conducting)
-    total = fem.assemble_load(mesh, dofs, one)
+    inside = fem.assemble_load(mesh, one, element_filter=conducting)
+    outside = fem.assemble_load(mesh, one, element_filter=~conducting)
+    total = fem.assemble_load(mesh, one)
     assert np.allclose(inside + outside, total, atol=1e-15)
     areas, _ = fem._geometry(mesh)
     assert inside.sum() == pytest.approx(areas[conducting].sum(), abs=1e-14)
 
 
-# Reference assembly by independent COO triplets and np.add.at scatters.
-def _coo_matrix(mesh, dofs, local, elems=None):
+# Reference assembly by independent COO triplets and np.add.at scatters,
+# on a dof numbering derived here from the boundary flags.
+def _oracle_element_dofs(mesh):
+    interior = ~mesh.boundary_vertex_flags
+    return np.where(interior, np.cumsum(interior) - 1, -1)[mesh.triangles]
+
+
+def _coo_matrix(mesh, local, elems=None):
     if elems is None:
         elems = np.arange(mesh.n_elements)
-    gdofs = dofs.vertex_to_dof[mesh.triangles[elems]]
+    gdofs = _oracle_element_dofs(mesh)[elems]
     rows = np.repeat(gdofs, 3, axis=1).ravel()
     cols = np.tile(gdofs, (1, 3)).ravel()
     vals = local[elems].reshape(len(elems), 9).ravel()
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(dofs.n_dofs, dofs.n_dofs)
+        (vals[keep], (rows[keep], cols[keep])), shape=(mesh.n_dofs, mesh.n_dofs)
     ).tocsr()
 
 
-def _add_at_vector(mesh, dofs, contrib):
-    out = np.zeros(dofs.n_dofs)
-    gdofs = dofs.vertex_to_dof[mesh.triangles]
+def _add_at_vector(mesh, contrib):
+    out = np.zeros(mesh.n_dofs)
+    gdofs = _oracle_element_dofs(mesh)
     for i in range(3):
         sel = gdofs[:, i] >= 0
         np.add.at(out, gdofs[sel, i], contrib[sel, i])
@@ -277,30 +294,30 @@ def _assert_same_csr(A, B):
 
 
 def test_dofmap_assembly_matches_coo_and_add_at_oracle():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     areas, grads = fem._geometry(mesh)
     conducting = mesh.element_labels == fem.LABEL_C
     mass_local = areas[:, None, None] * fem._LOCAL_MASS
     stiff_local = areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
 
-    M_sigma, M = fem.assemble_sigma_mass(mesh, dofs, 1.0)
-    _assert_same_csr(M, _coo_matrix(mesh, dofs, mass_local))
-    _assert_same_csr(M_sigma, _coo_matrix(mesh, dofs, mass_local,
+    M_sigma, M = fem.assemble_sigma_mass(mesh, 1.0)
+    _assert_same_csr(M, _coo_matrix(mesh, mass_local))
+    _assert_same_csr(M_sigma, _coo_matrix(mesh, mass_local,
                                           np.flatnonzero(conducting)))
-    _assert_same_csr(fem.assemble_stiffness(mesh, dofs),
-                     _coo_matrix(mesh, dofs, stiff_local))
+    _assert_same_csr(fem.assemble_stiffness(mesh),
+                     _coo_matrix(mesh, stiff_local))
 
     model = material.rational_saturation_model(1.0, 5.0)
-    a = 0.3 * np.random.default_rng(4).standard_normal(dofs.n_dofs)
+    a = 0.3 * np.random.default_rng(4).standard_normal(mesh.n_dofs)
     a_vert = np.zeros(mesh.n_vertices)
-    a_vert[dofs.dof_to_vertex] = a
+    a_vert[mesh.dof_to_vertex] = a
     g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
-    assert np.array_equal(fem._element_state(mesh, dofs, a)[0], g)
+    assert np.array_equal(fem._element_state(mesh, a)[0], g)
     nu, _ = fem._element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
     flux = (nu * areas)[:, None] * g
     assert np.array_equal(
-        fem.curlcurl_residual(mesh, dofs, model, a),
-        _add_at_vector(mesh, dofs, np.einsum("ek,eik->ei", flux, grads)),
+        fem.curlcurl_residual(mesh, model, a),
+        _add_at_vector(mesh, np.einsum("ek,eik->ei", flux, grads)),
     )
 
     def f(x, y):
@@ -311,36 +328,36 @@ def test_dofmap_assembly_matches_coo_and_add_at_oracle():
     vals = f(mids[..., 0], mids[..., 1])
     load = (areas / 3.0)[:, None] * np.einsum(
         "eq,iq->ei", vals, 0.5 * (1.0 - np.eye(3)))
-    assert np.array_equal(fem.assemble_load(mesh, dofs, f),
-                          _add_at_vector(mesh, dofs, load))
+    assert np.array_equal(fem.assemble_load(mesh, f),
+                          _add_at_vector(mesh, load))
 
     winding = fem.WindingSpec(rectangles=(
         ((0.1, 0.2, 0.4, 0.6, 100.0), (0.8, 0.9, 0.4, 0.6, -100.0)),
         ((0.3, 0.7, 0.05, 0.15, 7.0),),
     ))
     centroids = pts.mean(axis=1)
-    C = fem.assemble_coupling(mesh, dofs, winding)
+    C = fem.assemble_coupling(mesh, winding)
     for j in range(winding.m):
         w = areas / 3.0 * fem._winding_density(winding, j, centroids)
         assert np.array_equal(
-            C[:, j], _add_at_vector(mesh, dofs, np.repeat(w[:, None], 3, axis=1)))
+            C[:, j], _add_at_vector(mesh, np.repeat(w[:, None], 3, axis=1)))
 
 
 def test_dofmap_tangent_matches_coo_oracle():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
-    a = 0.3 * np.random.default_rng(5).standard_normal(dofs.n_dofs)
+    a = 0.3 * np.random.default_rng(5).standard_normal(mesh.n_dofs)
     areas, grads = fem._geometry(mesh)
     a_vert = np.zeros(mesh.n_vertices)
-    a_vert[dofs.dof_to_vertex] = a
+    a_vert[mesh.dof_to_vertex] = a
     g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
     s = np.hypot(g[:, 0], g[:, 1])
     nu, dgds = fem._element_nu(mesh, model, s)
     T = nu[:, None, None] * np.eye(2) + ((dgds - nu) / s ** 2)[:, None, None] \
         * np.einsum("ek,el->ekl", g, g)
     local = areas[:, None, None] * np.einsum("eik,ekl,ejl->eij", grads, T, grads)
-    ref = _coo_matrix(mesh, dofs, local)
-    J = fem.curlcurl_jacobian(mesh, dofs, model, a)
+    ref = _coo_matrix(mesh, local)
+    J = fem.curlcurl_jacobian(mesh, model, a)
     _assert_same_csr(J != 0, ref != 0)
     assert np.allclose(J.toarray(), ref.toarray(), rtol=1e-14, atol=0.0)
 
@@ -354,106 +371,105 @@ def test_geometry_computed_once_per_mesh(monkeypatch):
         return real(mesh)
 
     monkeypatch.setattr(fem, "_geometry", counted)
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     assert len(calls) == 1
     model = material.rational_saturation_model(1.0, 5.0)
-    a = np.random.default_rng(6).standard_normal(dofs.n_dofs)
+    a = np.random.default_rng(6).standard_normal(mesh.n_dofs)
     for _ in range(3):
-        fem.curlcurl_residual(mesh, dofs, model, a)
-        fem.curlcurl_jacobian(mesh, dofs, model, a)
-        fem.magnetic_energy(mesh, dofs, model, a)
-        fem.assemble_load(mesh, dofs, lambda x, y: x * y)
-    fem.assemble_sigma_mass(mesh, dofs, 1.0)
-    fem.assemble_stiffness(mesh, dofs)
+        fem.curlcurl_residual(mesh, model, a)
+        fem.curlcurl_jacobian(mesh, model, a)
+        fem.magnetic_energy(mesh, model, a)
+        fem.assemble_load(mesh, lambda x, y: x * y)
+    fem.assemble_sigma_mass(mesh, 1.0)
+    fem.assemble_stiffness(mesh)
     assert len(calls) == 1
     fem.build_mesh(8, DISK)
     assert len(calls) == 2
 
 
-def test_element_operators_built_once_per_mesh_and_dofs(monkeypatch):
+def test_element_operators_built_once_per_mesh(monkeypatch):
     calls = []
-    real = fem._build_gradient_operator
+    real = fem._gradient_operator
 
-    def counted(mesh, dofs):
-        calls.append(dofs)
-        return real(mesh, dofs)
+    def counted(mesh):
+        calls.append(mesh)
+        return real(mesh)
 
-    monkeypatch.setattr(fem, "_build_gradient_operator", counted)
-    mesh, dofs = fem.build_mesh(8, DISK)
+    monkeypatch.setattr(fem, "_gradient_operator", counted)
+    mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
     rng = np.random.default_rng(7)
     for _ in range(3):
-        a = rng.standard_normal(dofs.n_dofs)
-        fem.curlcurl_residual(mesh, dofs, model, a)
-        fem.curlcurl_jacobian(mesh, dofs, model, a)
-        fem.magnetic_energy(mesh, dofs, model, a)
-    assert len(calls) == 1 and calls[0] is dofs
+        a = rng.standard_normal(mesh.n_dofs)
+        fem.curlcurl_residual(mesh, model, a)
+        fem.curlcurl_jacobian(mesh, model, a)
+        fem.magnetic_energy(mesh, model, a)
+    assert len(calls) == 1 and calls[0] is mesh
 
-    # an equal DofMap on the same mesh is a different key
-    _, other = fem.build_mesh(8, DISK)
-    a = rng.standard_normal(dofs.n_dofs)
-    assert np.array_equal(fem.curlcurl_residual(mesh, other, model, a),
-                          fem.curlcurl_residual(mesh, dofs, model, a))
+    # a second mesh builds its own, with the same values
+    other = fem.build_mesh(8, DISK)
+    a = rng.standard_normal(mesh.n_dofs)
+    assert np.array_equal(fem.curlcurl_residual(other, model, a),
+                          fem.curlcurl_residual(mesh, model, a))
     assert len(calls) == 2 and calls[1] is other
-    assert fem._gradient_operator(mesh, other) is not \
-        fem._gradient_operator(mesh, dofs)
+    assert other.gradient_operator is not mesh.gradient_operator
     assert len(calls) == 2
 
 
 def _fresh_point(model, a):
     """K, tangent and energy at ``a`` on a mesh that has seen no other point."""
-    mesh, dofs = fem.build_mesh(8, DISK)
-    return (fem.curlcurl_residual(mesh, dofs, model, a),
-            fem.curlcurl_jacobian(mesh, dofs, model, a).toarray(),
-            fem.magnetic_energy(mesh, dofs, model, a))
+    mesh = fem.build_mesh(8, DISK)
+    return (fem.curlcurl_residual(mesh, model, a),
+            fem.curlcurl_jacobian(mesh, model, a).toarray(),
+            fem.magnetic_energy(mesh, model, a))
 
 
-def _assert_point(mesh, dofs, model, a, expected):
+def _assert_point(mesh, model, a, expected):
     K, J, energy = expected
-    assert np.array_equal(fem.curlcurl_residual(mesh, dofs, model, a), K)
-    assert np.array_equal(fem.curlcurl_jacobian(mesh, dofs, model, a).toarray(), J)
-    assert fem.magnetic_energy(mesh, dofs, model, a) == energy
+    assert np.array_equal(fem.curlcurl_residual(mesh, model, a), K)
+    assert np.array_equal(fem.curlcurl_jacobian(mesh, model, a).toarray(), J)
+    assert fem.magnetic_energy(mesh, model, a) == energy
 
 
 def test_shared_pass_follows_a_field_mutated_in_place():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
     rng = np.random.default_rng(7)
-    a = 0.3 * rng.standard_normal(dofs.n_dofs)
-    b = 0.3 * rng.standard_normal(dofs.n_dofs)
+    a = 0.3 * rng.standard_normal(mesh.n_dofs)
+    b = 0.3 * rng.standard_normal(mesh.n_dofs)
     at_b = _fresh_point(model, b)
-    _assert_point(mesh, dofs, model, a, _fresh_point(model, a))
+    _assert_point(mesh, model, a, _fresh_point(model, a))
     a[:] = b
-    _assert_point(mesh, dofs, model, a, at_b)
+    _assert_point(mesh, model, a, at_b)
 
 
 def test_shared_pass_keeps_reluctivity_models_apart():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     soft = material.rational_saturation_model(1.0, 5.0)
     hard = material.constant_model(3.0)
-    a = 0.3 * np.random.default_rng(8).standard_normal(dofs.n_dofs)
+    a = 0.3 * np.random.default_rng(8).standard_normal(mesh.n_dofs)
     expected = {id(m): _fresh_point(m, a) for m in (soft, hard)}
     for model in (soft, hard, soft, hard):
-        _assert_point(mesh, dofs, model, a, expected[id(model)])
+        _assert_point(mesh, model, a, expected[id(model)])
     # an equal but distinct model is a different key, with the same values
     twin = material.constant_model(3.0)
-    _assert_point(mesh, dofs, twin, a, expected[id(hard)])
+    _assert_point(mesh, twin, a, expected[id(hard)])
 
 
 def test_shared_pass_hands_out_fresh_residuals():
-    mesh, dofs = fem.build_mesh(8, DISK)
+    mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
-    a = 0.3 * np.random.default_rng(9).standard_normal(dofs.n_dofs)
-    first = fem.curlcurl_residual(mesh, dofs, model, a)
+    a = 0.3 * np.random.default_rng(9).standard_normal(mesh.n_dofs)
+    first = fem.curlcurl_residual(mesh, model, a)
     kept = first.copy()
     first += 1.0
-    again = fem.curlcurl_residual(mesh, dofs, model, a)
+    again = fem.curlcurl_residual(mesh, model, a)
     assert again is not first
     assert np.array_equal(again, kept)
 
 
 def _relabelled(elements):
-    base, _ = fem.build_mesh(8, None)
+    base = fem.build_mesh(8, None)
     labels = np.full(base.n_elements, fem.LABEL_I)
     labels[list(elements)] = fem.LABEL_C
     return fem.Mesh2D(base.vertices, base.triangles, labels,
@@ -482,3 +498,20 @@ def test_check_mesh_conducting_region_branches():
                                      _element_in_cell(5, 5)]))
     with pytest.raises(GeometryError, match="boundary"):
         fem._check_mesh(_relabelled([_element_in_cell(0, 3)]))
+
+
+def test_hand_built_mesh_derives_the_dofs_of_build_mesh():
+    base = fem.build_mesh(8, None)
+    hand = _relabelled([_element_in_cell(3, 3, 0), _element_in_cell(3, 3, 1)])
+    assert "vector_slots" not in hand.__dict__
+    for name in ("vertex_to_dof", "dof_to_vertex", "element_dofs",
+                 "vector_slots", "matrix_slots"):
+        got, want = getattr(hand, name), getattr(base, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert hand.vector_slots.dtype == np.int32
+    _assert_same_csr(hand.pattern, base.pattern)
+    assert hand.pattern.indices.dtype == np.int32
+    _assert_same_csr(fem.assemble_stiffness(hand), fem.assemble_stiffness(base))
+    areas, grads = hand.geometry
+    local = areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
+    _assert_same_csr(fem.assemble_stiffness(hand), _coo_matrix(hand, local))

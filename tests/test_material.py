@@ -133,6 +133,33 @@ def test_tabulated_model_validates_table():
         material.tabulated_model(np.array([[0.0, 1.0], [0.0, 2.0]]))
 
 
+def test_reluctivity_model_takes_a_table_as_a_nested_list():
+    rows = [[0.0, 1.0], [1.0, 2.0], [3.0, 1.5]]
+    params = {"*": {"table": rows}}
+    listed = material.ReluctivityModel("user_tabulated", params)
+    arrayed = material.tabulated_model(np.array(rows))
+    assert params["*"]["table"] is rows  # the caller's dict is left alone
+    s = np.linspace(0.0, 4.0, 17)
+    for got, want in zip(material.model_eval(listed, "C", s),
+                         material.model_eval(arrayed, "C", s)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(material.theta_eval(listed, "I", s * s),
+                          material.theta_eval(arrayed, "I", s * s))
+
+
+@pytest.mark.parametrize("table, fragment", [
+    ([[0.0, 1.0]], r"shape \(1, 2\)"),
+    ([0.0, 1.0], r"shape \(2,\)"),
+    ([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], r"shape \(2, 3\)"),
+    ([[1.0, 1.0], [0.0, 2.0]], "strictly increasing"),
+], ids=["one_row", "1d", "three_columns", "decreasing_s"])
+def test_reluctivity_model_rejects_a_malformed_table(table, fragment):
+    params = {"C": {"table": table}, "I": {"table": [[0.0, 1.0], [1.0, 1.0]]}}
+    with pytest.raises(ValidationFailure,
+                       match=f"table of region 'C' .*{fragment}"):
+        material.ReluctivityModel("user_tabulated", params)
+
+
 def test_estimate_constants_constant_model():
     report = material.estimate_constants(material.constant_model(2.0))
     assert report.m_hat == pytest.approx(2.0, rel=1e-12)

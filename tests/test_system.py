@@ -210,8 +210,8 @@ def test_a_solve_is_bit_identical_without_shared_passes(monkeypatch):
     shared = system.solve(cfg, ops)
     monkeypatch.setattr(
         fem, "_field_point",
-        lambda mesh, dofs, model, a: fem._FieldPoint(
-            mesh, dofs, model, np.asarray(a, dtype=float)))
+        lambda mesh, model, a: fem._FieldPoint(
+            mesh, model, np.asarray(a, dtype=float)))
     unshared = system.solve(cfg, ops)
     for name in ("fields", "currents", "energies"):
         assert np.array_equal(getattr(shared, name), getattr(unshared, name),
@@ -366,6 +366,23 @@ def test_voltage_kind_data_and_channels_are_checked(make, fragment):
     assert fragment in str(info.value)
 
 
+def test_voltage_lists_behave_as_the_same_arrays():
+    rows = [[0.0, 0.0], [0.5, 2.0], [1.0, -1.0]]
+    listed = system.VoltageSignal("table", table=rows)
+    arrayed = system.VoltageSignal("table", table=np.array(rows))
+    assert listed.table.dtype == float and listed.m == arrayed.m == 1
+    for t in (-1.0, 0.0, 0.25, 0.5, 0.9, 2.0):
+        assert np.array_equal(listed(t), arrayed(t))
+    for kind in ("constant", "step"):
+        listed = system.VoltageSignal(kind, [1, -2])
+        arrayed = system.VoltageSignal(kind, np.array([1.0, -2.0]))
+        assert listed.value.dtype == float and listed.m == 2
+        for t in (0.0, 0.5):
+            assert np.array_equal(listed(t), arrayed(t))
+    with pytest.raises(ValidationFailure, match="strictly increasing"):
+        system.VoltageSignal("table", table=[[0.0, 0.0], [0.0, 1.0]])
+
+
 def test_schur_equivalence_random_steps(default_small):
     """Both step formulations solve the same stationarity condition."""
     cfg, ops, phi, E = default_small
@@ -466,7 +483,7 @@ def test_tabulated_solve_matches_closed_form_model():
     traj = system.solve(tab_cfg, tab_ops)
 
     for a in traj.fields:
-        _, s = fem._element_state(tab_ops.mesh, tab_ops.dofs, a)
+        _, s = fem._element_state(tab_ops.mesh, a)
         assert s.max() < knots[-1]  # inside the tabulated range
     delta = traj.fields - ref.fields
     grad_err = np.sqrt(np.einsum("ki,ki->k", delta, (ops.stiffness @ delta.T).T))
@@ -641,9 +658,9 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
     monkeypatch.setattr(core, "_solve_newton_system", counted)
     system.solve(cfg, ops)
     assert len(factored) == len(newton_systems) > 0
-    assert set(factored) == {ops.dofs.pattern.nnz}
+    assert set(factored) == {ops.mesh.pattern.nnz}
     full = ops.K_tangent(np.zeros(ops.n_dofs)) + E.gram / cfg.tau
-    assert ops.dofs.pattern.nnz < full.nnz
+    assert ops.mesh.pattern.nnz < full.nnz
 
 
 def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
