@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import config as config_mod
-from . import diagnostics, system
+from . import diagnostics, material, system
 from .errors import MqsflowError, ValidationFailure
 
 log = logging.getLogger("mqsflow")
@@ -67,8 +67,8 @@ def _load(args):
 
 def _cmd_run(args):
     cfg, entries = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     base = config_mod.output_basename(entries)
+    os.makedirs(args.out, exist_ok=True)
     traj = system.solve(cfg)
     ops, _, _ = system.build_system(cfg)
     _check_run(cfg, ops, traj)
@@ -109,10 +109,8 @@ def _weak_residuals(cfg, ops, traj):
 
 
 def _cmd_validate(args):
-    from .material import validate_assumptions
-
     cfg, _ = _load(args)
-    report = validate_assumptions(cfg.model, cfg.sigma_C, cfg.R)
+    report = material.validate_assumptions(cfg.model, cfg.sigma_C, cfg.R)
     if report.passed:
         print(
             "validation PASS: "
@@ -218,11 +216,9 @@ def dispatch(argv):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
-    except MqsflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        with np.errstate(all="raise", under="ignore"):  # no silent inf/nan
+            return _COMMANDS[args.command](args)
+    except (MqsflowError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,17 +14,22 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [time]      T (1), tau (0.015625); T / tau must be a whole number,
               at most 100000
   [initial]   kind (zero), seed (42), path
-  [output]    basename (run)
+  [output]    basename (run; a plain file name)
   [core]      newton_tol (1e-10; at most 1e-3), newton_max_iter (50),
               newton_start extrapolate|zero (extrapolate): Newton's start
               in each step, the guarded extrapolation of the last states
               or zero
 
-Unknown sections or keys are rejected with the offending line echoed;
-every number must be finite.
+The parser only turns text into values.  It rejects unknown sections or
+keys with the offending line echoed, and a value that does not parse with
+its key named.  Every other check (finite numbers, positive times, a whole
+number of steps, known kinds, channel counts, rectangle shapes, ...) is
+made by the library classes it builds, and reported in their wording.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -93,10 +98,8 @@ def apply_overrides(entries, overrides):
     """Apply repeatable `section.key=value` override strings in order."""
     out = dict(entries)
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be section.key=value: {item!r}")
-        dotted, value = item.split("=", 1)
-        if "." not in dotted:
+        dotted, eq, value = item.partition("=")
+        if not eq or "." not in dotted:
             raise ConfigError(f"override must be section.key=value: {item!r}")
         section, key = (part.strip() for part in dotted.split(".", 1))
         if section not in _SCHEMA:
@@ -106,45 +109,62 @@ def apply_overrides(entries, overrides):
     return out
 
 
-def _floats(value, what):
+def _floats(value):
+    return [float(tok) for tok in value.split()]
+
+
+def _matrix(value):
+    """';'-separated rows of numbers; the library checks their shape."""
+    return [_floats(row) for row in value.split(";") if row.strip()]
+
+
+# (section, key) -> (MQSConfig field, parser of the value text); a key
+# left out takes the field's default
+_FIELDS = {
+    ("mesh", "n"): ("n", int),
+    ("conductor", "center"): ("conductor_center", _floats),
+    ("conductor", "radius"): ("conductor_radius", float),
+    ("circuit", "sigma_C"): ("sigma_C", float),
+    ("circuit", "R"): ("R", _matrix),
+    ("time", "T"): ("T", float),
+    ("time", "tau"): ("tau", float),
+    ("initial", "kind"): ("a0_kind", str),
+    ("initial", "seed"): ("seed", int),
+    ("initial", "path"): ("a0_path", str),
+    ("core", "newton_tol"): ("newton_tol", float),
+    ("core", "newton_max_iter"): ("newton_max_iter", int),
+    ("core", "newton_start"): ("newton_start", str),
+}
+
+
+def _parsed(entries, section, key, parse, default=None):
+    """The value of ``section.key`` (or ``default``) parsed, None if unset."""
+    value = entries.get((section, key), default)
+    if value is None:
+        return None
     try:
-        return [float(tok) for tok in value.split()]
-    except ValueError:
-        raise ConfigError(f"{what}: expected numbers, got {value!r}")
-
-
-def _matrix(value, what):
-    rows = [
-        _floats(row, what) for row in value.split(";") if row.strip()
-    ]
-    widths = {len(r) for r in rows}
-    if not rows or len(widths) != 1:
-        raise ConfigError(f"{what}: rows must be nonempty and equal length")
-    return np.array(rows)
-
-
-def _get(entries, section, key, default=None):
-    return entries.get((section, key), default)
+        return parse(value)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{section}.{key} = {value!r}: {exc}") from exc
 
 
 def _build_material(entries):
-    kind = _get(entries, "material", "kind", "rational_saturation")
+    kind = entries.get(("material", "kind"), "rational_saturation")
     if kind == "constant":
         return material.constant_model(
-            float(_get(entries, "material", "nu0", "1.0"))
-        )
+            _parsed(entries, "material", "nu0", float, "1.0"))
     if kind == "rational_saturation":
         return material.rational_saturation_model(
-            float(_get(entries, "material", "nu_min", "1.0")),
-            float(_get(entries, "material", "nu_max", "5.0")),
+            _parsed(entries, "material", "nu_min", float, "1.0"),
+            _parsed(entries, "material", "nu_max", float, "5.0"),
         )
     if kind == "user_tabulated":
-        path = _get(entries, "material", "table")
-        if path is None:
+        table = _parsed(entries, "material", "table",
+                        lambda path: np.loadtxt(path, delimiter=",", ndmin=2))
+        if table is None:
             raise ConfigError("material.table is required for user_tabulated")
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
         return material.tabulated_model(table)
-    raise ConfigError(f"material.kind: unknown kind {kind!r}")
+    return material.ReluctivityModel(kind)  # rejects the unknown kind
 
 
 def _build_winding(entries):
@@ -159,95 +179,38 @@ def _build_winding(entries):
         raise ConfigError(
             f"winding keys must be w1..w{len(keys)} without gaps, got {keys}"
         )
-    rects = []
-    for k in keys:
-        rows = _matrix(entries[("winding", k)], f"winding.{k}")
-        if rows.shape[1] != 5:
-            raise ConfigError(
-                f"winding.{k}: each rectangle needs 'x0 x1 y0 y1 kappa'"
-            )
-        rects.append(tuple(tuple(r) for r in rows))
-    return fem.WindingSpec(rectangles=tuple(rects))
+    return fem.WindingSpec(rectangles=tuple(
+        _parsed(entries, "winding", k, _matrix) for k in keys))
 
 
 def _build_voltage(entries, m):
-    kind = _get(entries, "circuit", "voltage_kind", "step")
-    if kind in ("constant", "step"):
-        vals = _floats(
-            _get(entries, "circuit", "voltage_value", "1.0"),
-            "circuit.voltage_value",
-        )
-        if len(vals) == 1 and m > 1:
-            vals = vals * m
-        if len(vals) != m:
-            raise ConfigError(
-                f"circuit.voltage_value: expected {m} entries, got {len(vals)}"
-            )
-        return system.VoltageSignal(kind, np.array(vals))
+    kind = entries.get(("circuit", "voltage_kind"), "step")
     if kind == "table":
-        value = _get(entries, "circuit", "voltage_table")
-        if value is None:
-            raise ConfigError("circuit.voltage_table is required for kind table")
-        table = _matrix(value, "circuit.voltage_table")
-        if table.shape[1] != 1 + m:
-            raise ConfigError(
-                f"circuit.voltage_table: rows need 1 + {m} columns"
-            )
-        return system.VoltageSignal("table", table=table)
-    raise ConfigError(f"circuit.voltage_kind: unknown kind {kind!r}")
-
-
-def _positive(x, what):
-    if not x > 0:
-        raise ConfigError(f"{what} must be positive, got {x}")
-    return x
+        return system.VoltageSignal("table", table=_parsed(
+            entries, "circuit", "voltage_table", _matrix))
+    vals = _parsed(entries, "circuit", "voltage_value", _floats, "1.0")
+    if len(vals) == 1:  # one value drives every winding
+        vals = vals * m
+    return system.VoltageSignal(kind, vals)
 
 
 def build_config(entries, seed=None):
-    """Turn parsed entries into a validated run configuration."""
+    """Turn parsed entries into a run configuration, checked by MQSConfig."""
+    fields = {
+        name: _parsed(entries, section, key, parse)
+        for (section, key), (name, parse) in _FIELDS.items()
+        if (section, key) in entries
+    }
+    if seed is not None:
+        fields["seed"] = seed
     try:
-        n = int(_get(entries, "mesh", "n", "32"))
-        center = _floats(_get(entries, "conductor", "center", "0.5 0.5"),
-                         "conductor.center")
-        if len(center) != 2:
-            raise ConfigError("conductor.center needs exactly two numbers")
-        radius = float(_get(entries, "conductor", "radius", "0.2"))
         winding = _build_winding(entries)
-        model = _build_material(entries)
-        sigma_C = float(_get(entries, "circuit", "sigma_C", "1.0"))
-        R = _matrix(_get(entries, "circuit", "R", "1.0"), "circuit.R")
-        voltage = _build_voltage(entries, winding.m)
-        T = _positive(float(_get(entries, "time", "T", "1.0")), "time.T")
-        tau = _positive(float(_get(entries, "time", "tau", str(1 / 64))),
-                        "time.tau")
-        if tau > T:
-            raise ConfigError(f"time.tau = {tau} exceeds horizon time.T = {T}")
-        a0_kind = _get(entries, "initial", "kind", "zero")
-        if a0_kind not in ("zero", "random", "file"):
-            raise ConfigError(f"initial.kind: unknown kind {a0_kind!r}")
-        cfg_seed = int(_get(entries, "initial", "seed", "42"))
-        if seed is not None:
-            cfg_seed = int(seed)
         return system.MQSConfig(
-            n=n,
-            conductor_center=(center[0], center[1]),
-            conductor_radius=radius,
             winding=winding,
-            model=model,
-            sigma_C=sigma_C,
-            R=R,
-            T=T,
-            tau=tau,
-            voltage=voltage,
-            a0_kind=a0_kind,
-            a0_path=_get(entries, "initial", "path", ""),
-            seed=cfg_seed,
-            newton_tol=float(_get(entries, "core", "newton_tol", "1e-10")),
-            newton_max_iter=int(_get(entries, "core", "newton_max_iter", "50")),
-            newton_start=_get(entries, "core", "newton_start", "extrapolate"),
+            model=_build_material(entries),
+            voltage=_build_voltage(entries, winding.m),
+            **fields,
         )
-    except ConfigError:
-        raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
 
@@ -257,4 +220,10 @@ def default_config(seed=None):
 
 
 def output_basename(entries):
-    return _get(entries, "output", "basename", "run")
+    """The output file stem: a plain name, so outputs stay under --out."""
+    name = entries.get(("output", "basename"), "run")
+    if name in ("", ".", "..") or os.path.basename(name) != name \
+            or "\0" in name:
+        raise ConfigError(
+            f"output.basename must be a plain file name, got {name!r}")
+    return name

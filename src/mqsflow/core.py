@@ -43,6 +43,7 @@ from .errors import (
     OracleLimitExceeded,
     SingularStep,
     ValidationFailure,
+    check_choice,
     check_finite,
 )
 
@@ -174,14 +175,9 @@ class ProxConfig:
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        check_finite("tau", self.tau)
-        check_finite("newton_tol", self.newton_tol)
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+        for name in ("tau", "newton_tol", "n_steps"):
+            if not check_finite(name, getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be positive")
 
     def check_against(self, phi):
         omega = phi.ellipticity_omega
@@ -308,8 +304,7 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     <= newton_tol * (1 + residual norm at x_prev), and x_prev itself when
     x_prev already meets that bound (unless an unguarded x_start is given).
     """
-    check_finite("tau", tau)
-    if tau <= 0:
+    if not check_finite("tau", tau) > 0:
         raise ValueError("tau must be positive")
     x_prev = np.asarray(x_prev, dtype=float)
     b = E.apply(x_prev) + tau * np.asarray(f_k, dtype=float)
@@ -395,9 +390,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
     4 x_{k-1} - 6 x_{k-2} + 4 x_{k-3} - x_{k-4}), which falls back to
     x_{k-1} whenever its prox objective is higher; "zero" x = 0, unguarded.
     """
-    if start not in NEWTON_STARTS:
-        raise ValueError(
-            f"start must be one of {', '.join(NEWTON_STARTS)}, got {start!r}")
+    check_choice("start", start, NEWTON_STARTS)
     config.check_against(phi)
     x0 = np.asarray(x0, dtype=float)
     n = config.n_steps
@@ -414,12 +407,15 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
         if start == "extrapolate" and k > 1:
             x_start = _extrapolate(states, k)
         try:
-            states[k] = prox_step(
-                phi_k, E, states[k - 1], fk[k - 1], config.tau,
-                x_start=x_start, guard=start == "extrapolate",
-                newton_tol=config.newton_tol,
-                newton_max_iter=config.newton_max_iter,
-            )
+            with np.errstate(all="raise", under="ignore"):
+                states[k] = prox_step(
+                    phi_k, E, states[k - 1], fk[k - 1], config.tau,
+                    x_start=x_start, guard=start == "extrapolate",
+                    newton_tol=config.newton_tol,
+                    newton_max_iter=config.newton_max_iter,
+                )
+        except FloatingPointError as exc:  # data far out of range
+            raise NonConvergence(f"step {k}: {exc}", step=k) from exc
         except (NonConvergence, SingularStep) as exc:
             exc.step = k
             raise

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core, fem, material, system
-from .errors import InsufficientLevels
+from .errors import InsufficientLevels, check_choice
 
 
 @dataclass
@@ -103,8 +103,7 @@ def perturbation_experiments(config, ops, traj, kind, adversarial=False):
     ``adversarial=True`` the perturbation is made visible on purpose and
     the experiment is expected to FAIL.
     """
-    if kind not in ("uniqueness", "initializability"):
-        raise ValueError(f"unknown experiment kind {kind!r}")
+    check_choice("experiment kind", kind, ("uniqueness", "initializability"))
     if kind == "uniqueness":
         other = replace(config, newton_tol=1e-12, newton_start="zero")
         traj_b = system.solve(other, ops)
@@ -162,8 +161,8 @@ def manufactured_field(x, y, t):
     return np.sin(_PI * x) * np.sin(_PI * y) * (1.0 - np.exp(-t))
 
 
-def _manufactured_forcing(mesh, t):
-    """Load vector at time t matching the element-wise conductivity labeling.
+def _manufactured_forcing(mesh, times):
+    """Load vectors at ``times`` (rows) matching the conductivity labeling.
 
     The volumetric forcing sigma(x) dA/dt - nu0 Lap(A) uses the same
     per-element conducting/insulating classification as the mass matrix,
@@ -175,6 +174,7 @@ def _manufactured_forcing(mesh, t):
 
     shape = fem.assemble_load(mesh, bump)
     shape_C = fem.assemble_load(mesh, bump, mesh.element_labels == fem.LABEL_C)
+    t = np.asarray(times, dtype=float)[:, None]
     return (
         _SIGMA_C * np.exp(-t) * shape_C
         + 2.0 * _PI ** 2 * _NU0 * (1.0 - np.exp(-t)) * shape

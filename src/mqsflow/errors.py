@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 import numpy as np
 
 
@@ -55,8 +57,8 @@ class EigenSolveFailure(MqsflowError):
     """Generalized eigenvalue solve did not converge."""
 
 
-class ValidationFailure(MqsflowError):
-    """A model or configuration assumption check failed."""
+class ValidationFailure(MqsflowError, ValueError):
+    """A model or configuration assumption check failed (a bad value)."""
 
     def __init__(self, reasons):
         if isinstance(reasons, str):
@@ -65,12 +67,34 @@ class ValidationFailure(MqsflowError):
         super().__init__("; ".join(self.reasons))
 
 
-def check_finite(what, value):
-    """Raise ValidationFailure naming ``what`` unless every entry of
-    ``value`` is a finite number."""
-    arr = np.asarray(value, dtype=float)
+def check_finite(what, value, kind=None):
+    """``value`` as a float array; raises ValidationFailure naming ``what``
+    unless it is a regular (non-ragged) array, or a scalar, of finite real
+    numbers, and a single number of ``kind`` if given (``numbers.Real``, or
+    ``numbers.Integral`` for a count, numpy integers included)."""
+    if kind is not None and not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        shown = " ".join(repr(value).split())
+        raise ValidationFailure(f"{what} must be {noun}, got {shown}")
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # a ragged nesting, say
+        raise ValidationFailure(
+            f"{what} must be a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "biuf":
+        raise ValidationFailure(
+            f"{what} must be real numbers, got {arr.dtype}")
     if not np.all(np.isfinite(arr)):
         raise ValidationFailure(f"{what} must be finite, got {arr.tolist()}")
+    return np.asarray(arr, dtype=float)
+
+
+def check_choice(what, value, choices):
+    """Raise ValidationFailure naming ``what`` unless ``value`` is one of
+    ``choices``."""
+    if value not in choices:
+        raise ValidationFailure(
+            f"{what} must be one of {', '.join(choices)}, got {value!r}")
 
 
 class InsufficientLevels(MqsflowError):

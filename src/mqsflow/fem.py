@@ -19,7 +19,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import _csc_keys
 from .errors import (
-    EigenSolveFailure, GeometryError, WindingOverlapsConductor, check_finite,
+    EigenSolveFailure, GeometryError, ValidationFailure,
+    WindingOverlapsConductor, check_finite,
 )
 from .material import REGION_CONDUCTOR, REGION_INSULATOR, model_eval, theta_eval
 
@@ -166,8 +167,19 @@ class WindingSpec:
     rectangles: tuple  # tuple over windings of tuples of rectangles
 
     def __post_init__(self):
-        for j, rects in enumerate(self.rectangles):
-            check_finite(f"winding w{j + 1}", rects)
+        checked = []  # kept as tuples of float tuples
+        windings = self.rectangles if np.iterable(self.rectangles) else ()
+        for j, rects in enumerate(windings):
+            what = f"winding w{j + 1}"
+            rects = check_finite(what, rects)
+            if rects.ndim != 2 or rects.shape[0] < 1 or rects.shape[1] != 5:
+                raise ValidationFailure(
+                    f"{what} needs rectangles 'x0 x1 y0 y1 kappa', got shape "
+                    f"{rects.shape}")
+            checked.append(tuple(map(tuple, rects.tolist())))
+        if not checked:
+            raise ValidationFailure("winding rectangles must list a winding")
+        object.__setattr__(self, "rectangles", tuple(checked))
 
     @property
     def m(self):
@@ -276,8 +288,6 @@ def assemble_sigma_mass(mesh, sigma_C):
     Returns (M_sigma, M) with (M_sigma)_ij = sigma_C * int_{Omega_C}
     phi_i phi_j and M the plain mass matrix over the whole domain.
     """
-    if sigma_C <= 0:
-        raise ValueError("sigma_C must be positive")
     mass_C = _assemble_mass(mesh, mesh.element_labels == LABEL_C)
     mass = _assemble_mass(mesh)
     return sigma_C * mass_C, mass

@@ -9,12 +9,14 @@ numerically on a grid by :func:`estimate_constants`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    NegativeArgument, NegativeFieldMagnitude, ValidationFailure, check_finite,
+    NegativeArgument, NegativeFieldMagnitude, ValidationFailure, check_choice,
+    check_finite,
 )
 
 REGION_CONDUCTOR = "C"
@@ -48,8 +50,11 @@ class ReluctivityModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KIND_KEYS:
-            raise ValueError(f"unknown reluctivity kind {self.kind!r}")
+        check_choice("reluctivity kind", self.kind, tuple(_KIND_KEYS))
+        if not (isinstance(self.params, dict)
+                and all(isinstance(p, dict) for p in self.params.values())):
+            raise ValidationFailure(
+                "reluctivity params must map regions to parameter dicts")
         regions = ("*", REGION_CONDUCTOR, REGION_INSULATOR)
         unknown = sorted(set(self.params) - set(regions))
         if unknown:
@@ -65,13 +70,13 @@ class ReluctivityModel:
                 raise ValidationFailure(
                     f"reluctivity region {region!r} of kind {self.kind!r} "
                     f"needs {', '.join(missing)}")
-            for key, value in p.items():
-                check_finite(f"reluctivity {key}", value)
+            for key, value in p.items():  # a table, else a number
+                check_finite(f"reluctivity {key}", value,
+                             None if key == "table" else numbers.Real)
         if self.kind == "user_tabulated":  # kept as checked float arrays
             object.__setattr__(self, "params", {
                 region: {**p, "table": _checked_table(
-                    p["table"], ValidationFailure,
-                    f"reluctivity table of region {region!r}")}
+                    p["table"], f"reluctivity table of region {region!r}")}
                 for region, p in self.params.items()})
 
     def region_params(self, region):
@@ -95,19 +100,19 @@ def rational_saturation_model(nu_min, nu_max):
     )
 
 
-def _checked_table(table, error, what):
-    """``table`` as a float array; raises ``error`` naming ``what`` unless
-    it is (k, 2) with k >= 2 and strictly increasing s."""
+def _checked_table(table, what):
+    """``table`` as a float array; raises ``ValidationFailure`` naming
+    ``what`` unless it is (k, 2) with k >= 2 and strictly increasing s."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
-        raise error(f"{what} must be (k, 2) with k >= 2, got shape {table.shape}")
+        raise ValidationFailure(
+            f"{what} must be (k, 2) with k >= 2, got shape {table.shape}")
     if not np.all(np.diff(table[:, 0]) > 0):
-        raise error(f"{what} s-column must be strictly increasing")
+        raise ValidationFailure(f"{what} s-column must be strictly increasing")
     return table
 
 
 def tabulated_model(table):
-    table = _checked_table(table, ValueError, "table")
     return ReluctivityModel("user_tabulated", {"*": {"table": table}})
 
 
@@ -248,10 +253,11 @@ def validate_assumptions(model, sigma_C, R):
     if not sigma_C > 0:
         reasons.append("conductivity sigma_C must be positive")
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    if R.shape[0] != R.shape[1]:
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
         reasons.append("resistance matrix R must be square")
     else:
-        if np.linalg.norm(R - R.T) > 1e-12 * max(np.linalg.norm(R), 1e-300):
+        S = R / max(np.abs(R).max(initial=0.0), 1e-300)  # no overflow
+        if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
             reasons.append("resistance matrix R must be symmetric")
         else:
             try:

@@ -14,6 +14,7 @@ up front and serves as an equivalence witness.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import core, fem, material
-from .errors import ValidationFailure, check_finite
+from .errors import ValidationFailure, check_choice, check_finite
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,13 @@ class VoltageSignal:
     table: np.ndarray = None          # (k, 1+m) rows of t, v_1..v_m
 
     def __post_init__(self):
-        kinds = ("constant", "step", "table")
-        if self.kind not in kinds:
-            raise ValidationFailure(
-                f"voltage kind must be one of {', '.join(kinds)}, "
-                f"got {self.kind!r}")
+        check_choice("voltage kind", self.kind, ("constant", "step", "table"))
         name = "table" if self.kind == "table" else "value"
         data = getattr(self, name)
         if data is None:
             raise ValidationFailure(
                 f"voltage {name} is required for kind {self.kind!r}")
-        check_finite(f"voltage {name}", data)
-        data = np.asarray(data, dtype=float)  # kept as a float array
+        data = check_finite(f"voltage {name}", data)  # kept as a float array
         object.__setattr__(self, name, data)
         if self.kind != "table":
             if data.ndim != 1:
@@ -117,23 +113,30 @@ class MQSConfig:
     newton_max_iter: int = 50
     newton_start: str = "extrapolate"  # extrapolate | zero, see core
     # optional manufactured volumetric forcing added to the field equation;
-    # callable (mesh, t) -> load vector, used only by convergence studies
+    # callable (mesh, times) -> one load vector per time, for convergence
     forcing: Optional[Callable] = None
 
     def __post_init__(self):
-        for name in ("conductor_center", "conductor_radius", "sigma_C", "R",
-                     "T", "tau"):
-            check_finite(name, getattr(self, name))
+        for name in ("n", "seed", "newton_max_iter"):
+            check_finite(name, getattr(self, name), numbers.Integral)
+        for name in ("conductor_radius", "sigma_C", "T", "tau", "newton_tol"):
+            check_finite(name, getattr(self, name), numbers.Real)
+        center = check_finite("conductor_center", self.conductor_center)
+        if center.shape != (2,):
+            raise ValidationFailure(
+                f"conductor_center needs two numbers, got shape {center.shape}")
+        # kept as a float pair and a float array (R's shape: build_system)
+        object.__setattr__(self, "conductor_center", tuple(center.tolist()))
+        object.__setattr__(self, "R", np.atleast_2d(check_finite("R", self.R)))
         if self.seed < 0:
             raise ValidationFailure(f"seed must be nonnegative, got {self.seed}")
         if not 0 < self.newton_tol <= MAX_NEWTON_TOL:
             raise ValidationFailure(
                 f"newton_tol must be positive and at most {MAX_NEWTON_TOL:g}, "
                 f"got {self.newton_tol}")
-        if self.newton_start not in core.NEWTON_STARTS:
-            raise ValidationFailure(
-                f"newton_start must be one of {', '.join(core.NEWTON_STARTS)}, "
-                f"got {self.newton_start!r}")
+        check_choice("newton_start", self.newton_start, core.NEWTON_STARTS)
+        check_choice("initial field kind", self.a0_kind,
+                     ("zero", "random", "file"))
         if self.voltage.m != self.winding.m:
             raise ValidationFailure(
                 f"voltage has {self.voltage.m} channels but there are "
@@ -150,7 +153,7 @@ class MQSConfig:
         if steps > MAX_STEPS:
             raise ValidationFailure(
                 f"T / tau = {steps:.6g} steps exceeds the cap of {MAX_STEPS}")
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if steps < 0.5 or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationFailure(
                 f"T = {self.T} is not a whole number of steps tau = "
                 f"{self.tau} (T / tau = {steps:.6g})")
@@ -292,7 +295,7 @@ def build_system(config):
     mass_C = msigma / config.sigma_C
     stiffness = fem.assemble_stiffness(mesh)
     coupling = fem.assemble_coupling(mesh, config.winding)
-    R = np.atleast_2d(np.asarray(config.R, dtype=float))
+    R = config.R
     if R.shape[0] != config.winding.m:
         raise ValidationFailure(
             f"R is {R.shape[0]}x{R.shape[1]} but there are {config.winding.m} windings"
@@ -318,16 +321,14 @@ def initial_field(config, ops):
     if config.a0_kind == "random":
         rng = np.random.default_rng(config.seed)
         return 0.1 * rng.standard_normal(ops.n_dofs)
-    if config.a0_kind == "file":
-        try:  # .npy only: np.load would hand back an .npz archive as is
-            with open(config.a0_path, "rb") as fh:
-                return np.lib.format.read_array(fh)
-        except FileNotFoundError:
-            raise
-        except (ValueError, OSError) as exc:
-            raise ValidationFailure(
-                f"cannot read initial field {config.a0_path!r}: {exc}") from exc
-    raise ValidationFailure(f"unknown initial field kind {config.a0_kind!r}")
+    try:  # a0_kind "file", .npy only: np.load would hand back an .npz as is
+        with open(config.a0_path, "rb") as fh:
+            return np.lib.format.read_array(fh)
+    except FileNotFoundError:
+        raise
+    except (ValueError, OSError) as exc:
+        raise ValidationFailure(
+            f"cannot read initial field {config.a0_path!r}: {exc}") from exc
 
 
 def _voltage_samples(config):
@@ -395,10 +396,8 @@ def solve(config, ops=None, a0=None):
         tau=config.tau, n_steps=config.n_steps,
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
     )
-    loads = None
-    if config.forcing is not None:
-        loads = [config.forcing(ops.mesh, t)
-                 for t in config.tau * np.arange(1, config.n_steps + 1)]
+    times = config.tau * np.arange(1, config.n_steps + 1)
+    loads = None if config.forcing is None else config.forcing(ops.mesh, times)
     traj = core.solve_trajectory(
         ops.phi, ops.E, a0, f, prox_cfg, loads=loads,
         start=config.newton_start,
@@ -459,15 +458,14 @@ def solve_schur(config, ops):
     n = config.n_steps
     fields = np.empty((n + 1, ops.n_dofs))
     fields[0] = a0
+    times = config.tau * np.arange(1, n + 1)
+    loads = None if config.forcing is None else config.forcing(ops.mesh, times)
     for k in range(1, n + 1):
-        load = None
-        if config.forcing is not None:
-            load = config.forcing(ops.mesh, config.tau * k)
         fields[k] = schur_step(
             ops, fields[k - 1], v_samples[k], config.tau,
             newton_tol=config.newton_tol,
             newton_max_iter=config.newton_max_iter,
-            forcing_load=load,
+            forcing_load=None if loads is None else loads[k - 1],
         )
     return fields
 

@@ -361,3 +361,99 @@ def test_cli_newton_start_setting(tmp_path, small_cfg, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: newton_start must be one of")
     assert "extrapolate, zero" in err
+
+
+def test_build_config_takes_every_default_from_mqsconfig():
+    """A key left out takes the MQSConfig field's default."""
+    from mqsflow import system
+
+    built, default = config.build_config({}), system.MQSConfig()
+    for f in dataclasses.fields(default):
+        assert _same(getattr(built, f.name), getattr(default, f.name)), f.name
+
+
+@pytest.mark.parametrize("entries, cause", [
+    ({("conductor", "center"): "0.5"},
+     "conductor_center needs two numbers, got shape (1,)"),
+    ({("winding", "w1"): "0.1 0.2 0.4 0.6"},
+     "winding w1 needs rectangles 'x0 x1 y0 y1 kappa', got shape (1, 4)"),
+    ({("winding", "w1"): "0.1 0.2 0.4 0.6 1 ; 0.8 0.9"},
+     "winding w1 must be a numeric array"),
+    ({("circuit", "voltage_value"): "1 2 3"},
+     "voltage has 3 channels but there are 1 windings"),
+    ({("circuit", "voltage_kind"): "table",
+      ("circuit", "voltage_table"): "0 0 0 ; 1 1 1"},
+     "voltage has 2 channels but there are 1 windings"),
+    ({("circuit", "voltage_kind"): "table"},
+     "voltage table is required for kind 'table'"),
+    ({("circuit", "voltage_kind"): "ramp"},
+     "voltage kind must be one of constant, step, table, got 'ramp'"),
+    ({("circuit", "R"): "1 ; 1 2"}, "R must be a numeric array"),
+    ({("time", "tau"): "2.0", ("time", "T"): "1.0"},
+     "T = 1.0 is not a whole number of steps tau = 2.0 (T / tau = 0.5)"),
+    ({("time", "T"): "-1"}, "T and tau must be positive"),
+    ({("initial", "kind"): "telepathic"},
+     "initial field kind must be one of zero, random, file, got 'telepathic'"),
+    ({("material", "kind"): "mystery"},
+     "reluctivity kind must be one of constant, rational_saturation, "
+     "user_tabulated, got 'mystery'"),
+    ({("mesh", "n"): "8.5"}, "mesh.n = '8.5': invalid literal for int()"),
+    ({("circuit", "sigma_C"): "one"},
+     "circuit.sigma_C = 'one': could not convert string to float"),
+])
+def test_library_checks_reach_config_and_cli_users(tmp_path, capsys, entries,
+                                                    cause):
+    """Each check the parser left to the library still rejects the input:
+    a ConfigError from build_config, one error line from the CLI."""
+    with pytest.raises(ConfigError) as info:
+        config.build_config(entries)
+    assert cause in str(info.value)
+    argv = ["run", "--out", str(tmp_path / "o"), "--set", "mesh.n=8"]
+    for (section, key), value in entries.items():
+        argv += ["--set", f"{section}.{key}={value}"]
+    assert cli.dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and cause in err
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "sub/run", "../escaped",
+                                  "a\0b"])
+def test_output_basename_must_be_a_plain_name(tmp_path, small_cfg, capsys,
+                                              monkeypatch, name):
+    from mqsflow import system
+
+    with pytest.raises(ConfigError, match="output.basename must be a plain"):
+        config.output_basename({("output", "basename"): name})
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the basename was checked")
+
+    monkeypatch.setattr(system, "solve", no_solve)
+    code = cli.dispatch(["run", "--config", small_cfg, "--out",
+                         str(tmp_path / "o"), "--set",
+                         f"output.basename={name}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: output.basename must be a plain file name")
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_output_basename_names_the_files(tmp_path, small_cfg):
+    assert config.output_basename({}) == "run"
+    out = tmp_path / "o"
+    assert cli.dispatch(["run", "--config", small_cfg, "--out", str(out),
+                         "--set", "output.basename=step-1"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["step-1.csv",
+                                                     "step-1.vtk"]
+
+
+def test_cli_reports_floating_point_overflow_on_one_line(tmp_path, small_cfg,
+                                                         capsys):
+    """An input so large that the certification overflows exits 1 with one
+    error line, not a numpy warning or traceback."""
+    code = cli.dispatch(["run", "--config", small_cfg, "--out",
+                         str(tmp_path / "o"), "--set",
+                         "material.nu_max=1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: overflow")

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from mqsflow import core, diagnostics, fem, material, system
-from mqsflow.errors import ValidationFailure
+from mqsflow.errors import NonConvergence, ValidationFailure
 
 
 @pytest.fixture(scope="module")
@@ -695,3 +695,143 @@ def test_config_rejects_unknown_newton_start():
                        match="newton_start must be one of extrapolate, zero, "
                              "got 'prev'"):
         system.MQSConfig(n=8, newton_start="prev")
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: system.VoltageSignal("table", table=[[0.0, 0.0], [1.0]]),
+     "voltage table must be a numeric array"),
+    (lambda: system.VoltageSignal("step", value=["a"]),
+     "voltage value must be real numbers"),
+    (lambda: system.MQSConfig(R=[[1.0], [1.0, 2.0]]),
+     "R must be a numeric array"),
+    (lambda: material.ReluctivityModel(
+        "user_tabulated", {"*": {"table": [[0.0, 1.0], [1.0]]}}),
+     "reluctivity table must be a numeric array"),
+    (lambda: fem.WindingSpec(rectangles=([[0.1, 0.2, 0.4, 0.6, 1.0], [0.8]],)),
+     "winding w1 must be a numeric array"),
+    (lambda: system.MQSConfig(n=8, conductor_center="0.5 0.5"),
+     "conductor_center must be real numbers"),
+], ids=["ragged_table", "string_value", "ragged_R", "ragged_reluctivity_table",
+        "ragged_rectangles", "string_center"])
+def test_ragged_and_non_numeric_inputs_are_validation_failures(make, fragment):
+    """A ragged nesting or a string is rejected naming the input, never
+    with numpy's own conversion error."""
+    with pytest.raises(ValidationFailure) as info:
+        make()
+    assert fragment in str(info.value)
+
+
+def test_validation_failure_is_a_value_error():
+    with pytest.raises(ValueError):
+        system.MQSConfig(n=8, tau=-1.0)
+    with pytest.raises(ValidationFailure,
+                       match="reluctivity kind must be one"):
+        material.ReluctivityModel("mystery", {"*": {}})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 8.5), ("n", "8"), ("newton_max_iter", 2.5), ("seed", 1.5),
+    ("seed", np.float64(3.0)),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValidationFailure, match=f"{field} must be an integer"):
+        system.MQSConfig(**{"n": 8, field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = system.MQSConfig(n=np.int64(8), seed=np.int32(3),
+                           newton_max_iter=np.uint8(5), T=0.25, tau=0.0625)
+    traj = system.solve(cfg)
+    assert traj.n_steps == 4 and traj.fields.shape == (5, 49)
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"conductor_center": (0.5,)},
+     "conductor_center needs two numbers, got shape (1,)"),
+    ({"conductor_center": (0.5, 0.5, 0.5)}, "got shape (3,)"),
+    ({"a0_kind": "telepathic"}, "initial field kind must be one of zero, "
+     "random, file, got 'telepathic'"),
+    ({"T": "1.0"}, "T must be a real number, got '1.0'"),
+    ({"sigma_C": np.ones(2)}, "sigma_C must be a real number"),
+    ({"T": 1e-300, "tau": 1e300}, "is not a whole number of steps"),
+])
+def test_config_checks_moved_from_the_parser(kwargs, fragment):
+    with pytest.raises(ValidationFailure) as info:
+        system.MQSConfig(**{"n": 8, **kwargs})
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("rectangles, fragment", [
+    ((((0.1, 0.2, 0.4, 0.6),),), "winding w1 needs rectangles 'x0 x1 y0 y1 "
+     "kappa', got shape (1, 4)"),
+    ((((0.1, 0.2, 0.4, 0.6, 1.0),), ()), "winding w2 needs rectangles"),
+    (((0.1, 0.2, 0.4, 0.6, 1.0),), "winding w1 needs rectangles"),
+    ((), "must list a winding"),
+    (5, "must list a winding"),
+])
+def test_winding_rectangles_need_five_numbers(rectangles, fragment):
+    with pytest.raises(ValidationFailure) as info:
+        fem.WindingSpec(rectangles)
+    assert fragment in str(info.value)
+
+
+def test_winding_rectangles_are_kept_as_float_tuples():
+    listed = fem.WindingSpec([np.array([[0.1, 0.2, 0.4, 0.6, 100]])])
+    assert listed == fem.WindingSpec((((0.1, 0.2, 0.4, 0.6, 100.0),),))
+    assert hash(listed) == hash(fem.WindingSpec(listed.rectangles))
+
+
+def test_resistance_must_be_a_matrix():
+    cfg = system.MQSConfig(n=8, R=np.ones((1, 1, 1)))
+    with pytest.raises(ValidationFailure, match="R must be square"):
+        system.build_system(cfg)
+
+
+def test_huge_resistance_is_checked_without_overflow():
+    """Symmetry is tested on R scaled to unit size, so the squares of its
+    entries cannot overflow."""
+    report = material.validate_assumptions(
+        material.constant_model(1.0), 1.0, np.array([[1e308]]))
+    assert report.passed
+    report = material.validate_assumptions(
+        material.constant_model(1.0), 1.0,
+        np.array([[1e308, -1e308], [1e308, 1e308]]))
+    assert "resistance matrix R must be symmetric" in report.reasons
+
+
+def test_overflow_in_a_step_is_a_newton_failure():
+    cfg = system.MQSConfig(n=8, T=0.25, tau=0.0625,
+                           voltage=system.VoltageSignal("step", [1e200]))
+    with pytest.raises(NonConvergence,
+                       match="step 1: overflow encountered"):
+        system.solve(cfg)
+
+
+def test_manufactured_loads_are_assembled_once_per_solve(monkeypatch):
+    cfg = diagnostics.manufactured_config(n=8, tau=1.0 / 16.0)
+    ops = system.build_system(cfg)[0]
+    calls = []
+    real = fem.assemble_load
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble_load", counted)
+    system.solve(cfg, ops)
+    assert len(calls) == 2
+    system.solve_schur(cfg, ops)
+    assert len(calls) == 4
+
+
+def test_forced_schur_path_matches_the_prox_solve():
+    """The Schur-reduced path with a manufactured forcing load: the same
+    fields as the prox solve, to the criterion-07 bound."""
+    cfg = replace(diagnostics.manufactured_config(n=16), newton_tol=1e-12)
+    ops = system.build_system(cfg)[0]
+    traj = system.solve(cfg, ops)
+    fields_schur = system.solve_schur(cfg, ops)
+    scale = diagnostics.trajectory_scale(ops, traj)
+    assert np.abs(traj.fields[-1]).max() > 0.1  # the forcing drives the field
+    worst = float(np.max(np.linalg.norm(traj.fields - fields_schur, axis=1)))
+    assert worst <= 1e-10 * scale
