@@ -7,7 +7,6 @@ from .core import (
     EllipticFunctional,
     LinearMapE,
     ProxConfig,
-    check_E_ellipticity,
     energy_identity_residual,
     eval_phi_E,
     prox_step,
@@ -18,7 +17,6 @@ from .diagnostics import (
     ExperimentResult,
     convergence_study,
     perturbation_experiments,
-    power_balance_series,
     write_field_vtk,
     write_timeseries_csv,
 )
@@ -49,14 +47,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DaeTrajectory", "EllipticFunctional", "LinearMapE", "ProxConfig",
-    "check_E_ellipticity", "energy_identity_residual", "eval_phi_E",
-    "prox_step", "regularity_monitors", "solve_trajectory",
-    "ExperimentResult", "convergence_study", "perturbation_experiments",
-    "power_balance_series", "write_field_vtk", "write_timeseries_csv",
-    "MqsflowError", "Mesh2D", "WindingSpec", "build_mesh",
-    "estimate_coercivity_constant", "ReluctivityModel", "constant_model",
-    "estimate_constants", "rational_saturation_model", "tabulated_model",
-    "theta_eval", "validate_assumptions", "MQSConfig", "MQSOperators",
-    "MQSTrajectory", "VoltageSignal", "build_system", "check_weak_solution",
-    "monotonicity_probe", "schur_step", "solve",
+    "energy_identity_residual", "eval_phi_E", "prox_step",
+    "regularity_monitors", "solve_trajectory", "ExperimentResult",
+    "convergence_study", "perturbation_experiments", "write_field_vtk",
+    "write_timeseries_csv", "MqsflowError", "Mesh2D", "WindingSpec",
+    "build_mesh", "estimate_coercivity_constant", "ReluctivityModel",
+    "constant_model", "estimate_constants", "rational_saturation_model",
+    "tabulated_model", "theta_eval", "validate_assumptions", "MQSConfig",
+    "MQSOperators", "MQSTrajectory", "VoltageSignal", "build_system",
+    "check_weak_solution", "monotonicity_probe", "schur_step", "solve",
 ]

@@ -12,7 +12,7 @@ Recognized sections and keys (all optional; defaults in parentheses):
               voltage_kind (step), voltage_value ("1"),
               voltage_table (rows "t v_1 .. v_m" ';'-separated, t increasing)
   [time]      T (1), tau (0.015625); T / tau must be a whole number,
-              at most 100000
+              at most 100000, and (n - 1)^2 * T / tau at most 10^7
   [initial]   kind (zero), seed (42), path
   [output]    basename (run; a plain file name)
   [core]      newton_tol (1e-10; at most 1e-3), newton_max_iter (50),

@@ -30,6 +30,7 @@ x_{k-1} already meets it returns x_{k-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,6 +43,7 @@ from .errors import (
     NonConvergence,
     OracleLimitExceeded,
     SingularStep,
+    StepFailure,
     ValidationFailure,
     check_choice,
     check_finite,
@@ -70,46 +72,37 @@ class LinearMapE:
         if not 0 <= k <= self.dim_Z:
             raise ValueError(f"thin block of {k} rows in a map with {self.dim_Z}")
         self.k = k
-        self._adjoint = None
-        self._gram = None
-        self._lead_gram = None
-        self._thin = None
         self._slots = None  # (indptr, indices, slots) of the last H pattern
 
     def apply(self, x):
         return self.matrix @ x
 
     def apply_adjoint(self, z):
-        if self._adjoint is None:  # E^T, cached as gram is
-            self._adjoint = (self.matrix.T.tocsr() if sp.issparse(self.matrix)
-                             else self.matrix.T)
-        return self._adjoint @ z
+        return self.adjoint @ z
 
-    @property
+    @cached_property
+    def adjoint(self):
+        """E^T, CSR iff the map is sparse."""
+        return self.matrix.T.tocsr() if sp.issparse(self.matrix) else self.matrix.T
+
+    @cached_property
     def gram(self):
-        """E^T E, cached; sparse iff the map is sparse."""
-        if self._gram is None:
-            if sp.issparse(self.matrix):
-                self._gram = (self.matrix.T @ self.matrix).tocsc()
-            else:
-                self._gram = self.matrix.T @ self.matrix
-        return self._gram
+        """E^T E, CSC iff the map is sparse."""
+        gram = self.matrix.T @ self.matrix
+        return gram.tocsc() if sp.issparse(gram) else gram
 
-    @property
+    @cached_property
     def lead_gram(self):
-        """E_1^T E_1 of the rows above the thin block, cached, canonical CSC."""
-        if self._lead_gram is None:
-            lead = sp.csr_matrix(self.matrix)[:self.dim_Z - self.k]
-            self._lead_gram = (lead.T @ lead).tocsc()
-            self._lead_gram.sum_duplicates()
-        return self._lead_gram
+        """E_1^T E_1 of the rows above the thin block, canonical CSC."""
+        lead = sp.csr_matrix(self.matrix)[:self.dim_Z - self.k]
+        gram = (lead.T @ lead).tocsc()
+        gram.sum_duplicates()
+        return gram
 
-    @property
+    @cached_property
     def thin(self):
         """The thin block U, the last k rows, as a dense (k, dim_X) array."""
-        if self._thin is None:
-            self._thin = sp.csr_matrix(self.matrix)[self.dim_Z - self.k:].toarray()
-        return self._thin
+        return sp.csr_matrix(self.matrix)[self.dim_Z - self.k:].toarray()
 
     def add_lead_gram(self, H, tau):
         """H + E_1^T E_1 / tau.
@@ -416,7 +409,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
                 )
         except FloatingPointError as exc:  # data far out of range
             raise NonConvergence(f"step {k}: {exc}", step=k) from exc
-        except (NonConvergence, SingularStep) as exc:
+        except StepFailure as exc:
             exc.step = k
             raise
         images[k] = E.apply(states[k])
@@ -483,53 +476,3 @@ def eval_phi_E(phi, E, z, *, max_iter=100):
     )
     x = x_p + N @ y
     return {"value": float(phi.eval(x)), "argmin": x}
-
-
-@dataclass
-class EllipticityReport:
-    passed: bool
-    convexity_ok: bool
-    coercivity_ok: bool
-    first_violation: object = None
-
-
-def check_E_ellipticity(phi, E, omega, samples, seed=0):
-    """Sampled convexity and coercivity check of Phi_omega.
-
-    Phi_omega(x) = (omega/2) ||E x||^2 + Phi(x) is tested for midpoint
-    convexity on random pairs and for growth along random directions.
-    """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-
-    def phi_omega(x):
-        Ex = E.apply(x)
-        return phi.eval(x) + 0.5 * omega * float(Ex @ Ex)
-
-    first = None
-    convex_ok = True
-    for _ in range(samples):
-        x = rng.standard_normal(E.dim_X)
-        y = rng.standard_normal(E.dim_X)
-        lhs = phi_omega(0.5 * (x + y))
-        rhs = 0.5 * (phi_omega(x) + phi_omega(y))
-        if lhs > rhs + 1e-10 * (1.0 + abs(rhs)):
-            convex_ok = False
-            first = ("convexity", x, y, lhs - rhs)
-            break
-
-    coercive_ok = True
-    if convex_ok:
-        for _ in range(samples):
-            d = rng.standard_normal(E.dim_X)
-            d /= np.linalg.norm(d)
-            base = phi_omega(d)
-            far = phi_omega(1024.0 * d)
-            if not (far > base and far > 1.0):
-                coercive_ok = False
-                first = ("coercivity", d, far)
-                break
-
-    passed = convex_ok and coercive_ok
-    return EllipticityReport(passed, convex_ok, coercive_ok, first)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import core, fem, material, system
+from . import fem, material, system
 from .errors import InsufficientLevels, check_choice
 
 
@@ -34,38 +34,14 @@ def trajectory_scale(ops, traj):
     return 1.0 + float(np.max(norms + i_norms))
 
 
-def power_balance_series(traj, out_path=None):
-    """Per-step power-balance defects and their cumulative sums.
-
-    Returns {"delta": (N,) defects for k = 1..N, "cumulative": running
-    sums, "max_abs": max |delta_k|}; optionally writes the full time
-    series CSV to ``out_path``.
-    """
-    delta = traj.balance_residuals[1:]
-    out = {
-        "delta": delta,
-        "cumulative": np.cumsum(delta),
-        "max_abs": float(np.max(np.abs(delta))) if delta.size else 0.0,
-    }
-    if out_path is not None:
-        write_timeseries_csv(traj, out_path)
-    return out
-
-
-def _observed_orders(errors):
-    """log2 of successive error ratios; nan where a ratio degenerates."""
+def observed_order(errors):
+    """Mean log2 of successive error ratios (nan where a ratio degenerates)
+    over the asymptotic window: the two coarsest levels are dropped when
+    enough levels remain."""
     errors = np.asarray(errors, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log2(errors[:-1] / errors[1:])
-
-
-def observed_order(errors):
-    """Mean order over the asymptotic window (two coarsest levels dropped
-    when enough levels remain)."""
-    orders = _observed_orders(errors)
-    drop = min(2, orders.size - 1)
-    window = orders[drop:]
-    return float(np.mean(window))
+        orders = np.log2(errors[:-1] / errors[1:])
+    return float(np.mean(orders[min(2, orders.size - 1):]))
 
 
 def balance_order_study(config, ops,
@@ -209,6 +185,19 @@ def energy_norm_error(ops, a, t):
     return float(np.sqrt(_NU0 * np.sum(areas / 3.0 * diff2.sum(axis=1))))
 
 
+def _order_result(name, errors):
+    """Pass iff the observed order of ``errors`` lies in [0.8, 1.2]."""
+    order = observed_order(errors)
+    return ExperimentResult(
+        name=name,
+        passed=bool(0.8 <= order <= 1.2),
+        measured={
+            "observed_order": order,
+            **{f"error_{k}": e for k, e in enumerate(errors)},
+        },
+    )
+
+
 def convergence_study(config, levels, refine):
     """Observed convergence orders of the linear manufactured problem.
 
@@ -219,53 +208,42 @@ def convergence_study(config, levels, refine):
     refine = "h": fixed small step, mesh doubling from config.n, errors
     in the energy norm against the reference field at t = T.
     refine = "both": returns both results combined.
+    Every level is configured, and so checked, before the first solve.
     """
     if levels < 3:
         raise InsufficientLevels(
             f"convergence study needs >= 3 levels, got {levels}"
         )
-    if refine == "both":
-        r_tau = convergence_study(config, levels, "tau")
-        r_h = convergence_study(config, levels, "h")
-        return ExperimentResult(
-            name="convergence_both",
-            passed=r_tau.passed and r_h.passed,
-            measured={**{f"tau_{k}": v for k, v in r_tau.measured.items()},
-                      **{f"h_{k}": v for k, v in r_h.measured.items()}},
-        )
-    if refine == "tau":
-        base = manufactured_config(n=config.n, tau=config.tau, T=config.T)
+    check_choice("refinement kind", refine, ("tau", "h", "both"))
+    base = manufactured_config(n=config.n, tau=config.tau, T=config.T)
+    tau_runs = [replace(base, tau=base.tau / 2 ** lev)
+                for lev in range(levels + 1)] if refine != "h" else []
+    h_runs = [replace(base, n=base.n * 2 ** lev)
+              for lev in range(levels)] if refine != "tau" else []
+    results = []
+    if tau_runs:
         ops = system.build_system(base)[0]
-        finals = []
-        for lev in range(levels + 1):
-            run = replace(base, tau=base.tau / 2 ** lev)
-            finals.append(system.solve(run, ops).fields[-1])
+        finals = [system.solve(run, ops).fields[-1] for run in tau_runs]
         errors = []
         for u, v in zip(finals[:-1], finals[1:]):
             d = u - v
             errors.append(float(np.sqrt(d @ (ops.stiffness @ d))))
-        order = observed_order(errors)
-        name = "convergence_tau"
-    elif refine == "h":
+        results.append(_order_result("convergence_tau", errors))
+    if h_runs:
         errors = []
-        for lev in range(levels):
-            run = manufactured_config(
-                n=config.n * 2 ** lev, tau=config.tau, T=config.T
-            )
+        for run in h_runs:
             ops = system.build_system(run)[0]
             a_T = system.solve(run, ops).fields[-1]
             errors.append(energy_norm_error(ops, a_T, run.T))
-        order = observed_order(errors)
-        name = "convergence_h"
-    else:
-        raise ValueError(f"unknown refinement kind {refine!r}")
+        results.append(_order_result("convergence_h", errors))
+    if refine != "both":
+        return results[0]
+    r_tau, r_h = results
     return ExperimentResult(
-        name=name,
-        passed=bool(0.8 <= order <= 1.2),
-        measured={
-            "observed_order": order,
-            **{f"error_{k}": e for k, e in enumerate(errors)},
-        },
+        name="convergence_both",
+        passed=r_tau.passed and r_h.passed,
+        measured={**{f"tau_{k}": v for k, v in r_tau.measured.items()},
+                  **{f"h_{k}": v for k, v in r_h.measured.items()}},
     )
 
 

@@ -9,24 +9,24 @@ class MqsflowError(Exception):
     """Base class for all package errors."""
 
 
-class NonConvergence(MqsflowError):
+class StepFailure(MqsflowError):
+    """A time step could not be taken; ``step`` is its index once known."""
+
+    def __init__(self, msg, step=None):
+        super().__init__(msg)
+        self.step = step
+
+
+class NonConvergence(StepFailure):
     """Newton exceeded its iteration budget.
 
     Usually signals a too-large step size or a functional violating its
     declared convexity.
     """
 
-    def __init__(self, msg, step=None):
-        super().__init__(msg)
-        self.step = step
 
-
-class SingularStep(MqsflowError):
+class SingularStep(StepFailure):
     """The Newton linear system was not solvable (loss of coercivity)."""
-
-    def __init__(self, msg, step=None):
-        super().__init__(msg)
-        self.step = step
 
 
 class InfeasibleLevelSet(MqsflowError):
@@ -81,6 +81,10 @@ def check_finite(what, value, kind=None):
     except (TypeError, ValueError) as exc:  # a ragged nesting, say
         raise ValidationFailure(
             f"{what} must be a numeric array: {exc}") from exc
+    if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real)
+                                     for v in arr.flat):
+        raise ValidationFailure(  # an integer beyond int64 and uint64
+            f"{what} is out of range, got {value}")
     if arr.dtype.kind not in "biuf":
         raise ValidationFailure(
             f"{what} must be real numbers, got {arr.dtype}")

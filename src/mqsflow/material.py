@@ -209,16 +209,24 @@ def estimate_constants(model, region="*", s_max=100.0, n_grid=2000):
     convex combination of slopes between adjacent grid points, so the
     extremes over adjacent pairs are those over all pairs.  The two-sided
     pointwise bound m_hat <= nu(s) <= L_hat is checked as well; failures
-    land in the violations list.
+    land in the violations list.  A curve whose values overflow on the grid
+    raises ValidationFailure.
     """
     if s_max <= 0:
         raise ValueError("s_max must be positive")
     if n_grid < 2:
         raise ValueError("n_grid must be at least 2")
     s = np.linspace(0.0, s_max, n_grid)
-    nu, _ = model_eval(model, region, s)
-    g = nu * s
-    slopes = np.diff(g) / np.diff(s)
+    try:
+        with np.errstate(over="raise"):
+            nu, _ = model_eval(model, region, s)
+            g = nu * s
+            slopes = np.diff(g) / np.diff(s)
+    except FloatingPointError as exc:
+        raise ValidationFailure(
+            f"{exc} while certifying the reluctivity curve of kind "
+            f"{model.kind!r} on region {region!r} over the grid s in "
+            f"[0, {s_max:g}] ({n_grid} points)") from exc
     m_hat = float(slopes.min())
     L_hat = float(np.abs(slopes).max())
 

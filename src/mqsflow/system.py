@@ -62,12 +62,14 @@ class VoltageSignal:
                 f"{data[:, 0].tolist()}")
 
     def __call__(self, t):
-        if self.kind == "constant":
-            return self.value.copy()
-        if self.kind == "step":
-            return self.value.copy() if t > 0 else np.zeros_like(self.value)
-        ts = self.table[:, 0]
-        return np.array([np.interp(t, ts, vs) for vs in self.table[:, 1:].T])
+        """v(t): (m,) for a scalar time, (len(t), m) for an array of times."""
+        t = np.asarray(t, dtype=float)
+        if self.kind == "table":
+            ts = self.table[:, 0]
+            return np.stack([np.interp(t, ts, vs) for vs in self.table[:, 1:].T],
+                            axis=-1)
+        on = np.full(t.shape, True) if self.kind == "constant" else t > 0
+        return np.where(on[..., None], self.value, 0.0)
 
     @property
     def m(self):
@@ -84,9 +86,11 @@ DEFAULT_WINDING = fem.WindingSpec(
 
 
 # Desk-scale caps: a run above them would not finish at desk scale (mesh,
-# steps) or would stop Newton before it moved (tolerance).
+# steps, stored states: 80 MB at the dof-step cap) or would stop Newton
+# before it moved (tolerance).
 MAX_MESH_N = 256
 MAX_STEPS = 100_000
+MAX_DOF_STEPS = 10_000_000
 MAX_NEWTON_TOL = 1e-3
 
 
@@ -157,6 +161,11 @@ class MQSConfig:
             raise ValidationFailure(
                 f"T = {self.T} is not a whole number of steps tau = "
                 f"{self.tau} (T / tau = {steps:.6g})")
+        dofs = max(self.n - 1, 0) ** 2
+        if dofs * steps > MAX_DOF_STEPS:
+            raise ValidationFailure(
+                f"(n - 1)^2 * T / tau = {dofs} dofs * {steps:.6g} steps "
+                f"exceeds the cap of {MAX_DOF_STEPS} dof-steps")
 
     @property
     def n_steps(self):
@@ -331,12 +340,6 @@ def initial_field(config, ops):
             f"cannot read initial field {config.a0_path!r}: {exc}") from exc
 
 
-def _voltage_samples(config):
-    n = config.n_steps
-    times = config.tau * np.arange(n + 1)
-    return np.array([config.voltage(t) for t in times])
-
-
 def _metric_input(ops, v_samples):
     """Input in metric coordinates: (0 field block, R^{-1/2} v)."""
     n_rows = ops.E.dim_Z
@@ -355,23 +358,21 @@ def recover_currents(ops, fields, v_samples, tau):
     return currents, fluxes
 
 
-def power_balance(ops, traj):
+def power_balance(ops, fields, currents, voltages, energies, tau):
     """Per-step defect of the discrete power balance, nan at k = 0.
 
     delta_k = Phi_k - Phi_{k-1} - tau (i_k . v_k - i_k . R i_k
               - sigma_C || (a_k - a_{k-1}) / tau ||^2_{M_C}).
     """
-    tau = traj.tau
-    da = np.diff(traj.fields, axis=0) / tau
+    da = np.diff(fields, axis=0) / tau
     ohmic_field = ops.sigma_C * np.einsum(
         "ki,ki->k", da, (ops.mass_C @ da.T).T
     )
-    i = traj.currents[1:]
-    v = traj.voltages[1:]
-    supplied = np.einsum("kj,kj->k", i, v)
+    i = currents[1:]
+    supplied = np.einsum("kj,kj->k", i, voltages[1:])
     ohmic_wind = np.einsum("kj,kj->k", i, i @ ops.R.T)
-    out = np.full(traj.times.shape[0], np.nan)
-    out[1:] = np.diff(traj.energies) - tau * (supplied - ohmic_wind - ohmic_field)
+    out = np.full(fields.shape[0], np.nan)
+    out[1:] = np.diff(energies) - tau * (supplied - ohmic_wind - ohmic_field)
     return out
 
 
@@ -390,27 +391,25 @@ def solve(config, ops=None, a0=None):
         raise ValidationFailure(
             f"initial field has shape {a0.shape}, expected ({ops.n_dofs},)"
         )
-    v_samples = _voltage_samples(config)
-    f = _metric_input(ops, v_samples)
+    times = config.tau * np.arange(config.n_steps + 1)
+    v_samples = config.voltage(times)
     prox_cfg = core.ProxConfig(
         tau=config.tau, n_steps=config.n_steps,
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
     )
-    times = config.tau * np.arange(1, config.n_steps + 1)
-    loads = None if config.forcing is None else config.forcing(ops.mesh, times)
+    loads = None if config.forcing is None else config.forcing(ops.mesh, times[1:])
     traj = core.solve_trajectory(
-        ops.phi, ops.E, a0, f, prox_cfg, loads=loads,
-        start=config.newton_start,
+        ops.phi, ops.E, a0, _metric_input(ops, v_samples), prox_cfg,
+        loads=loads, start=config.newton_start,
     )
     currents, fluxes = recover_currents(ops, traj.states, v_samples, config.tau)
-    mqs_traj = MQSTrajectory(
+    return MQSTrajectory(
         times=traj.times, fields=traj.states, currents=currents,
         energies=traj.energies, fluxes=fluxes,
-        balance_residuals=np.empty(0), voltages=v_samples,
-        core_trajectory=traj,
+        balance_residuals=power_balance(ops, traj.states, currents, v_samples,
+                                        traj.energies, config.tau),
+        voltages=v_samples, core_trajectory=traj,
     )
-    mqs_traj.balance_residuals = power_balance(ops, mqs_traj)
-    return mqs_traj
 
 
 # perfbench/measure.py names this attribute when it instruments prox steps.
@@ -453,13 +452,12 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
 
 def solve_schur(config, ops):
     """Full trajectory through the Schur-reduced path (equivalence witness)."""
-    a0 = initial_field(config, ops)
-    v_samples = _voltage_samples(config)
     n = config.n_steps
+    times = config.tau * np.arange(n + 1)
+    v_samples = config.voltage(times)
     fields = np.empty((n + 1, ops.n_dofs))
-    fields[0] = a0
-    times = config.tau * np.arange(1, n + 1)
-    loads = None if config.forcing is None else config.forcing(ops.mesh, times)
+    fields[0] = initial_field(config, ops)
+    loads = None if config.forcing is None else config.forcing(ops.mesh, times[1:])
     for k in range(1, n + 1):
         fields[k] = schur_step(
             ops, fields[k - 1], v_samples[k], config.tau,

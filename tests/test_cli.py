@@ -447,6 +447,34 @@ def test_output_basename_names_the_files(tmp_path, small_cfg):
                                                      "step-1.vtk"]
 
 
+@pytest.mark.parametrize("override, name, value", [
+    ("initial.seed=100000000000000000000000", "seed",
+     "100000000000000000000000"),
+    ("mesh.n=-100000000000000000000", "n", "-100000000000000000000"),
+])
+def test_cli_names_an_integer_beyond_64_bits(tmp_path, small_cfg, capsys,
+                                             override, name, value):
+    out = tmp_path / "o"
+    code = cli.dispatch(["run", "--config", small_cfg, "--out", str(out),
+                         "--set", override])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {name} is out of range, got {value}\n")
+    assert not out.exists()
+
+
+def test_cli_names_the_reluctivity_whose_certification_overflows(
+        tmp_path, small_cfg, capsys):
+    code = cli.dispatch(["run", "--config", small_cfg, "--out",
+                         str(tmp_path / "o"), "--set",
+                         "material.nu_max=1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert "reluctivity curve of kind 'rational_saturation'" in err
+    assert "region '*'" in err
+
+
 def test_cli_reports_floating_point_overflow_on_one_line(tmp_path, small_cfg,
                                                          capsys):
     """An input so large that the certification overflows exits 1 with one

@@ -240,25 +240,6 @@ def test_regularity_monitors_zero_trajectory():
     assert mon["W1"] == 0.0 and mon["S1"] == 0.0 and mon["W0"] == 0.0
 
 
-def test_check_E_ellipticity_convex_passes():
-    rng = np.random.default_rng(6)
-    phi = quadratic(random_spd(3, rng))
-    E = core.LinearMapE(np.eye(3))
-    report = core.check_E_ellipticity(phi, E, 1.0, samples=50, seed=0)
-    assert report.passed
-
-
-def test_check_E_ellipticity_detects_concavity():
-    phi = core.EllipticFunctional(
-        eval=lambda x: -float(x @ x) ** 2,
-        gateaux=lambda x: -4.0 * float(x @ x) * x,
-        hessian=lambda x: None,
-    )
-    E = core.LinearMapE(np.eye(3))
-    report = core.check_E_ellipticity(phi, E, 0.1, samples=50, seed=0)
-    assert not report.passed
-
-
 def test_singular_newton_system_raises():
     with pytest.raises(SingularStep):
         core._solve_newton_system(np.zeros((2, 2)), np.ones(2))

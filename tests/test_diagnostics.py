@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mqsflow import core, diagnostics, fem, system
-from mqsflow.errors import InsufficientLevels
+from mqsflow import diagnostics, fem, system
+from mqsflow.errors import InsufficientLevels, ValidationFailure
 
 
 @pytest.fixture(scope="module")
@@ -22,17 +22,6 @@ def test_observed_order_on_synthetic_sequence():
     assert diagnostics.observed_order(errors) == pytest.approx(1.0)
     errors = [4.0 ** -k for k in range(5)]
     assert diagnostics.observed_order(errors) == pytest.approx(2.0)
-
-
-def test_power_balance_series(small_run, tmp_path):
-    _, _, traj = small_run
-    out = diagnostics.power_balance_series(traj, tmp_path / "pb.csv")
-    assert out["delta"].shape == (traj.n_steps,)
-    assert out["max_abs"] == pytest.approx(
-        np.max(np.abs(traj.balance_residuals[1:]))
-    )
-    assert np.allclose(out["cumulative"], np.cumsum(out["delta"]))
-    assert (tmp_path / "pb.csv").exists()
 
 
 def test_balance_order_needs_three_levels(small_run):
@@ -81,6 +70,24 @@ def test_convergence_study_insufficient_levels():
         diagnostics.convergence_study(cfg, 2, "tau")
     with pytest.raises(ValueError):
         diagnostics.convergence_study(cfg, 3, "sideways")
+
+
+@pytest.mark.parametrize("n, refine, fragment", [
+    (80, "both", "n must be at most 256, got 320"),
+    (80, "h", "n must be at most 256, got 320"),
+    (256, "tau", "exceeds the cap of 10000000 dof-steps"),
+])
+def test_convergence_study_checks_every_level_before_solving(
+        monkeypatch, n, refine, fragment):
+    """An over-cap level is rejected before the first solve, and with
+    refine="both" before the tau study too."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before every level was checked")
+
+    monkeypatch.setattr(system, "solve", solve)
+    with pytest.raises(ValidationFailure, match=fragment):
+        diagnostics.convergence_study(
+            diagnostics.manufactured_config(n=n), 3, refine)
 
 
 def test_manufactured_field_boundary_and_growth():

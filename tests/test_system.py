@@ -10,7 +10,9 @@ import pytest
 import scipy.sparse as sp
 
 from mqsflow import core, diagnostics, fem, material, system
-from mqsflow.errors import NonConvergence, ValidationFailure
+from mqsflow.errors import (
+    NonConvergence, SingularStep, StepFailure, ValidationFailure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -295,8 +297,10 @@ def test_config_enforces_desk_scale_caps():
         system.MQSConfig(n=8, newton_tol=2e-3)
     with pytest.raises(ValidationFailure, match="T and tau must be positive"):
         system.MQSConfig(n=8, tau=0.0)
-    cfg = system.MQSConfig(n=256, T=1.0, tau=1e-5, newton_tol=1e-3)
-    assert cfg.n_steps == 100_000
+    with pytest.raises(ValidationFailure,
+                       match=r"65025 dofs \* 100000 steps exceeds the cap"):
+        system.MQSConfig(n=256, T=1.0, tau=1e-5, newton_tol=1e-3)
+    assert system.MQSConfig(n=256).n_steps == 64
 
 
 def test_config_rejects_horizon_not_a_whole_number_of_steps():
@@ -317,6 +321,26 @@ def test_voltage_signals():
         "table", table=np.array([[0.0, 0.0], [1.0, 2.0]])
     )
     assert table(0.5) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "step", "table"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_voltage_signal_on_a_time_grid_equals_its_scalar_calls(kind, m):
+    """One call on an array of times returns (len(t), m), bit for bit the
+    rows of the scalar calls, below 0, at 0 and past the last table row."""
+    amp = np.array([1.5, -2.0, 0.25])[:m]
+    if kind == "table":
+        ts = np.array([0.0, 0.25, 0.5])
+        signal = system.VoltageSignal(
+            kind, table=np.column_stack([ts, np.outer(ts - 0.1, amp)]))
+    else:
+        signal = system.VoltageSignal(kind, amp)
+    times = np.array([-0.5, -0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 2.0])
+    grid = signal(times)
+    rows = np.array([signal(t) for t in times])
+    assert grid.shape == rows.shape == (times.size, m)
+    assert grid.tobytes() == rows.tobytes()
+    assert signal(0.3).shape == (m,)
 
 
 def test_voltage_table_times_must_increase():
@@ -797,6 +821,39 @@ def test_huge_resistance_is_checked_without_overflow():
         material.constant_model(1.0), 1.0,
         np.array([[1e308, -1e308], [1e308, 1e308]]))
     assert "resistance matrix R must be symmetric" in report.reasons
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 10 ** 23), ("n", -10 ** 20), ("newton_max_iter", 2 ** 64),
+])
+def test_config_names_an_integer_beyond_64_bits(field, value):
+    with pytest.raises(ValidationFailure,
+                       match=f"^{field} is out of range, got {value}$"):
+        system.MQSConfig(**{field: value})
+    with pytest.raises(ValidationFailure, match="out of range"):
+        system.VoltageSignal("constant", [1.0, value])
+
+
+def test_reluctivity_overflow_is_named():
+    """A curve whose certification overflows is a ValidationFailure naming
+    the kind, the region and the grid, not a warning and a false verdict."""
+    model = material.rational_saturation_model(1.0, 1e308)
+    with pytest.raises(ValidationFailure) as exc:
+        system.build_system(system.MQSConfig(n=8, model=model))
+    assert str(exc.value) == (
+        "overflow encountered in multiply while certifying the reluctivity "
+        "curve of kind 'rational_saturation' on region '*' over the grid "
+        "s in [0, 100] (2000 points)")
+    with pytest.raises(ValidationFailure, match="region 'C'"):
+        material.estimate_constants(model, "C", s_max=10.0)
+
+
+def test_step_failures_share_one_base():
+    assert issubclass(NonConvergence, StepFailure)
+    assert issubclass(SingularStep, StepFailure)
+    exc = SingularStep("no pivot", step=3)
+    assert (str(exc), exc.step) == ("no pivot", 3)
+    assert NonConvergence("stalled").step is None
 
 
 def test_overflow_in_a_step_is_a_newton_failure():
