@@ -144,6 +144,8 @@ def _cmd_constants(args):
 
 
 def _experiment_battery(cfg, out_dir):
+    # the balance study's step sizes are checked before anything is solved
+    diagnostics.balance_order_levels(cfg)
     ops = system.build_system(cfg)[0]
     traj = system.solve(cfg, ops)
     results = [_weak_residuals(cfg, ops, traj)[0]]

@@ -15,7 +15,10 @@ When the last k rows of a sparse E form a thin block U (k << dim_X), the
 Newton matrix  hessian + E^T E / tau  is a sparse SPD part  H_s = hessian +
 E_1^T E_1 / tau  plus the rank-k term  U^T U / tau.  Only H_s is factored,
 in SuperLU's symmetric mode, and the rank-k term is added back by the
-Sherman-Morrison-Woodbury identity.
+Sherman-Morrison-Woodbury identity.  Every H_s of a solve sits on one
+pattern, so its fill-reducing MMD ordering is computed once, at the first
+factor: a PatternOrdering, made per solve, permutes each later H_s
+symmetrically by that ordering and factors it in natural order.
 
 Each step's Newton solve starts, by default, from the extrapolation of
 the past states (the standard starting value for Newton inside implicit
@@ -122,10 +125,8 @@ class LinearMapE:
 
     def _slots_in(self, H):
         """Positions of the lead gram's entries in H.data, or None."""
-        if self._slots is not None:
-            indptr, indices, slots = self._slots
-            if np.array_equal(H.indptr, indptr) and np.array_equal(H.indices, indices):
-                return slots
+        if self._slots is not None and _same_pattern(H, self._slots[:2]):
+            return self._slots[2]
         G = self.lead_gram
         if H.shape != G.shape:
             return None
@@ -137,6 +138,12 @@ class LinearMapE:
             return None
         self._slots = (H.indptr.copy(), H.indices.copy(), slots)
         return slots
+
+
+def _same_pattern(A, pattern):
+    """Whether the CSC matrix A has the (indptr, indices) ``pattern``."""
+    indptr, indices = pattern
+    return np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
 
 
 def _csc_keys(A):
@@ -197,15 +204,72 @@ class DaeTrajectory:
         return self.rates.shape[0]
 
 
-def _solve_newton_system(H, rhs, thin=None):
+class PatternOrdering:
+    """SuperLU's symmetric MMD_AT_PLUS_A column order of a Newton pattern,
+    kept for the later factors on that pattern (one object per solve).
+
+    The first factor on a pattern runs the ordering and keeps its
+    ``perm_c``.  A later matrix on the same pattern is permuted
+    symmetrically, P^T H P, by one gather of its data and factored in
+    natural order: the same pivot sequence, without the ordering's cost.
+    A matrix on another pattern is ordered afresh.  Each ``solve`` makes
+    exactly one ``splu`` call, or a second one with SuperLU's defaults on
+    H itself if the first meets a zero pivot.
+    """
+
+    def __init__(self):
+        self._pattern = None   # (indptr, indices) of the ordered pattern
+        self._perm = None      # perm_c of its first factor: i -> position
+        self._permuted = None  # (gather, indptr, indices, inverse perm)
+
+    def solve(self, H, B):
+        """H^{-1} B for a sparse CSC H, one factor for all columns of B."""
+        H.sum_duplicates()  # canonical, as splu makes it, before it is kept
+        if self._perm is not None and _same_pattern(H, self._pattern):
+            if self._permuted is None:  # built while no factor is alive
+                self._permuted = _symmetric_permutation(H, self._perm)
+            gather, indptr, indices, inverse = self._permuted
+            A = sp.csc_matrix((H.data.take(gather), indices, indptr),
+                              shape=H.shape)
+            order = "NATURAL"
+        else:
+            self._pattern = (H.indptr.copy(), H.indices.copy())
+            self._perm = self._permuted = None
+            A, order = H, "MMD_AT_PLUS_A"
+        try:
+            lu = spla.splu(A, permc_spec=order, diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:
+            return spla.splu(H).solve(B)
+        if A is H:
+            self._perm = lu.perm_c.copy()
+            return lu.solve(B)
+        return lu.solve(B.take(inverse, axis=0)).take(self._perm, axis=0)
+
+
+def _symmetric_permutation(H, perm):
+    """The gather, indptr and indices of P^T H P, which moves entry (i, j)
+    of the CSC matrix H to (perm[i], perm[j]), and the inverse of perm."""
+    n = H.shape[0]
+    rows = perm[H.indices].astype(np.int64)
+    cols = perm[np.repeat(np.arange(n), np.diff(H.indptr))].astype(np.int64)
+    gather = np.argsort(cols * n + rows)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return gather, indptr, rows[gather].astype(np.intc), np.argsort(perm)
+
+
+def _solve_newton_system(H, rhs, thin=None, ordering=None):
     """Solve (H + U^T U / tau) d = rhs, with ``thin = (U, tau)`` or no U term.
 
     H is dense or sparse CSC (SuperLU's format).  Without a thin block a
     sparse H gets SuperLU's default (COLAMD, partial pivoting).  With one,
-    H is the sparse SPD part: it is factored with a symmetric ordering and
-    diagonal pivots (once more with the defaults if SuperLU meets a zero
-    pivot), [rhs, U^T] is solved in one call, and the k x k capacitance
-    system tau I + U H^{-1} U^T adds the rank-k term (Woodbury).
+    H is the sparse SPD part: ``ordering`` (a PatternOrdering; a fresh one
+    when None, so the factor is ordered afresh) factors it with a symmetric
+    ordering and diagonal pivots, kept for the next H on the same pattern
+    (once more with the defaults if SuperLU meets a zero pivot), [rhs, U^T]
+    is solved in one call, and the k x k capacitance system
+    tau I + U H^{-1} U^T adds the rank-k term (Woodbury).
     """
     try:
         if thin is None:
@@ -215,13 +279,9 @@ def _solve_newton_system(H, rhs, thin=None):
                 d = np.linalg.solve(H, rhs)
         else:
             U, tau = thin
-            try:
-                lu = spla.splu(H, permc_spec="MMD_AT_PLUS_A",
-                               diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-            except RuntimeError:
-                lu = spla.splu(H)
-            Y = lu.solve(np.column_stack([rhs, U.T]))
+            if ordering is None:
+                ordering = PatternOrdering()
+            Y = ordering.solve(H, np.column_stack([rhs, U.T]))
             y, W = Y[:, 0], Y[:, 1:]
             capacitance = tau * np.eye(U.shape[0]) + U @ W
             d = y - W @ np.linalg.solve(capacitance, U @ y)
@@ -256,13 +316,14 @@ def armijo_search(objective, x, d, J, slope):
 
 
 def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
-                    J0=None, max_iter=50, thin=None):
+                    J0=None, max_iter=50, thin=None, ordering=None):
     """Damped Newton with Armijo backtracking for a smooth convex objective.
 
     Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` and ``J0`` are
     the gradient and the objective at x0 when the caller already has them.
-    ``thin = (U, tau)`` makes the Newton matrix hessian(x) + U^T U / tau
-    (see _solve_newton_system).
+    ``thin = (U, tau)`` makes the Newton matrix hessian(x) + U^T U / tau,
+    its sparse part factored through ``ordering`` (see
+    _solve_newton_system).
     Raises SingularStep on a non-descent Newton direction and
     NonConvergence when ``max_iter`` iterations do not reach the tolerance.
     """
@@ -272,7 +333,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     for _ in range(max_iter):
         if np.linalg.norm(g) <= tol:
             return x
-        d = _solve_newton_system(hessian(x), -g, thin)
+        d = _solve_newton_system(hessian(x), -g, thin, ordering)
         slope = float(g @ d)
         if slope >= 0:
             raise SingularStep("Newton direction is not a descent direction")
@@ -286,7 +347,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
 
 
 def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
-              newton_tol=1e-10, newton_max_iter=50):
+              newton_tol=1e-10, newton_max_iter=50, ordering=None):
     """One implicit-Euler step as a proximal minimization in the E-metric.
 
     Newton starts from ``x_start`` (default x_prev).  With ``guard`` it
@@ -296,6 +357,8 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     || dPhi(x_k) + (1/tau) E^T (E x_k - E x_prev - tau f_k) ||
     <= newton_tol * (1 + residual norm at x_prev), and x_prev itself when
     x_prev already meets that bound (unless an unguarded x_start is given).
+    ``ordering`` is the PatternOrdering of the Newton factors (a solve
+    passes one to all its steps); by default the step makes its own.
     """
     if not check_finite("tau", tau) > 0:
         raise ValueError("tau must be positive")
@@ -323,6 +386,8 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
                 x0, g0, J0 = x_prev, g_prev, J_prev
     if E.k and sp.issparse(E.matrix):
         thin = (E.thin, tau)
+        if ordering is None:
+            ordering = PatternOrdering()
 
         def hessian(x):
             return E.add_lead_gram(phi.hessian(x), tau)
@@ -333,7 +398,7 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
             return phi.hessian(x) + metric
     return newton_minimize(
         objective, residual, hessian, x0, tol,
-        g0=g0, J0=J0, max_iter=newton_max_iter, thin=thin,
+        g0=g0, J0=J0, max_iter=newton_max_iter, thin=thin, ordering=ordering,
     )
 
 
@@ -395,6 +460,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
     images[0] = E.apply(x0)
     energies[0] = phi.eval(x0)
     x_start = np.zeros(E.dim_X) if start == "zero" else None
+    ordering = PatternOrdering()
     for k in range(1, n + 1):
         phi_k = phi if loads is None else _with_load(phi, loads[k - 1])
         if start == "extrapolate" and k > 1:
@@ -406,6 +472,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
                     x_start=x_start, guard=start == "extrapolate",
                     newton_tol=config.newton_tol,
                     newton_max_iter=config.newton_max_iter,
+                    ordering=ordering,
                 )
         except FloatingPointError as exc:  # data far out of range
             raise NonConvergence(f"step {k}: {exc}", step=k) from exc

@@ -44,14 +44,25 @@ def observed_order(errors):
     return float(np.mean(orders[min(2, orders.size - 1):]))
 
 
-def balance_order_study(config, ops,
-                        taus=(1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)):
-    """Observed decay order of max_k |delta_k| under step halving."""
+BALANCE_TAUS = (1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256)
+
+
+def balance_order_levels(config, taus=BALANCE_TAUS):
+    """The balance order study's configs, one per step size, each checked
+    on construction."""
     if len(taus) < 3:
         raise InsufficientLevels("balance order study needs >= 3 step sizes")
+    return [replace(config, tau=tau) for tau in taus]
+
+
+def balance_order_study(config, ops, taus=BALANCE_TAUS):
+    """Observed decay order of max_k |delta_k| under step halving.
+
+    Every level is configured, and so checked, before the first solve.
+    """
     maxima = []
-    for tau in taus:
-        traj = system.solve(replace(config, tau=tau), ops)
+    for level in balance_order_levels(config, taus):
+        traj = system.solve(level, ops)
         maxima.append(float(np.max(np.abs(traj.balance_residuals[1:]))))
     order = observed_order(maxima)
     return ExperimentResult(

@@ -331,6 +331,27 @@ def test_experiment_battery_builds_once_and_reuses_its_trajectory(
     assert calls == {"build_system": 1, "solve": 9}
 
 
+def test_experiment_rejects_an_over_cap_balance_level_before_solving(
+        tmp_path, monkeypatch, capsys):
+    """At n = 199 the run itself is under the dof-step cap but the balance
+    study's tau = 1/256 is not: the battery stops before its first solve."""
+    from mqsflow import system
+
+    solves = []
+
+    def solve(*args, **kwargs):
+        solves.append(1)
+        raise AssertionError("solve reached")
+
+    monkeypatch.setattr(system, "solve", solve)
+    code = cli.dispatch(["experiment", "--out", str(tmp_path / "o"),
+                         "--set", "mesh.n=199"])
+    assert code == 1 and solves == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "exceeds the cap of 10000000" in err
+
+
 def test_cli_run_rejects_output_that_fails_its_weak_residual_check(
         tmp_path, small_cfg, monkeypatch, capsys):
     from mqsflow import system

@@ -404,19 +404,30 @@ def test_dense_map_and_empty_thin_block_take_the_full_matrix_path():
         assert np.array_equal(x, plain(phi, E0))
 
 
-class _FailingSplu:
-    """Stands in for scipy.sparse.linalg: splu raises like SuperLU on a
-    zero pivot, in symmetric mode only or always."""
+class _RecordingSplu:
+    """Stands in for scipy.sparse.linalg: records each splu's keywords."""
 
-    def __init__(self, always):
-        self.always = always
+    def __init__(self):
         self.calls = []
 
     def splu(self, A, **kwargs):
         self.calls.append(kwargs)
-        if self.always or kwargs.get("options", {}).get("SymmetricMode"):
-            raise RuntimeError("Factor is exactly singular")
         return spla.splu(A, **kwargs)
+
+
+class _FailingSplu(_RecordingSplu):
+    """Records like _RecordingSplu, and splu raises like SuperLU on a zero
+    pivot, in symmetric mode only or always."""
+
+    def __init__(self, always):
+        super().__init__()
+        self.always = always
+
+    def splu(self, A, **kwargs):
+        if self.always or kwargs.get("options", {}).get("SymmetricMode"):
+            self.calls.append(kwargs)
+            raise RuntimeError("Factor is exactly singular")
+        return super().splu(A, **kwargs)
 
 
 def test_symmetric_factor_failure_falls_back_then_raises(monkeypatch):
@@ -432,9 +443,42 @@ def test_symmetric_factor_failure_falls_back_then_raises(monkeypatch):
     assert len(stub.calls) == 2 and stub.calls[1] == {}
     assert np.linalg.norm(d_fallback - d) <= 1e-12 * np.linalg.norm(d)
 
+    # a zero pivot in the natural-order factor of a kept ordering
+    ordering = core.PatternOrdering()
+    monkeypatch.setattr(core, "spla", spla)
+    core._solve_newton_system(H, rhs, (E.thin, 0.05), ordering)
+    stub = _FailingSplu(always=False)
+    monkeypatch.setattr(core, "spla", stub)
+    d_fallback = core._solve_newton_system(H, rhs, (E.thin, 0.05), ordering)
+    assert len(stub.calls) == 2 and stub.calls[1] == {}
+    assert stub.calls[0]["permc_spec"] == "NATURAL"
+    assert np.linalg.norm(d_fallback - d) <= 1e-12 * np.linalg.norm(d)
+
     monkeypatch.setattr(core, "spla", _FailingSplu(always=True))
     with pytest.raises(SingularStep, match="not solvable"):
         core._solve_newton_system(H, rhs, (E.thin, 0.05))
+
+
+def test_a_kept_ordering_orders_each_new_pattern_afresh(monkeypatch):
+    """Factors on a kept pattern are in natural order, a changed pattern
+    gets a fresh MMD ordering, and every direction is the dense one."""
+    rng = np.random.default_rng(25)
+    E = core.LinearMapE(thin_map(rng), k=2)
+    tau = 0.05
+    first = E.add_lead_gram(sparse_spd(12, rng), tau)
+    second = E.add_lead_gram(sparse_spd(12, rng, density=0.5), tau)
+    assert not core._same_pattern(second, (first.indptr, first.indices))
+    rhs = rng.standard_normal(12)
+    stub = _RecordingSplu()
+    monkeypatch.setattr(core, "spla", stub)
+    ordering = core.PatternOrdering()
+    for H in (first, first, second, 2.0 * second, first):
+        d = core._solve_newton_system(H, rhs, (E.thin, tau), ordering)
+        ref = np.linalg.solve(H.toarray() + E.thin.T @ E.thin / tau, rhs)
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert [c["permc_spec"] for c in stub.calls] == [
+        "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "NATURAL",
+        "MMD_AT_PLUS_A"]
 
 
 def smooth_core_problems():

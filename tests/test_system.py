@@ -687,6 +687,42 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
     assert ops.mesh.pattern.nnz < full.nnz
 
 
+def test_a_solve_orders_the_newton_pattern_once(monkeypatch):
+    """The first factor of a solve runs the MMD ordering and every later
+    one factors in natural order, one factor per Newton system, within
+    1e-12 scale of a run that orders every factor afresh."""
+    cfg = system.MQSConfig(n=16)
+    ops = system.build_system(cfg)[0]
+    specs, newton_systems = [], []
+    real_splu, real_solve = core.spla.splu, core._solve_newton_system
+
+    class Spla:
+        def splu(self, A, **kwargs):
+            specs.append(kwargs.get("permc_spec"))
+            return real_splu(A, **kwargs)
+
+    def counted(*args):
+        newton_systems.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(core, "spla", Spla())
+    monkeypatch.setattr(core, "_solve_newton_system", counted)
+    kept = system.solve(cfg, ops)
+    assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
+    assert len(specs) == len(newton_systems) > 1
+
+    def afresh(H, rhs, thin, ordering):
+        return real_solve(H, rhs, thin)
+
+    monkeypatch.setattr(core, "_solve_newton_system", afresh)
+    specs.clear()
+    fresh = system.solve(cfg, ops)
+    assert set(specs) == {"MMD_AT_PLUS_A"}
+    scale = diagnostics.trajectory_scale(ops, fresh)
+    assert np.abs(kept.fields - fresh.fields).max() <= 1e-12 * scale
+    assert np.abs(kept.currents[1:] - fresh.currents[1:]).max() <= 1e-12 * scale
+
+
 def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
         monkeypatch):
     """Against a predictor stuck at x_{k-1}, which starts every step where
