@@ -16,9 +16,9 @@ Newton matrix  hessian + E^T E / tau  is a sparse SPD part  H_s = hessian +
 E_1^T E_1 / tau  plus the rank-k term  U^T U / tau.  Only H_s is factored,
 in SuperLU's symmetric mode, and the rank-k term is added back by the
 Sherman-Morrison-Woodbury identity.  Every H_s of a solve sits on one
-pattern, so its fill-reducing MMD ordering is computed once, at the first
-factor: a PatternOrdering, made per solve, permutes each later H_s
-symmetrically by that ordering and factors it in natural order.
+pattern, so a NewtonSystem, made per solve, finds that pattern and the
+fill-reducing MMD ordering once, at the first factor, then fills one
+kept, symmetrically permuted H_s and factors it in natural order.
 
 Each step's Newton solve starts, by default, from the extrapolation of
 the past states (the standard starting value for Newton inside implicit
@@ -59,12 +59,12 @@ ORACLE_DIM_LIMIT = 64
 
 
 class LinearMapE:
-    """Linear metric map E : R^dim_X -> R^dim_Z, dense or sparse.
+    """Linear metric map E : R^dim_X -> R^dim_Z, dense or sparse, immutable.
 
     The last ``k`` rows may form a thin block U (default k = 0): for a
     sparse E (and a functional with a sparse hessian), prox steps then
     factor only the leading block's part of the Newton matrix and add
-    U^T U by the Woodbury identity.
+    U^T U by the Woodbury identity (see NewtonSystem).
     """
 
     def __init__(self, matrix, k=0):
@@ -73,9 +73,9 @@ class LinearMapE:
         self.matrix = matrix
         self.dim_Z, self.dim_X = matrix.shape
         if not 0 <= k <= self.dim_Z:
-            raise ValueError(f"thin block of {k} rows in a map with {self.dim_Z}")
+            raise ValidationFailure(
+                f"thin block of {k} rows in a map with {self.dim_Z}")
         self.k = k
-        self._slots = None  # (indptr, indices, slots) of the last H pattern
 
     def apply(self, x):
         return self.matrix @ x
@@ -106,44 +106,6 @@ class LinearMapE:
     def thin(self):
         """The thin block U, the last k rows, as a dense (k, dim_X) array."""
         return sp.csr_matrix(self.matrix)[self.dim_Z - self.k:].toarray()
-
-    def add_lead_gram(self, H, tau):
-        """H + E_1^T E_1 / tau.
-
-        For H in CSC on a pattern that holds E_1^T E_1's, the result keeps
-        H's pattern: the lead gram's slots in it are found once and its data
-        is added into a copy of H's.  Otherwise it is the plain sum.
-        """
-        G = self.lead_gram
-        slots = self._slots_in(H) if sp.issparse(H) and H.format == "csc" \
-            else None
-        if slots is None:
-            return H + G / tau
-        data = H.data.copy()
-        data[slots] += G.data / tau
-        return sp.csc_matrix((data, H.indices, H.indptr), shape=H.shape)
-
-    def _slots_in(self, H):
-        """Positions of the lead gram's entries in H.data, or None."""
-        if self._slots is not None and _same_pattern(H, self._slots[:2]):
-            return self._slots[2]
-        G = self.lead_gram
-        if H.shape != G.shape:
-            return None
-        h_keys, g_keys = _csc_keys(H), _csc_keys(G)
-        if np.any(np.diff(h_keys) <= 0):  # not canonical: unsorted or repeated
-            return None
-        slots = np.searchsorted(h_keys, g_keys)
-        if np.any(slots == h_keys.size) or np.any(h_keys[slots] != g_keys):
-            return None
-        self._slots = (H.indptr.copy(), H.indices.copy(), slots)
-        return slots
-
-
-def _same_pattern(A, pattern):
-    """Whether the CSC matrix A has the (indptr, indices) ``pattern``."""
-    indptr, indices = pattern
-    return np.array_equal(A.indptr, indptr) and np.array_equal(A.indices, indices)
 
 
 def _csc_keys(A):
@@ -177,7 +139,7 @@ class ProxConfig:
     def __post_init__(self):
         for name in ("tau", "newton_tol", "n_steps"):
             if not check_finite(name, getattr(self, name)) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValidationFailure(f"{name} must be positive")
 
     def check_against(self, phi):
         omega = phi.ellipticity_omega
@@ -204,87 +166,100 @@ class DaeTrajectory:
         return self.rates.shape[0]
 
 
-class PatternOrdering:
-    """SuperLU's symmetric MMD_AT_PLUS_A column order of a Newton pattern,
-    kept for the later factors on that pattern (one object per solve).
+class NewtonSystem:
+    """The Newton matrices H + E^T E / tau of one solve (sparse E, thin
+    block U) for sparse hessians H, taken in canonical CSC; E is not changed.
 
-    The first factor on a pattern runs the ordering and keeps its
-    ``perm_c``.  A later matrix on the same pattern is permuted
-    symmetrically, P^T H P, by one gather of its data and factored in
-    natural order: the same pivot sequence, without the ordering's cost.
-    A matrix on another pattern is ordered afresh.  Each ``solve`` makes
-    exactly one ``splu`` call, or a second one with SuperLU's defaults on
-    H itself if the first meets a zero pivot.
+    For a new pattern of H, the pattern of H_s = H + E_1^T E_1 / tau and
+    the slots of H's and E_1^T E_1's entries in it are found once, and H_s
+    is factored with SuperLU's symmetric MMD_AT_PLUS_A ordering, whose
+    ``perm_c`` is kept.  A later H on that pattern fills one kept P^T H_s P,
+    factored in natural order: the same pivots without the ordering's cost.
+    Each ``solve`` is one ``splu`` call, or a second with SuperLU's defaults
+    on a zero pivot.
     """
 
-    def __init__(self):
-        self._pattern = None   # (indptr, indices) of the ordered pattern
-        self._perm = None      # perm_c of its first factor: i -> position
-        self._permuted = None  # (gather, indptr, indices, inverse perm)
+    def __init__(self, E, tau):
+        self.E, self.tau = E, tau
+        self._pattern = None  # H's indptr, indices; H_s's keys; H's, G's slots
+        self._perm = None     # perm_c of its first factor: i -> position
+        self._kept = None     # P^T H_s P, H's and G's slots in it, inverse perm
 
-    def solve(self, H, B):
-        """H^{-1} B for a sparse CSC H, one factor for all columns of B."""
-        H.sum_duplicates()  # canonical, as splu makes it, before it is kept
-        if self._perm is not None and _same_pattern(H, self._pattern):
-            if self._permuted is None:  # built while no factor is alive
-                self._permuted = _symmetric_permutation(H, self._perm)
-            gather, indptr, indices, inverse = self._permuted
-            A = sp.csc_matrix((H.data.take(gather), indices, indptr),
-                              shape=H.shape)
-            order = "NATURAL"
+    def solve(self, H, rhs):
+        """(H + E^T E / tau)^{-1} rhs, one factor for rhs and U^T."""
+        U, G = self.E.thin, self.E.lead_gram
+        H = H.tocsc()
+        if not H.has_canonical_format:  # sorted and summed, in a copy
+            H = H.copy()
+            H.sum_duplicates()
+        B = np.column_stack([rhs, U.T])
+        kept = (self._perm is not None
+                and np.array_equal(H.indptr, self._pattern[0])
+                and np.array_equal(H.indices, self._pattern[1]))
+        if kept:
+            if self._kept is None:  # built while no factor is alive
+                self._kept = _symmetric_permutation(self._perm,
+                                                    *self._pattern[2:])
+            A, h_slots, g_slots, inverse = self._kept
+            A.data[:] = 0.0
+            B = B.take(inverse, axis=0)
         else:
-            self._pattern = (H.indptr.copy(), H.indices.copy())
-            self._perm = self._permuted = None
-            A, order = H, "MMD_AT_PLUS_A"
+            both = [_csc_keys(H), _csc_keys(G)]
+            keys = np.union1d(*both)
+            h_slots, g_slots = (np.searchsorted(keys, k) for k in both)
+            self._pattern = (H.indptr.copy(), H.indices.copy(), keys,
+                             h_slots, g_slots)
+            self._perm = self._kept = None
+            A = _csc_at(keys, H.shape[0])
+        A.data[h_slots] = H.data
+        A.data[g_slots] += G.data / self.tau
         try:
-            lu = spla.splu(A, permc_spec=order, diag_pivot_thresh=0.0,
+            lu = spla.splu(A, permc_spec="NATURAL" if kept else "MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
-        except RuntimeError:
-            return spla.splu(H).solve(B)
-        if A is H:
-            self._perm = lu.perm_c.copy()
-            return lu.solve(B)
-        return lu.solve(B.take(inverse, axis=0)).take(self._perm, axis=0)
+        except RuntimeError:  # a zero pivot: SuperLU's defaults
+            lu = spla.splu(A)
+        else:
+            if not kept:
+                self._perm = lu.perm_c.copy()
+        Y = lu.solve(B).take(self._perm, axis=0) if kept else lu.solve(B)
+        y, W = Y[:, 0], Y[:, 1:]
+        capacitance = self.tau * np.eye(U.shape[0]) + U @ W
+        return y - W @ np.linalg.solve(capacitance, U @ y)
 
 
-def _symmetric_permutation(H, perm):
-    """The gather, indptr and indices of P^T H P, which moves entry (i, j)
-    of the CSC matrix H to (perm[i], perm[j]), and the inverse of perm."""
-    n = H.shape[0]
-    rows = perm[H.indices].astype(np.int64)
-    cols = perm[np.repeat(np.arange(n), np.diff(H.indptr))].astype(np.int64)
-    gather = np.argsort(cols * n + rows)
-    indptr = np.zeros(n + 1, dtype=np.intc)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return gather, indptr, rows[gather].astype(np.intc), np.argsort(perm)
+def _csc_at(keys, n):
+    """The n x n CSC matrix, data zero, with entries at the unique keys
+    col * n + row, stored in the order of the sorted keys."""
+    return sp.csc_matrix((np.zeros(keys.size), (keys % n, keys // n)),
+                         shape=(n, n))
 
 
-def _solve_newton_system(H, rhs, thin=None, ordering=None):
-    """Solve (H + U^T U / tau) d = rhs, with ``thin = (U, tau)`` or no U term.
+def _symmetric_permutation(perm, keys, h_slots, g_slots):
+    """P^T S P, which moves entry (i, j) of the pattern S at ``keys`` to
+    (perm[i], perm[j]): the matrix, where S's data positions ``h_slots``
+    and ``g_slots`` land in it, and the inverse of perm."""
+    n, perm = perm.size, perm.astype(np.int64)
+    moved = perm[keys // n] * n + perm[keys % n]
+    lands = np.argsort(np.argsort(moved))
+    return _csc_at(moved, n), lands[h_slots], lands[g_slots], np.argsort(perm)
 
-    H is dense or sparse CSC (SuperLU's format).  Without a thin block a
-    sparse H gets SuperLU's default (COLAMD, partial pivoting).  With one,
-    H is the sparse SPD part: ``ordering`` (a PatternOrdering; a fresh one
-    when None, so the factor is ordered afresh) factors it with a symmetric
-    ordering and diagonal pivots, kept for the next H on the same pattern
-    (once more with the defaults if SuperLU meets a zero pivot), [rhs, U^T]
-    is solved in one call, and the k x k capacitance system
-    tau I + U H^{-1} U^T adds the rank-k term (Woodbury).
+
+def _solve_newton_system(H, rhs, newton_system=None):
+    """The Newton direction d.
+
+    With ``newton_system`` (a NewtonSystem) H is the functional's hessian
+    and (H + E^T E / tau) d = rhs is solved through it.  Without one H is
+    the whole Newton matrix, dense or sparse CSC (SuperLU's defaults:
+    COLAMD, partial pivoting).
     """
     try:
-        if thin is None:
-            if sp.issparse(H):
-                d = spla.splu(H).solve(rhs)
-            else:
-                d = np.linalg.solve(H, rhs)
+        if newton_system is not None:
+            d = newton_system.solve(H, rhs)
+        elif sp.issparse(H):
+            d = spla.splu(H).solve(rhs)
         else:
-            U, tau = thin
-            if ordering is None:
-                ordering = PatternOrdering()
-            Y = ordering.solve(H, np.column_stack([rhs, U.T]))
-            y, W = Y[:, 0], Y[:, 1:]
-            capacitance = tau * np.eye(U.shape[0]) + U @ W
-            d = y - W @ np.linalg.solve(capacitance, U @ y)
+            d = np.linalg.solve(H, rhs)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise SingularStep(f"Newton linear system not solvable: {exc}")
     if not np.all(np.isfinite(d)):
@@ -316,14 +291,13 @@ def armijo_search(objective, x, d, J, slope):
 
 
 def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
-                    J0=None, max_iter=50, thin=None, ordering=None):
+                    J0=None, max_iter=50, newton_system=None):
     """Damped Newton with Armijo backtracking for a smooth convex objective.
 
     Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` and ``J0`` are
     the gradient and the objective at x0 when the caller already has them.
-    ``thin = (U, tau)`` makes the Newton matrix hessian(x) + U^T U / tau,
-    its sparse part factored through ``ordering`` (see
-    _solve_newton_system).
+    With ``newton_system`` (a NewtonSystem) the Newton matrix is
+    hessian(x) + E^T E / tau, solved through it (see _solve_newton_system).
     Raises SingularStep on a non-descent Newton direction and
     NonConvergence when ``max_iter`` iterations do not reach the tolerance.
     """
@@ -333,7 +307,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     for _ in range(max_iter):
         if np.linalg.norm(g) <= tol:
             return x
-        d = _solve_newton_system(hessian(x), -g, thin, ordering)
+        d = _solve_newton_system(hessian(x), -g, newton_system)
         slope = float(g @ d)
         if slope >= 0:
             raise SingularStep("Newton direction is not a descent direction")
@@ -347,7 +321,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
 
 
 def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
-              newton_tol=1e-10, newton_max_iter=50, ordering=None):
+              newton_tol=1e-10, newton_max_iter=50, newton_system=None):
     """One implicit-Euler step as a proximal minimization in the E-metric.
 
     Newton starts from ``x_start`` (default x_prev).  With ``guard`` it
@@ -357,11 +331,12 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     || dPhi(x_k) + (1/tau) E^T (E x_k - E x_prev - tau f_k) ||
     <= newton_tol * (1 + residual norm at x_prev), and x_prev itself when
     x_prev already meets that bound (unless an unguarded x_start is given).
-    ``ordering`` is the PatternOrdering of the Newton factors (a solve
-    passes one to all its steps); by default the step makes its own.
+    ``newton_system``, a NewtonSystem of this E and tau (one made for others
+    is a ValidationFailure), serves a sparse E with a thin block; a solve
+    passes one to all its steps, and by default the step makes its own.
     """
     if not check_finite("tau", tau) > 0:
-        raise ValueError("tau must be positive")
+        raise ValidationFailure("tau must be positive")
     x_prev = np.asarray(x_prev, dtype=float)
     b = E.apply(x_prev) + tau * np.asarray(f_k, dtype=float)
 
@@ -385,20 +360,19 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
             if not J0 <= J_prev:
                 x0, g0, J0 = x_prev, g_prev, J_prev
     if E.k and sp.issparse(E.matrix):
-        thin = (E.thin, tau)
-        if ordering is None:
-            ordering = PatternOrdering()
-
-        def hessian(x):
-            return E.add_lead_gram(phi.hessian(x), tau)
+        hessian = phi.hessian
+        if newton_system is None:
+            newton_system = NewtonSystem(E, tau)
+        elif newton_system.E is not E or newton_system.tau != tau:
+            raise ValidationFailure("newton_system is for another E or tau")
     else:
-        thin, metric = None, E.gram / tau
+        newton_system, metric = None, E.gram / tau
 
         def hessian(x):
             return phi.hessian(x) + metric
     return newton_minimize(
-        objective, residual, hessian, x0, tol,
-        g0=g0, J0=J0, max_iter=newton_max_iter, thin=thin, ordering=ordering,
+        objective, residual, hessian, x0, tol, g0=g0, J0=J0,
+        max_iter=newton_max_iter, newton_system=newton_system,
     )
 
 
@@ -409,7 +383,7 @@ def resolve_inputs(f, n_steps, dim_Z):
         return np.zeros((n_steps, dim_Z))
     f = np.atleast_2d(np.asarray(f, dtype=float))
     if f.shape != (n_steps + 1, dim_Z):
-        raise ValueError(
+        raise ValidationFailure(
             f"input samples must have shape ({n_steps + 1}, {dim_Z}), "
             f"got {f.shape}"
         )
@@ -442,6 +416,8 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
 
     ``loads`` (n_steps, dim_X), if given, adds the linear term -<load_k, x>
     to Phi in step k; the recorded energies are those of the unloaded Phi.
+    A floating-point overflow, at x0 or in a step, is a NonConvergence
+    that says the data is out of floating-point range and names the step.
     ``start`` picks each Newton solve's starting point: "extrapolate"
     (default) the polynomial through the last min(k, 4) states, one step
     ahead (x_0, 2 x_1 - x_0, 3 x_2 - 3 x_1 + x_0, then
@@ -457,30 +433,34 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
     images = np.empty((n + 1, E.dim_Z))
     energies = np.empty(n + 1)
     states[0] = x0
-    images[0] = E.apply(x0)
-    energies[0] = phi.eval(x0)
     x_start = np.zeros(E.dim_X) if start == "zero" else None
-    ordering = PatternOrdering()
-    for k in range(1, n + 1):
-        phi_k = phi if loads is None else _with_load(phi, loads[k - 1])
-        if start == "extrapolate" and k > 1:
-            x_start = _extrapolate(states, k)
-        try:
-            with np.errstate(all="raise", under="ignore"):
+    newton_system = NewtonSystem(E, config.tau)
+    k = 0
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            images[0] = E.apply(x0)
+            energies[0] = phi.eval(x0)
+            for k in range(1, n + 1):
+                phi_k = phi if loads is None else _with_load(phi, loads[k - 1])
+                if start == "extrapolate" and k > 1:
+                    x_start = _extrapolate(states, k)
                 states[k] = prox_step(
                     phi_k, E, states[k - 1], fk[k - 1], config.tau,
                     x_start=x_start, guard=start == "extrapolate",
                     newton_tol=config.newton_tol,
                     newton_max_iter=config.newton_max_iter,
-                    ordering=ordering,
+                    newton_system=newton_system,
                 )
-        except FloatingPointError as exc:  # data far out of range
-            raise NonConvergence(f"step {k}: {exc}", step=k) from exc
-        except StepFailure as exc:
-            exc.step = k
-            raise
-        images[k] = E.apply(states[k])
-        energies[k] = phi.eval(states[k])
+                images[k] = E.apply(states[k])
+                energies[k] = phi.eval(states[k])
+    except StepFailure as exc:
+        exc.step = k
+        raise
+    except FloatingPointError as exc:
+        at = f"step {k}: " if k else ""
+        raise NonConvergence(
+            f"{at}{exc}: the problem data is out of floating-point range",
+            step=k or None) from exc
     times = config.tau * np.arange(n + 1)
     rates = np.diff(images, axis=0) / config.tau
     return DaeTrajectory(times, states, rates, energies, fk)

@@ -88,8 +88,11 @@ def check_finite(what, value, kind=None):
     if arr.dtype.kind not in "biuf":
         raise ValidationFailure(
             f"{what} must be real numbers, got {arr.dtype}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationFailure(f"{what} must be finite, got {arr.tolist()}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        shown = arr.tolist() if arr.size <= 16 else (
+            f"{arr.flat[bad[0]]} at flat index {bad[0]} of {arr.size} values")
+        raise ValidationFailure(f"{what} must be finite, got {shown}")
     return np.asarray(arr, dtype=float)
 
 

@@ -213,9 +213,9 @@ def estimate_constants(model, region="*", s_max=100.0, n_grid=2000):
     raises ValidationFailure.
     """
     if s_max <= 0:
-        raise ValueError("s_max must be positive")
+        raise ValidationFailure("s_max must be positive")
     if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
+        raise ValidationFailure("n_grid must be at least 2")
     s = np.linspace(0.0, s_max, n_grid)
     try:
         with np.errstate(over="raise"):

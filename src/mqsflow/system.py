@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import core, fem, material
-from .errors import ValidationFailure, check_choice, check_finite
+from .errors import NonConvergence, ValidationFailure, check_choice, check_finite
 
 
 @dataclass(frozen=True)
@@ -380,13 +380,15 @@ def solve(config, ops=None, a0=None):
     """Run the coupled system over [0, T] with the prox stepper.
 
     ``ops`` defaults to ``build_system(config)[0]``; ``a0`` overrides the
-    configured initial field.
+    configured initial field.  A solve that overflows is a NonConvergence
+    that also names the largest input when its magnitude is itself beyond
+    the square root of the largest float.
     """
     if ops is None:
         ops = build_system(config)[0]
     if a0 is None:
         a0 = initial_field(config, ops)
-    a0 = np.asarray(a0, dtype=float)
+    a0 = check_finite("initial field", a0)
     if a0.shape != (ops.n_dofs,):
         raise ValidationFailure(
             f"initial field has shape {a0.shape}, expected ({ops.n_dofs},)"
@@ -398,10 +400,23 @@ def solve(config, ops=None, a0=None):
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
     )
     loads = None if config.forcing is None else config.forcing(ops.mesh, times[1:])
-    traj = core.solve_trajectory(
-        ops.phi, ops.E, a0, _metric_input(ops, v_samples), prox_cfg,
-        loads=loads, start=config.newton_start,
-    )
+    try:
+        traj = core.solve_trajectory(
+            ops.phi, ops.E, a0, _metric_input(ops, v_samples), prox_cfg,
+            loads=loads, start=config.newton_start,
+        )
+    except NonConvergence as exc:
+        sizes = {name: np.abs(data).max(initial=0.0) for name, data in (
+            ("voltage", v_samples), ("inverse resistance R^-1", ops.R_inv),
+            ("winding density", [r[4] for rects in config.winding.rectangles
+                                 for r in rects]), ("initial field", a0))}
+        name = max(sizes, key=sizes.get)
+        if not (isinstance(exc.__cause__, FloatingPointError)
+                and sizes[name] > np.sqrt(np.finfo(float).max)):
+            raise
+        raise NonConvergence(
+            f"{exc}; its largest input is the {name}, of magnitude "
+            f"{sizes[name]:.3g}", step=exc.step) from exc
     currents, fluxes = recover_currents(ops, traj.states, v_samples, config.tau)
     return MQSTrajectory(
         times=traj.times, fields=traj.states, currents=currents,

@@ -506,3 +506,61 @@ def test_cli_reports_floating_point_overflow_on_one_line(tmp_path, small_cfg,
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: overflow")
+
+
+@pytest.mark.parametrize("value, fragment", [
+    (np.nan, "initial field must be finite, got nan at flat index 3 of 49"),
+    (np.inf, "initial field must be finite, got inf at flat index 3 of 49"),
+    (1j, "initial field must be real numbers, got complex128"),
+], ids=["nan", "inf", "complex"])
+def test_cli_rejects_a_bad_initial_field_file(tmp_path, small_cfg, capsys,
+                                              value, fragment):
+    """A NaN, an inf or a complex entry in an .npy initial field exits 1
+    with one error line naming the initial field, before any step."""
+    a0 = np.zeros(49, dtype=complex if value == 1j else float)
+    a0[3] = value
+    path = tmp_path / "a0.npy"
+    np.save(path, a0)
+    code = cli.dispatch(["run", "--config", small_cfg, "--out",
+                         str(tmp_path / "o"), "--set", "initial.kind=file",
+                         "--set", f"initial.path={path}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {fragment}")
+    assert not (tmp_path / "o" / "run.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, named", [
+    (["circuit.voltage_value=1e308"],
+     "step 1: overflow encountered in dot: the problem data is out of "
+     "floating-point range; its largest input is the voltage, of magnitude "
+     "1e+308"),
+    (["circuit.R=1e-300"],
+     "step 1: overflow encountered in dot: the problem data is out of "
+     "floating-point range; its largest input is the inverse resistance "
+     "R^-1, of magnitude 1e+300"),
+    (["winding.w1=0.1 0.2 0.4 0.6 1e300"],
+     "step 1: overflow encountered in dot: the problem data is out of "
+     "floating-point range; its largest input is the winding density, of "
+     "magnitude 1e+300"),
+    (None,
+     "overflow encountered in multiply: the problem data is out of "
+     "floating-point range; its largest input is the initial field, of "
+     "magnitude 1e+300"),
+    # no single input beyond sqrt(float max): none is named
+    (["circuit.voltage_value=1e150", "winding.w1=0.1 0.2 0.4 0.6 1e150"],
+     "step 1: overflow encountered in dot: the problem data is out of "
+     "floating-point range"),
+], ids=["voltage", "resistance", "winding", "initial_field", "none_beyond"])
+def test_cli_names_the_input_when_a_solve_overflows(tmp_path, small_cfg,
+                                                    capsys, overrides, named):
+    if overrides is None:  # an initial field of 1e300 everywhere
+        np.save(tmp_path / "a0.npy", np.full(49, 1e300))
+        sets = ["--set", "initial.kind=file",
+                "--set", f"initial.path={tmp_path / 'a0.npy'}"]
+    else:
+        sets = [arg for item in overrides for arg in ("--set", item)]
+    code = cli.dispatch(["run", "--config", small_cfg, "--out",
+                         str(tmp_path / "o"), *sets])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {named}\n"

@@ -150,14 +150,15 @@ def test_resolve_inputs_shapes_and_modes():
     f = np.arange(8.0).reshape(4, 2)
     assert np.array_equal(core.resolve_inputs(f, 3, 2), f[1:])
     assert np.all(core.resolve_inputs(None, 3, 2) == 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailure, match=r"input samples must have "
+                       r"shape \(6, 2\), got \(4, 2\)"):
         core.resolve_inputs(f, 5, 2)
 
 
 def test_prox_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailure, match="^tau must be positive"):
         core.ProxConfig(tau=0.0, n_steps=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationFailure, match="^n_steps must be positive"):
         core.ProxConfig(tau=0.1, n_steps=0)
     phi = quadratic(np.eye(2))
     phi.ellipticity_omega = 2.0
@@ -178,13 +179,14 @@ def test_prox_config_rejects_non_finite_tau_and_tolerance(kwargs, name):
 
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_prox_config_rejects_nonpositive_tolerance(tol):
-    with pytest.raises(ValueError, match="newton_tol must be positive"):
+    with pytest.raises(ValidationFailure, match="newton_tol must be positive"):
         core.ProxConfig(tau=0.1, n_steps=1, newton_tol=tol)
 
 
-@pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -0.1])
 def test_prox_step_rejects_non_finite_tau(tau):
-    with pytest.raises(ValidationFailure, match="^tau must be finite"):
+    reason = "finite" if not np.isfinite(tau) else "positive"
+    with pytest.raises(ValidationFailure, match=f"^tau must be {reason}"):
         core.prox_step(quadratic(np.eye(2)), core.LinearMapE(np.eye(2)),
                        np.ones(2), np.zeros(2), tau)
 
@@ -332,26 +334,52 @@ def test_linear_map_thin_block_splits_the_gram():
     split = E.lead_gram.toarray() + E.thin.T @ E.thin
     assert np.abs(split - E.gram.toarray()).max() < 1e-13
     for k in (-1, matrix.shape[0] + 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationFailure,
+                           match=f"^thin block of {k} rows in a map with 14$"):
             core.LinearMapE(matrix, k=k)
 
 
-def test_add_lead_gram_keeps_the_pattern_that_holds_it():
+def test_newton_system_adds_the_lead_gram_on_the_pattern_that_holds_it(
+        monkeypatch):
+    """The pattern of H + E_1^T E_1 / tau is found once per pattern of H:
+    H's own where it holds E_1^T E_1's entries (explicit zeros too), the
+    union where it does not.  Either way the first factor is that sum and
+    the next its symmetric permutation by the first one's perm_c."""
     rng = np.random.default_rng(21)
     E = core.LinearMapE(thin_map(rng), k=2)
-    G = E.lead_gram
-    # H's pattern holds G's plus explicit zeros
+    G, tau = E.lead_gram, 0.1
     H = (sparse_spd(12, rng) + (G != 0).astype(float)).tocsc()
     H.sort_indices()
     H.data[::3] = 0.0
-    for _ in range(2):  # found once, then reused
-        S = E.add_lead_gram(H, 0.1)
-        assert S.nnz == H.nnz and np.array_equal(S.indices, H.indices)
-        assert np.abs((S - H - G / 0.1).toarray()).max() < 1e-12
-    # a pattern without G's entries gets the plain sum
-    D = sp.eye(12, format="csc")
-    S = E.add_lead_gram(D, 0.1)
-    assert np.abs((S - D - G / 0.1).toarray()).max() < 1e-12
+    D = sp.eye(12, format="csc")  # a pattern without G's entries
+    rhs = rng.standard_normal(12)
+    stub = _RecordingSplu()
+    monkeypatch.setattr(core, "spla", stub)
+    searches = []
+    real_keys = core._csc_keys
+
+    def counted(A):
+        searches.append(A.nnz)
+        return real_keys(A)
+
+    monkeypatch.setattr(core, "_csc_keys", counted)
+    newton = core.NewtonSystem(E, tau)
+    for M in (H, D):
+        ref = np.linalg.solve(M.toarray() + E.gram.toarray() / tau, rhs)
+        for _ in range(2):  # found once, then reused
+            d = newton.solve(M, rhs)
+            assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+        first, second = stub.matrices[-2:]
+        assert np.abs((first - M - G / tau).toarray()).max() < 1e-12
+        perm = stub.factors[-2].perm_c
+        assert np.array_equal(second.toarray()[np.ix_(perm, perm)],
+                              first.toarray())
+    assert searches == [H.nnz, G.nnz, D.nnz, G.nnz]
+    assert stub.matrices[0].nnz == H.nnz
+    assert np.array_equal(stub.matrices[0].indices, H.indices)
+    assert stub.matrices[2].nnz > D.nnz
+    assert [c["permc_spec"] for c in stub.calls] == [
+        "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "NATURAL"]
 
 
 def test_woodbury_direction_matches_factoring_the_full_matrix():
@@ -360,9 +388,24 @@ def test_woodbury_direction_matches_factoring_the_full_matrix():
     H = sparse_spd(12, rng)
     rhs = rng.standard_normal(12)
     tau = 0.05
-    d = core._solve_newton_system(E.add_lead_gram(H, tau), rhs, (E.thin, tau))
+    d = core._solve_newton_system(H, rhs, core.NewtonSystem(E, tau))
     ref = np.linalg.solve((H + E.gram / tau).toarray(), rhs)
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_prox_step_rejects_a_newton_system_of_another_map_or_step():
+    rng = np.random.default_rng(26)
+    E = core.LinearMapE(thin_map(rng), k=2)
+    other = core.LinearMapE(thin_map(rng), k=2)
+    phi = quadratic(sparse_spd(12, rng))
+    x_prev, f_k = rng.standard_normal(12), rng.standard_normal(14)
+    for newton in (core.NewtonSystem(other, 0.05),
+                   core.NewtonSystem(E, 0.1)):
+        with pytest.raises(ValidationFailure, match="another E or tau"):
+            core.prox_step(phi, E, x_prev, f_k, 0.05, newton_system=newton)
+    x = core.prox_step(phi, E, x_prev, f_k, 0.05,
+                       newton_system=core.NewtonSystem(E, 0.05))
+    assert np.array_equal(x, core.prox_step(phi, E, x_prev, f_k, 0.05))
 
 
 def test_dense_map_and_empty_thin_block_take_the_full_matrix_path():
@@ -405,14 +448,17 @@ def test_dense_map_and_empty_thin_block_take_the_full_matrix_path():
 
 
 class _RecordingSplu:
-    """Stands in for scipy.sparse.linalg: records each splu's keywords."""
+    """Stands in for scipy.sparse.linalg: records each splu's keywords, a
+    copy of the matrix it factors, and the factor."""
 
     def __init__(self):
-        self.calls = []
+        self.calls, self.matrices, self.factors = [], [], []
 
     def splu(self, A, **kwargs):
         self.calls.append(kwargs)
-        return spla.splu(A, **kwargs)
+        self.matrices.append(A.copy())
+        self.factors.append(spla.splu(A, **kwargs))
+        return self.factors[-1]
 
 
 class _FailingSplu(_RecordingSplu):
@@ -433,30 +479,30 @@ class _FailingSplu(_RecordingSplu):
 def test_symmetric_factor_failure_falls_back_then_raises(monkeypatch):
     rng = np.random.default_rng(24)
     E = core.LinearMapE(thin_map(rng), k=2)
-    H = E.add_lead_gram(sparse_spd(12, rng), 0.05)
+    H = sparse_spd(12, rng)
     rhs = rng.standard_normal(12)
-    d = core._solve_newton_system(H, rhs, (E.thin, 0.05))
+    d = core._solve_newton_system(H, rhs, core.NewtonSystem(E, 0.05))
 
     stub = _FailingSplu(always=False)
     monkeypatch.setattr(core, "spla", stub)
-    d_fallback = core._solve_newton_system(H, rhs, (E.thin, 0.05))
+    d_fallback = core._solve_newton_system(H, rhs, core.NewtonSystem(E, 0.05))
     assert len(stub.calls) == 2 and stub.calls[1] == {}
     assert np.linalg.norm(d_fallback - d) <= 1e-12 * np.linalg.norm(d)
 
     # a zero pivot in the natural-order factor of a kept ordering
-    ordering = core.PatternOrdering()
+    newton = core.NewtonSystem(E, 0.05)
     monkeypatch.setattr(core, "spla", spla)
-    core._solve_newton_system(H, rhs, (E.thin, 0.05), ordering)
+    core._solve_newton_system(H, rhs, newton)
     stub = _FailingSplu(always=False)
     monkeypatch.setattr(core, "spla", stub)
-    d_fallback = core._solve_newton_system(H, rhs, (E.thin, 0.05), ordering)
+    d_fallback = core._solve_newton_system(H, rhs, newton)
     assert len(stub.calls) == 2 and stub.calls[1] == {}
     assert stub.calls[0]["permc_spec"] == "NATURAL"
     assert np.linalg.norm(d_fallback - d) <= 1e-12 * np.linalg.norm(d)
 
     monkeypatch.setattr(core, "spla", _FailingSplu(always=True))
     with pytest.raises(SingularStep, match="not solvable"):
-        core._solve_newton_system(H, rhs, (E.thin, 0.05))
+        core._solve_newton_system(H, rhs, core.NewtonSystem(E, 0.05))
 
 
 def test_a_kept_ordering_orders_each_new_pattern_afresh(monkeypatch):
@@ -465,20 +511,23 @@ def test_a_kept_ordering_orders_each_new_pattern_afresh(monkeypatch):
     rng = np.random.default_rng(25)
     E = core.LinearMapE(thin_map(rng), k=2)
     tau = 0.05
-    first = E.add_lead_gram(sparse_spd(12, rng), tau)
-    second = E.add_lead_gram(sparse_spd(12, rng, density=0.5), tau)
-    assert not core._same_pattern(second, (first.indptr, first.indices))
+    first = sparse_spd(12, rng)
+    second = sparse_spd(12, rng, density=0.5)
+    assert first.nnz != second.nnz
+    # in the order A @ A.T leaves them: each solve sorts a copy
+    assert not (first.has_sorted_indices or second.has_sorted_indices)
     rhs = rng.standard_normal(12)
     stub = _RecordingSplu()
     monkeypatch.setattr(core, "spla", stub)
-    ordering = core.PatternOrdering()
+    newton = core.NewtonSystem(E, tau)
     for H in (first, first, second, 2.0 * second, first):
-        d = core._solve_newton_system(H, rhs, (E.thin, tau), ordering)
-        ref = np.linalg.solve(H.toarray() + E.thin.T @ E.thin / tau, rhs)
+        d = core._solve_newton_system(H, rhs, newton)
+        ref = np.linalg.solve((H + E.gram / tau).toarray(), rhs)
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
     assert [c["permc_spec"] for c in stub.calls] == [
         "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "NATURAL",
         "MMD_AT_PLUS_A"]
+    assert not (first.has_sorted_indices or second.has_sorted_indices)
 
 
 def smooth_core_problems():

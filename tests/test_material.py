@@ -252,6 +252,10 @@ def test_estimate_constants_names_a_region_the_model_lacks():
         "reluctivity model has no parameters for region '*'; "
         "it has regions ['C', 'I']")
     assert material.estimate_constants(model, "I").m_hat == pytest.approx(2.0)
+    for grid, fragment in (({"s_max": 0.0}, "^s_max must be positive$"),
+                           ({"n_grid": 1}, "^n_grid must be at least 2$")):
+        with pytest.raises(ValidationFailure, match=fragment):
+            material.estimate_constants(model, "I", **grid)
 
 
 def test_region_specific_parameters():

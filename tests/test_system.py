@@ -1,5 +1,6 @@
 """Coupled field-circuit system: operators, solve paths, and probes."""
 
+import functools
 import gc
 import tracemalloc
 import weakref
@@ -653,8 +654,7 @@ def test_woodbury_newton_direction_matches_full_factor(winding, R):
     a = 0.3 * rng.standard_normal(ops.n_dofs)
     rhs = rng.standard_normal(ops.n_dofs)
     H = ops.K_tangent(a)
-    d = core._solve_newton_system(E.add_lead_gram(H, cfg.tau), rhs,
-                                  (E.thin, cfg.tau))
+    d = core._solve_newton_system(H, rhs, core.NewtonSystem(E, cfg.tau))
     ref = sp.linalg.splu(H + E.gram / cfg.tau).solve(rhs)
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -711,8 +711,9 @@ def test_a_solve_orders_the_newton_pattern_once(monkeypatch):
     assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
     assert len(specs) == len(newton_systems) > 1
 
-    def afresh(H, rhs, thin, ordering):
-        return real_solve(H, rhs, thin)
+    def afresh(H, rhs, newton_system):
+        return real_solve(H, rhs, core.NewtonSystem(newton_system.E,
+                                                    newton_system.tau))
 
     monkeypatch.setattr(core, "_solve_newton_system", afresh)
     specs.clear()
@@ -721,6 +722,20 @@ def test_a_solve_orders_the_newton_pattern_once(monkeypatch):
     scale = diagnostics.trajectory_scale(ops, fresh)
     assert np.abs(kept.fields - fresh.fields).max() <= 1e-12 * scale
     assert np.abs(kept.currents[1:] - fresh.currents[1:]).max() <= 1e-12 * scale
+
+
+def test_a_solve_leaves_the_metric_map_unchanged():
+    """The per-solve Newton state lives outside E: after a solve, E holds
+    what it held before plus its cached properties."""
+    cfg = system.MQSConfig(n=8)
+    ops = system.build_system(cfg)[0]
+    before = dict(vars(ops.E))
+    system.solve(cfg, ops)
+    after = vars(ops.E)
+    cached = {name for name, attr in vars(core.LinearMapE).items()
+              if isinstance(attr, functools.cached_property)}
+    assert all(after[name] is value for name, value in before.items())
+    assert set(after) - set(before) <= cached
 
 
 def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
@@ -898,6 +913,37 @@ def test_overflow_in_a_step_is_a_newton_failure():
     with pytest.raises(NonConvergence,
                        match="step 1: overflow encountered"):
         system.solve(cfg)
+
+
+def test_an_overflow_from_a_forcing_load_names_no_input():
+    """With the voltage, R^-1, winding density and initial field all O(1),
+    an overflow from a huge manufactured load blames none of them."""
+    cfg = system.MQSConfig(
+        n=8, T=0.25, tau=0.0625,
+        forcing=lambda mesh, t: np.full((t.size, mesh.n_dofs), 1e300))
+    with pytest.raises(NonConvergence) as info:
+        system.solve(cfg)
+    assert str(info.value) == (
+        "step 1: overflow encountered in dot: the problem data is out of "
+        "floating-point range")
+    assert info.value.step == 1
+
+
+@pytest.mark.parametrize("value, match", [
+    (np.nan, "^initial field must be finite, got nan at flat index 5 of 49"),
+    (np.inf, "^initial field must be finite, got inf at flat index 5 of 49"),
+    (1j, "^initial field must be real numbers, got complex128$"),
+], ids=["nan", "inf", "complex"])
+def test_solve_checks_the_initial_field_before_the_first_step(
+        monkeypatch, value, match):
+    cfg = system.MQSConfig(n=8, T=0.25, tau=0.0625)
+    ops = system.build_system(cfg)[0]
+    steps = _count_calls(monkeypatch, core, "solve_trajectory")
+    a0 = np.zeros(ops.n_dofs, dtype=complex if value == 1j else float)
+    a0[5] = value
+    with pytest.raises(ValidationFailure, match=match):
+        system.solve(cfg, ops, a0=a0)
+    assert steps == []
 
 
 def test_manufactured_loads_are_assembled_once_per_solve(monkeypatch):
