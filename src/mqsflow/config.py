@@ -6,8 +6,8 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [conductor] center ("0.5 0.5"), radius (0.2)
   [winding]   w1, w2, ... — each a ';'-separated list of rectangles
               "x0 x1 y0 y1 kappa" (two opposing coils by default)
-  [material]  kind (rational_saturation), nu0, nu_min (1), nu_max (5),
-              table (path to a two-column CSV of s, nu samples)
+  [material]  kind (rational_saturation) and only its keys: nu0 (1), nu_min
+              (1) and nu_max (5), or table (CSV of s, nu rows from s = 0)
   [circuit]   sigma_C (1), R ("1"; rows ';'-separated),
               voltage_kind (step), voltage_value ("1"),
               voltage_table (rows "t v_1 .. v_m" ';'-separated, t increasing)
@@ -21,10 +21,11 @@ Recognized sections and keys (all optional; defaults in parentheses):
               or zero
 
 The parser only turns text into values.  It rejects unknown sections or
-keys with the offending line echoed, and a value that does not parse with
-its key named.  Every other check (finite numbers, positive times, a whole
-number of steps, known kinds, channel counts, rectangle shapes, ...) is
-made by the library classes it builds, and reported in their wording.
+keys with the offending line echoed, a value that does not parse with its
+key named, and a [material] key the chosen kind does not read.  Every
+other check (finite numbers, positive times, a whole number of steps,
+known kinds, channel counts, rectangle shapes, ...) is made by the
+library classes it builds, and reported in their wording.
 """
 
 from __future__ import annotations
@@ -148,23 +149,26 @@ def _parsed(entries, section, key, parse, default=None):
         raise ConfigError(f"{section}.{key} = {value!r}: {exc}") from exc
 
 
+# each [material] parameter key's default text (None: no default) and parser
+_MATERIAL_KEYS = {
+    "nu0": ("1.0", float), "nu_min": ("1.0", float), "nu_max": ("5.0", float),
+    "table": (None, lambda path: np.loadtxt(path, delimiter=",", ndmin=2)),
+}
+
+
 def _build_material(entries):
+    """``[material]`` as a model; a key its kind does not read is an error."""
     kind = entries.get(("material", "kind"), "rational_saturation")
-    if kind == "constant":
-        return material.constant_model(
-            _parsed(entries, "material", "nu0", float, "1.0"))
-    if kind == "rational_saturation":
-        return material.rational_saturation_model(
-            _parsed(entries, "material", "nu_min", float, "1.0"),
-            _parsed(entries, "material", "nu_max", float, "5.0"),
-        )
-    if kind == "user_tabulated":
-        table = _parsed(entries, "material", "table",
-                        lambda path: np.loadtxt(path, delimiter=",", ndmin=2))
-        if table is None:
-            raise ConfigError("material.table is required for user_tabulated")
-        return material.tabulated_model(table)
-    return material.ReluctivityModel(kind)  # rejects the unknown kind
+    keys = material._KIND_KEYS.get(kind, ())
+    unread = [key for section, key in entries
+              if section == "material" and key not in ("kind", *keys)]
+    if unread and keys:  # an unknown kind is named by the model instead
+        raise ConfigError(f"material.{unread[0]} is not read by kind "
+                          f"{kind!r}, which reads {', '.join(keys)}")
+    return material.ReluctivityModel(kind, {"*": {
+        key: _parsed(entries, "material", key, parse, default)
+        for key, (default, parse) in _MATERIAL_KEYS.items()
+        if key in keys and (default or ("material", key) in entries)}})
 
 
 def _build_winding(entries):

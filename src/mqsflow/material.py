@@ -1,10 +1,10 @@
 """Reluctivity curves, the magnetic energy density, and their certification.
 
 A reluctivity model maps a field magnitude s = |B| to a positive
-reluctivity nu(s).  The solver requires the secant slopes of s -> nu(s)*s
-to be bounded below by some m_hat > 0 (strong monotonicity) and above by
-some L_hat < inf (Lipschitz continuity); both constants are certified
-numerically on a grid by :func:`estimate_constants`.
+reluctivity nu(s).  The solver requires the flux map s -> nu(s)*s to be
+strongly monotone with some m_hat > 0 and Lipschitz with some
+L_hat < inf; :func:`estimate_constants` certifies both in closed form on
+all of s >= 0.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ class ReluctivityModel:
 
     Parameters per kind:
       constant:             nu0 > 0
-      rational_saturation:  nu_min > 0, nu_max >= nu_min,
-                            nu(s) = nu_min + (nu_max - nu_min)/(1 + s^2)
-      user_tabulated:       table (k, 2) of (s, nu) samples, s increasing;
-                            nu(s)*s is interpolated piecewise linearly.
+      rational_saturation:  nu_min, nu_max, either the larger,
+                            nu(s) = nu_min + (nu_max - nu_min)/(1 + s^2);
+                            certified iff 0 < nu_max < 9 nu_min
+      user_tabulated:       table (k, 2) of (s, nu) rows, s strictly
+                            increasing from 0; nu(s)*s is interpolated
+                            piecewise linearly, and nu(0) is row 0's nu.
 
     ``params`` maps a subdomain label ("C" or "I") to that region's
     parameter dict.  An entry under label "*" applies to every region
@@ -102,13 +104,16 @@ def rational_saturation_model(nu_min, nu_max):
 
 def _checked_table(table, what):
     """``table`` as a float array; raises ``ValidationFailure`` naming
-    ``what`` unless it is (k, 2) with k >= 2 and strictly increasing s."""
+    ``what`` unless it is (k, 2), k >= 2, s strictly increasing from 0."""
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
         raise ValidationFailure(
             f"{what} must be (k, 2) with k >= 2, got shape {table.shape}")
     if not np.all(np.diff(table[:, 0]) > 0):
         raise ValidationFailure(f"{what} s-column must be strictly increasing")
+    if table[0, 0] != 0.0:
+        raise ValidationFailure(
+            f"{what} s-column must start at 0, got {table[0, 0]:g}")
     return table
 
 
@@ -116,31 +121,31 @@ def tabulated_model(table):
     return ReluctivityModel("user_tabulated", {"*": {"table": table}})
 
 
-def _tab_curve(table, s):
-    """g(s) = nu(s)*s of a table, dg/ds and int_0^s g, all in closed form.
-
-    g is piecewise linear through the knots (s_k, s_k nu_k), held at its
-    first knot value below the first knot and extended with the last
-    slope beyond the last.  dg/ds is the slope of the piece containing s,
-    right-continuous at the knots; the integral sums exact trapezoids.
-    """
+def _tab_pieces(table):
+    """Knots s_k, values g_k = s_k nu_k and piece slopes of a table's g;
+    slope[i] holds on [s_i, s_{i+1}), the last one also past the table."""
     sk = table[:, 0]
     gk = sk * table[:, 1]
     slope = np.diff(gk) / np.diff(sk)
-    # slope[j] belongs to piece j - 1: -1 lies below s_0, k - 1 past s_{k-1}
-    slope = np.concatenate([[0.0], slope, slope[-1:]])
+    return sk, gk, np.append(slope, slope[-1])
+
+
+def _tab_curve(table, s):
+    """g(s) = nu(s)*s of a table, dg/ds and int_0^s g, all in closed form.
+
+    g is piecewise linear through the knots (s_k, s_k nu_k), starting at
+    g(0) = 0, and extended with the last slope beyond the last knot.
+    dg/ds is the slope of the piece containing s, right-continuous at the
+    knots; the integral sums exact trapezoids.
+    """
+    sk, gk, slope = _tab_pieces(table)
     trapezoids = 0.5 * np.diff(sk) * (gk[:-1] + gk[1:])
-    area = np.concatenate([[0.0], np.cumsum(trapezoids)])  # int_{s_0}^{s_j} g
-
-    def primitive(x):
-        j = np.searchsorted(sk, x, side="right")  # x lies on piece j - 1
-        i = np.maximum(j - 1, 0)
-        dx = x - sk[i]
-        g = slope[j] * dx + gk[i]
-        return g, slope[j], area[i] + 0.5 * dx * (gk[i] + g)
-
-    g, dgds, G = primitive(np.asarray(s, dtype=float))
-    return g, dgds, G - primitive(0.0)[2]
+    area = np.concatenate([[0.0], np.cumsum(trapezoids)])  # int_0^{s_i} g
+    s = np.asarray(s, dtype=float)
+    i = np.searchsorted(sk, s, side="right") - 1  # s lies on piece i
+    dx = s - sk[i]
+    g = slope[i] * dx + gk[i]
+    return g, slope[i], area[i] + 0.5 * dx * (gk[i] + g)
 
 
 def model_eval(model, region, s):
@@ -190,58 +195,50 @@ def theta_eval(model, region, rho):
 
 @dataclass
 class MaterialValidationReport:
-    """Certified secant constants of s -> nu(s)*s on a sample grid."""
+    """Certified bounds m_hat <= g'(s), nu(s) <= L_hat on all s >= 0."""
 
     m_hat: float
     L_hat: float
-    violations: list
 
     @property
     def passed(self):
-        return self.m_hat > 0.0 and not self.violations
+        return self.m_hat > 0.0
 
 
-def estimate_constants(model, region="*", s_max=100.0, n_grid=2000):
-    """Estimate monotonicity/Lipschitz constants over all grid pairs.
+def estimate_constants(model, region="*"):
+    """Exact bounds m_hat <= g'(s), nu(s) <= L_hat on all s >= 0.
 
-    m_hat is the smallest secant slope of g(s) = nu(s)*s over the grid,
-    L_hat the largest absolute secant slope.  Every secant slope is a
-    convex combination of slopes between adjacent grid points, so the
-    extremes over adjacent pairs are those over all pairs.  The two-sided
-    pointwise bound m_hat <= nu(s) <= L_hat is checked as well; failures
-    land in the violations list.  A curve whose values overflow on the grid
-    raises ValidationFailure.
+    With g(s) = nu(s)*s, g' and nu are the eigenvalues of the tangent of
+    a -> nu(|a|) a.  One closed form per kind:
+    - constant: g' = nu = nu0.
+    - rational_saturation: nu = nu_min + delta/(1 + s^2), delta = nu_max -
+      nu_min, lies between nu_min and nu_max; g' = nu_min + delta f(s^2)
+      with f(x) = (1 - x)/(1 + x)^2, and f' = (x - 3)/(1 + x)^3, so f falls
+      from f(0) = 1 to f(3) = -1/8, then rises towards 0.
+    - user_tabulated: g' is a piece slope, the last one also past the
+      table; nu = g/s = c + (g_i - c s_i)/s is monotone on each piece, so
+      it lies between the knot values (nu(0) = nu_0 among them) and the
+      last slope.
+    A table whose s*nu overflows raises ValidationFailure naming the kind
+    and the region.
     """
-    if s_max <= 0:
-        raise ValidationFailure("s_max must be positive")
-    if n_grid < 2:
-        raise ValidationFailure("n_grid must be at least 2")
-    s = np.linspace(0.0, s_max, n_grid)
+    p = model.region_params(region)
     try:
         with np.errstate(over="raise"):
-            nu, _ = model_eval(model, region, s)
-            g = nu * s
-            slopes = np.diff(g) / np.diff(s)
+            if model.kind == "constant":
+                bounds = [p["nu0"]]
+            elif model.kind == "rational_saturation":
+                delta = p["nu_max"] - p["nu_min"]
+                bounds = [p["nu_max"], p["nu_min"] - delta / 8.0, p["nu_min"]]
+            else:
+                table = p["table"]
+                bounds = np.append(_tab_pieces(table)[2], table[:, 1])
     except FloatingPointError as exc:
         raise ValidationFailure(
             f"{exc} while certifying the reluctivity curve of kind "
-            f"{model.kind!r} on region {region!r} over the grid s in "
-            f"[0, {s_max:g}] ({n_grid} points)") from exc
-    m_hat = float(slopes.min())
-    L_hat = float(np.abs(slopes).max())
-
-    violations = []
-    if m_hat <= 0.0:
-        worst = int(np.argmin(slopes))
-        violations.append((float(s[worst]), float(s[worst + 1]), m_hat))
-    # pointwise bound implied by the secant constants (s > 0 only; nu(0)
-    # itself does not enter the secant slopes)
-    pos = s > 0
-    bad_low = pos & (nu < m_hat - 1e-12)
-    bad_high = pos & (nu > L_hat + 1e-12)
-    for idx in np.flatnonzero(bad_low | bad_high):
-        violations.append((float(s[idx]), float(s[idx]), float(nu[idx])))
-    return MaterialValidationReport(m_hat=m_hat, L_hat=L_hat, violations=violations)
+            f"{model.kind!r} on region {region!r}") from exc
+    return MaterialValidationReport(m_hat=float(np.min(bounds)),
+                                    L_hat=float(np.max(bounds)))
 
 
 @dataclass
@@ -255,7 +252,8 @@ def validate_assumptions(model, sigma_C, R):
     """Check conductivity, resistance-matrix, and reluctivity requirements.
 
     Passes iff sigma_C > 0, R is symmetric positive definite, and the
-    reluctivity curve certifies with m_hat > 0 on all subdomains.
+    reluctivity curve certifies with m_hat > 0 on all subdomains.  The
+    material report bounds every region: the least m_hat, the largest L_hat.
     """
     reasons = []
     if not sigma_C > 0:
@@ -272,15 +270,11 @@ def validate_assumptions(model, sigma_C, R):
                 np.linalg.cholesky(R)
             except np.linalg.LinAlgError:
                 reasons.append("resistance matrix R must be positive definite")
-    mat_report = None
-    regions = sorted(model.params.keys())
-    for region in regions:
-        rep = estimate_constants(model, region)
-        if mat_report is None or rep.m_hat < mat_report.m_hat:
-            mat_report = rep
-        if not rep.passed:
-            reasons.append(
-                f"reluctivity curve on region {region!r} is not strongly "
+    reports = {r: estimate_constants(model, r) for r in sorted(model.params)}
+    reasons += [f"reluctivity curve on region {region!r} is not strongly "
                 f"monotone (m_hat = {rep.m_hat:.3e})"
-            )
+                for region, rep in reports.items() if not rep.passed]
+    mat_report = MaterialValidationReport(
+        m_hat=min(rep.m_hat for rep in reports.values()),
+        L_hat=max(rep.L_hat for rep in reports.values()))
     return AssumptionReport(passed=not reasons, reasons=reasons, material=mat_report)

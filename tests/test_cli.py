@@ -147,13 +147,43 @@ def test_cli_run_is_byte_deterministic(tmp_path, small_cfg):
 
 def test_cli_validate_pass_and_fail(tmp_path, small_cfg, capsys):
     assert cli.dispatch(["validate", "--config", small_cfg]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out == "validation PASS: m_hat=0.5, L_hat=5\n"
     code = cli.dispatch(
         ["validate", "--config", small_cfg, "--set", "circuit.R=-1.0"]
     )
     assert code == 1
     out = capsys.readouterr().out
     assert "positive definite" in out
+
+
+def _table_override(tmp_path, rows):
+    path = tmp_path / "table.csv"
+    path.write_text("".join(f"{s},{nu}\n" for s, nu in rows))
+    return ["material.kind=user_tabulated", f"material.table={path}"]
+
+
+@pytest.mark.parametrize("rows, overrides, out, err", [
+    (None, ["material.nu_max=9.001"], "m_hat = -1.250e-04", ""),
+    ([(0, 2), (50, 2), (150, 2), (200, 1), (300, 1)], [],
+     "m_hat = -2.000e+00", ""),
+    ([(0, 0), (10, 50)], [], "m_hat = 0.000e+00", ""),
+    ([(0.01, 5), (1, 4), (2, 3)], [], "",
+     "error: reluctivity table of region '*' s-column must start at 0, "
+     "got 0.01\n"),
+], ids=["rational_1_9.001", "falls_past_s_100", "nu0_zero", "late_start"])
+def test_cli_validate_rejects_a_curve_that_is_not_monotone(
+        tmp_path, small_cfg, capsys, rows, overrides, out, err):
+    if rows is not None:
+        overrides = _table_override(tmp_path, rows)
+    argv = ["validate", "--config", small_cfg]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli.dispatch(argv) == 1
+    captured = capsys.readouterr()
+    if out:
+        out = ("validation FAIL: reluctivity curve on region '*' is not "
+               f"strongly monotone ({out})\n")
+    assert (captured.out, captured.err) == (out, err)
 
 
 def test_cli_constants(tmp_path, small_cfg, capsys):
@@ -421,6 +451,10 @@ def test_build_config_takes_every_default_from_mqsconfig():
     ({("mesh", "n"): "8.5"}, "mesh.n = '8.5': invalid literal for int()"),
     ({("circuit", "sigma_C"): "one"},
      "circuit.sigma_C = 'one': could not convert string to float"),
+    ({("material", "table"): "table.csv"}, "material.table is not read by "
+     "kind 'rational_saturation', which reads nu_min, nu_max"),
+    ({("material", "kind"): "constant", ("material", "nu_max"): "0.1"},
+     "material.nu_max is not read by kind 'constant', which reads nu0"),
 ])
 def test_library_checks_reach_config_and_cli_users(tmp_path, capsys, entries,
                                                     cause):
@@ -435,6 +469,7 @@ def test_library_checks_reach_config_and_cli_users(tmp_path, capsys, entries,
     assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and cause in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "sub/run", "../escaped",
@@ -484,15 +519,20 @@ def test_cli_names_an_integer_beyond_64_bits(tmp_path, small_cfg, capsys,
     assert not out.exists()
 
 
+def _run_overflowing_table(tmp_path, small_cfg):
+    """Run with a table whose s*nu overflows at its second knot."""
+    argv = ["run", "--config", small_cfg, "--out", str(tmp_path / "o")]
+    for item in _table_override(tmp_path, [(0, 1), (1e200, 1e200)]):
+        argv += ["--set", item]
+    return cli.dispatch(argv)
+
+
 def test_cli_names_the_reluctivity_whose_certification_overflows(
         tmp_path, small_cfg, capsys):
-    code = cli.dispatch(["run", "--config", small_cfg, "--out",
-                         str(tmp_path / "o"), "--set",
-                         "material.nu_max=1e308"])
-    assert code == 1
+    assert _run_overflowing_table(tmp_path, small_cfg) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.count("error:") == 1
-    assert "reluctivity curve of kind 'rational_saturation'" in err
+    assert "reluctivity curve of kind 'user_tabulated'" in err
     assert "region '*'" in err
 
 
@@ -500,10 +540,7 @@ def test_cli_reports_floating_point_overflow_on_one_line(tmp_path, small_cfg,
                                                          capsys):
     """An input so large that the certification overflows exits 1 with one
     error line, not a numpy warning or traceback."""
-    code = cli.dispatch(["run", "--config", small_cfg, "--out",
-                         str(tmp_path / "o"), "--set",
-                         "material.nu_max=1e308"])
-    assert code == 1
+    assert _run_overflowing_table(tmp_path, small_cfg) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: overflow")
 

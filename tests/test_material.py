@@ -88,7 +88,7 @@ def _quad_theta(table, rho):
     sk, gk = table[:, 0], table[:, 0] * table[:, 1]
     last = (gk[-1] - gk[-2]) / (sk[-1] - sk[-2])
 
-    def g(z):  # held below the first knot, last slope beyond the last
+    def g(z):  # last slope beyond the last knot
         return np.interp(z, sk, gk) if z <= sk[-1] else gk[-1] + last * (z - sk[-1])
 
     top = np.sqrt(rho)
@@ -99,10 +99,12 @@ def _quad_theta(table, rho):
 
 @pytest.mark.parametrize("s0", [0.0, 0.3])
 def test_tabulated_theta_matches_quadrature_oracle(s0):
-    knots = np.linspace(s0, 20.0, 41)
+    """Knots at 0 and evenly from s0 on, so with s0 = 0.3 the samples 0.1
+    and 0.2 lie inside a first piece longer than the others."""
+    knots = np.union1d(0.0, np.linspace(s0, 20.0, 41))
     table = np.column_stack([knots, 1.0 + 4.0 / (1.0 + knots ** 2)])
     model = material.tabulated_model(table)
-    # below the first knot, on knots, between knots and past the table
+    # inside the first piece, on knots, between knots and past the table
     s = np.concatenate([[0.1, 0.2], knots[::7], knots[:-1] + 0.13, [23.0]])
     rho = s * s
     theta = material.theta_eval(model, "*", rho)
@@ -112,8 +114,8 @@ def test_tabulated_theta_matches_quadrature_oracle(s0):
 
 
 def test_tabulated_derivative_is_the_segment_slope():
-    knots = np.array([0.2, 0.5, 1.0, 2.0, 4.0])
-    nu = np.array([3.0, 2.8, 2.0, 1.5, 1.2])
+    knots = np.array([0.0, 0.2, 0.5, 1.0, 2.0, 4.0])
+    nu = np.array([3.0, 3.0, 2.8, 2.0, 1.5, 1.2])
     model = material.tabulated_model(np.column_stack([knots, nu]))
     g = knots * nu
     slopes = np.diff(g) / np.diff(knots)
@@ -122,8 +124,8 @@ def test_tabulated_derivative_is_the_segment_slope():
     assert np.array_equal(at_knots, np.append(slopes, slopes[-1]))
     _, inside = material.model_eval(model, "*", 0.5 * (knots[:-1] + knots[1:]))
     assert np.array_equal(inside, slopes)
-    _, outside = material.model_eval(model, "*", np.array([0.0, 0.1, 9.0]))
-    assert np.array_equal(outside, [0.0, 0.0, slopes[-1]])
+    _, outside = material.model_eval(model, "*", np.array([0.1, 9.0]))
+    assert np.array_equal(outside, [slopes[0], slopes[-1]])
 
 
 def test_tabulated_model_validates_table():
@@ -152,7 +154,10 @@ def test_reluctivity_model_takes_a_table_as_a_nested_list():
     ([0.0, 1.0], r"shape \(2,\)"),
     ([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], r"shape \(2, 3\)"),
     ([[1.0, 1.0], [0.0, 2.0]], "strictly increasing"),
-], ids=["one_row", "1d", "three_columns", "decreasing_s"])
+    ([[0.01, 5.0], [1.0, 4.0], [2.0, 3.0]], "must start at 0, got 0.01"),
+    ([[-1.0, 1.0], [0.0, 1.0], [10.0, 1.0]], "must start at 0, got -1"),
+], ids=["one_row", "1d", "three_columns", "decreasing_s", "late_start",
+        "negative_start"])
 def test_reluctivity_model_rejects_a_malformed_table(table, fragment):
     params = {"C": {"table": table}, "I": {"table": [[0.0, 1.0], [1.0, 1.0]]}}
     with pytest.raises(ValidationFailure,
@@ -168,14 +173,30 @@ def test_estimate_constants_constant_model():
 
 
 def test_estimate_constants_rational_saturation():
-    # analytic secant extremes of g(s) = s (nu_min + delta/(1+s^2)):
-    # min slope nu_min - delta/8 at s^2 = 3, max slope nu_max at s = 0
-    report = material.estimate_constants(
-        material.rational_saturation_model(1.0, 5.0)
-    )
-    assert 0.49 <= report.m_hat <= 0.51
-    assert 4.99 <= report.L_hat <= 5.01
-    assert report.passed
+    # extremes of g'(s) = nu_min + delta (1 - s^2)/(1 + s^2)^2 and of nu(s):
+    # nu_min - delta/8 at s^2 = 3, nu_max at s = 0; delta < 0 swaps them
+    for nu_min, nu_max, bounds in ((1.0, 5.0, (0.5, 5.0)),
+                                   (1.0, 8.0, (0.125, 8.0)),
+                                   (2.0, 1.0, (1.0, 2.125))):
+        report = material.estimate_constants(
+            material.rational_saturation_model(nu_min, nu_max))
+        assert (report.m_hat, report.L_hat) == bounds
+        assert report.passed
+
+
+@pytest.mark.parametrize("nu_max, m_hat", [(9.001, -1.25e-4),
+                                           (1e308, -1.25e307)])
+def test_estimate_constants_rejects_a_rational_curve_that_bends_back(
+        nu_max, m_hat):
+    """With nu_max > 9 nu_min, g' = nu_min - delta/8 < 0 at s^2 = 3: the
+    energy is not convex, and no overflow hides that for huge nu_max."""
+    model = material.rational_saturation_model(1.0, nu_max)
+    report = material.estimate_constants(model)
+    assert report.m_hat == pytest.approx(m_hat, rel=1e-9)
+    assert report.L_hat == nu_max and not report.passed
+    reasons = material.validate_assumptions(model, 1.0, [[1.0]]).reasons
+    assert reasons == ["reluctivity curve on region '*' is not strongly "
+                       f"monotone (m_hat = {m_hat:.3e})"]
 
 
 def test_estimate_constants_detects_nonmonotone_curve():
@@ -184,12 +205,22 @@ def test_estimate_constants_detects_nonmonotone_curve():
         np.array([0.0, 1.0, 2.0, 4.0]),
         np.array([5.0, 5.0, 1.0, 0.1]),
     ])
-    report = material.estimate_constants(
-        material.tabulated_model(table), s_max=4.0, n_grid=100
-    )
-    assert report.m_hat <= 0.0
+    report = material.estimate_constants(material.tabulated_model(table))
+    # g = 0, 5, 2, 0.4 at the knots: piece slopes 5, -3, -0.8
+    assert (report.m_hat, report.L_hat) == (-3.0, 5.0)
     assert not report.passed
-    assert report.violations
+
+
+@pytest.mark.parametrize("table, m_hat", [
+    ([[0.0, 2.0], [50.0, 2.0], [150.0, 2.0], [200.0, 1.0], [300.0, 1.0]],
+     -2.0),
+    ([[0.0, 0.0], [10.0, 50.0]], 0.0),
+], ids=["falls_past_s_100", "nu0_zero"])
+def test_estimate_constants_rejects_a_table_anywhere_on_s_ge_0(table, m_hat):
+    """g falls with slope -2 on [150, 200]; a zero nu(0) makes the tangent
+    at a field-free element zero although every piece slope is 50."""
+    report = material.estimate_constants(material.tabulated_model(table))
+    assert report.m_hat == m_hat and not report.passed
 
 
 def test_validate_assumptions_passes_on_defaults():
@@ -252,10 +283,6 @@ def test_estimate_constants_names_a_region_the_model_lacks():
         "reluctivity model has no parameters for region '*'; "
         "it has regions ['C', 'I']")
     assert material.estimate_constants(model, "I").m_hat == pytest.approx(2.0)
-    for grid, fragment in (({"s_max": 0.0}, "^s_max must be positive$"),
-                           ({"n_grid": 1}, "^n_grid must be at least 2$")):
-        with pytest.raises(ValidationFailure, match=fragment):
-            material.estimate_constants(model, "I", **grid)
 
 
 def test_region_specific_parameters():
@@ -267,32 +294,41 @@ def test_region_specific_parameters():
 
 
 def _all_pairs_constants(model, s_max, n_grid):
-    """Reference: extreme secant slopes of nu(s)*s over every grid pair."""
+    """Reference: extremes of every secant slope of nu(s)*s over grid pairs
+    and of nu(s) on the grid, s = 0 included."""
     s = np.linspace(0.0, s_max, n_grid)
     nu, _ = material.model_eval(model, "*", s)
     g = nu * s
     iu = np.triu_indices(n_grid, k=1)
     slopes = np.subtract.outer(g, g)[iu] / np.subtract.outer(s, s)[iu]
-    return float(slopes.min()), float(np.abs(slopes).max())
+    values = np.concatenate([slopes, nu])
+    return float(values.min()), float(values.max())
 
 
-@pytest.mark.parametrize("model", [
-    material.rational_saturation_model(1.0, 5.0),
-    material.rational_saturation_model(1.0, 8.0),
-    material.constant_model(1.0),
-    material.constant_model(2.0),
-    material.tabulated_model(np.column_stack([
-        np.linspace(0.0, 10.0, 41),
-        1.0 + 4.0 / (1.0 + np.linspace(0.0, 10.0, 41) ** 2),
-    ])),
-    material.tabulated_model(np.array(
-        [[0.0, 5.0], [1.0, 5.0], [2.0, 1.0], [4.0, 0.1]]
-    )),
-], ids=["rational_1_5", "rational_1_8", "constant_1", "constant_2",
-        "table_41", "nonmonotone"])
-def test_estimate_constants_matches_all_pairs_oracle(model):
-    report = material.estimate_constants(model, s_max=20.0, n_grid=400)
+_TABLE_41 = np.column_stack([np.linspace(0.0, 10.0, 41),
+                            1.0 + 4.0 / (1.0 + np.linspace(0.0, 10.0, 41) ** 2)])
+
+
+# m_tol / L_tol: 1e-3 on the side a rational g' takes at s^2 = 3, between
+# samples, else 1e-12
+@pytest.mark.parametrize("model, m_tol, L_tol", [
+    (material.rational_saturation_model(1.0, 5.0), 1e-3, 1e-12),
+    (material.rational_saturation_model(1.0, 8.0), 1e-3, 1e-12),
+    (material.rational_saturation_model(2.0, 1.0), 1e-12, 1e-3),
+    (material.rational_saturation_model(1.0, 9.001), 1e-3, 1e-12),
+    (material.constant_model(1.0), 1e-12, 1e-12),
+    (material.constant_model(2.0), 1e-12, 1e-12),
+    (material.tabulated_model(_TABLE_41), 1e-12, 1e-12),
+    (material.tabulated_model(np.array(
+        [[0.0, 5.0], [1.0, 5.0], [2.0, 1.0], [4.0, 0.1]])), 1e-12, 1e-12),
+], ids=["rational_1_5", "rational_1_8", "rational_2_1", "rational_1_9.001",
+        "constant_1", "constant_2", "table_41", "nonmonotone"])
+def test_estimate_constants_matches_all_pairs_oracle(model, m_tol, L_tol):
+    """The sampled extremes lie inside the certified bounds and reach them."""
+    report = material.estimate_constants(model)
     m_ref, L_ref = _all_pairs_constants(model, 20.0, 400)
-    assert report.m_hat == pytest.approx(m_ref, rel=1e-12, abs=1e-12)
-    assert report.L_hat == pytest.approx(L_ref, rel=1e-12, abs=1e-12)
-    assert report.passed == (m_ref > 0.0)
+    assert report.m_hat <= m_ref + 1e-12 and L_ref <= report.L_hat + 1e-12
+    assert report.m_hat == pytest.approx(m_ref, rel=1e-12, abs=m_tol)
+    assert report.L_hat == pytest.approx(L_ref, rel=1e-12, abs=L_tol)
+    if m_ref <= 0.0:
+        assert not report.passed

@@ -887,16 +887,54 @@ def test_config_names_an_integer_beyond_64_bits(field, value):
 
 def test_reluctivity_overflow_is_named():
     """A curve whose certification overflows is a ValidationFailure naming
-    the kind, the region and the grid, not a warning and a false verdict."""
-    model = material.rational_saturation_model(1.0, 1e308)
+    the kind and the region, not a warning and a false verdict."""
+    model = material.tabulated_model([[0.0, 1.0], [1e200, 1e200]])
     with pytest.raises(ValidationFailure) as exc:
         system.build_system(system.MQSConfig(n=8, model=model))
     assert str(exc.value) == (
         "overflow encountered in multiply while certifying the reluctivity "
-        "curve of kind 'rational_saturation' on region '*' over the grid "
-        "s in [0, 100] (2000 points)")
+        "curve of kind 'user_tabulated' on region '*'")
     with pytest.raises(ValidationFailure, match="region 'C'"):
-        material.estimate_constants(model, "C", s_max=10.0)
+        material.estimate_constants(model, "C")
+
+
+_NOT_MONOTONE = "reluctivity curve on region '\\*' is not strongly monotone"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (None, _NOT_MONOTONE),
+    ([[0.0, 2.0], [50.0, 2.0], [150.0, 2.0], [200.0, 1.0], [300.0, 1.0]],
+     _NOT_MONOTONE),
+    ([[0.0, 0.0], [10.0, 50.0]], _NOT_MONOTONE),
+    ([[0.01, 5.0], [1.0, 4.0], [2.0, 3.0]],
+     "reluctivity table of region '\\*' s-column must start at 0, got 0.01"),
+], ids=["rational_1_9.001", "falls_past_s_100", "nu0_zero", "late_start"])
+def test_build_system_rejects_a_curve_that_is_not_monotone(rows, message):
+    """Each curve passed the sampled certification; now none is solved."""
+    with pytest.raises(ValidationFailure, match=message):
+        model = material.rational_saturation_model(1.0, 9.001) \
+            if rows is None else material.tabulated_model(rows)
+        system.build_system(system.MQSConfig(n=8, model=model))
+
+
+def test_certified_constants_bound_every_region():
+    """m_hat is the least over the regions and L_hat the largest, so the
+    energy bounds and Lipschitz estimate of criterion 03 hold on a model
+    whose regions differ."""
+    model = material.ReluctivityModel(
+        "constant", {"C": {"nu0": 1.0}, "I": {"nu0": 3.0}})
+    ops, phi, _ = system.build_system(system.MQSConfig(n=16, model=model))
+    assert (ops.m_hat, ops.L_hat) == (1.0, 3.0)
+    K = ops.stiffness
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        a = rng.standard_normal(ops.n_dofs)
+        b = rng.standard_normal(ops.n_dofs)
+        qa, qb = float(a @ (K @ a)), float(b @ (K @ b))
+        pa, pb = phi.eval(a), phi.eval(b)
+        assert 0.5 * ops.m_hat * qa <= pa <= 0.5 * ops.L_hat * qa
+        assert abs(pa - pb) <= 0.5 * ops.L_hat * (np.sqrt(qa) + np.sqrt(qb)) \
+            * np.sqrt(float((a - b) @ (K @ (a - b))))
 
 
 def test_step_failures_share_one_base():
