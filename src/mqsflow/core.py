@@ -20,6 +20,33 @@ pattern, so a NewtonSystem, made per solve, finds that pattern and the
 fill-reducing MMD ordering once, at the first factor, then fills one
 kept, symmetrically permuted H_s and factors it in natural order.
 
+The Newton matrix is SPD (E-ellipticity) and, from the extrapolated
+start, changes little from one Newton system to the next.  So from
+PCG_MIN_DIM = 400 unknowns on, a NewtonSystem keeps its last factor and
+solves a later system by conjugate gradients preconditioned with it
+(a lagged preconditioner inside Newton; Knoll & Keyes, J. Comput. Phys.
+193, 2004, sec. 3), to a residual of PCG_RTOL = 1e-10 ||rhs||.  When CG
+misses that within PCG_MAX_ITER = 10 iterations, or breaks down, the
+system is refactored and the new factor kept.  Below 400 unknowns every
+system is factored, bit for bit as before: there a factor costs little
+against a CG iteration's triangular solves, and holding one costs memory
+(the measurements are at PCG_MIN_DIM).
+
+Such a residual cannot stop Newton early: the stopping test reads the
+gradient recomputed at the new iterate, never the linear residual.  Nor
+can it make Newton miss newton_tol, down to 1e-14: with M the Newton
+matrix, a direction d with ||M d + g|| <= 1e-10 ||g|| is inexact Newton
+with forcing term 1e-10 (Dembo, Eisenstat & Steihaug 1982), whose full
+step leaves at most 1e-10 ||g|| of the old gradient, next to the
+quadratic term any Newton step leaves; it is a descent direction (CG
+from 0 gives g^T d = -d^T M d < 0), so the line search and the local
+convergence of Newton are kept, and a step that still leaves the
+gradient above newton_tol is followed by another Newton iteration.
+Measured against factoring every system, at newton_tol 1e-10 and 1e-14:
+the default problem at n = 64 took 68/68 and 124/125 Newton systems, and
+the three-winding one at n = 32 181/181 and 218/217, with fields and
+currents within 2.5e-14 of the problem scale.
+
 Each step's Newton solve starts, by default, from the extrapolation of
 the past states (the standard starting value for Newton inside implicit
 integrators): the polynomial through the last min(k, 4) states, taken one
@@ -32,6 +59,7 @@ x_{k-1} already meets it returns x_{k-1}.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -56,6 +84,21 @@ NEWTON_STARTS = ("extrapolate", "zero")
 
 # eval_phi_E builds a dense null-space basis, so it refuses larger maps
 ORACLE_DIM_LIMIT = 64
+
+# NewtonSystem solves a Newton system of at least PCG_MIN_DIM unknowns by
+# PCG on its last kept factor, to a residual of PCG_RTOL ||rhs|| within
+# PCG_MAX_ITER iterations; a smaller one is factored.  Solve on the default
+# problem, PCG against factoring every system, in-process, median of 9
+# (2-core x86 VM, one BLAS thread): n = 12 (121 unknowns) 0.087 -> 0.092 s,
+# n = 16 (225) 0.122 -> 0.109 s, n = 20 (361) 0.148 -> 0.127 s, n = 24 (529)
+# 0.194 -> 0.155 s, n = 64 0.98 -> 0.60 s.  So the gain below 400 is at most
+# 0.02 s a solve, and end to end it is none: with the cutoff at 200 the n = 16
+# experiment battery (perfbench battery_n16) ran 1.10/1.04 s against
+# 1.02/1.02 s at 400, and its peak RSS rose by 1 MB, for the factor held
+# across systems.
+PCG_MIN_DIM = 400
+PCG_MAX_ITER = 10
+PCG_RTOL = 1e-10
 
 
 class LinearMapE:
@@ -137,9 +180,14 @@ class ProxConfig:
     newton_max_iter: int = 50
 
     def __post_init__(self):
+        for name in ("n_steps", "newton_max_iter"):
+            check_finite(name, getattr(self, name), numbers.Integral)
         for name in ("tau", "newton_tol", "n_steps"):
             if not check_finite(name, getattr(self, name)) > 0:
                 raise ValidationFailure(f"{name} must be positive")
+        if self.newton_max_iter < 1:
+            raise ValidationFailure(
+                f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
 
     def check_against(self, phi):
         omega = phi.ellipticity_omega
@@ -173,59 +221,146 @@ class NewtonSystem:
     For a new pattern of H, the pattern of H_s = H + E_1^T E_1 / tau and
     the slots of H's and E_1^T E_1's entries in it are found once, and H_s
     is factored with SuperLU's symmetric MMD_AT_PLUS_A ordering, whose
-    ``perm_c`` is kept.  A later H on that pattern fills one kept P^T H_s P,
-    factored in natural order: the same pivots without the ordering's cost.
-    Each ``solve`` is one ``splu`` call, or a second with SuperLU's defaults
-    on a zero pivot.
+    ``perm_c`` is kept.  A later H on that pattern fills one kept
+    A = P^T H_s P, and the system is solved in its coordinates, with
+    P^T U^T permuted once and the right-hand side gathered in as one vector.
+
+    Below PCG_MIN_DIM unknowns every such A is factored in natural order
+    (the same pivots without the ordering's cost) and solved directly;
+    [y, W] is gathered back so that Woodbury's sums run in natural order,
+    bit for bit as on the MMD path.  From PCG_MIN_DIM on, the last
+    natural-order factor is kept with W = A^{-1} P^T U^T and the inverse
+    k x k capacitance matrix, and a later system is solved by conjugate
+    gradients on A + P^T U^T U P / tau, preconditioned by the Woodbury
+    solve with that factor; only the direction is gathered back.  CG
+    stops at a residual of PCG_RTOL ||rhs||, confirmed on the true
+    residual.  If it has not within PCG_MAX_ITER iterations, or breaks
+    down (p^T A p <= 0 or a non-finite value), the kept factor is
+    dropped, so that two are never alive at once, and A is refactored,
+    solved directly, and its factor kept.  The module docstring says why
+    this residual cannot stop Newton early or make it miss newton_tol.
+
+    ``factors``, ``pcg_systems`` and ``cg_iters`` count the factors taken,
+    the systems PCG solved, and every CG iteration, failed attempts
+    included.  A factor is one ``splu`` call, or a second with SuperLU's
+    defaults on a zero pivot.
     """
 
     def __init__(self, E, tau):
         self.E, self.tau = E, tau
         self._pattern = None  # H's indptr, indices; H_s's keys; H's, G's slots
         self._perm = None     # perm_c of its first factor: i -> position
-        self._kept = None     # P^T H_s P, H's and G's slots in it, inverse perm
+        self._kept = None     # A, H's and G's slots in it, inverse perm, P^T U^T
+        self._lagged = None   # a factor of A, W, inverse capacitance
+        self.factors = self.pcg_systems = self.cg_iters = 0
 
     def solve(self, H, rhs):
-        """(H + E^T E / tau)^{-1} rhs, one factor for rhs and U^T."""
+        """(H + E^T E / tau)^{-1} rhs."""
         U, G = self.E.thin, self.E.lead_gram
         H = H.tocsc()
         if not H.has_canonical_format:  # sorted and summed, in a copy
             H = H.copy()
             H.sum_duplicates()
-        B = np.column_stack([rhs, U.T])
-        kept = (self._perm is not None
-                and np.array_equal(H.indptr, self._pattern[0])
-                and np.array_equal(H.indices, self._pattern[1]))
-        if kept:
+        ordered = (self._perm is not None
+                   and np.array_equal(H.indptr, self._pattern[0])
+                   and np.array_equal(H.indices, self._pattern[1]))
+        if ordered:
             if self._kept is None:  # built while no factor is alive
-                self._kept = _symmetric_permutation(self._perm,
-                                                    *self._pattern[2:])
-            A, h_slots, g_slots, inverse = self._kept
+                A, h_slots, g_slots, inverse = _symmetric_permutation(
+                    self._perm, *self._pattern[2:])
+                self._kept = (A, h_slots, g_slots, inverse,
+                              U.T.take(inverse, axis=0))
+            A, h_slots, g_slots, inverse, Ut = self._kept
             A.data[:] = 0.0
-            B = B.take(inverse, axis=0)
         else:
             both = [_csc_keys(H), _csc_keys(G)]
             keys = np.union1d(*both)
             h_slots, g_slots = (np.searchsorted(keys, k) for k in both)
             self._pattern = (H.indptr.copy(), H.indices.copy(), keys,
                              h_slots, g_slots)
-            self._perm = self._kept = None
+            self._perm = self._kept = self._lagged = None
             A = _csc_at(keys, H.shape[0])
         A.data[h_slots] = H.data
         A.data[g_slots] += G.data / self.tau
+        if not ordered:
+            lu = self._factor(A, "MMD_AT_PLUS_A")
+            return _woodbury(lu.solve(np.column_stack([rhs, U.T])), U, self.tau)
+        b = rhs.take(inverse)
+        if A.shape[0] < PCG_MIN_DIM:  # Woodbury's sums as on the MMD path
+            Y = self._factor(A, "NATURAL").solve(np.column_stack([b, Ut]))
+            return _woodbury(Y.take(self._perm, axis=0), U, self.tau)
+        if self._lagged is not None:
+            d = self._pcg(A, b)
+            if d is not None:
+                return d.take(self._perm)
+            self._lagged = None
+        lu = self._factor(A, "NATURAL")
+        Y = lu.solve(np.column_stack([b, Ut]))
+        W = np.ascontiguousarray(Y[:, 1:])
+        self._lagged = (lu, W, np.linalg.inv(
+            self.tau * np.eye(U.shape[0]) + Ut.T @ W))
+        return self._add_thin_block(Y[:, 0]).take(self._perm)
+
+    def _factor(self, A, permc_spec):
+        """SuperLU's symmetric-mode factor of A, or its default one on a
+        zero pivot; the perm_c of an MMD factor is kept."""
         try:
-            lu = spla.splu(A, permc_spec="NATURAL" if kept else "MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
+            lu = spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError:  # a zero pivot: SuperLU's defaults
             lu = spla.splu(A)
         else:
-            if not kept:
+            if permc_spec != "NATURAL":
                 self._perm = lu.perm_c.copy()
-        Y = lu.solve(B).take(self._perm, axis=0) if kept else lu.solve(B)
-        y, W = Y[:, 0], Y[:, 1:]
-        capacitance = self.tau * np.eye(U.shape[0]) + U @ W
-        return y - W @ np.linalg.solve(capacitance, U @ y)
+        self.factors += 1
+        return lu
+
+    def _add_thin_block(self, y):
+        """(A_0 + Ut Ut^T / tau)^{-1} r from y = A_0^{-1} r, by Woodbury
+        with the kept factor's W and inverse capacitance (Ut = P^T U^T)."""
+        _, W, inverse_capacitance = self._lagged
+        return y - W @ (inverse_capacitance @ (self._kept[4].T @ y))
+
+    def _pcg(self, A, b):
+        """PCG from 0 on (A + Ut Ut^T / tau) x = b, preconditioned by the
+        Woodbury solve with the kept factor A_0; None when it breaks down or
+        misses PCG_RTOL ||b|| within PCG_MAX_ITER iterations."""
+        lu, Ut = self._lagged[0], self._kept[4]
+
+        def apply(v):
+            return A @ v + Ut @ (Ut.T @ v) / self.tau
+
+        bound = PCG_RTOL * np.linalg.norm(b)
+        with np.errstate(all="ignore"):  # a non-finite value breaks down
+            x, r = np.zeros_like(b), b.copy()
+            p = z = self._add_thin_block(lu.solve(r))
+            rz = float(r @ z)
+            for _ in range(PCG_MAX_ITER):
+                self.cg_iters += 1
+                q = apply(p)
+                pq = float(p @ q)
+                if not (0.0 < pq < np.inf and 0.0 < rz < np.inf):
+                    return None
+                alpha = rz / pq
+                x += alpha * p
+                r -= alpha * q
+                if np.linalg.norm(r) <= bound:  # then check the true residual
+                    if not np.linalg.norm(b - apply(x)) <= bound:
+                        return None
+                    self.pcg_systems += 1
+                    return x
+                z = self._add_thin_block(lu.solve(r))
+                rz, rz_old = float(r @ z), rz
+                p = z + (rz / rz_old) * p
+        return None
+
+
+def _woodbury(Y, U, tau):
+    """y - W (tau I + U W)^{-1} U y for Y = [y, W]: the solution of
+    (S + U^T U / tau) d = r from y = S^{-1} r and W = S^{-1} U^T."""
+    y, W = Y[:, 0], Y[:, 1:]
+    capacitance = tau * np.eye(U.shape[0]) + U @ W
+    return y - W @ np.linalg.solve(capacitance, U @ y)
 
 
 def _csc_at(keys, n):

@@ -177,6 +177,24 @@ def test_prox_config_rejects_non_finite_tau_and_tolerance(kwargs, name):
         core.ProxConfig(n_steps=1, **kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_steps": 2.5}, "n_steps must be an integer, got 2.5"),
+    ({"newton_max_iter": 2.5}, "newton_max_iter must be an integer, got 2.5"),
+    ({"newton_max_iter": 0}, "newton_max_iter must be at least 1, got 0"),
+])
+def test_prox_config_checks_its_counts(kwargs, message):
+    with pytest.raises(ValidationFailure, match=f"^{message}$"):
+        core.ProxConfig(**{"tau": 0.1, "n_steps": 1, **kwargs})
+
+
+def test_prox_config_accepts_numpy_integer_counts():
+    cfg = core.ProxConfig(tau=0.1, n_steps=np.int64(3),
+                          newton_max_iter=np.uint8(5))
+    traj = core.solve_trajectory(quadratic(np.eye(2)), core.LinearMapE(
+        np.eye(2)), np.ones(2), None, cfg)
+    assert traj.n_steps == 3
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 def test_prox_config_rejects_nonpositive_tolerance(tol):
     with pytest.raises(ValidationFailure, match="newton_tol must be positive"):
@@ -528,6 +546,102 @@ def test_a_kept_ordering_orders_each_new_pattern_afresh(monkeypatch):
         "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "NATURAL",
         "MMD_AT_PLUS_A"]
     assert not (first.has_sorted_indices or second.has_sorted_indices)
+
+
+def lagged_problem(seed, n=core.PCG_MIN_DIM + 100, tau=0.1):
+    """A sparse E with a two-row thin block, a sparse SPD hessian, a
+    right-hand side and a NewtonSystem, at n unknowns."""
+    rng = np.random.default_rng(seed)
+    lead = sp.random(n, n, density=3.0 / n, random_state=rng, format="csr")
+    E = core.LinearMapE(sp.vstack([lead, sp.csr_matrix(
+        rng.standard_normal((2, n)))]).tocsr(), k=2)
+    H = sparse_spd(n, rng, density=3.0 / n)
+    return E, H, rng.standard_normal(n), core.NewtonSystem(E, tau)
+
+
+def dense_direction(E, tau, H, rhs):
+    return np.linalg.solve((H + E.gram / tau).toarray(), rhs)
+
+
+def test_a_run_of_equal_newton_matrices_factors_once(monkeypatch):
+    """Above the cutoff, after the ordering factor, one natural-order
+    factor serves every later equal system: PCG preconditioned by its
+    exact Woodbury solve converges in one iteration."""
+    E, H, rhs, newton = lagged_problem(40)
+    stub = _RecordingSplu()
+    monkeypatch.setattr(core, "spla", stub)
+    ref = dense_direction(E, newton.tau, H, rhs)
+    for _ in range(6):
+        d = newton.solve(H, rhs)
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert [c["permc_spec"] for c in stub.calls] == ["MMD_AT_PLUS_A",
+                                                     "NATURAL"]
+    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (2, 4, 4)
+
+
+def test_a_nearby_matrix_is_solved_by_pcg_to_the_tolerance():
+    """A matrix near the factored one takes a few CG iterations on the
+    kept factor, and its residual is within 1e-10 of the rhs."""
+    E, H, rhs, newton = lagged_problem(44)
+    for _ in range(2):
+        newton.solve(H, rhs)
+    scale = sp.diags(np.random.default_rng(45).uniform(0.95, 1.05, H.shape[0]))
+    nearby = (scale @ H @ scale).tocsc()
+    d = newton.solve(nearby, rhs)
+    M = (nearby + E.gram / newton.tau).toarray()
+    assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert (newton.factors, newton.pcg_systems) == (2, 1)
+    assert 1 < newton.cg_iters <= core.PCG_MAX_ITER
+
+
+def test_a_sudden_change_refactors_after_dropping_the_kept_factor(
+        monkeypatch):
+    """A matrix the kept factor no longer preconditions within the budget
+    is refactored, the kept factor dropped first, and solved directly."""
+    E, H, rhs, newton = lagged_problem(41)
+    for _ in range(3):
+        newton.solve(H, rhs)
+    assert (newton.factors, newton.pcg_systems) == (2, 1)
+    scale = sp.diags(np.random.default_rng(42).uniform(1.0, 100.0, H.shape[0]))
+    changed = (scale @ H @ scale).tocsc()
+    changed.sort_indices()
+    kept_at_factor = []
+
+    class Spla:
+        def splu(self, A, **kwargs):
+            kept_at_factor.append(newton._lagged)
+            return spla.splu(A, **kwargs)
+
+    monkeypatch.setattr(core, "spla", Spla())
+    d = newton.solve(changed, rhs)
+    ref = dense_direction(E, newton.tau, changed, rhs)
+    assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert kept_at_factor == [None]
+    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (
+        3, 1, 1 + core.PCG_MAX_ITER)
+    newton.solve(changed, rhs)  # the new factor serves the next system
+    assert (newton.factors, newton.pcg_systems) == (3, 2)
+
+
+def test_a_newton_matrix_not_positive_definite_raises_above_the_cutoff():
+    """CG breaks down on p^T A p <= 0, the system is refactored, and the
+    direction is no descent direction: SingularStep, as on a fresh
+    NewtonSystem, which solves directly."""
+    E, H, rhs, newton = lagged_problem(43)
+    for _ in range(2):
+        newton.solve(H, rhs)
+    concave = -100.0 * H
+    M = concave + E.gram / newton.tau
+    assert np.linalg.eigvalsh(M.toarray()).max() < 0.0
+    x0 = np.ones(H.shape[0])
+    for ns, pcg in ((core.NewtonSystem(E, newton.tau), False),
+                    (newton, True)):
+        with pytest.raises(SingularStep, match="not a descent direction"):
+            core.newton_minimize(lambda x: 0.5 * float(x @ (M @ x) - rhs @ x),
+                                 lambda x: M @ x - rhs, lambda x: concave,
+                                 x0, 1e-10, newton_system=ns)
+        assert (ns._lagged is not None) == pcg
+    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (3, 0, 1)
 
 
 def smooth_core_problems():

@@ -738,6 +738,145 @@ def test_a_solve_leaves_the_metric_map_unchanged():
     assert set(after) - set(before) <= cached
 
 
+class _FactorEverySystem:
+    """The Newton solve before lagged factors: every system factored, the
+    first with MMD, later ones on the same pattern in natural order on the
+    symmetrically permuted matrix, [rhs, U^T] gathered in and out."""
+
+    def __init__(self, E, tau):
+        self.E, self.tau = E, tau
+        self._pattern = self._perm = self._kept = None
+
+    def solve(self, H, rhs):
+        U, G = self.E.thin, self.E.lead_gram
+        H = H.tocsc()
+        B = np.column_stack([rhs, U.T])
+        kept = (self._perm is not None
+                and np.array_equal(H.indptr, self._pattern[0])
+                and np.array_equal(H.indices, self._pattern[1]))
+        if kept:
+            if self._kept is None:
+                self._kept = core._symmetric_permutation(self._perm,
+                                                         *self._pattern[2:])
+            A, h_slots, g_slots, inverse = self._kept
+            A.data[:] = 0.0
+            B = B.take(inverse, axis=0)
+        else:
+            both = [core._csc_keys(H), core._csc_keys(G)]
+            keys = np.union1d(*both)
+            h_slots, g_slots = (np.searchsorted(keys, k) for k in both)
+            self._pattern = (H.indptr.copy(), H.indices.copy(), keys,
+                             h_slots, g_slots)
+            A = core._csc_at(keys, H.shape[0])
+        A.data[h_slots] = H.data
+        A.data[g_slots] += G.data / self.tau
+        lu = sp.linalg.splu(A, permc_spec="NATURAL" if kept else "MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+        if not kept:
+            self._perm = lu.perm_c.copy()
+        Y = lu.solve(B).take(self._perm, axis=0) if kept else lu.solve(B)
+        y, W = Y[:, 0], Y[:, 1:]
+        capacitance = self.tau * np.eye(U.shape[0]) + U @ W
+        return y - W @ np.linalg.solve(capacitance, U @ y)
+
+
+def record_newton_systems(monkeypatch):
+    """The NewtonSystem each solve makes, and a count of splu calls and of
+    Newton systems solved."""
+    made, counts = [], {"splu": 0, "systems": 0}
+    real_splu, real_solve = core.spla.splu, core._solve_newton_system
+
+    class Recorded(core.NewtonSystem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    class Spla:
+        def splu(self, A, **kwargs):
+            counts["splu"] += 1
+            return real_splu(A, **kwargs)
+
+    def counted(*args):
+        counts["systems"] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(core, "NewtonSystem", Recorded)
+    monkeypatch.setattr(core, "spla", Spla())
+    monkeypatch.setattr(core, "_solve_newton_system", counted)
+    return made, counts
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_below_the_cutoff_every_newton_system_is_factored_as_before(
+        n, monkeypatch):
+    """One factor per Newton system, none kept, and the trajectory bit for
+    bit that of factoring every system as before lagged factors."""
+    cfg = system.MQSConfig(n=n)
+    ops = system.build_system(cfg)[0]
+    assert ops.n_dofs < core.PCG_MIN_DIM
+    made, counts = record_newton_systems(monkeypatch)
+    traj = system.solve(cfg, ops)
+    (newton,) = made
+    assert counts["splu"] == newton.factors == counts["systems"] > 0
+    assert newton.pcg_systems == newton.cg_iters == 0
+    monkeypatch.setattr(core, "NewtonSystem", _FactorEverySystem)
+    before = system.solve(cfg, ops)
+    assert np.array_equal(traj.fields, before.fields)
+    assert np.array_equal(traj.currents[1:], before.currents[1:])
+
+
+def multiwinding_config(**kwargs):
+    """Three windings coupled through a full-rank R, driven by table
+    voltages that reverse sign, from a random initial field, at n = 32."""
+    table = [[0.0, 0.0, 0.0, 0.0], [0.25, 4.0, -4.0, 4.0],
+             [0.5, -4.0, 4.0, -4.0], [0.75, 4.0, 4.0, -4.0],
+             [1.0, -4.0, -4.0, 4.0]]
+    return system.MQSConfig(
+        n=32, winding=THREE_WINDINGS,
+        R=[[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]],
+        voltage=system.VoltageSignal("table", table=table),
+        model=material.rational_saturation_model(1.0, 8.0),
+        a0_kind="random", seed=1, **kwargs)
+
+
+def test_a_lagged_factor_solve_is_repeatable(monkeypatch):
+    """Above the cutoff most Newton systems are solved by PCG on a kept
+    factor, and two solves on one set of operators agree bit for bit."""
+    cfg = multiwinding_config()
+    ops = system.build_system(cfg)[0]
+    assert ops.n_dofs >= core.PCG_MIN_DIM
+    made, counts = record_newton_systems(monkeypatch)
+    first, second = system.solve(cfg, ops), system.solve(cfg, ops)
+    assert np.array_equal(first.fields, second.fields)
+    assert np.array_equal(first.currents[1:], second.currents[1:])
+    for newton in made:
+        assert newton.factors + newton.pcg_systems == counts["systems"] // 2
+        assert newton.pcg_systems > newton.factors
+        assert newton.cg_iters <= core.PCG_MAX_ITER * counts["systems"] // 2
+
+
+@pytest.mark.parametrize("newton_tol", [1e-10, 1e-14])
+def test_a_lagged_factor_solve_matches_factoring_every_system(
+        newton_tol, monkeypatch):
+    """PCG's residual of 1e-10 ||rhs|| leaves the trajectory within
+    1e-10 scale, and the Newton systems within 1 %, of a solve that
+    factors every Newton system, down to a Newton tolerance of 1e-14."""
+    cfg = multiwinding_config(newton_tol=newton_tol)
+    ops = system.build_system(cfg)[0]
+    _, counts = record_newton_systems(monkeypatch)
+    lagged = system.solve(cfg, ops)
+    n_lagged = counts["systems"]
+    monkeypatch.setattr(core, "PCG_MIN_DIM", ops.n_dofs + 1)
+    direct = system.solve(cfg, ops)
+    n_direct = counts["systems"] - n_lagged
+    assert abs(n_lagged - n_direct) <= 0.01 * n_direct
+    scale = diagnostics.trajectory_scale(ops, direct)
+    assert np.abs(lagged.fields - direct.fields).max() <= 1e-10 * scale
+    assert np.abs(lagged.currents[1:] - direct.currents[1:]).max() <= (
+        1e-10 * scale)
+
+
 def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
         monkeypatch):
     """Against a predictor stuck at x_{k-1}, which starts every step where
