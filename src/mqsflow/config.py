@@ -219,10 +219,6 @@ def build_config(entries, seed=None):
         raise ConfigError(str(exc))
 
 
-def default_config(seed=None):
-    return build_config({}, seed=seed)
-
-
 def output_basename(entries):
     """The output file stem: a plain name, so outputs stay under --out."""
     name = entries.get(("output", "basename"), "run")

@@ -12,40 +12,43 @@ data onto the closure of range(E), so the degenerate directions never need
 an explicit basis.
 
 When the last k rows of a sparse E form a thin block U (k << dim_X), the
-Newton matrix  hessian + E^T E / tau  is a sparse SPD part  H_s = hessian +
-E_1^T E_1 / tau  plus the rank-k term  U^T U / tau.  Only H_s is factored,
-in SuperLU's symmetric mode, and the rank-k term is added back by the
-Sherman-Morrison-Woodbury identity.  Every H_s of a solve sits on one
-pattern, so a NewtonSystem, made per solve, finds that pattern and the
-fill-reducing MMD ordering once, at the first factor, then fills one
-kept, symmetrically permuted H_s and factors it in natural order.
+Newton system (hessian + E^T E / tau) d = rhs is solved as the symmetric
+quasi-definite field-circuit system K [d; mu] = [rhs; 0], with
+K = [[hessian + E_1^T E_1 / tau, U^T], [U, -tau I_k]]: the k unknowns
+mu = U d / tau stay beside d, and the dense U^T U / tau is never formed.
+K has an LDL^T factor in every symmetric order (Vanderbei, SIAM J. Optim.
+5(1), 1995; stability: Gill, Saunders & Shinnerl, SIAM J. Matrix Anal.
+Appl. 17(1), 1996), so SuperLU factors it in symmetric mode without
+pivoting.  Every K of a solve sits on one pattern, so a NewtonSystem, made
+per solve, finds that pattern and the MMD ordering once, at the first
+factor, then fills one kept, symmetrically permuted K and factors it in
+natural order.
 
-The Newton matrix is SPD (E-ellipticity) and, from the extrapolated
+The Newton matrix M is SPD (E-ellipticity) and, from the extrapolated
 start, changes little from one Newton system to the next.  So from
 PCG_MIN_DIM = 400 unknowns on, a NewtonSystem keeps its last factor and
-solves a later system by conjugate gradients preconditioned with it
+solves a later system by conjugate gradients on K preconditioned with it
 (a lagged preconditioner inside Newton; Knoll & Keyes, J. Comput. Phys.
-193, 2004, sec. 3), to a residual of PCG_RTOL = 1e-10 ||rhs||.  When CG
-misses that within PCG_MAX_ITER = 10 iterations, or breaks down, the
-system is refactored and the new factor kept.  Below 400 unknowns every
-system is factored, bit for bit as before: there a factor costs little
-against a CG iteration's triangular solves, and holding one costs memory
-(the measurements are at PCG_MIN_DIM).
+193, 2004, sec. 3).  CG from 0 keeps mu = U d / tau in every iterate, as
+K and the kept factor share their last k rows, and there K acts as M.
+It stops at a residual of M, rhs - M d = r_1 + U^T r_2 / tau read off K's
+residual (r_1, r_2), of PCG_RTOL = 1e-10 ||rhs||; K's own can be smaller
+by ||U|| / tau.  When CG misses that within PCG_MAX_ITER = 10 iterations,
+or breaks down, the system is refactored and the new factor kept.  Below
+400 unknowns every system is factored and no factor kept.
 
 Such a residual cannot stop Newton early: the stopping test reads the
 gradient recomputed at the new iterate, never the linear residual.  Nor
-can it make Newton miss newton_tol, down to 1e-14: with M the Newton
-matrix, a direction d with ||M d + g|| <= 1e-10 ||g|| is inexact Newton
-with forcing term 1e-10 (Dembo, Eisenstat & Steihaug 1982), whose full
-step leaves at most 1e-10 ||g|| of the old gradient, next to the
-quadratic term any Newton step leaves; it is a descent direction (CG
-from 0 gives g^T d = -d^T M d < 0), so the line search and the local
-convergence of Newton are kept, and a step that still leaves the
-gradient above newton_tol is followed by another Newton iteration.
-Measured against factoring every system, at newton_tol 1e-10 and 1e-14:
-the default problem at n = 64 took 68/68 and 124/125 Newton systems, and
-the three-winding one at n = 32 181/181 and 218/217, with fields and
-currents within 2.5e-14 of the problem scale.
+can it make Newton miss newton_tol, down to 1e-14: a direction d with
+||M d + g|| <= 1e-10 ||g|| is inexact Newton with forcing term 1e-10
+(Dembo, Eisenstat & Steihaug 1982), whose full step leaves at most
+1e-10 ||g|| of the old gradient, next to the quadratic term any Newton
+step leaves; it is a descent direction (CG from 0 gives
+g^T d = -d^T M d < 0), so the line search and the local convergence of
+Newton are kept.  Against factoring every system, at newton_tol 1e-10 and
+1e-14, the default problem at n = 64 took 68/68 and 125/125 Newton
+systems, and the three-winding one at n = 32 181/181 and 217/219, with
+fields and currents within 1.7e-14 of the problem scale.
 
 Each step's Newton solve starts, by default, from the extrapolation of
 the past states (the standard starting value for Newton inside implicit
@@ -106,8 +109,7 @@ class LinearMapE:
 
     The last ``k`` rows may form a thin block U (default k = 0): for a
     sparse E (and a functional with a sparse hessian), prox steps then
-    factor only the leading block's part of the Newton matrix and add
-    U^T U by the Woodbury identity (see NewtonSystem).
+    keep U's k unknowns beside x in the Newton system (see NewtonSystem).
     """
 
     def __init__(self, matrix, k=0):
@@ -145,16 +147,11 @@ class LinearMapE:
         gram.sum_duplicates()
         return gram
 
-    @cached_property
-    def thin(self):
-        """The thin block U, the last k rows, as a dense (k, dim_X) array."""
-        return sp.csr_matrix(self.matrix)[self.dim_Z - self.k:].toarray()
 
-
-def _csc_keys(A):
+def _csc_keys(A, n_rows):
     """col * n_rows + row of each stored entry of a CSC matrix."""
     cols = np.repeat(np.arange(A.shape[1], dtype=np.int64), np.diff(A.indptr))
-    return cols * A.shape[0] + A.indices
+    return cols * n_rows + A.indices
 
 
 @dataclass
@@ -218,27 +215,20 @@ class NewtonSystem:
     """The Newton matrices H + E^T E / tau of one solve (sparse E, thin
     block U) for sparse hessians H, taken in canonical CSC; E is not changed.
 
-    For a new pattern of H, the pattern of H_s = H + E_1^T E_1 / tau and
-    the slots of H's and E_1^T E_1's entries in it are found once, and H_s
-    is factored with SuperLU's symmetric MMD_AT_PLUS_A ordering, whose
-    ``perm_c`` is kept.  A later H on that pattern fills one kept
-    A = P^T H_s P, and the system is solved in its coordinates, with
-    P^T U^T permuted once and the right-hand side gathered in as one vector.
+    Each is solved through K = [[H, 0], [0, 0]] + C (module docstring),
+    where C = [[E_1^T E_1 / tau, U^T], [U, -tau I_k]] is built once.  For a
+    new pattern of H, the pattern of K and the slots of H's and C's entries
+    in it are found once, and K is factored with SuperLU's symmetric
+    MMD_AT_PLUS_A ordering, whose ``perm_c`` is kept.  A later H on that
+    pattern fills one kept A = P^T K P, factored in natural order (the same
+    pivots without the ordering's cost), with the right-hand side gathered
+    in and the solution back as one vector each.
 
-    Below PCG_MIN_DIM unknowns every such A is factored in natural order
-    (the same pivots without the ordering's cost) and solved directly;
-    [y, W] is gathered back so that Woodbury's sums run in natural order,
-    bit for bit as on the MMD path.  From PCG_MIN_DIM on, the last
-    natural-order factor is kept with W = A^{-1} P^T U^T and the inverse
-    k x k capacitance matrix, and a later system is solved by conjugate
-    gradients on A + P^T U^T U P / tau, preconditioned by the Woodbury
-    solve with that factor; only the direction is gathered back.  CG
-    stops at a residual of PCG_RTOL ||rhs||, confirmed on the true
-    residual.  If it has not within PCG_MAX_ITER iterations, or breaks
-    down (p^T A p <= 0 or a non-finite value), the kept factor is
-    dropped, so that two are never alive at once, and A is refactored,
-    solved directly, and its factor kept.  The module docstring says why
-    this residual cannot stop Newton early or make it miss newton_tol.
+    From PCG_MIN_DIM unknowns on, the last natural-order factor is kept for
+    PCG, whose Newton-matrix residual is confirmed on the true one.  When
+    PCG fails (p^T A p <= 0 or a non-finite value breaks it down), the kept
+    factor is dropped, so that two are never alive at once, and A is
+    refactored, solved directly, and its factor kept.
 
     ``factors``, ``pcg_systems`` and ``cg_iters`` count the factors taken,
     the systems PCG solved, and every CG iteration, failed attempts
@@ -248,58 +238,60 @@ class NewtonSystem:
 
     def __init__(self, E, tau):
         self.E, self.tau = E, tau
-        self._pattern = None  # H's indptr, indices; H_s's keys; H's, G's slots
+        self._pattern = None  # H's indptr, indices; K's keys; H's, C's slots
         self._perm = None     # perm_c of its first factor: i -> position
-        self._kept = None     # A, H's and G's slots in it, inverse perm, P^T U^T
-        self._lagged = None   # a factor of A, W, inverse capacitance
+        self._kept = None     # A, H's and C's slots in it, inverse perm
+        self._lagged = None   # a natural-order factor of A
         self.factors = self.pcg_systems = self.cg_iters = 0
+
+    @cached_property
+    def _block(self):
+        """U^T, dense, and C, canonical CSC (bmat sums and sorts)."""
+        E, tau = self.E, self.tau
+        Ut = sp.csr_matrix(E.matrix)[E.dim_Z - E.k:].T.toarray()
+        C = sp.bmat([[E.lead_gram / tau, Ut], [Ut.T, -tau * sp.identity(E.k)]],
+                    format="csc")
+        return Ut, C
 
     def solve(self, H, rhs):
         """(H + E^T E / tau)^{-1} rhs."""
-        U, G = self.E.thin, self.E.lead_gram
+        C = self._block[1]
         H = H.tocsc()
         if not H.has_canonical_format:  # sorted and summed, in a copy
             H = H.copy()
             H.sum_duplicates()
+        n, N = H.shape[0], C.shape[0]
         ordered = (self._perm is not None
                    and np.array_equal(H.indptr, self._pattern[0])
                    and np.array_equal(H.indices, self._pattern[1]))
         if ordered:
             if self._kept is None:  # built while no factor is alive
-                A, h_slots, g_slots, inverse = _symmetric_permutation(
-                    self._perm, *self._pattern[2:])
-                self._kept = (A, h_slots, g_slots, inverse,
-                              U.T.take(inverse, axis=0))
-            A, h_slots, g_slots, inverse, Ut = self._kept
+                self._kept = _symmetric_permutation(self._perm,
+                                                    *self._pattern[2:])
+            A, h_slots, c_slots, inverse = self._kept
             A.data[:] = 0.0
         else:
-            both = [_csc_keys(H), _csc_keys(G)]
+            both = [_csc_keys(H, N), _csc_keys(C, N)]
             keys = np.union1d(*both)
-            h_slots, g_slots = (np.searchsorted(keys, k) for k in both)
+            h_slots, c_slots = (np.searchsorted(keys, k) for k in both)
             self._pattern = (H.indptr.copy(), H.indices.copy(), keys,
-                             h_slots, g_slots)
+                             h_slots, c_slots)
             self._perm = self._kept = self._lagged = None
-            A = _csc_at(keys, H.shape[0])
+            A = _csc_at(keys, N)
         A.data[h_slots] = H.data
-        A.data[g_slots] += G.data / self.tau
-        if not ordered:
-            lu = self._factor(A, "MMD_AT_PLUS_A")
-            return _woodbury(lu.solve(np.column_stack([rhs, U.T])), U, self.tau)
-        b = rhs.take(inverse)
-        if A.shape[0] < PCG_MIN_DIM:  # Woodbury's sums as on the MMD path
-            Y = self._factor(A, "NATURAL").solve(np.column_stack([b, Ut]))
-            return _woodbury(Y.take(self._perm, axis=0), U, self.tau)
-        if self._lagged is not None:
-            d = self._pcg(A, b)
-            if d is not None:
-                return d.take(self._perm)
+        A.data[c_slots] += C.data
+        b = np.zeros(N)
+        b[:n] = rhs
+        if ordered:
+            b = b.take(inverse)
+        x = None if self._lagged is None else self._pcg(A, b)
+        if x is None:
             self._lagged = None
-        lu = self._factor(A, "NATURAL")
-        Y = lu.solve(np.column_stack([b, Ut]))
-        W = np.ascontiguousarray(Y[:, 1:])
-        self._lagged = (lu, W, np.linalg.inv(
-            self.tau * np.eye(U.shape[0]) + Ut.T @ W))
-        return self._add_thin_block(Y[:, 0]).take(self._perm)
+            lu = self._factor(A, "NATURAL" if ordered else "MMD_AT_PLUS_A")
+            if ordered and n >= PCG_MIN_DIM:
+                self._lagged = lu
+            x = lu.solve(b)
+        return (x.take(self._perm) if ordered else x)[:n]
 
     def _factor(self, A, permc_spec):
         """SuperLU's symmetric-mode factor of A, or its default one on a
@@ -315,52 +307,40 @@ class NewtonSystem:
         self.factors += 1
         return lu
 
-    def _add_thin_block(self, y):
-        """(A_0 + Ut Ut^T / tau)^{-1} r from y = A_0^{-1} r, by Woodbury
-        with the kept factor's W and inverse capacitance (Ut = P^T U^T)."""
-        _, W, inverse_capacitance = self._lagged
-        return y - W @ (inverse_capacitance @ (self._kept[4].T @ y))
+    def _newton_residual(self, r):
+        """||r_1 + U^T r_2 / tau|| of a residual r of A, in A's order."""
+        Ut = self._block[0]
+        r, n = r.take(self._perm), Ut.shape[0]
+        return np.linalg.norm(r[:n] + Ut.dot(r[n:] / self.tau))
 
     def _pcg(self, A, b):
-        """PCG from 0 on (A + Ut Ut^T / tau) x = b, preconditioned by the
-        Woodbury solve with the kept factor A_0; None when it breaks down or
-        misses PCG_RTOL ||b|| within PCG_MAX_ITER iterations."""
-        lu, Ut = self._lagged[0], self._kept[4]
-
-        def apply(v):
-            return A @ v + Ut @ (Ut.T @ v) / self.tau
-
+        """PCG from 0 on A x = b, preconditioned by the kept factor; None
+        when it breaks down or misses PCG_RTOL ||b|| on the Newton-matrix
+        residual within PCG_MAX_ITER iterations."""
+        lu = self._lagged
         bound = PCG_RTOL * np.linalg.norm(b)
         with np.errstate(all="ignore"):  # a non-finite value breaks down
             x, r = np.zeros_like(b), b.copy()
-            p = z = self._add_thin_block(lu.solve(r))
+            p = z = lu.solve(r)
             rz = float(r @ z)
             for _ in range(PCG_MAX_ITER):
                 self.cg_iters += 1
-                q = apply(p)
+                q = A @ p
                 pq = float(p @ q)
                 if not (0.0 < pq < np.inf and 0.0 < rz < np.inf):
                     return None
                 alpha = rz / pq
                 x += alpha * p
                 r -= alpha * q
-                if np.linalg.norm(r) <= bound:  # then check the true residual
-                    if not np.linalg.norm(b - apply(x)) <= bound:
+                if self._newton_residual(r) <= bound:  # then the true one
+                    if not self._newton_residual(b - A @ x) <= bound:
                         return None
                     self.pcg_systems += 1
                     return x
-                z = self._add_thin_block(lu.solve(r))
+                z = lu.solve(r)
                 rz, rz_old = float(r @ z), rz
                 p = z + (rz / rz_old) * p
         return None
-
-
-def _woodbury(Y, U, tau):
-    """y - W (tau I + U W)^{-1} U y for Y = [y, W]: the solution of
-    (S + U^T U / tau) d = r from y = S^{-1} r and W = S^{-1} U^T."""
-    y, W = Y[:, 0], Y[:, 1:]
-    capacitance = tau * np.eye(U.shape[0]) + U @ W
-    return y - W @ np.linalg.solve(capacitance, U @ y)
 
 
 def _csc_at(keys, n):
@@ -370,14 +350,14 @@ def _csc_at(keys, n):
                          shape=(n, n))
 
 
-def _symmetric_permutation(perm, keys, h_slots, g_slots):
+def _symmetric_permutation(perm, keys, h_slots, c_slots):
     """P^T S P, which moves entry (i, j) of the pattern S at ``keys`` to
     (perm[i], perm[j]): the matrix, where S's data positions ``h_slots``
-    and ``g_slots`` land in it, and the inverse of perm."""
+    and ``c_slots`` land in it, and the inverse of perm."""
     n, perm = perm.size, perm.astype(np.int64)
     moved = perm[keys // n] * n + perm[keys % n]
     lands = np.argsort(np.argsort(moved))
-    return _csc_at(moved, n), lands[h_slots], lands[g_slots], np.argsort(perm)
+    return _csc_at(moved, n), lands[h_slots], lands[c_slots], np.argsort(perm)
 
 
 def _solve_newton_system(H, rhs, newton_system=None):

@@ -100,7 +100,8 @@ class Mesh2D:
         """(9 M,) int32 slot of each local entry in ``pattern.data``."""
         rows, cols, keep = self._local_pairs()
         # a canonical CSC lists its (col, row) keys in sorted order
-        slots = np.searchsorted(_csc_keys(self.pattern), cols * self.n_dofs + rows)
+        slots = np.searchsorted(_csc_keys(self.pattern, self.n_dofs),
+                                cols * self.n_dofs + rows)
         return np.where(keep, slots, self.pattern.nnz).astype(np.int32)
 
     @cached_property

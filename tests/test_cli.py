@@ -53,7 +53,7 @@ def test_parse_config_rejects_key_outside_section():
 
 
 def test_default_config_roundtrip():
-    cfg = config.default_config()
+    cfg = config.build_config({})
     assert cfg.n == 32
     assert cfg.tau == pytest.approx(1.0 / 64.0)
     assert cfg.winding.m == 1
@@ -72,13 +72,13 @@ def _same(a, b):
 
 def test_default_cfg_file_gives_the_default_config():
     """configs/default.cfg spells out every [core] key, and loading it gives
-    config.default_config() field by field."""
+    config.build_config({}) field by field."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "default.cfg")
     entries = config.load_config_file(path)
     assert {k for s, k in entries if s == "core"} == config._SCHEMA["core"]
     assert config.output_basename(entries) == "run"
-    loaded, default = config.build_config(entries), config.default_config()
+    loaded, default = config.build_config(entries), config.build_config({})
     for f in dataclasses.fields(default):
         assert _same(getattr(loaded, f.name), getattr(default, f.name)), f.name
 

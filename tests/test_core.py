@@ -348,8 +348,8 @@ def test_linear_map_thin_block_splits_the_gram():
     matrix = thin_map(rng)
     E = core.LinearMapE(matrix, k=2)
     assert E.k == 2 and core.LinearMapE(matrix).k == 0
-    assert np.allclose(E.thin, matrix[-2:].toarray())
-    split = E.lead_gram.toarray() + E.thin.T @ E.thin
+    U = matrix[-2:].toarray()
+    split = E.lead_gram.toarray() + U.T @ U
     assert np.abs(split - E.gram.toarray()).max() < 1e-13
     for k in (-1, matrix.shape[0] + 1):
         with pytest.raises(ValidationFailure,
@@ -357,15 +357,24 @@ def test_linear_map_thin_block_splits_the_gram():
             core.LinearMapE(matrix, k=k)
 
 
+def constant_block(E, tau):
+    """C = [[E_1^T E_1 / tau, U^T], [U, -tau I_k]] for the thin block U."""
+    U = E.matrix[E.dim_Z - E.k:]
+    return sp.bmat([[E.lead_gram / tau, U.T],
+                    [U, -tau * sp.identity(E.k)]], format="csc")
+
+
 def test_newton_system_adds_the_lead_gram_on_the_pattern_that_holds_it(
         monkeypatch):
-    """The pattern of H + E_1^T E_1 / tau is found once per pattern of H:
-    H's own where it holds E_1^T E_1's entries (explicit zeros too), the
-    union where it does not.  Either way the first factor is that sum and
-    the next its symmetric permutation by the first one's perm_c."""
+    """The pattern of K = [[H, 0], [0, 0]] + C is found once per pattern
+    of H: H's own in the leading block where it holds E_1^T E_1's entries
+    (explicit zeros too), the union where it does not.  Either way the
+    first factor is that sum and the next its symmetric permutation by the
+    first one's perm_c."""
     rng = np.random.default_rng(21)
     E = core.LinearMapE(thin_map(rng), k=2)
     G, tau = E.lead_gram, 0.1
+    C = constant_block(E, tau)
     H = (sparse_spd(12, rng) + (G != 0).astype(float)).tocsc()
     H.sort_indices()
     H.data[::3] = 0.0
@@ -376,9 +385,9 @@ def test_newton_system_adds_the_lead_gram_on_the_pattern_that_holds_it(
     searches = []
     real_keys = core._csc_keys
 
-    def counted(A):
+    def counted(A, n_rows):
         searches.append(A.nnz)
-        return real_keys(A)
+        return real_keys(A, n_rows)
 
     monkeypatch.setattr(core, "_csc_keys", counted)
     newton = core.NewtonSystem(E, tau)
@@ -388,19 +397,22 @@ def test_newton_system_adds_the_lead_gram_on_the_pattern_that_holds_it(
             d = newton.solve(M, rhs)
             assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
         first, second = stub.matrices[-2:]
-        assert np.abs((first - M - G / tau).toarray()).max() < 1e-12
+        padded = sp.block_diag([M, sp.csc_matrix((2, 2))])
+        assert np.abs((first - padded - C).toarray()).max() < 1e-12
         perm = stub.factors[-2].perm_c
         assert np.array_equal(second.toarray()[np.ix_(perm, perm)],
                               first.toarray())
-    assert searches == [H.nnz, G.nnz, D.nnz, G.nnz]
-    assert stub.matrices[0].nnz == H.nnz
-    assert np.array_equal(stub.matrices[0].indices, H.indices)
-    assert stub.matrices[2].nnz > D.nnz
+    assert searches == [H.nnz, C.nnz, D.nnz, C.nnz]
+    lead = stub.matrices[0][:12, :12]
+    assert np.array_equal(lead.indptr, H.indptr)
+    assert np.array_equal(lead.indices, H.indices)
+    assert stub.matrices[0].nnz == H.nnz + C.nnz - G.nnz
+    assert stub.matrices[2][:12, :12].nnz > D.nnz
     assert [c["permc_spec"] for c in stub.calls] == [
         "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "NATURAL"]
 
 
-def test_woodbury_direction_matches_factoring_the_full_matrix():
+def test_quasi_definite_direction_matches_factoring_the_full_matrix():
     rng = np.random.default_rng(22)
     E = core.LinearMapE(thin_map(rng), k=2)
     H = sparse_spd(12, rng)
@@ -565,8 +577,8 @@ def dense_direction(E, tau, H, rhs):
 
 def test_a_run_of_equal_newton_matrices_factors_once(monkeypatch):
     """Above the cutoff, after the ordering factor, one natural-order
-    factor serves every later equal system: PCG preconditioned by its
-    exact Woodbury solve converges in one iteration."""
+    factor serves every later equal system: PCG preconditioned by that
+    exact factor converges in one iteration."""
     E, H, rhs, newton = lagged_problem(40)
     stub = _RecordingSplu()
     monkeypatch.setattr(core, "spla", stub)
@@ -592,6 +604,31 @@ def test_a_nearby_matrix_is_solved_by_pcg_to_the_tolerance():
     assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert (newton.factors, newton.pcg_systems) == (2, 1)
     assert 1 < newton.cg_iters <= core.PCG_MAX_ITER
+
+
+def test_pcg_bounds_the_newton_residual_under_a_strong_thin_block():
+    """With ||U|| / tau >= 1e4 a small residual r = (r_1, r_2) of K can
+    hide a large one of the Newton matrix, r_1 + U^T r_2 / tau.  PCG
+    accepts on the latter, which is the dense Newton-matrix residual for
+    any [d; mu], so its direction meets 1e-10 ||rhs|| against that matrix."""
+    E, H, rhs, newton = lagged_problem(46, tau=1e-3)
+    U = E.matrix[-2:].toarray()
+    assert np.linalg.norm(U, 2) / newton.tau >= 1e4
+    for _ in range(2):
+        newton.solve(H, rhs)
+    rng = np.random.default_rng(47)
+    A, _, _, inverse = newton._kept
+    d, mu = rng.standard_normal(H.shape[0]), rng.standard_normal(2)
+    r = np.r_[rhs, 0.0, 0.0].take(inverse) - A @ np.r_[d, mu].take(inverse)
+    M = (H + E.gram / newton.tau).toarray()
+    expected = np.linalg.norm(rhs - M @ d)
+    assert abs(newton._newton_residual(r) - expected) <= 1e-12 * expected
+    scale = sp.diags(rng.uniform(0.95, 1.05, H.shape[0]))
+    nearby = (scale @ H @ scale).tocsc()
+    d = newton.solve(nearby, rhs)
+    M = (nearby + E.gram / newton.tau).toarray()
+    assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert (newton.factors, newton.pcg_systems) == (2, 1)
 
 
 def test_a_sudden_change_refactors_after_dropping_the_kept_factor(

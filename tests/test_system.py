@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mqsflow import core, diagnostics, fem, material, system
+from mqsflow import cli, core, diagnostics, fem, material, system
 from mqsflow.errors import (
     NonConvergence, SingularStep, StepFailure, ValidationFailure,
 )
@@ -643,8 +643,8 @@ THREE_WINDINGS = fem.WindingSpec(rectangles=(
     (system.DEFAULT_WINDING, np.array([[1.0]])),
     (THREE_WINDINGS, np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]])),
 ])
-def test_woodbury_newton_direction_matches_full_factor(winding, R):
-    """Factoring the sparse part and adding the m winding rows by Woodbury
+def test_field_circuit_newton_direction_matches_full_factor(winding, R):
+    """Solving the field-circuit system with the m winding unknowns kept
     gives the direction of one factor of the whole Newton matrix."""
     voltage = system.VoltageSignal("step", np.ones(winding.m))
     cfg = system.MQSConfig(n=8, winding=winding, R=R, voltage=voltage)
@@ -660,18 +660,21 @@ def test_woodbury_newton_direction_matches_full_factor(winding, R):
 
 
 def test_thin_block_stays_out_of_the_factor(monkeypatch):
-    """Every prox-step factor is on the P1 pattern, sparser than the whole
-    Newton matrix with the winding block, and there is one per Newton
+    """Every prox-step factor is of the field-circuit matrix: the P1
+    pattern bordered by the m winding rows U, their columns U^T and an
+    m x m diagonal.  That is sparser than the pattern of the whole Newton
+    matrix, where U^T U fills in, and there is one factor per Newton
     system."""
     cfg = system.MQSConfig(n=16, T=4.0 / 64.0)
     ops, _, E = system.build_system(cfg)
-    factored = []
+    factored, shapes = [], set()
     newton_systems = []
     real_splu, real_solve = core.spla.splu, core._solve_newton_system
 
     class Spla:
         def splu(self, A, **kwargs):
             factored.append(A.nnz)
+            shapes.add(A.shape)
             return real_splu(A, **kwargs)
 
     def counted(*args):
@@ -682,9 +685,14 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
     monkeypatch.setattr(core, "_solve_newton_system", counted)
     system.solve(cfg, ops)
     assert len(factored) == len(newton_systems) > 0
-    assert set(factored) == {ops.mesh.pattern.nnz}
-    full = ops.K_tangent(np.zeros(ops.n_dofs)) + E.gram / cfg.tau
-    assert ops.mesh.pattern.nnz < full.nnz
+    assert shapes == {(ops.n_dofs + ops.m,) * 2}
+    winding_nnz = np.count_nonzero(E.matrix[-ops.m:].toarray())
+    bordered = ops.mesh.pattern.nnz + 2 * winding_nnz + ops.m
+    assert set(factored) == {bordered}
+    stored = ops.mesh.pattern.copy()  # with the P1 stiffness's exact zeros
+    stored.data[:] = 1.0
+    full = stored + abs(E.gram)  # the pattern of H + E^T E / tau
+    assert bordered < full.nnz
 
 
 def test_a_solve_orders_the_newton_pattern_once(monkeypatch):
@@ -739,16 +747,19 @@ def test_a_solve_leaves_the_metric_map_unchanged():
 
 
 class _FactorEverySystem:
-    """The Newton solve before lagged factors: every system factored, the
-    first with MMD, later ones on the same pattern in natural order on the
-    symmetrically permuted matrix, [rhs, U^T] gathered in and out."""
+    """The Newton solve before lagged factors and the field-circuit matrix:
+    every system's H_s = H + E_1^T E_1 / tau factored, the first with MMD,
+    later ones on the same pattern in natural order on the symmetrically
+    permuted matrix, [rhs, U^T] gathered in and out, and U^T U / tau added
+    back by the Woodbury identity."""
 
     def __init__(self, E, tau):
         self.E, self.tau = E, tau
         self._pattern = self._perm = self._kept = None
 
     def solve(self, H, rhs):
-        U, G = self.E.thin, self.E.lead_gram
+        E, G = self.E, self.E.lead_gram
+        U = E.matrix[E.dim_Z - E.k:].toarray()
         H = H.tocsc()
         B = np.column_stack([rhs, U.T])
         kept = (self._perm is not None
@@ -762,7 +773,7 @@ class _FactorEverySystem:
             A.data[:] = 0.0
             B = B.take(inverse, axis=0)
         else:
-            both = [core._csc_keys(H), core._csc_keys(G)]
+            both = [core._csc_keys(A, A.shape[0]) for A in (H, G)]
             keys = np.union1d(*both)
             h_slots, g_slots = (np.searchsorted(keys, k) for k in both)
             self._pattern = (H.indptr.copy(), H.indices.copy(), keys,
@@ -810,8 +821,9 @@ def record_newton_systems(monkeypatch):
 @pytest.mark.parametrize("n", [8, 16])
 def test_below_the_cutoff_every_newton_system_is_factored_as_before(
         n, monkeypatch):
-    """One factor per Newton system, none kept, and the trajectory bit for
-    bit that of factoring every system as before lagged factors."""
+    """One factor per Newton system, none kept, and the trajectory within
+    1e-12 scale of factoring every system's H_s and adding the winding
+    block by Woodbury, as before lagged factors."""
     cfg = system.MQSConfig(n=n)
     ops = system.build_system(cfg)[0]
     assert ops.n_dofs < core.PCG_MIN_DIM
@@ -820,10 +832,31 @@ def test_below_the_cutoff_every_newton_system_is_factored_as_before(
     (newton,) = made
     assert counts["splu"] == newton.factors == counts["systems"] > 0
     assert newton.pcg_systems == newton.cg_iters == 0
+    assert newton._lagged is None
     monkeypatch.setattr(core, "NewtonSystem", _FactorEverySystem)
     before = system.solve(cfg, ops)
-    assert np.array_equal(traj.fields, before.fields)
-    assert np.array_equal(traj.currents[1:], before.currents[1:])
+    scale = diagnostics.trajectory_scale(ops, before)
+    assert np.abs(traj.fields - before.fields).max() <= 1e-12 * scale
+    assert np.abs(traj.currents[1:] - before.currents[1:]).max() <= (
+        1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_a_run_with_no_conductor_solves_and_passes_the_self_check(
+        n, monkeypatch):
+    """conductor_radius = 0 leaves E_1 with no rows, so the field-circuit
+    matrix is [[H, U^T], [U, -tau I]]: on each side of the cutoff it is
+    solved, by PCG above it, and the run passes mqsflow run's self-check."""
+    cfg = system.MQSConfig(n=n, conductor_radius=0.0)
+    ops, _, E = system.build_system(cfg)
+    assert E.dim_Z == E.k == ops.m and E.lead_gram.nnz == 0
+    made, counts = record_newton_systems(monkeypatch)
+    traj = system.solve(cfg, ops)
+    cli._check_run(cfg, ops, traj)
+    (newton,) = made
+    assert newton.factors + newton.pcg_systems == counts["systems"] > 0
+    assert (newton.pcg_systems > 0) == (ops.n_dofs >= core.PCG_MIN_DIM) == (
+        n == 32)
 
 
 def multiwinding_config(**kwargs):
