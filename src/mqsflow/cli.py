@@ -112,6 +112,11 @@ def _cmd_validate(args):
     cfg, _ = _load(args)
     report = material.validate_assumptions(cfg.model, cfg.sigma_C, cfg.R)
     if report.passed:
+        try:  # what every other command checks before solving
+            system.build_system(cfg)
+        except MqsflowError as exc:
+            print(f"validation FAIL: {exc}")
+            return 1
         print(
             "validation PASS: "
             f"m_hat={report.material.m_hat:.6g}, "

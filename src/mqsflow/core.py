@@ -11,18 +11,19 @@ solved by damped Newton.  Minimizing the E-misfit implicitly projects the
 data onto the closure of range(E), so the degenerate directions never need
 an explicit basis.
 
-When the last k rows of a sparse E form a thin block U (k << dim_X), the
-Newton system (hessian + E^T E / tau) d = rhs is solved as the symmetric
-quasi-definite field-circuit system K [d; mu] = [rhs; 0], with
-K = [[hessian + E_1^T E_1 / tau, U^T], [U, -tau I_k]]: the k unknowns
-mu = U d / tau stay beside d, and the dense U^T U / tau is never formed.
-K has an LDL^T factor in every symmetric order (Vanderbei, SIAM J. Optim.
-5(1), 1995; stability: Gill, Saunders & Shinnerl, SIAM J. Matrix Anal.
-Appl. 17(1), 1996), so SuperLU factors it in symmetric mode without
-pivoting.  Every K of a solve sits on one pattern, so a NewtonSystem, made
-per solve, finds that pattern and the MMD ordering once, at the first
-factor, then fills one kept, symmetrically permuted K and factors it in
-natural order.
+Every Newton system (hessian + E^T E / tau) d = rhs, for a dense or
+sparse E whose last k >= 0 rows form a thin block U (k << dim_X), is
+solved as the symmetric quasi-definite field-circuit system
+K [d; mu] = [rhs; 0], with K = [[hessian + E_1^T E_1 / tau, U^T],
+[U, -tau I_k]]: the k unknowns mu = U d / tau stay beside d, and the dense
+U^T U / tau is never formed.  K has an LDL^T factor in every symmetric
+order (Vanderbei, SIAM J. Optim. 5(1), 1995; stability: Gill, Saunders &
+Shinnerl, SIAM J. Matrix Anal. Appl. 17(1), 1996), so SuperLU factors it
+in symmetric mode without pivoting.  The K of a solve share one pattern
+(on the field-circuit problem, always), so a NewtonSystem, made per
+solve, finds a pattern and its MMD ordering at the first factor on it and
+keeps K symmetrically permuted by that ordering; every later K on the
+pattern fills the kept one and is factored in natural order.
 
 The Newton matrix M is SPD (E-ellipticity) and, from the extrapolated
 start, changes little from one Newton system to the next.  So from
@@ -65,7 +66,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,9 +108,9 @@ PCG_RTOL = 1e-10
 class LinearMapE:
     """Linear metric map E : R^dim_X -> R^dim_Z, dense or sparse, immutable.
 
-    The last ``k`` rows may form a thin block U (default k = 0): for a
-    sparse E (and a functional with a sparse hessian), prox steps then
-    keep U's k unknowns beside x in the Newton system (see NewtonSystem).
+    The last ``k`` rows may form a thin block U (default k = 0), whose k
+    unknowns prox steps keep beside x in the Newton system (see
+    NewtonSystem).
     """
 
     def __init__(self, matrix, k=0):
@@ -134,12 +135,6 @@ class LinearMapE:
         return self.matrix.T.tocsr() if sp.issparse(self.matrix) else self.matrix.T
 
     @cached_property
-    def gram(self):
-        """E^T E, CSC iff the map is sparse."""
-        gram = self.matrix.T @ self.matrix
-        return gram.tocsc() if sp.issparse(gram) else gram
-
-    @cached_property
     def lead_gram(self):
         """E_1^T E_1 of the rows above the thin block, canonical CSC."""
         lead = sp.csr_matrix(self.matrix)[:self.dim_Z - self.k]
@@ -159,13 +154,13 @@ class EllipticFunctional:
     """Convex functional with value, Gateaux derivative and tangent.
 
     ``hessian`` returns the matrix of second derivatives at a point, dense
-    or sparse CSC like ``LinearMapE.gram``; it is required by the
-    Newton-based prox step.
+    or sparse; every prox step and eval_phi_E take their Newton matrices
+    from it.
     """
 
     eval: Callable[[np.ndarray], float]
     gateaux: Callable[[np.ndarray], np.ndarray]
-    hessian: Optional[Callable[[np.ndarray], object]] = None
+    hessian: Callable[[np.ndarray], object]
     ellipticity_omega: float = 0.0
 
 
@@ -212,15 +207,16 @@ class DaeTrajectory:
 
 
 class NewtonSystem:
-    """The Newton matrices H + E^T E / tau of one solve (sparse E, thin
-    block U) for sparse hessians H, taken in canonical CSC; E is not changed.
+    """The Newton matrices H + E^T E / tau of one solve, for dense or sparse
+    hessians H, taken in canonical CSC; E is not changed.
 
     Each is solved through K = [[H, 0], [0, 0]] + C (module docstring),
-    where C = [[E_1^T E_1 / tau, U^T], [U, -tau I_k]] is built once.  For a
-    new pattern of H, the pattern of K and the slots of H's and C's entries
-    in it are found once, and K is factored with SuperLU's symmetric
-    MMD_AT_PLUS_A ordering, whose ``perm_c`` is kept.  A later H on that
-    pattern fills one kept A = P^T K P, factored in natural order (the same
+    where C = [[E_1^T E_1 / tau, U^T], [U, -tau I_k]] is built once.  The
+    first H on a pattern fills K on the union of its and C's patterns and
+    factors it with SuperLU's symmetric MMD_AT_PLUS_A ordering; right then
+    A = P^T K P by that factor's ``perm_c`` is kept, with the slots of H's
+    and C's entries in it, the permutation and its inverse.  Every later H
+    on that pattern fills A, which is factored in natural order (the same
     pivots without the ordering's cost), with the right-hand side gathered
     in and the solution back as one vector each.
 
@@ -233,14 +229,12 @@ class NewtonSystem:
     ``factors``, ``pcg_systems`` and ``cg_iters`` count the factors taken,
     the systems PCG solved, and every CG iteration, failed attempts
     included.  A factor is one ``splu`` call, or a second with SuperLU's
-    defaults on a zero pivot.
+    defaults on a zero pivot, whose column order is then the one kept.
     """
 
     def __init__(self, E, tau):
         self.E, self.tau = E, tau
-        self._pattern = None  # H's indptr, indices; K's keys; H's, C's slots
-        self._perm = None     # perm_c of its first factor: i -> position
-        self._kept = None     # A, H's and C's slots in it, inverse perm
+        self._pattern = None  # H's indptr, indices; A, slots, perm, inverse
         self._lagged = None   # a natural-order factor of A
         self.factors = self.pcg_systems = self.cg_iters = 0
 
@@ -256,61 +250,59 @@ class NewtonSystem:
     def solve(self, H, rhs):
         """(H + E^T E / tau)^{-1} rhs."""
         C = self._block[1]
-        H = H.tocsc()
+        H = H.tocsc() if sp.issparse(H) else sp.csc_matrix(H)
         if not H.has_canonical_format:  # sorted and summed, in a copy
             H = H.copy()
             H.sum_duplicates()
         n, N = H.shape[0], C.shape[0]
-        ordered = (self._perm is not None
-                   and np.array_equal(H.indptr, self._pattern[0])
-                   and np.array_equal(H.indices, self._pattern[1]))
-        if ordered:
-            if self._kept is None:  # built while no factor is alive
-                self._kept = _symmetric_permutation(self._perm,
-                                                    *self._pattern[2:])
-            A, h_slots, c_slots, inverse = self._kept
-            A.data[:] = 0.0
-        else:
+        b = np.zeros(N)
+        b[:n] = rhs
+        kept = self._pattern
+        if kept is None or not (np.array_equal(H.indptr, kept[0])
+                                and np.array_equal(H.indices, kept[1])):
             both = [_csc_keys(H, N), _csc_keys(C, N)]
             keys = np.union1d(*both)
             h_slots, c_slots = (np.searchsorted(keys, k) for k in both)
-            self._pattern = (H.indptr.copy(), H.indices.copy(), keys,
-                             h_slots, c_slots)
-            self._perm = self._kept = self._lagged = None
-            A = _csc_at(keys, N)
+            K = _csc_at(keys, N)
+            K.data[h_slots] = H.data
+            K.data[c_slots] += C.data
+            self._pattern = self._lagged = None
+            lu = self._factor(K, "MMD_AT_PLUS_A")
+            x, perm = lu.solve(b)[:n], lu.perm_c.astype(np.int64)
+            del lu, K  # A is built while no factor is alive (peak RSS)
+            self._pattern = (H.indptr.copy(), H.indices.copy(),
+                             *_symmetric_permutation(perm, keys, h_slots,
+                                                     c_slots))
+            return x
+        A, h_slots, c_slots, perm, inverse = kept[2:]
+        A.data[:] = 0.0
         A.data[h_slots] = H.data
         A.data[c_slots] += C.data
-        b = np.zeros(N)
-        b[:n] = rhs
-        if ordered:
-            b = b.take(inverse)
+        b = b.take(inverse)
         x = None if self._lagged is None else self._pcg(A, b)
         if x is None:
             self._lagged = None
-            lu = self._factor(A, "NATURAL" if ordered else "MMD_AT_PLUS_A")
-            if ordered and n >= PCG_MIN_DIM:
+            lu = self._factor(A, "NATURAL")
+            if n >= PCG_MIN_DIM:
                 self._lagged = lu
             x = lu.solve(b)
-        return (x.take(self._perm) if ordered else x)[:n]
+        return x.take(perm)[:n]
 
     def _factor(self, A, permc_spec):
-        """SuperLU's symmetric-mode factor of A, or its default one on a
-        zero pivot; the perm_c of an MMD factor is kept."""
+        """SuperLU's symmetric-mode factor of A, or its default one (COLAMD,
+        partial pivoting) on a zero pivot."""
         try:
             lu = spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError:  # a zero pivot: SuperLU's defaults
             lu = spla.splu(A)
-        else:
-            if permc_spec != "NATURAL":
-                self._perm = lu.perm_c.copy()
         self.factors += 1
         return lu
 
     def _newton_residual(self, r):
         """||r_1 + U^T r_2 / tau|| of a residual r of A, in A's order."""
         Ut = self._block[0]
-        r, n = r.take(self._perm), Ut.shape[0]
+        r, n = r.take(self._pattern[5]), Ut.shape[0]  # by perm, to K's order
         return np.linalg.norm(r[:n] + Ut.dot(r[n:] / self.tau))
 
     def _pcg(self, A, b):
@@ -353,20 +345,21 @@ def _csc_at(keys, n):
 def _symmetric_permutation(perm, keys, h_slots, c_slots):
     """P^T S P, which moves entry (i, j) of the pattern S at ``keys`` to
     (perm[i], perm[j]): the matrix, where S's data positions ``h_slots``
-    and ``c_slots`` land in it, and the inverse of perm."""
-    n, perm = perm.size, perm.astype(np.int64)
+    and ``c_slots`` land in it, perm and its inverse."""
+    n = perm.size
     moved = perm[keys // n] * n + perm[keys % n]
     lands = np.argsort(np.argsort(moved))
-    return _csc_at(moved, n), lands[h_slots], lands[c_slots], np.argsort(perm)
+    return (_csc_at(moved, n), lands[h_slots], lands[c_slots], perm,
+            np.argsort(perm))
 
 
 def _solve_newton_system(H, rhs, newton_system=None):
     """The Newton direction d.
 
-    With ``newton_system`` (a NewtonSystem) H is the functional's hessian
-    and (H + E^T E / tau) d = rhs is solved through it.  Without one H is
-    the whole Newton matrix, dense or sparse CSC (SuperLU's defaults:
-    COLAMD, partial pivoting).
+    With ``newton_system`` (a NewtonSystem, as every prox step passes) H is
+    the functional's hessian and (H + E^T E / tau) d = rhs is solved
+    through it.  Without one H is the whole Newton matrix, dense or sparse
+    CSC (SuperLU's defaults: COLAMD, partial pivoting).
     """
     try:
         if newton_system is not None:
@@ -446,8 +439,8 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     || dPhi(x_k) + (1/tau) E^T (E x_k - E x_prev - tau f_k) ||
     <= newton_tol * (1 + residual norm at x_prev), and x_prev itself when
     x_prev already meets that bound (unless an unguarded x_start is given).
-    ``newton_system``, a NewtonSystem of this E and tau (one made for others
-    is a ValidationFailure), serves a sparse E with a thin block; a solve
+    Every Newton system goes through ``newton_system``, a NewtonSystem of
+    this E and tau (one made for others is a ValidationFailure); a solve
     passes one to all its steps, and by default the step makes its own.
     """
     if not check_finite("tau", tau) > 0:
@@ -474,19 +467,12 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
             J0, J_prev = objective(x0), objective(x_prev)
             if not J0 <= J_prev:
                 x0, g0, J0 = x_prev, g_prev, J_prev
-    if E.k and sp.issparse(E.matrix):
-        hessian = phi.hessian
-        if newton_system is None:
-            newton_system = NewtonSystem(E, tau)
-        elif newton_system.E is not E or newton_system.tau != tau:
-            raise ValidationFailure("newton_system is for another E or tau")
-    else:
-        newton_system, metric = None, E.gram / tau
-
-        def hessian(x):
-            return phi.hessian(x) + metric
+    if newton_system is None:
+        newton_system = NewtonSystem(E, tau)
+    elif newton_system.E is not E or newton_system.tau != tau:
+        raise ValidationFailure("newton_system is for another E or tau")
     return newton_minimize(
-        objective, residual, hessian, x0, tol, g0=g0, J0=J0,
+        objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
         max_iter=newton_max_iter, newton_system=newton_system,
     )
 

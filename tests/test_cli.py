@@ -156,6 +156,25 @@ def test_cli_validate_pass_and_fail(tmp_path, small_cfg, capsys):
     assert "positive definite" in out
 
 
+@pytest.mark.parametrize("setting, reason", [
+    ("circuit.R=1 0;0 1", "R is 2x2 but there are 1 windings"),
+    ("mesh.n=3", "grid resolution n must be at least 4"),
+    ("conductor.radius=0.49", "conductor disk must stay inside the unit "
+     "square with clearance >= 0.0625"),
+    ("winding.w1=0.4 0.6 0.4 0.6 1",
+     "winding 1 support intersects the conducting region"),
+])
+def test_cli_validate_rejects_what_run_rejects_before_solving(
+        tmp_path, capsys, setting, reason):
+    """On the default problem each setting passes the material and R
+    checks, and fails where run fails, in building the system."""
+    assert cli.dispatch(["validate", "--set", setting]) == 1
+    assert capsys.readouterr().out == f"validation FAIL: {reason}\n"
+    run = ["run", "--out", str(tmp_path / "o"), "--set", setting]
+    assert cli.dispatch(run) == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def _table_override(tmp_path, rows):
     path = tmp_path / "table.csv"
     path.write_text("".join(f"{s},{nu}\n" for s, nu in rows))

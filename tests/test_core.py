@@ -43,6 +43,11 @@ def random_spd(n, rng):
     return A @ A.T + n * np.eye(n)
 
 
+def gram(E):
+    """E^T E, sparse iff E is."""
+    return E.matrix.T @ E.matrix
+
+
 def test_linear_map_adjoint_consistency():
     rng = np.random.default_rng(0)
     E = core.LinearMapE(rng.standard_normal((3, 5)))
@@ -51,7 +56,6 @@ def test_linear_map_adjoint_consistency():
     assert float(z @ E.apply(x)) == pytest.approx(
         float(E.apply_adjoint(z) @ x), rel=1e-12
     )
-    assert np.allclose(E.gram, E.matrix.T @ E.matrix)
 
 
 def test_prox_step_matches_kkt_oracle_quadratic():
@@ -350,7 +354,7 @@ def test_linear_map_thin_block_splits_the_gram():
     assert E.k == 2 and core.LinearMapE(matrix).k == 0
     U = matrix[-2:].toarray()
     split = E.lead_gram.toarray() + U.T @ U
-    assert np.abs(split - E.gram.toarray()).max() < 1e-13
+    assert np.abs(split - gram(E).toarray()).max() < 1e-13
     for k in (-1, matrix.shape[0] + 1):
         with pytest.raises(ValidationFailure,
                            match=f"^thin block of {k} rows in a map with 14$"):
@@ -392,7 +396,7 @@ def test_newton_system_adds_the_lead_gram_on_the_pattern_that_holds_it(
     monkeypatch.setattr(core, "_csc_keys", counted)
     newton = core.NewtonSystem(E, tau)
     for M in (H, D):
-        ref = np.linalg.solve(M.toarray() + E.gram.toarray() / tau, rhs)
+        ref = np.linalg.solve(M.toarray() + gram(E).toarray() / tau, rhs)
         for _ in range(2):  # found once, then reused
             d = newton.solve(M, rhs)
             assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -419,7 +423,7 @@ def test_quasi_definite_direction_matches_factoring_the_full_matrix():
     rhs = rng.standard_normal(12)
     tau = 0.05
     d = core._solve_newton_system(H, rhs, core.NewtonSystem(E, tau))
-    ref = np.linalg.solve((H + E.gram / tau).toarray(), rhs)
+    ref = np.linalg.solve((H + gram(E) / tau).toarray(), rhs)
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -438,9 +442,9 @@ def test_prox_step_rejects_a_newton_system_of_another_map_or_step():
     assert np.array_equal(x, core.prox_step(phi, E, x_prev, f_k, 0.05))
 
 
-def test_dense_map_and_empty_thin_block_take_the_full_matrix_path():
-    """k = 0, or a dense E with any k, factors hessian + E^T E / tau as is:
-    bit for bit the plain Newton loop on that matrix."""
+def test_dense_map_and_empty_thin_block_match_the_plain_newton_loop():
+    """k = 0, or a dense E with any k, goes through the NewtonSystem too:
+    within 1e-12 of the plain Newton loop on hessian + E^T E / tau."""
     rng = np.random.default_rng(23)
     n = 6
     dense = rng.standard_normal((4, n))
@@ -454,7 +458,7 @@ def test_dense_map_and_empty_thin_block_take_the_full_matrix_path():
 
     def plain(phi, E):
         b = E.apply(x_prev) + tau * f_k
-        metric = E.gram / tau
+        metric = gram(E) / tau
 
         def objective(x):
             mis = E.apply(x) - b
@@ -474,7 +478,23 @@ def test_dense_map_and_empty_thin_block_take_the_full_matrix_path():
                        (sparse_quart, core.LinearMapE(sp.csr_matrix(dense)),
                         core.LinearMapE(sp.csr_matrix(dense)))):
         x = core.prox_step(phi, E, x_prev, f_k, tau, newton_tol=1e-12)
-        assert np.array_equal(x, plain(phi, E0))
+        ref = plain(phi, E0)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_hessian_on_a_sparse_thin_block_map():
+    """A hessian returning an ndarray, with a sparse E whose last two rows
+    are a thin block: the prox step is the dense normal-equations solve."""
+    rng = np.random.default_rng(27)
+    n, tau = 6, 0.2
+    Q, b = random_spd(n, rng), rng.standard_normal(n)
+    dense = rng.standard_normal((4, n))
+    E = core.LinearMapE(sp.csr_matrix(dense), k=2)
+    x_prev, f_k = rng.standard_normal(n), rng.standard_normal(4)
+    x = core.prox_step(quadratic(Q, b), E, x_prev, f_k, tau, newton_tol=1e-13)
+    rhs = b + dense.T @ (dense @ x_prev + tau * f_k) / tau
+    ref = np.linalg.solve(Q + dense.T @ dense / tau, rhs)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class _RecordingSplu:
@@ -515,8 +535,13 @@ def test_symmetric_factor_failure_falls_back_then_raises(monkeypatch):
 
     stub = _FailingSplu(always=False)
     monkeypatch.setattr(core, "spla", stub)
-    d_fallback = core._solve_newton_system(H, rhs, core.NewtonSystem(E, 0.05))
+    newton = core.NewtonSystem(E, 0.05)
+    d_fallback = core._solve_newton_system(H, rhs, newton)
     assert len(stub.calls) == 2 and stub.calls[1] == {}
+    assert np.linalg.norm(d_fallback - d) <= 1e-12 * np.linalg.norm(d)
+    # the fallback's column order is kept for the next system on the pattern
+    d_fallback = core._solve_newton_system(H, rhs, newton)
+    assert [c.get("permc_spec") for c in stub.calls[2:]] == ["NATURAL", None]
     assert np.linalg.norm(d_fallback - d) <= 1e-12 * np.linalg.norm(d)
 
     # a zero pivot in the natural-order factor of a kept ordering
@@ -552,7 +577,7 @@ def test_a_kept_ordering_orders_each_new_pattern_afresh(monkeypatch):
     newton = core.NewtonSystem(E, tau)
     for H in (first, first, second, 2.0 * second, first):
         d = core._solve_newton_system(H, rhs, newton)
-        ref = np.linalg.solve((H + E.gram / tau).toarray(), rhs)
+        ref = np.linalg.solve((H + gram(E) / tau).toarray(), rhs)
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
     assert [c["permc_spec"] for c in stub.calls] == [
         "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "NATURAL",
@@ -572,7 +597,7 @@ def lagged_problem(seed, n=core.PCG_MIN_DIM + 100, tau=0.1):
 
 
 def dense_direction(E, tau, H, rhs):
-    return np.linalg.solve((H + E.gram / tau).toarray(), rhs)
+    return np.linalg.solve((H + gram(E) / tau).toarray(), rhs)
 
 
 def test_a_run_of_equal_newton_matrices_factors_once(monkeypatch):
@@ -600,7 +625,7 @@ def test_a_nearby_matrix_is_solved_by_pcg_to_the_tolerance():
     scale = sp.diags(np.random.default_rng(45).uniform(0.95, 1.05, H.shape[0]))
     nearby = (scale @ H @ scale).tocsc()
     d = newton.solve(nearby, rhs)
-    M = (nearby + E.gram / newton.tau).toarray()
+    M = (nearby + gram(E) / newton.tau).toarray()
     assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert (newton.factors, newton.pcg_systems) == (2, 1)
     assert 1 < newton.cg_iters <= core.PCG_MAX_ITER
@@ -617,16 +642,16 @@ def test_pcg_bounds_the_newton_residual_under_a_strong_thin_block():
     for _ in range(2):
         newton.solve(H, rhs)
     rng = np.random.default_rng(47)
-    A, _, _, inverse = newton._kept
+    A, _, _, _, inverse = newton._pattern[2:]
     d, mu = rng.standard_normal(H.shape[0]), rng.standard_normal(2)
     r = np.r_[rhs, 0.0, 0.0].take(inverse) - A @ np.r_[d, mu].take(inverse)
-    M = (H + E.gram / newton.tau).toarray()
+    M = (H + gram(E) / newton.tau).toarray()
     expected = np.linalg.norm(rhs - M @ d)
     assert abs(newton._newton_residual(r) - expected) <= 1e-12 * expected
     scale = sp.diags(rng.uniform(0.95, 1.05, H.shape[0]))
     nearby = (scale @ H @ scale).tocsc()
     d = newton.solve(nearby, rhs)
-    M = (nearby + E.gram / newton.tau).toarray()
+    M = (nearby + gram(E) / newton.tau).toarray()
     assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert (newton.factors, newton.pcg_systems) == (2, 1)
 
@@ -668,7 +693,7 @@ def test_a_newton_matrix_not_positive_definite_raises_above_the_cutoff():
     for _ in range(2):
         newton.solve(H, rhs)
     concave = -100.0 * H
-    M = concave + E.gram / newton.tau
+    M = concave + gram(E) / newton.tau
     assert np.linalg.eigvalsh(M.toarray()).max() < 0.0
     x0 = np.ones(H.shape[0])
     for ns, pcg in ((core.NewtonSystem(E, newton.tau), False),
@@ -732,6 +757,30 @@ def last_state_run(phi, E, x0, f, cfg):
         states.append(core.prox_step(phi, E, states[-1], fk[k - 1], cfg.tau,
                                      newton_tol=cfg.newton_tol))
     return np.array(states)
+
+
+def test_every_newton_system_of_a_trajectory_goes_through_a_newton_system(
+        monkeypatch):
+    """A dense map, a sparse map with no thin block and one with a thin
+    block: solve_trajectory passes its NewtonSystem to every solve."""
+    dense, thin = smooth_core_problems()
+    phi, E, x0, f = dense
+    no_thin_block = (phi, core.LinearMapE(sp.csr_matrix(E.matrix)), x0, f)
+    seen, real_solve = [], core._solve_newton_system
+
+    def solve(H, rhs, newton_system=None):
+        seen.append(newton_system)
+        return real_solve(H, rhs, newton_system)
+
+    monkeypatch.setattr(core, "_solve_newton_system", solve)
+    cfg = core.ProxConfig(tau=0.05, n_steps=20)
+    for phi, E, x0, f in (dense, no_thin_block, thin):
+        seen.clear()
+        core.solve_trajectory(phi, E, x0, f, cfg)
+        assert len(seen) >= cfg.n_steps
+        assert all(isinstance(ns, core.NewtonSystem) and ns.E is E
+                   for ns in seen)
+        assert len({id(ns) for ns in seen}) == 1
 
 
 def test_extrapolation_is_the_polynomial_through_the_last_four_states():

@@ -127,6 +127,16 @@ def _scratch(root):
     np.save(root / "a0.npy", np.zeros(49))  # the n = 8 interior dofs
 
 
+def _set_args(root, sets):
+    """The --set arguments of ``sets``, file names resolved in ``root``."""
+    args = []
+    for (section, key), value in sets.items():
+        if (section, key) in FILE_KEYS:
+            value = str(root / value)
+        args += ["--set", f"{section}.{key}={value}"]
+    return args
+
+
 def _outputs(root):
     return sorted(p for p in root.rglob("*")
                   if p.name.endswith((".csv", ".vtk")))
@@ -154,10 +164,7 @@ def test_cli_run_exits_cleanly_on_any_setting(sets):
         _scratch(root)
         out = root / "o"
         argv = ["run", "--config", str(root / "small.cfg"), "--out", str(out)]
-        for (section, key), value in sets.items():
-            if (section, key) in FILE_KEYS:
-                value = str(root / value)
-            argv += ["--set", f"{section}.{key}={value}"]
+        argv += _set_args(root, sets)
         err = io.StringIO()
         with mock.patch.object(core, "prox_step", prox_step), \
                 mock.patch.object(core, "solve_trajectory", solve_trajectory), \
@@ -178,6 +185,32 @@ def test_cli_run_exits_cleanly_on_any_setting(sets):
     if seen["prox_steps"]:
         assert isinstance(seen["raised"], (NonConvergence, SingularStep)), \
             lines[0]
+
+
+@contract(60)
+@given(overrides())
+def test_cli_validate_passes_exactly_what_builds(sets):
+    """``mqsflow validate`` exits 0 exactly when build_config and then
+    build_system accept the same settings, under the CLI's error state."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        _scratch(root)
+        args = _set_args(root, sets)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.dispatch(["validate", "--config",
+                                 str(root / "small.cfg")] + args)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                entries = config.apply_overrides(  # each "--set" value
+                    config.load_config_file(root / "small.cfg"), args[1::2])
+                system.build_system(config.build_config(entries))
+            built = True
+        except (MqsflowError, FileNotFoundError, FloatingPointError) as exc:
+            event(f"rejected: {type(exc).__name__}")
+            built = False
+    assert code in (0, 1)
+    assert (code == 0) == built, sets
 
 
 # --- the library, called directly ----------------------------------------

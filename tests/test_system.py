@@ -467,12 +467,11 @@ def test_schur_step_keeps_the_winding_block_sparse():
 
 def test_p1_operators_and_newton_matrix_are_csc():
     cfg = system.MQSConfig(n=8)
-    ops, _, E = system.build_system(cfg)
+    ops = system.build_system(cfg)[0]
     a = 0.3 * np.random.default_rng(10).standard_normal(ops.n_dofs)
     for name in ("mass", "msigma", "mass_C", "stiffness"):
         assert getattr(ops, name).format == "csc", name
     assert ops.K_tangent(a).format == "csc"
-    assert (ops.K_tangent(a) + E.gram / cfg.tau).format == "csc"
 
 
 def test_tangent_at_zero_field_is_scaled_stiffness():
@@ -655,7 +654,8 @@ def test_field_circuit_newton_direction_matches_full_factor(winding, R):
     rhs = rng.standard_normal(ops.n_dofs)
     H = ops.K_tangent(a)
     d = core._solve_newton_system(H, rhs, core.NewtonSystem(E, cfg.tau))
-    ref = sp.linalg.splu(H + E.gram / cfg.tau).solve(rhs)
+    ref = sp.linalg.splu((H + E.matrix.T @ E.matrix / cfg.tau).tocsc()).solve(
+        rhs)
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -691,7 +691,7 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
     assert set(factored) == {bordered}
     stored = ops.mesh.pattern.copy()  # with the P1 stiffness's exact zeros
     stored.data[:] = 1.0
-    full = stored + abs(E.gram)  # the pattern of H + E^T E / tau
+    full = stored + abs(E.matrix.T @ E.matrix)  # that of H + E^T E / tau
     assert bordered < full.nnz
 
 
@@ -747,49 +747,15 @@ def test_a_solve_leaves_the_metric_map_unchanged():
 
 
 class _FactorEverySystem:
-    """The Newton solve before lagged factors and the field-circuit matrix:
-    every system's H_s = H + E_1^T E_1 / tau factored, the first with MMD,
-    later ones on the same pattern in natural order on the symmetrically
-    permuted matrix, [rhs, U^T] gathered in and out, and U^T U / tau added
-    back by the Woodbury identity."""
+    """A plain reference for NewtonSystem: every system's whole Newton
+    matrix H + E^T E / tau factored by splu with SuperLU's defaults."""
 
     def __init__(self, E, tau):
         self.E, self.tau = E, tau
-        self._pattern = self._perm = self._kept = None
+        self._metric = E.matrix.T @ E.matrix / tau
 
     def solve(self, H, rhs):
-        E, G = self.E, self.E.lead_gram
-        U = E.matrix[E.dim_Z - E.k:].toarray()
-        H = H.tocsc()
-        B = np.column_stack([rhs, U.T])
-        kept = (self._perm is not None
-                and np.array_equal(H.indptr, self._pattern[0])
-                and np.array_equal(H.indices, self._pattern[1]))
-        if kept:
-            if self._kept is None:
-                self._kept = core._symmetric_permutation(self._perm,
-                                                         *self._pattern[2:])
-            A, h_slots, g_slots, inverse = self._kept
-            A.data[:] = 0.0
-            B = B.take(inverse, axis=0)
-        else:
-            both = [core._csc_keys(A, A.shape[0]) for A in (H, G)]
-            keys = np.union1d(*both)
-            h_slots, g_slots = (np.searchsorted(keys, k) for k in both)
-            self._pattern = (H.indptr.copy(), H.indices.copy(), keys,
-                             h_slots, g_slots)
-            A = core._csc_at(keys, H.shape[0])
-        A.data[h_slots] = H.data
-        A.data[g_slots] += G.data / self.tau
-        lu = sp.linalg.splu(A, permc_spec="NATURAL" if kept else "MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
-        if not kept:
-            self._perm = lu.perm_c.copy()
-        Y = lu.solve(B).take(self._perm, axis=0) if kept else lu.solve(B)
-        y, W = Y[:, 0], Y[:, 1:]
-        capacitance = self.tau * np.eye(U.shape[0]) + U @ W
-        return y - W @ np.linalg.solve(capacitance, U @ y)
+        return sp.linalg.splu((H + self._metric).tocsc()).solve(rhs)
 
 
 def record_newton_systems(monkeypatch):
@@ -822,8 +788,7 @@ def record_newton_systems(monkeypatch):
 def test_below_the_cutoff_every_newton_system_is_factored_as_before(
         n, monkeypatch):
     """One factor per Newton system, none kept, and the trajectory within
-    1e-12 scale of factoring every system's H_s and adding the winding
-    block by Woodbury, as before lagged factors."""
+    1e-12 scale of factoring every system's whole Newton matrix."""
     cfg = system.MQSConfig(n=n)
     ops = system.build_system(cfg)[0]
     assert ops.n_dofs < core.PCG_MIN_DIM
