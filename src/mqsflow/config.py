@@ -15,7 +15,7 @@ Recognized sections and keys (all optional; defaults in parentheses):
               at most 100000, and (n - 1)^2 * T / tau at most 10^7
   [initial]   kind (zero), seed (42), path
   [output]    basename (run; a plain file name)
-  [core]      newton_tol (1e-10; at most 1e-3), newton_max_iter (50),
+  [core]      newton_tol (1e-10; 1e-14 to 1e-3), newton_max_iter (50),
               newton_start extrapolate|zero (extrapolate): Newton's start
               in each step, the guarded extrapolation of the last states
               or zero

@@ -33,23 +33,29 @@ solves a later system by conjugate gradients on K preconditioned with it
 193, 2004, sec. 3).  CG from 0 keeps mu = U d / tau in every iterate, as
 K and the kept factor share their last k rows, and there K acts as M.
 It stops at a residual of M, rhs - M d = r_1 + U^T r_2 / tau read off K's
-residual (r_1, r_2), of PCG_RTOL = 1e-10 ||rhs||; K's own can be smaller
-by ||U|| / tau.  When CG misses that within PCG_MAX_ITER = 10 iterations,
-or breaks down, the system is refactored and the new factor kept.  Below
+residual (r_1, r_2), of max(PCG_RTOL ||rhs||, tol / 10), where
+PCG_RTOL = 1e-10 and tol is Newton's own absolute stopping tolerance,
+which newton_minimize passes down; K's own residual can be smaller by
+||U|| / tau.  When CG misses that within PCG_MAX_ITER = 6 iterations, or
+breaks down, the system is refactored and the new factor kept.  Below
 400 unknowns every system is factored and no factor kept.
 
 Such a residual cannot stop Newton early: the stopping test reads the
 gradient recomputed at the new iterate, never the linear residual.  Nor
-can it make Newton miss newton_tol, down to 1e-14: a direction d with
-||M d + g|| <= 1e-10 ||g|| is inexact Newton with forcing term 1e-10
-(Dembo, Eisenstat & Steihaug 1982), whose full step leaves at most
-1e-10 ||g|| of the old gradient, next to the quadratic term any Newton
-step leaves; it is a descent direction (CG from 0 gives
+can it make Newton miss newton_tol, down to 1e-14.  With rhs = -g, a
+direction d with ||M d + g|| <= max(1e-10 ||g||, tol / 10) is inexact
+Newton with forcing term max(1e-10, tol / (10 ||g||)) (Dembo, Eisenstat
+& Steihaug, SIAM J. Numer. Anal. 19(2), 1982), a forcing term sized to
+Newton's own test as Eisenstat & Walker (SIAM J. Sci. Comput. 17(1),
+1996) size theirs to the convergence seen.  Its full step leaves a
+gradient of at most tol / 10 (or 1e-10 ||g||) plus the quadratic term any
+Newton step leaves, so wherever that term is below 0.9 tol the step meets
+tol, as an exact solve's would.  And d is a descent direction (CG from 0 gives
 g^T d = -d^T M d < 0), so the line search and the local convergence of
-Newton are kept.  Against factoring every system, at newton_tol 1e-10 and
-1e-14, the default problem at n = 64 took 68/68 and 125/125 Newton
-systems, and the three-winding one at n = 32 181/181 and 217/219, with
-fields and currents within 1.7e-14 of the problem scale.
+Newton are kept.  Against factoring every system, at newton_tol 1e-10
+and 1e-14, the default problem at n = 64 took 68/68 and 125/125 Newton
+systems, and the three-winding one at n = 32 181/181 and 219/219, with
+fields and currents within 2.1e-12 of the problem scale.
 
 Each step's Newton solve starts, by default, from the extrapolation of
 the past states (the standard starting value for Newton inside implicit
@@ -90,18 +96,27 @@ NEWTON_STARTS = ("extrapolate", "zero")
 ORACLE_DIM_LIMIT = 64
 
 # NewtonSystem solves a Newton system of at least PCG_MIN_DIM unknowns by
-# PCG on its last kept factor, to a residual of PCG_RTOL ||rhs|| within
-# PCG_MAX_ITER iterations; a smaller one is factored.  Solve on the default
-# problem, PCG against factoring every system, in-process, median of 9
-# (2-core x86 VM, one BLAS thread): n = 12 (121 unknowns) 0.087 -> 0.092 s,
-# n = 16 (225) 0.122 -> 0.109 s, n = 20 (361) 0.148 -> 0.127 s, n = 24 (529)
-# 0.194 -> 0.155 s, n = 64 0.98 -> 0.60 s.  So the gain below 400 is at most
-# 0.02 s a solve, and end to end it is none: with the cutoff at 200 the n = 16
-# experiment battery (perfbench battery_n16) ran 1.10/1.04 s against
-# 1.02/1.02 s at 400, and its peak RSS rose by 1 MB, for the factor held
-# across systems.
+# PCG on its last kept factor, to a residual of max(PCG_RTOL ||rhs||,
+# tol / 10) within PCG_MAX_ITER iterations; a smaller one is factored.  Solve
+# on the default problem, PCG against factoring every system, in-process,
+# median of 9 (2-core x86 VM, one BLAS thread): n = 12 (121 unknowns) 0.087
+# -> 0.092 s, n = 16 (225) 0.122 -> 0.109 s, n = 20 (361) 0.148 -> 0.127 s,
+# n = 24 (529) 0.194 -> 0.155 s, n = 64 0.98 -> 0.60 s.  So the gain below
+# 400 is at most 0.02 s a solve, and end to end it is none: with the cutoff
+# at 200 the n = 16 experiment battery (perfbench battery_n16) ran 1.10/1.04
+# s against 1.02/1.02 s at 400, and its peak RSS rose by 1 MB, for the
+# factor held across systems.  With the tol / 10 target alone a kept
+# factor serves longer and ages, and CG then gains about 3x an iteration
+# instead of 10x; so the budget is 6, not 10, and an aged factor is replaced
+# sooner.  Factors/PCG systems/CG iterations, to 1e-10 ||rhs|| within 10 ->
+# this target within 6, with the Newton systems unchanged: the default
+# problem at n = 32 4/65/501 -> 3/66/339, at n = 64 5/63/503 -> 4/64/301,
+# the three-winding perfbench run at n = 32 43/139/1463 -> 70/112/757.
+# Solve at n = 64, median of 5 in-process: 0.507 s as before, 0.469 s with
+# the target alone, 0.514 s (14 factors) with the budget alone, 0.410 s
+# with both; budgets of 5 and 7 took 0.405 and 0.413 s.
 PCG_MIN_DIM = 400
-PCG_MAX_ITER = 10
+PCG_MAX_ITER = 6
 PCG_RTOL = 1e-10
 
 
@@ -221,7 +236,9 @@ class NewtonSystem:
     in and the solution back as one vector each.
 
     From PCG_MIN_DIM unknowns on, the last natural-order factor is kept for
-    PCG, whose Newton-matrix residual is confirmed on the true one.  When
+    PCG, which stops at a Newton-matrix residual of max(PCG_RTOL ||rhs||,
+    tol / 10) given Newton's tolerance ``tol`` (PCG_RTOL ||rhs|| without
+    one), confirmed on the true residual.  When
     PCG fails (p^T A p <= 0 or a non-finite value breaks it down), the kept
     factor is dropped, so that two are never alive at once, and A is
     refactored, solved directly, and its factor kept.
@@ -247,8 +264,10 @@ class NewtonSystem:
                     format="csc")
         return Ut, C
 
-    def solve(self, H, rhs):
-        """(H + E^T E / tau)^{-1} rhs."""
+    def solve(self, H, rhs, tol=None):
+        """(H + E^T E / tau)^{-1} rhs; by PCG to a Newton-matrix residual of
+        max(PCG_RTOL ||rhs||, tol / 10) when Newton's tolerance ``tol`` is
+        given, else of PCG_RTOL ||rhs||."""
         C = self._block[1]
         H = H.tocsc() if sp.issparse(H) else sp.csc_matrix(H)
         if not H.has_canonical_format:  # sorted and summed, in a copy
@@ -279,7 +298,7 @@ class NewtonSystem:
         A.data[h_slots] = H.data
         A.data[c_slots] += C.data
         b = b.take(inverse)
-        x = None if self._lagged is None else self._pcg(A, b)
+        x = None if self._lagged is None else self._pcg(A, b, tol)
         if x is None:
             self._lagged = None
             lu = self._factor(A, "NATURAL")
@@ -305,12 +324,15 @@ class NewtonSystem:
         r, n = r.take(self._pattern[5]), Ut.shape[0]  # by perm, to K's order
         return np.linalg.norm(r[:n] + Ut.dot(r[n:] / self.tau))
 
-    def _pcg(self, A, b):
+    def _pcg(self, A, b, tol):
         """PCG from 0 on A x = b, preconditioned by the kept factor; None
-        when it breaks down or misses PCG_RTOL ||b|| on the Newton-matrix
-        residual within PCG_MAX_ITER iterations."""
+        when it breaks down or misses max(PCG_RTOL ||b||, tol / 10) (tol
+        None: PCG_RTOL ||b||) on the Newton-matrix residual within
+        PCG_MAX_ITER iterations."""
         lu = self._lagged
         bound = PCG_RTOL * np.linalg.norm(b)
+        if tol is not None:
+            bound = max(bound, 0.1 * tol)
         with np.errstate(all="ignore"):  # a non-finite value breaks down
             x, r = np.zeros_like(b), b.copy()
             p = z = lu.solve(r)
@@ -353,17 +375,18 @@ def _symmetric_permutation(perm, keys, h_slots, c_slots):
             np.argsort(perm))
 
 
-def _solve_newton_system(H, rhs, newton_system=None):
+def _solve_newton_system(H, rhs, newton_system=None, tol=None):
     """The Newton direction d.
 
     With ``newton_system`` (a NewtonSystem, as every prox step passes) H is
     the functional's hessian and (H + E^T E / tau) d = rhs is solved
-    through it.  Without one H is the whole Newton matrix, dense or sparse
-    CSC (SuperLU's defaults: COLAMD, partial pivoting).
+    through it, to a residual set by Newton's tolerance ``tol`` if given
+    (NewtonSystem.solve).  Without one H is the whole Newton matrix, dense
+    or sparse CSC (SuperLU's defaults: COLAMD, partial pivoting).
     """
     try:
         if newton_system is not None:
-            d = newton_system.solve(H, rhs)
+            d = newton_system.solve(H, rhs, tol)
         elif sp.issparse(H):
             d = spla.splu(H).solve(rhs)
         else:
@@ -405,7 +428,8 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` and ``J0`` are
     the gradient and the objective at x0 when the caller already has them.
     With ``newton_system`` (a NewtonSystem) the Newton matrix is
-    hessian(x) + E^T E / tau, solved through it (see _solve_newton_system).
+    hessian(x) + E^T E / tau, solved through it (see _solve_newton_system)
+    to a residual set by ``tol``.
     Raises SingularStep on a non-descent Newton direction and
     NonConvergence when ``max_iter`` iterations do not reach the tolerance.
     """
@@ -415,7 +439,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     for _ in range(max_iter):
         if np.linalg.norm(g) <= tol:
             return x
-        d = _solve_newton_system(hessian(x), -g, newton_system)
+        d = _solve_newton_system(hessian(x), -g, newton_system, tol)
         slope = float(g @ d)
         if slope >= 0:
             raise SingularStep("Newton direction is not a descent direction")
@@ -517,8 +541,10 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
 
     ``loads`` (n_steps, dim_X), if given, adds the linear term -<load_k, x>
     to Phi in step k; the recorded energies are those of the unloaded Phi.
-    A floating-point overflow, at x0 or in a step, is a NonConvergence
-    that says the data is out of floating-point range and names the step.
+    A failed step raises its NonConvergence or SingularStep with the step
+    in ``step`` and its message led by "step k: ".  A floating-point
+    overflow, at x0 or in a step, is a NonConvergence that says the data
+    is out of floating-point range and names the step.
     ``start`` picks each Newton solve's starting point: "extrapolate"
     (default) the polynomial through the last min(k, 4) states, one step
     ahead (x_0, 2 x_1 - x_0, 3 x_2 - 3 x_1 + x_0, then
@@ -555,8 +581,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
                 images[k] = E.apply(states[k])
                 energies[k] = phi.eval(states[k])
     except StepFailure as exc:
-        exc.step = k
-        raise
+        raise type(exc)(f"step {k}: {exc}", step=k) from exc
     except FloatingPointError as exc:
         at = f"step {k}: " if k else ""
         raise NonConvergence(

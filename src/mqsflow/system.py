@@ -87,10 +87,13 @@ DEFAULT_WINDING = fem.WindingSpec(
 
 # Desk-scale caps: a run above them would not finish at desk scale (mesh,
 # steps, stored states: 80 MB at the dof-step cap) or would stop Newton
-# before it moved (tolerance).
+# before it moved (tolerance).  Below MIN_NEWTON_TOL the tolerance sits
+# under the rounding floor of the prox gradient, so Newton spends its whole
+# budget and fails: 1e-15 did at n = 8 and n = 32, 1e-14 converges.
 MAX_MESH_N = 256
 MAX_STEPS = 100_000
 MAX_DOF_STEPS = 10_000_000
+MIN_NEWTON_TOL = 1e-14
 MAX_NEWTON_TOL = 1e-3
 
 
@@ -134,10 +137,10 @@ class MQSConfig:
         object.__setattr__(self, "R", np.atleast_2d(check_finite("R", self.R)))
         if self.seed < 0:
             raise ValidationFailure(f"seed must be nonnegative, got {self.seed}")
-        if not 0 < self.newton_tol <= MAX_NEWTON_TOL:
+        if not MIN_NEWTON_TOL <= self.newton_tol <= MAX_NEWTON_TOL:
             raise ValidationFailure(
-                f"newton_tol must be positive and at most {MAX_NEWTON_TOL:g}, "
-                f"got {self.newton_tol}")
+                f"newton_tol must be at least {MIN_NEWTON_TOL:g} and at most "
+                f"{MAX_NEWTON_TOL:g}, got {self.newton_tol}")
         check_choice("newton_start", self.newton_start, core.NEWTON_STARTS)
         check_choice("initial field kind", self.a0_kind,
                      ("zero", "random", "file"))

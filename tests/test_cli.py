@@ -333,6 +333,8 @@ def test_cli_rejects_horizon_not_a_whole_number_of_steps(tmp_path, small_cfg,
     (["run", "--set", "core.newton_tol=1e300"], "newton_tol"),
     (["run", "--set", "mesh.n=100000"], "n must be at most 256"),
     (["run", "--set", "time.tau=1e-9"], "exceeds the cap"),
+    (["run", "--set", "core.newton_tol=1e-15"],
+     "newton_tol must be at least 1e-14"),
 ])
 def test_cli_rejects_invalid_settings_before_solving(tmp_path, small_cfg,
                                                      capsys, argv, cause):
@@ -342,6 +344,19 @@ def test_cli_rejects_invalid_settings_before_solving(tmp_path, small_cfg,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cause in err
     assert not (out / "run.csv").exists()
+
+
+def test_cli_names_the_step_whose_newton_solve_fails(tmp_path, small_cfg,
+                                                    capsys):
+    """A Newton failure inside a step says which step, once."""
+    code = cli.dispatch(["run", "--config", small_cfg, "--out",
+                         str(tmp_path / "o"),
+                         "--set", "core.newton_max_iter=1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1: Newton did not reach tolerance ")
+    assert err.endswith(" in 1 iterations\n") and err.count("step") == 1
+    assert not (tmp_path / "o" / "run.csv").exists()
 
 
 def test_cli_unreadable_initial_field_file(tmp_path, small_cfg, capsys):

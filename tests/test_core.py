@@ -280,6 +280,7 @@ def test_trajectory_error_annotated_with_step():
     with pytest.raises((SingularStep, NonConvergence)) as exc_info:
         core.solve_trajectory(phi, E, np.array([1.0]), None, cfg)
     assert exc_info.value.step == 1
+    assert str(exc_info.value).startswith("step 1: ")
 
 
 def test_newton_minimize_one_iteration_on_quadratic():
@@ -616,19 +617,50 @@ def test_a_run_of_equal_newton_matrices_factors_once(monkeypatch):
     assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (2, 4, 4)
 
 
-def test_a_nearby_matrix_is_solved_by_pcg_to_the_tolerance():
-    """A matrix near the factored one takes a few CG iterations on the
-    kept factor, and its residual is within 1e-10 of the rhs."""
+def nearby_system(spread):
+    """lagged_problem(44) with a kept factor of its H, and a matrix within
+    ``spread`` of H (H rescaled symmetrically by a random diagonal)."""
     E, H, rhs, newton = lagged_problem(44)
     for _ in range(2):
         newton.solve(H, rhs)
-    scale = sp.diags(np.random.default_rng(45).uniform(0.95, 1.05, H.shape[0]))
-    nearby = (scale @ H @ scale).tocsc()
-    d = newton.solve(nearby, rhs)
-    M = (nearby + gram(E) / newton.tau).toarray()
-    assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
-    assert (newton.factors, newton.pcg_systems) == (2, 1)
-    assert 1 < newton.cg_iters <= core.PCG_MAX_ITER
+    scale = sp.diags(np.random.default_rng(45).uniform(
+        1.0 - spread, 1.0 + spread, H.shape[0]))
+    return E, (scale @ H @ scale).tocsc(), rhs, newton
+
+
+def test_a_nearby_matrix_is_solved_by_pcg_to_the_tolerance():
+    """A matrix within 2 % of the factored one takes a few CG iterations on
+    the kept factor, and its residual is within 1e-10 of the rhs.  One
+    within 5 % needs more than PCG_MAX_ITER of them, so it is refactored,
+    and its direction is the exact one."""
+    for spread, counts in ((0.02, (2, 1)), (0.05, (3, 0))):
+        E, nearby, rhs, newton = nearby_system(spread)
+        d = newton.solve(nearby, rhs)
+        M = (nearby + gram(E) / newton.tau).toarray()
+        assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert (newton.factors, newton.pcg_systems) == counts
+        assert 1 < newton.cg_iters <= core.PCG_MAX_ITER
+    ref = dense_direction(E, newton.tau, nearby, rhs)
+    assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_a_newton_tolerance_stops_pcg_at_a_tenth_of_it():
+    """Given Newton's tolerance tol, PCG stops once the Newton-matrix
+    residual is at most tol / 10, in fewer iterations than to 1e-10 of the
+    rhs.  At tol = 1e-5 ||rhs|| the third iterate's residual lies between
+    tol / 10 and tol, so a stop at tol itself would miss tol / 10."""
+    iters = []
+    for rel in (None, 1e-5):
+        E, nearby, rhs, newton = nearby_system(0.02)
+        before = newton.cg_iters
+        tol = None if rel is None else rel * np.linalg.norm(rhs)
+        d = core._solve_newton_system(nearby, rhs, newton, tol)
+        M = (nearby + gram(E) / newton.tau).toarray()
+        bound = 1e-10 * np.linalg.norm(rhs) if rel is None else tol / 10
+        assert np.linalg.norm(M @ d - rhs) <= bound
+        assert (newton.factors, newton.pcg_systems) == (2, 1)
+        iters.append(newton.cg_iters - before)
+    assert iters[1] < iters[0] <= core.PCG_MAX_ITER
 
 
 def test_pcg_bounds_the_newton_residual_under_a_strong_thin_block():
@@ -648,12 +680,15 @@ def test_pcg_bounds_the_newton_residual_under_a_strong_thin_block():
     M = (H + gram(E) / newton.tau).toarray()
     expected = np.linalg.norm(rhs - M @ d)
     assert abs(newton._newton_residual(r) - expected) <= 1e-12 * expected
-    scale = sp.diags(rng.uniform(0.95, 1.05, H.shape[0]))
-    nearby = (scale @ H @ scale).tocsc()
-    d = newton.solve(nearby, rhs)
-    M = (nearby + gram(E) / newton.tau).toarray()
-    assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
-    assert (newton.factors, newton.pcg_systems) == (2, 1)
+    wide, narrow = (sp.diags(rng.uniform(1.0 - w, 1.0 + w, H.shape[0]))
+                    for w in (0.05, 0.02))
+    # within 2 % PCG solves it; within 5 % it is refactored
+    for scale, counts in ((narrow, (2, 1)), (wide, (3, 1))):
+        nearby = (scale @ H @ scale).tocsc()
+        d = newton.solve(nearby, rhs)
+        M = (nearby + gram(E) / newton.tau).toarray()
+        assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert (newton.factors, newton.pcg_systems) == counts
 
 
 def test_a_sudden_change_refactors_after_dropping_the_kept_factor(
@@ -768,9 +803,9 @@ def test_every_newton_system_of_a_trajectory_goes_through_a_newton_system(
     no_thin_block = (phi, core.LinearMapE(sp.csr_matrix(E.matrix)), x0, f)
     seen, real_solve = [], core._solve_newton_system
 
-    def solve(H, rhs, newton_system=None):
+    def solve(H, rhs, newton_system=None, tol=None):
         seen.append(newton_system)
-        return real_solve(H, rhs, newton_system)
+        return real_solve(H, rhs, newton_system, tol)
 
     monkeypatch.setattr(core, "_solve_newton_system", solve)
     cfg = core.ProxConfig(tau=0.05, n_steps=20)

@@ -255,6 +255,12 @@ def test_config_rejects_negative_seed_and_bad_newton_settings():
     for tol in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ValidationFailure, match="newton_tol"):
             system.MQSConfig(n=8, newton_tol=tol)
+    # below the prox gradient's rounding floor Newton could never stop
+    for tol in (1e-15, 1e-16, 1e-17):
+        with pytest.raises(ValidationFailure,
+                           match="newton_tol must be at least 1e-14"):
+            system.MQSConfig(n=8, newton_tol=tol)
+    assert system.MQSConfig(n=8, newton_tol=1e-14).newton_tol == 1e-14
     with pytest.raises(ValidationFailure, match="newton_max_iter"):
         system.MQSConfig(n=8, newton_max_iter=0)
     assert system.MQSConfig(n=8, seed=0, newton_max_iter=1).seed == 0
@@ -719,9 +725,9 @@ def test_a_solve_orders_the_newton_pattern_once(monkeypatch):
     assert specs[0] == "MMD_AT_PLUS_A" and set(specs[1:]) == {"NATURAL"}
     assert len(specs) == len(newton_systems) > 1
 
-    def afresh(H, rhs, newton_system):
+    def afresh(H, rhs, newton_system, tol):
         return real_solve(H, rhs, core.NewtonSystem(newton_system.E,
-                                                    newton_system.tau))
+                                                    newton_system.tau), tol)
 
     monkeypatch.setattr(core, "_solve_newton_system", afresh)
     specs.clear()
@@ -754,7 +760,7 @@ class _FactorEverySystem:
         self.E, self.tau = E, tau
         self._metric = E.matrix.T @ E.matrix / tau
 
-    def solve(self, H, rhs):
+    def solve(self, H, rhs, tol=None):
         return sp.linalg.splu((H + self._metric).tocsc()).solve(rhs)
 
 
@@ -873,6 +879,42 @@ def test_a_lagged_factor_solve_matches_factoring_every_system(
     assert np.abs(lagged.fields - direct.fields).max() <= 1e-10 * scale
     assert np.abs(lagged.currents[1:] - direct.currents[1:]).max() <= (
         1e-10 * scale)
+
+
+def test_pcg_to_a_tenth_of_the_newton_tolerance_costs_no_newton_system(
+        monkeypatch):
+    """On the default problem above the cutoff, PCG stopped at
+    max(1e-10 ||rhs||, tol / 10) takes exactly the Newton systems of a
+    solve that factors every one, and stays within 1e-10 scale of it."""
+    cfg = system.MQSConfig(n=32)
+    ops = system.build_system(cfg)[0]
+    assert ops.n_dofs >= core.PCG_MIN_DIM
+    made, counts = record_newton_systems(monkeypatch)
+    lagged = system.solve(cfg, ops)
+    n_lagged = counts["systems"]
+    assert made[0].pcg_systems > 0
+    monkeypatch.setattr(core, "NewtonSystem", _FactorEverySystem)
+    direct = system.solve(cfg, ops)
+    assert counts["systems"] - n_lagged == n_lagged
+    scale = diagnostics.trajectory_scale(ops, direct)
+    assert np.abs(lagged.fields - direct.fields).max() <= 1e-10 * scale
+    assert np.abs(lagged.currents[1:] - direct.currents[1:]).max() <= (
+        1e-10 * scale)
+
+
+def test_newton_system_counts_on_the_default_problem_at_n32(monkeypatch):
+    """A guard on the work PCG does, with no timing involved: 69 Newton
+    systems, 3 factors, 66 PCG solves and at most 350 CG iterations (339
+    when this was written; PCG to 1e-10 ||rhs|| within 10 iterations took
+    4 factors and 501)."""
+    cfg = system.MQSConfig(n=32)
+    ops = system.build_system(cfg)[0]
+    made, counts = record_newton_systems(monkeypatch)
+    system.solve(cfg, ops)
+    (newton,) = made
+    assert counts["systems"] == 69
+    assert (newton.factors, newton.pcg_systems) == (3, 66)
+    assert newton.cg_iters <= 350
 
 
 def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
