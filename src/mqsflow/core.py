@@ -32,17 +32,20 @@ solves a later system by conjugate gradients on K preconditioned with it
 (a lagged preconditioner inside Newton; Knoll & Keyes, J. Comput. Phys.
 193, 2004, sec. 3).  CG from 0 keeps mu = U d / tau in every iterate, as
 K and the kept factor share their last k rows, and there K acts as M.
-It stops at a residual of M, rhs - M d = r_1 + U^T r_2 / tau read off K's
-residual (r_1, r_2), of max(PCG_RTOL ||rhs||, tol / 10), where
-PCG_RTOL = 1e-10 and tol is Newton's own absolute stopping tolerance,
-which newton_minimize passes down; K's own residual can be smaller by
-||U|| / tau.  When CG misses that within PCG_MAX_ITER = 6 iterations, or
-breaks down, the system is refactored and the new factor kept.  Below
-400 unknowns every system is factored and no factor kept.
+
+The PCG stop: CG stops once the residual of M, rhs - M d = r_1 +
+U^T r_2 / tau read off K's residual (r_1, r_2), is at most
+max(PCG_RTOL ||rhs||, tol / 10), where PCG_RTOL = 1e-10 and tol is
+Newton's own absolute stopping tolerance, which newton_minimize passes
+down (PCG_RTOL ||rhs|| alone when a caller gives no tol), first on the
+recursive residual and then on the true one; K's own residual can be
+smaller by ||U|| / tau.  When CG misses that within PCG_MAX_ITER = 6
+iterations, or breaks down, the system is refactored and the new factor
+kept.  Below 400 unknowns every system is factored and no factor kept.
 
 Such a residual cannot stop Newton early: the stopping test reads the
 gradient recomputed at the new iterate, never the linear residual.  Nor
-can it make Newton miss newton_tol, down to 1e-14.  With rhs = -g, a
+can it make Newton miss newton_tol, down to MIN_NEWTON_TOL.  With rhs = -g, a
 direction d with ||M d + g|| <= max(1e-10 ||g||, tol / 10) is inexact
 Newton with forcing term max(1e-10, tol / (10 ||g||)) (Dembo, Eisenstat
 & Steihaug, SIAM J. Numer. Anal. 19(2), 1982), a forcing term sized to
@@ -92,12 +95,17 @@ from .errors import (
 
 NEWTON_STARTS = ("extrapolate", "zero")
 
+# Below MIN_NEWTON_TOL the tolerance sits under the rounding floor of the
+# prox gradient, so Newton spends its whole budget and fails: 1e-15 did at
+# n = 8 and n = 32 on the field-circuit problem, 1e-14 converges.
+MIN_NEWTON_TOL = 1e-14
+
 # eval_phi_E builds a dense null-space basis, so it refuses larger maps
 ORACLE_DIM_LIMIT = 64
 
 # NewtonSystem solves a Newton system of at least PCG_MIN_DIM unknowns by
-# PCG on its last kept factor, to a residual of max(PCG_RTOL ||rhs||,
-# tol / 10) within PCG_MAX_ITER iterations; a smaller one is factored.  Solve
+# PCG on its last kept factor, to the PCG stop (module docstring) within
+# PCG_MAX_ITER iterations; a smaller one is factored.  Solve
 # on the default problem, PCG against factoring every system, in-process,
 # median of 9 (2-core x86 VM, one BLAS thread): n = 12 (121 unknowns) 0.087
 # -> 0.092 s, n = 16 (225) 0.122 -> 0.109 s, n = 20 (361) 0.148 -> 0.127 s,
@@ -192,6 +200,10 @@ class ProxConfig:
         for name in ("tau", "newton_tol", "n_steps"):
             if not check_finite(name, getattr(self, name)) > 0:
                 raise ValidationFailure(f"{name} must be positive")
+        if self.newton_tol < MIN_NEWTON_TOL:
+            raise ValidationFailure(
+                f"newton_tol must be at least {MIN_NEWTON_TOL:g}, the rounding "
+                f"floor of the prox gradient, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValidationFailure(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
@@ -236,9 +248,7 @@ class NewtonSystem:
     in and the solution back as one vector each.
 
     From PCG_MIN_DIM unknowns on, the last natural-order factor is kept for
-    PCG, which stops at a Newton-matrix residual of max(PCG_RTOL ||rhs||,
-    tol / 10) given Newton's tolerance ``tol`` (PCG_RTOL ||rhs|| without
-    one), confirmed on the true residual.  When
+    PCG, which ends at the PCG stop (module docstring).  When
     PCG fails (p^T A p <= 0 or a non-finite value breaks it down), the kept
     factor is dropped, so that two are never alive at once, and A is
     refactored, solved directly, and its factor kept.
@@ -265,9 +275,8 @@ class NewtonSystem:
         return Ut, C
 
     def solve(self, H, rhs, tol=None):
-        """(H + E^T E / tau)^{-1} rhs; by PCG to a Newton-matrix residual of
-        max(PCG_RTOL ||rhs||, tol / 10) when Newton's tolerance ``tol`` is
-        given, else of PCG_RTOL ||rhs||."""
+        """(H + E^T E / tau)^{-1} rhs; by PCG to the PCG stop (module
+        docstring) set by Newton's tolerance ``tol``, if given."""
         C = self._block[1]
         H = H.tocsc() if sp.issparse(H) else sp.csc_matrix(H)
         if not H.has_canonical_format:  # sorted and summed, in a copy
@@ -326,9 +335,8 @@ class NewtonSystem:
 
     def _pcg(self, A, b, tol):
         """PCG from 0 on A x = b, preconditioned by the kept factor; None
-        when it breaks down or misses max(PCG_RTOL ||b||, tol / 10) (tol
-        None: PCG_RTOL ||b||) on the Newton-matrix residual within
-        PCG_MAX_ITER iterations."""
+        when it breaks down or misses the PCG stop (module docstring)
+        within PCG_MAX_ITER iterations."""
         lu = self._lagged
         bound = PCG_RTOL * np.linalg.norm(b)
         if tol is not None:
@@ -380,9 +388,9 @@ def _solve_newton_system(H, rhs, newton_system=None, tol=None):
 
     With ``newton_system`` (a NewtonSystem, as every prox step passes) H is
     the functional's hessian and (H + E^T E / tau) d = rhs is solved
-    through it, to a residual set by Newton's tolerance ``tol`` if given
-    (NewtonSystem.solve).  Without one H is the whole Newton matrix, dense
-    or sparse CSC (SuperLU's defaults: COLAMD, partial pivoting).
+    through it, to the PCG stop (module docstring) set by Newton's
+    tolerance ``tol`` if given.  Without one H is the whole Newton matrix,
+    dense or sparse CSC (SuperLU's defaults: COLAMD, partial pivoting).
     """
     try:
         if newton_system is not None:
@@ -429,7 +437,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     the gradient and the objective at x0 when the caller already has them.
     With ``newton_system`` (a NewtonSystem) the Newton matrix is
     hessian(x) + E^T E / tau, solved through it (see _solve_newton_system)
-    to a residual set by ``tol``.
+    to the PCG stop (module docstring) set by ``tol``.
     Raises SingularStep on a non-descent Newton direction and
     NonConvergence when ``max_iter`` iterations do not reach the tolerance.
     """
@@ -487,8 +495,8 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     x0, g0, J0 = x_prev, g_prev, None
     if x_start is not None:
         x0, g0 = np.asarray(x_start, dtype=float), None
-        if guard:
-            J0, J_prev = objective(x0), objective(x_prev)
+        if guard:  # x_prev first, so Newton starts at the last point evaluated
+            J_prev, J0 = objective(x_prev), objective(x0)
             if not J0 <= J_prev:
                 x0, g0, J0 = x_prev, g_prev, J_prev
     if newton_system is None:

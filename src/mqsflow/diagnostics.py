@@ -115,15 +115,13 @@ def perturbation_experiments(config, ops, traj, kind, adversarial=False):
 def _invisible_perturbation(ops, seed=0, visible=False):
     """Dof vector w with M_sigma w = 0 and C^T w = 0 (unless ``visible``).
 
-    Supported on dofs whose vertex touches no conducting element, then
-    projected against the coupling columns restricted to that support.
+    Supported on dofs whose vertex touches no conducting element, the
+    empty columns of the pruned M_C, then projected against the coupling
+    columns restricted to that support.
     """
-    mesh = ops.mesh
-    cd = mesh.element_dofs[mesh.element_labels == fem.LABEL_C]
-    support = np.ones(mesh.n_dofs, dtype=bool)
-    support[cd[cd >= 0]] = False
+    support = np.diff(ops.mass_C.indptr) == 0
     rng = np.random.default_rng(seed)
-    w = np.zeros(mesh.n_dofs)
+    w = np.zeros(ops.n_dofs)
     w[support] = 0.5 * rng.standard_normal(int(support.sum()))
     if not visible:
         Cs = ops.coupling[support]

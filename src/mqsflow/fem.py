@@ -38,7 +38,9 @@ class Mesh2D:
     the mesh.  All element-to-dof assembly goes through ``assemble_vector``
     and ``assemble_matrix``; local entries at boundary vertices land in one
     extra slot past the end, which is dropped.  Every assembled matrix is
-    CSC on the one P1 pattern, the format SuperLU and ARPACK factor.
+    CSC on the one P1 pattern, the format SuperLU and ARPACK factor.  The
+    element-block operators, the gradient G and the metric factor E_1 of
+    the conducting mass, are built by ``element_operator``.
     """
 
     vertices: np.ndarray      # (n_vertices, 2)
@@ -107,7 +109,8 @@ class Mesh2D:
     @cached_property
     def gradient_operator(self):
         """CSR G (2 M, n_dofs) with (G a)[2 e + k] = d_k a on element e."""
-        return _gradient_operator(self)
+        _, grads = self.geometry
+        return self.element_operator(grads.transpose(0, 2, 1))
 
     @cached_property
     def geometry(self):
@@ -138,6 +141,24 @@ class Mesh2D:
             if np.any(mask):
                 out.append((region, mask))
         return tuple(out)
+
+    def element_operator(self, blocks, elements=None):
+        """CSR with r rows per element from ``blocks`` (|elements|, r, 3):
+        row r q + i holds blocks[q, i, j] at the dof of local vertex j of
+        element ``elements[q]`` (default: every element, in order).
+
+        Each row lists its entries in local-vertex order, so a product with
+        it sums in the order of an element-wise contraction over the local
+        vertices; boundary columns and exact zeros are dropped.
+        """
+        dofs = self.element_dofs
+        dofs = dofs if elements is None else dofs[elements]
+        cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
+        keep = (cols >= 0) & (blocks != 0.0)
+        indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int64)
+        np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+        return sp.csr_matrix((blocks[keep], cols[keep], indptr),
+                             shape=(indptr.size - 1, self.n_dofs))
 
     def assemble_vector(self, local):
         """Global vector from element contributions ``local`` (M, 3)."""
@@ -343,21 +364,6 @@ def assemble_coupling(mesh, winding):
     return C
 
 
-def _gradient_operator(mesh):
-    """``Mesh2D.gradient_operator``.  Each row lists its interior vertices
-    in local-vertex order, so G a sums in the order of an element-wise
-    contraction over the local vertices."""
-    _, grads = mesh.geometry
-    cols = np.repeat(mesh.element_dofs[:, None, :], 2, axis=1)
-    keep = cols >= 0
-    indptr = np.zeros(2 * mesh.n_elements + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
-    return sp.csr_matrix(
-        (grads.transpose(0, 2, 1)[keep], cols[keep], indptr),
-        shape=(2 * mesh.n_elements, mesh.n_dofs),
-    )
-
-
 def _element_state(mesh, a):
     """Per-element field gradient (M, 2) and its magnitude (M,)."""
     g = (mesh.gradient_operator @ a).reshape(-1, 2)
@@ -418,23 +424,19 @@ def _field_point(mesh, model, a):
     """The element pass at ``a``, shared by K, K_tangent and the energy.
 
     Damped Newton asks for all three at nearly the same few iterates, so
-    the last two points are kept in the mesh's ``__dict__``, as its cached
-    properties are, and live exactly as long as the mesh.  Two, because a
-    guarded prox step evaluates its start and then x_{k-1} before Newton's
-    first iteration.  A point matches on ``model`` identity and on the
-    values of ``a``, compared with a stored copy, so an array mutated in
-    place is a new point.  Models and meshes are treated as immutable, as
-    the cached properties of ``Mesh2D`` already assume.
+    the last point is kept in the mesh's ``__dict__``, as its cached
+    properties are, and lives exactly as long as the mesh.  One suffices:
+    a guarded prox step evaluates x_{k-1} before its start, so Newton's
+    first iterate is the last point evaluated.  A point matches on
+    ``model`` identity and on the values of ``a``, compared with a stored
+    copy, so an array mutated in place is a new point.  Models and meshes
+    are treated as immutable, as the cached properties of ``Mesh2D``
+    already assume.
     """
     a = np.asarray(a, dtype=float)
-    points = mesh.__dict__.setdefault("_field_points", [])
-    for i, pt in enumerate(points):
-        if pt.model is model and np.array_equal(pt.a, a):
-            points.insert(0, points.pop(i))
-            return pt
-    pt = _FieldPoint(mesh, model, a)
-    points.insert(0, pt)
-    del points[2:]
+    pt = mesh.__dict__.get("_field_point")
+    if pt is None or pt.model is not model or not np.array_equal(pt.a, a):
+        pt = mesh.__dict__["_field_point"] = _FieldPoint(mesh, model, a)
     return pt
 
 

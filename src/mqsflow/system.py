@@ -87,13 +87,10 @@ DEFAULT_WINDING = fem.WindingSpec(
 
 # Desk-scale caps: a run above them would not finish at desk scale (mesh,
 # steps, stored states: 80 MB at the dof-step cap) or would stop Newton
-# before it moved (tolerance).  Below MIN_NEWTON_TOL the tolerance sits
-# under the rounding floor of the prox gradient, so Newton spends its whole
-# budget and fails: 1e-15 did at n = 8 and n = 32, 1e-14 converges.
+# before it moved (tolerance; its floor is core.MIN_NEWTON_TOL).
 MAX_MESH_N = 256
 MAX_STEPS = 100_000
 MAX_DOF_STEPS = 10_000_000
-MIN_NEWTON_TOL = 1e-14
 MAX_NEWTON_TOL = 1e-3
 
 
@@ -137,10 +134,10 @@ class MQSConfig:
         object.__setattr__(self, "R", np.atleast_2d(check_finite("R", self.R)))
         if self.seed < 0:
             raise ValidationFailure(f"seed must be nonnegative, got {self.seed}")
-        if not MIN_NEWTON_TOL <= self.newton_tol <= MAX_NEWTON_TOL:
+        if not core.MIN_NEWTON_TOL <= self.newton_tol <= MAX_NEWTON_TOL:
             raise ValidationFailure(
-                f"newton_tol must be at least {MIN_NEWTON_TOL:g} and at most "
-                f"{MAX_NEWTON_TOL:g}, got {self.newton_tol}")
+                f"newton_tol must be at least {core.MIN_NEWTON_TOL:g} and at "
+                f"most {MAX_NEWTON_TOL:g}, got {self.newton_tol}")
         check_choice("newton_start", self.newton_start, core.NEWTON_STARTS)
         check_choice("initial field kind", self.a0_kind,
                      ("zero", "random", "file"))
@@ -275,18 +272,10 @@ def _metric_matrix(mesh, sigma_C, coupling, R_inv_sqrt):
     areas, _ = mesh.geometry
     c_elems = np.flatnonzero(mesh.element_labels == fem.LABEL_C)
     local_chol = np.linalg.cholesky(fem._LOCAL_MASS)  # M_loc = L L^T
-    # block_r^T block_r = sigma area M_loc for the r-th conducting element;
-    # its row a is row 3 r + a of E1 and its column b is the dof of vertex b
+    # block_r^T block_r = sigma area M_loc for the r-th conducting element
     blocks = np.sqrt(sigma_C * areas[c_elems])[:, None, None] * local_chol.T
-    rows, cols = np.broadcast_arrays(
-        np.arange(3 * c_elems.size).reshape(-1, 3, 1),
-        mesh.element_dofs[c_elems][:, None, :],
-    )
-    keep = (cols >= 0) & (blocks != 0.0)
-    E1 = sp.csr_matrix(
-        (blocks[keep], (rows[keep], cols[keep])),
-        shape=(3 * c_elems.size, mesh.n_dofs),
-    )
+    E1 = mesh.element_operator(blocks, c_elems)
+    E1.sort_indices()  # canonical CSR: E sums each row in dof order
     E2 = sp.csr_matrix(R_inv_sqrt @ coupling.T)
     return sp.vstack([E1, E2]).tocsr()
 

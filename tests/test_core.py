@@ -205,6 +205,16 @@ def test_prox_config_rejects_nonpositive_tolerance(tol):
         core.ProxConfig(tau=0.1, n_steps=1, newton_tol=tol)
 
 
+def test_prox_config_rejects_a_tolerance_below_the_rounding_floor():
+    with pytest.raises(ValidationFailure,
+                       match="^newton_tol must be at least 1e-14, .*got 1e-16$"):
+        core.ProxConfig(tau=0.05, n_steps=1, newton_tol=1e-16)
+    cfg = core.ProxConfig(tau=0.05, n_steps=1, newton_tol=1e-14)
+    assert cfg.newton_tol == core.MIN_NEWTON_TOL
+    for phi, E, x0, f in smooth_core_problems():
+        assert core.solve_trajectory(phi, E, x0, f[:2], cfg).n_steps == 1
+
+
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -0.1])
 def test_prox_step_rejects_non_finite_tau(tau):
     reason = "finite" if not np.isfinite(tau) else "positive"

@@ -39,6 +39,25 @@ def test_invisible_perturbation_properties(small_run):
     assert np.abs(ops.coupling.T @ w).max() < 1e-12 * (1 + np.abs(w).max())
 
 
+def test_invisible_perturbation_lives_on_the_dofs_off_the_conductor(
+        small_run):
+    """Its support is exactly the dofs that touch no conducting element."""
+    ops = small_run[1]
+    no_conductor = system.build_system(
+        system.MQSConfig(n=8, conductor_radius=0.0))[0]
+    supports = []
+    for ops in (ops, no_conductor):
+        mesh = ops.mesh
+        off = np.ones(mesh.n_vertices, dtype=bool)
+        off[mesh.triangles[mesh.element_labels == fem.LABEL_C]] = False
+        supports.append(off[mesh.dof_to_vertex])
+        for visible in (False, True):
+            w = diagnostics._invisible_perturbation(ops, seed=11,
+                                                    visible=visible)
+            assert np.array_equal(w != 0.0, supports[-1])
+    assert not supports[0].all() and supports[1].all()
+
+
 def test_uniqueness_experiment(small_run):
     result = diagnostics.perturbation_experiments(*small_run, "uniqueness")
     assert result.passed

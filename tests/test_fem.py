@@ -389,13 +389,13 @@ def test_geometry_computed_once_per_mesh(monkeypatch):
 
 def test_element_operators_built_once_per_mesh(monkeypatch):
     calls = []
-    real = fem._gradient_operator
+    real = fem.Mesh2D.element_operator
 
-    def counted(mesh):
+    def counted(mesh, blocks, elements=None):
         calls.append(mesh)
-        return real(mesh)
+        return real(mesh, blocks, elements)
 
-    monkeypatch.setattr(fem, "_gradient_operator", counted)
+    monkeypatch.setattr(fem.Mesh2D, "element_operator", counted)
     mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
     rng = np.random.default_rng(7)
@@ -414,6 +414,32 @@ def test_element_operators_built_once_per_mesh(monkeypatch):
     assert len(calls) == 2 and calls[1] is other
     assert other.gradient_operator is not mesh.gradient_operator
     assert len(calls) == 2
+
+
+def test_element_operator_drops_boundary_columns_and_zeros_in_vertex_order():
+    mesh = fem.build_mesh(4, None)
+    dofs = mesh.element_dofs
+    # two boundary vertices, one, and none with dofs out of increasing order
+    interior = np.flatnonzero(np.all(dofs >= 0, axis=1)
+                              & np.any(np.diff(dofs, axis=1) < 0, axis=1))
+    elements = np.array([0, 9, interior[0]])
+    assert [np.count_nonzero(dofs[e] < 0) for e in elements] == [2, 1, 0]
+    blocks = np.arange(1.0, 19.0).reshape(3, 2, 3)
+    blocks[2, 1, 1] = 0.0
+    op = mesh.element_operator(blocks, elements)
+    assert op.format == "csr" and op.shape == (6, mesh.n_dofs)
+    indptr, indices, data = [0], [], []
+    for q, e in enumerate(elements):
+        for i in range(2):
+            for j in range(3):
+                if dofs[e, j] >= 0 and blocks[q, i, j] != 0.0:
+                    indices.append(dofs[e, j])
+                    data.append(blocks[q, i, j])
+            indptr.append(len(indices))
+    assert np.array_equal(op.indptr, indptr)
+    assert np.array_equal(op.indices, indices)
+    assert np.array_equal(op.data, data)
+    assert not op.has_sorted_indices
 
 
 def _fresh_point(model, a):

@@ -40,6 +40,30 @@ def test_metric_map_gram_identity(default_small):
     assert np.abs(gram - ref).max() < 1e-14
 
 
+def test_metric_factor_lead_rows_equal_a_coo_build():
+    """E_1's rows of E are the COO triplet build of the element factors,
+    on a dof numbering derived here from the boundary flags."""
+    ops, _, E = system.build_system(system.MQSConfig(n=16, sigma_C=2.5))
+    mesh = ops.mesh
+    interior = ~mesh.boundary_vertex_flags
+    element_dofs = np.where(interior, np.cumsum(interior) - 1,
+                            -1)[mesh.triangles]
+    areas, _ = mesh.geometry
+    c_elems = np.flatnonzero(mesh.element_labels == fem.LABEL_C)
+    blocks = (np.sqrt(2.5 * areas[c_elems])[:, None, None]
+              * np.linalg.cholesky(fem._LOCAL_MASS).T)
+    rows, cols = np.broadcast_arrays(
+        np.arange(3 * c_elems.size).reshape(-1, 3, 1),
+        element_dofs[c_elems][:, None, :])
+    keep = (cols >= 0) & (blocks != 0.0)
+    E1 = sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
+                       shape=(3 * c_elems.size, mesh.n_dofs))
+    lead = E.matrix[:E.dim_Z - E.k]
+    assert E1.nnz > 0 and lead.shape == E1.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(lead, name), getattr(E1, name)), name
+
+
 def test_principal_inverse_square_root():
     R = np.array([[2.0, 0.5], [0.5, 1.0]])
     S = system._principal_inv_sqrt(R)
