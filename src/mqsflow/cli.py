@@ -169,7 +169,7 @@ def _experiment_battery(cfg, out_dir):
         measured={"c": coer["c"], "min_slack": coer["min_slack"]},
     ))
 
-    results.append(diagnostics.balance_order_study(cfg, ops))
+    results.append(diagnostics.balance_order_study(cfg, ops, traj=traj))
     for kind in ("uniqueness", "initializability"):
         results.append(
             diagnostics.perturbation_experiments(cfg, ops, traj, kind))

@@ -55,15 +55,18 @@ def balance_order_levels(config, taus=BALANCE_TAUS):
     return [replace(config, tau=tau) for tau in taus]
 
 
-def balance_order_study(config, ops, taus=BALANCE_TAUS):
+def balance_order_study(config, ops, taus=BALANCE_TAUS, traj=None):
     """Observed decay order of max_k |delta_k| under step halving.
 
     Every level is configured, and so checked, before the first solve.
+    ``traj``, if given, is ``system.solve(config, ops)`` and stands in for
+    the level whose step size is ``config.tau``.
     """
     maxima = []
     for level in balance_order_levels(config, taus):
-        traj = system.solve(level, ops)
-        maxima.append(float(np.max(np.abs(traj.balance_residuals[1:]))))
+        run = (traj if traj is not None and level.tau == config.tau
+               else system.solve(level, ops))
+        maxima.append(float(np.max(np.abs(run.balance_residuals[1:]))))
     order = observed_order(maxima)
     return ExperimentResult(
         name="power_balance_order",

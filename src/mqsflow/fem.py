@@ -35,12 +35,16 @@ class Mesh2D:
     vertex order; boundary vertices are fixed to zero.
 
     The numbering and all data derived from it are cached properties of
-    the mesh.  All element-to-dof assembly goes through ``assemble_vector``
-    and ``assemble_matrix``; local entries at boundary vertices land in one
-    extra slot past the end, which is dropped.  Every assembled matrix is
-    CSC on the one P1 pattern, the format SuperLU and ARPACK factor.  The
-    element-block operators, the gradient G and the metric factor E_1 of
-    the conducting mass, are built by ``element_operator``.
+    the mesh.  Element-to-dof assembly takes one of two forms.  Sparse
+    operators, built once per mesh without boundary entries, serve the
+    field: ``element_operator`` builds the gradient G and the metric
+    factor E_1 of the conducting mass, the residual K is G^T f, and the
+    tangent's data is ``slot_operator`` times three weights per element.
+    The scatters ``assemble_vector`` and ``assemble_matrix`` serve the
+    mass, stiffness, load and coupling; local entries at boundary vertices
+    land in one extra slot past the end, which is dropped.  Every assembled
+    matrix is CSC on the one P1 pattern, the format SuperLU and ARPACK
+    factor.
     """
 
     vertices: np.ndarray      # (n_vertices, 2)
@@ -118,19 +122,43 @@ class Mesh2D:
         return _geometry(self)
 
     @cached_property
-    def tangent_basis(self):
-        """Per element the products d_x phi_i d_x phi_j, d_y phi_i d_y phi_j
-        and d_x phi_i d_y phi_j + d_y phi_i d_x phi_j, shape (M, 3, 9) with
-        (i, j) flattened, computed once per mesh."""
+    def gradient_transpose(self):
+        """CSR G^T (n_dofs, 2 M), which scatters per-element vectors to
+        dofs.  Kept apart from G: the zero-copy ``G.T`` is a CSC, whose
+        matvec is slower."""
+        return self.gradient_operator.T.tocsr()
+
+    @cached_property
+    def slot_operator(self):
+        """CSR S (pattern nnz, 3 M) whose product with weights w (M, 3) is
+        the data, on ``pattern``, of sum_e sum_k w[e, k] B_k(e).  B_k(e)
+        holds d_x phi_i d_x phi_j, d_y phi_i d_y phi_j and d_x phi_i d_y
+        phi_j + d_y phi_i d_x phi_j (k = 0, 1, 2) at the slot of each local
+        entry (i, j) of element e.
+
+        Built as S^T, whose row 3 e + k is B_k(e), with boundary entries
+        and exact zeros dropped as ``element_operator`` drops them, and
+        converted once.  The products are freed before the conversion, so
+        the build peaks near twice S's bytes.
+        """
         _, grads = self.geometry
-        # filled in place, so building it takes no temporary of its size
         basis = np.empty((self.n_elements, 3, 3, 3))
         for k, (p, q) in enumerate(((0, 0), (1, 1), (0, 1))):
             np.multiply(grads[:, :, None, p], grads[:, None, :, q],
                         out=basis[:, k])
         # numpy buffers the overlapping transposed operand
         basis[:, 2] += basis[:, 2].transpose(0, 2, 1)
-        return basis.reshape(-1, 3, 9)
+        basis = basis.reshape(-1, 3, 9)
+        nnz = self.pattern.nnz
+        slots = self.matrix_slots.reshape(-1, 1, 9)
+        keep = (basis != 0.0) & (slots < nnz)
+        indptr = np.zeros(keep.shape[0] * 3 + 1, dtype=slots.dtype)
+        np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+        St = sp.csr_matrix(
+            (basis[keep], np.broadcast_to(slots, keep.shape)[keep], indptr),
+            shape=(indptr.size - 1, nnz))
+        del basis, keep
+        return St.T.tocsr()
 
     @cached_property
     def regions(self):
@@ -167,9 +195,12 @@ class Mesh2D:
 
     def assemble_matrix(self, local):
         """CSC matrix on the P1 pattern from element blocks ``local`` (M, 3, 3)."""
-        nnz = self.pattern.nnz
-        data = np.bincount(self.matrix_slots, weights=local.ravel(),
-                           minlength=nnz + 1)[:-1]
+        return self.on_pattern(np.bincount(
+            self.matrix_slots, weights=local.ravel(),
+            minlength=self.pattern.nnz + 1)[:-1])
+
+    def on_pattern(self, data):
+        """CSC matrix with ``data`` on the P1 pattern."""
         # own index arrays: callers may prune the result in place
         return sp.csc_matrix(
             (data, self.pattern.indices.copy(), self.pattern.indptr.copy()),
@@ -412,11 +443,10 @@ class _FieldPoint:
 
     def K(self, mesh):
         if self._K is None:
-            areas, grads = mesh.geometry
+            areas, _ = mesh.geometry
             nu, _ = self.nu(mesh)
             flux = (nu * areas)[:, None] * self.g  # (M, 2)
-            self._K = mesh.assemble_vector(
-                flux[:, :1] * grads[:, :, 0] + flux[:, 1:] * grads[:, :, 1])
+            self._K = mesh.gradient_transpose @ flux.ravel()
         return self._K
 
 
@@ -451,22 +481,20 @@ def curlcurl_jacobian(mesh, model, a):
     Per element it is nu times the local stiffness plus the rank-one term
     c q q^T with c = area (d[nu s]/ds - nu) / s^2 and q_i = grad phi_i .
     grad a; the rank-one term vanishes in the isotropic limit s = 0.  With
-    g = grad a both are one combination of ``Mesh2D.tangent_basis``, with
-    weights nu area + c g_x^2, nu area + c g_y^2 and c g_x g_y.
+    g = grad a its data is ``Mesh2D.slot_operator`` applied to the weights
+    nu area + c g_x^2, nu area + c g_y^2 and c g_x g_y of each element.
     """
     areas, _ = mesh.geometry
     pt = _field_point(mesh, model, a)
     s, g = pt.s, pt.g
     nu, dgds = pt.nu(mesh)
-    big = s >= 1e-12
-    coef = np.zeros_like(s)
-    coef[big] = areas[big] * (dgds[big] - nu[big]) / (s[big] * s[big])
+    coef = np.divide(areas * (dgds - nu), s * s, out=np.zeros_like(s),
+                     where=s >= 1e-12)
     iso = nu * areas
     weights = np.column_stack([iso + coef * g[:, 0] * g[:, 0],
                                iso + coef * g[:, 1] * g[:, 1],
                                coef * g[:, 0] * g[:, 1]])
-    local = np.einsum("ek,ekj->ej", weights, mesh.tangent_basis)
-    return mesh.assemble_matrix(local.reshape(-1, 3, 3))
+    return mesh.on_pattern(mesh.slot_operator @ weights.ravel())
 
 
 def magnetic_energy(mesh, model, a):

@@ -390,9 +390,9 @@ def test_experiment_battery_builds_once_and_reuses_its_trajectory(
     cfg = config.build_config(config.load_config_file(small_cfg))
     results = cli._experiment_battery(cfg, str(tmp_path))
     assert all(r.passed for r in results)
-    # the base solve, five balance-order step sizes, one partner per
-    # perturbation experiment
-    assert calls == {"build_system": 1, "solve": 9}
+    # the base solve, the four balance-order step sizes other than the
+    # base tau = 1/16, one partner per perturbation experiment
+    assert calls == {"build_system": 1, "solve": 8}
 
 
 def test_experiment_rejects_an_over_cap_balance_level_before_solving(

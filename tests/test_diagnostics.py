@@ -30,6 +30,26 @@ def test_balance_order_needs_three_levels(small_run):
         diagnostics.balance_order_study(cfg, ops, taus=(0.1, 0.05))
 
 
+def test_balance_order_study_reuses_the_trajectory_at_its_step_size(
+        monkeypatch):
+    cfg = system.MQSConfig(n=8)
+    assert cfg.tau in diagnostics.BALANCE_TAUS
+    ops = system.build_system(cfg)[0]
+    traj = system.solve(cfg, ops)
+    alone = diagnostics.balance_order_study(cfg, ops)
+    solves = []
+    real = system.solve
+
+    def counted(*args, **kwargs):
+        solves.append(args[0].tau)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(system, "solve", counted)
+    reused = diagnostics.balance_order_study(cfg, ops, traj=traj)
+    assert len(solves) == 4 and cfg.tau not in solves
+    assert reused == alone
+
+
 def test_invisible_perturbation_properties(small_run):
     """The constructed perturbation must vanish in the metric image."""
     _, ops, _ = small_run

@@ -1,5 +1,7 @@
 """Mesh construction and P1 assembly against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -283,6 +285,27 @@ def _add_at_vector(mesh, contrib):
     return out
 
 
+def _oracle_tangent_basis(grads):
+    """(M, 3, 9) products d_x phi_i d_x phi_j, d_y phi_i d_y phi_j and
+    d_x phi_i d_y phi_j + d_y phi_i d_x phi_j per element."""
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    return np.stack([np.einsum("ei,ej->eij", gx, gx),
+                     np.einsum("ei,ej->eij", gy, gy),
+                     np.einsum("ei,ej->eij", gx, gy)
+                     + np.einsum("ei,ej->eij", gy, gx)], axis=1).reshape(-1, 3, 9)
+
+
+def _assert_sums_agree(got, ref, magnitudes, m):
+    """``got`` and ``ref`` evaluate the same sums of at most m products in
+    two orders; ``magnitudes`` holds each sum of the products' absolute
+    values.  An order is within gamma_m = m u / (1 - m u) of the exact
+    sum, relative to its magnitude, with u the unit roundoff (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1),
+    so two orders are within twice that of each other."""
+    mu = m * np.finfo(float).eps / 2
+    assert np.all(np.abs(got - ref) <= 2.0 * mu / (1.0 - mu) * magnitudes)
+
+
 def _assert_same_csr(A, B):
     A, B = A.tocsr(), B.tocsr()
     A.sort_indices()
@@ -315,9 +338,12 @@ def test_dofmap_assembly_matches_coo_and_add_at_oracle():
     assert np.array_equal(fem._element_state(mesh, a)[0], g)
     nu, _ = fem._element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
     flux = (nu * areas)[:, None] * g
-    assert np.array_equal(
+    # K = G^T f sums the products flux_k d_k phi_i in its own order
+    _assert_sums_agree(
         fem.curlcurl_residual(mesh, model, a),
         _add_at_vector(mesh, np.einsum("ek,eik->ei", flux, grads)),
+        _add_at_vector(mesh, np.einsum("ek,eik->ei", abs(flux), abs(grads))),
+        2 * np.bincount(mesh.vector_slots)[:-1].max(),
     )
 
     def f(x, y):
@@ -362,6 +388,82 @@ def test_dofmap_tangent_matches_coo_oracle():
     assert np.allclose(J.toarray(), ref.toarray(), rtol=1e-14, atol=0.0)
 
 
+def _tabulated_rational():
+    knots = np.linspace(0.0, 20.0, 201)
+    nu, _ = material.model_eval(material.rational_saturation_model(1.0, 5.0),
+                                "*", knots)
+    return material.tabulated_model(np.column_stack([knots, nu]))
+
+
+@pytest.mark.parametrize("conductor", [DISK, (0.5, 0.5, 0.0)])
+@pytest.mark.parametrize("make_model", [
+    lambda: material.constant_model(3.0),
+    lambda: material.rational_saturation_model(1.0, 5.0),
+    _tabulated_rational,
+], ids=["constant", "rational", "tabulated"])
+def test_residual_and_tangent_operators_match_the_einsum_oracle(
+        conductor, make_model):
+    """G^T f and S w against the element arrays they replace, scattered by
+    bincount, within the bound on two summation orders."""
+    mesh = fem.build_mesh(8, conductor)
+    model = make_model()
+    a = 0.3 * np.random.default_rng(11).standard_normal(mesh.n_dofs)
+    a[: mesh.n_dofs // 2] = 0.0  # elements with s = 0, the isotropic limit
+    areas, grads = fem._geometry(mesh)
+    g, s = fem._element_state(mesh, a)
+    assert np.any(s == 0.0) and np.any(s > 0.0)
+    nu, dgds = fem._element_nu(mesh, model, s)
+    dof_terms = 2 * np.bincount(mesh.vector_slots)[:-1].max()
+    slot_terms = 3 * np.bincount(mesh.matrix_slots)[:-1].max()
+
+    flux = (nu * areas)[:, None] * g
+    _assert_sums_agree(
+        fem.curlcurl_residual(mesh, model, a),
+        mesh.assemble_vector(np.einsum("ek,eik->ei", flux, grads)),
+        mesh.assemble_vector(np.einsum("ek,eik->ei", abs(flux), abs(grads))),
+        dof_terms)
+
+    big = s >= 1e-12
+    coef = np.zeros_like(s)
+    coef[big] = areas[big] * (dgds[big] - nu[big]) / (s[big] * s[big])
+    iso = nu * areas
+    weights = np.column_stack([iso + coef * g[:, 0] * g[:, 0],
+                               iso + coef * g[:, 1] * g[:, 1],
+                               coef * g[:, 0] * g[:, 1]])
+    basis = _oracle_tangent_basis(grads)
+
+    def oracle(w, b):
+        return mesh.assemble_matrix(
+            np.einsum("ek,ekj->ej", w, b).reshape(-1, 3, 3)).data
+
+    J = fem.curlcurl_jacobian(mesh, model, a)
+    _assert_sums_agree(J.data, oracle(weights, basis),
+                       oracle(abs(weights), abs(basis)), slot_terms)
+
+    # the unit stiffness is S (area, area, 0): over n elements, either path
+    # rounds each term at most 3 n times, so the same bound holds
+    iso = np.column_stack([areas, areas, np.zeros_like(areas)])
+    _assert_sums_agree(mesh.slot_operator @ iso.ravel(),
+                       fem.assemble_stiffness(mesh).data,
+                       oracle(iso, abs(basis)), slot_terms)
+
+
+def test_slot_operator_build_peaks_near_twice_its_size():
+    """S is built as S^T and converted once, with the products freed
+    first; a COO or transposing build peaks higher."""
+    mesh = fem.build_mesh(64, DISK)
+    mesh.matrix_slots
+    tracemalloc.start()
+    try:
+        S = mesh.slot_operator
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert S.shape == (mesh.pattern.nnz, 3 * mesh.n_elements)
+    assert np.all(S.data != 0.0)
+    assert peak <= 2.5 * (S.data.nbytes + S.indices.nbytes + S.indptr.nbytes)
+
+
 def test_geometry_computed_once_per_mesh(monkeypatch):
     calls = []
     real = fem._geometry
@@ -396,6 +498,15 @@ def test_element_operators_built_once_per_mesh(monkeypatch):
         return real(mesh, blocks, elements)
 
     monkeypatch.setattr(fem.Mesh2D, "element_operator", counted)
+    built = {"gradient_transpose": [], "slot_operator": []}
+    for name, meshes in built.items():
+        prop = fem.Mesh2D.__dict__[name]
+
+        def counted_build(mesh, meshes=meshes, build=prop.func):
+            meshes.append(mesh)
+            return build(mesh)
+
+        monkeypatch.setattr(prop, "func", counted_build)
     mesh = fem.build_mesh(8, DISK)
     model = material.rational_saturation_model(1.0, 5.0)
     rng = np.random.default_rng(7)
@@ -405,14 +516,19 @@ def test_element_operators_built_once_per_mesh(monkeypatch):
         fem.curlcurl_jacobian(mesh, model, a)
         fem.magnetic_energy(mesh, model, a)
     assert len(calls) == 1 and calls[0] is mesh
+    assert all(meshes == [mesh] for meshes in built.values())
 
     # a second mesh builds its own, with the same values
     other = fem.build_mesh(8, DISK)
     a = rng.standard_normal(mesh.n_dofs)
     assert np.array_equal(fem.curlcurl_residual(other, model, a),
                           fem.curlcurl_residual(mesh, model, a))
+    assert np.array_equal(fem.curlcurl_jacobian(other, model, a).data,
+                          fem.curlcurl_jacobian(mesh, model, a).data)
     assert len(calls) == 2 and calls[1] is other
+    assert all(meshes == [mesh, other] for meshes in built.values())
     assert other.gradient_operator is not mesh.gradient_operator
+    assert other.slot_operator is not mesh.slot_operator
     assert len(calls) == 2
 
 
