@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import config as config_mod
-from . import diagnostics, material, system
+from . import diagnostics, system
 from .errors import MqsflowError, ValidationFailure
 
 log = logging.getLogger("mqsflow")
@@ -110,22 +110,15 @@ def _weak_residuals(cfg, ops, traj):
 
 def _cmd_validate(args):
     cfg, _ = _load(args)
-    report = material.validate_assumptions(cfg.model, cfg.sigma_C, cfg.R)
-    if report.passed:
-        try:  # what every other command checks before solving
-            system.build_system(cfg)
-        except MqsflowError as exc:
-            print(f"validation FAIL: {exc}")
-            return 1
-        print(
-            "validation PASS: "
-            f"m_hat={report.material.m_hat:.6g}, "
-            f"L_hat={report.material.L_hat:.6g}"
-        )
-        return 0
-    for reason in report.reasons:
-        print(f"validation FAIL: {reason}")
-    return 1
+    try:  # what every other command checks before solving
+        ops = system.build_system(cfg)[0]
+    except MqsflowError as exc:
+        reasons = exc.reasons if isinstance(exc, ValidationFailure) else [exc]
+        for reason in reasons:
+            print(f"validation FAIL: {reason}")
+        return 1
+    print(f"validation PASS: m_hat={ops.m_hat:.6g}, L_hat={ops.L_hat:.6g}")
+    return 0
 
 
 def _cmd_constants(args):

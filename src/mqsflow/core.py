@@ -172,6 +172,23 @@ def _csc_keys(A, n_rows):
     return cols * n_rows + A.indices
 
 
+def _csc_pattern(keys, n):
+    """The n x n pattern P of the keys col * n + row, and the slot of each
+    key in ``P.data``.
+
+    P is a canonical CSC with int32 indices and zero data: a canonical CSC
+    stores its entries in the order of their sorted keys, so one sort finds
+    both.  The key n * n stands for a left-out entry; it gets slot P.nnz.
+    """
+    keys, slots = np.unique(keys, return_inverse=True)
+    if keys.size and keys[-1] == n * n:
+        keys = keys[:-1]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return sp.csc_matrix((np.zeros(keys.size), (keys % n).astype(np.int32),
+                          indptr), shape=(n, n)), slots
+
+
 @dataclass
 class EllipticFunctional:
     """Convex functional with value, Gateaux derivative and tangent.
@@ -242,7 +259,9 @@ class NewtonSystem:
     first H on a pattern fills K on the union of its and C's patterns and
     factors it with SuperLU's symmetric MMD_AT_PLUS_A ordering; right then
     A = P^T K P by that factor's ``perm_c`` is kept, with the slots of H's
-    and C's entries in it, the permutation and its inverse.  Every later H
+    and C's entries in it, the permutation and its inverse.  Both patterns
+    and their slots come from ``_csc_pattern`` of H's and C's keys, the
+    second time moved by the permutation.  Every later H
     on that pattern fills A, which is factored in natural order (the same
     pivots without the ordering's cost), with the right-hand side gathered
     in and the solution back as one vector each.
@@ -288,19 +307,18 @@ class NewtonSystem:
         kept = self._pattern
         if kept is None or not (np.array_equal(H.indptr, kept[0])
                                 and np.array_equal(H.indices, kept[1])):
-            both = [_csc_keys(H, N), _csc_keys(C, N)]
-            keys = np.union1d(*both)
-            h_slots, c_slots = (np.searchsorted(keys, k) for k in both)
-            K = _csc_at(keys, N)
-            K.data[h_slots] = H.data
-            K.data[c_slots] += C.data
+            keys = np.concatenate([_csc_keys(H, N), _csc_keys(C, N)])
+            K, slots = _csc_pattern(keys, N)
+            K.data[slots[:H.nnz]] = H.data
+            K.data[slots[H.nnz:]] += C.data
             self._pattern = self._lagged = None
             lu = self._factor(K, "MMD_AT_PLUS_A")
             x, perm = lu.solve(b)[:n], lu.perm_c.astype(np.int64)
             del lu, K  # A is built while no factor is alive (peak RSS)
-            self._pattern = (H.indptr.copy(), H.indices.copy(),
-                             *_symmetric_permutation(perm, keys, h_slots,
-                                                     c_slots))
+            A, lands = _symmetric_permutation(perm, keys)
+            self._pattern = (H.indptr.copy(), H.indices.copy(), A,
+                             lands[:H.nnz], lands[H.nnz:], perm,
+                             np.argsort(perm))
             return x
         A, h_slots, c_slots, perm, inverse = kept[2:]
         A.data[:] = 0.0
@@ -365,22 +383,12 @@ class NewtonSystem:
         return None
 
 
-def _csc_at(keys, n):
-    """The n x n CSC matrix, data zero, with entries at the unique keys
-    col * n + row, stored in the order of the sorted keys."""
-    return sp.csc_matrix((np.zeros(keys.size), (keys % n, keys // n)),
-                         shape=(n, n))
-
-
-def _symmetric_permutation(perm, keys, h_slots, c_slots):
-    """P^T S P, which moves entry (i, j) of the pattern S at ``keys`` to
-    (perm[i], perm[j]): the matrix, where S's data positions ``h_slots``
-    and ``c_slots`` land in it, perm and its inverse."""
+def _symmetric_permutation(perm, keys):
+    """P^T S P, which moves entry (i, j) of the pattern S of ``keys`` to
+    (perm[i], perm[j]): the pattern, data zero, and the slot each key
+    lands in (``_csc_pattern`` of the moved keys)."""
     n = perm.size
-    moved = perm[keys // n] * n + perm[keys % n]
-    lands = np.argsort(np.argsort(moved))
-    return (_csc_at(moved, n), lands[h_slots], lands[c_slots], perm,
-            np.argsort(perm))
+    return _csc_pattern(perm[keys // n] * n + perm[keys % n], n)
 
 
 def _solve_newton_system(H, rhs, newton_system=None, tol=None):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .core import _csc_keys
+from .core import _csc_pattern
 from .errors import (
     EigenSolveFailure, GeometryError, ValidationFailure,
     WindingOverlapsConductor, check_finite,
@@ -39,12 +39,14 @@ class Mesh2D:
     operators, built once per mesh without boundary entries, serve the
     field: ``element_operator`` builds the gradient G and the metric
     factor E_1 of the conducting mass, the residual K is G^T f, and the
-    tangent's data is ``slot_operator`` times three weights per element.
-    The scatters ``assemble_vector`` and ``assemble_matrix`` serve the
-    mass, stiffness, load and coupling; local entries at boundary vertices
-    land in one extra slot past the end, which is dropped.  Every assembled
-    matrix is CSC on the one P1 pattern, the format SuperLU and ARPACK
-    factor.
+    tangent's data is ``slot_operator`` times three weights per element;
+    both take their element rows from ``_block_rows``.  The scatters
+    ``assemble_vector`` and ``assemble_matrix`` serve the mass, stiffness,
+    load and coupling; local entries at boundary vertices land in one extra
+    bin, which is dropped.  The P1 pattern and the slot of each local
+    matrix entry in it come from one sort of the entries' keys
+    (``core._csc_pattern``).  Every assembled matrix is CSC on that
+    pattern, the format SuperLU and ARPACK factor.
     """
 
     vertices: np.ndarray      # (n_vertices, 2)
@@ -81,34 +83,26 @@ class Mesh2D:
         return self.vertex_to_dof[self.triangles]
 
     @cached_property
-    def vector_slots(self):
-        """(3 M,) int32 slot of each local entry, local vertex-major."""
-        gdofs = self.element_dofs
-        return np.where(gdofs >= 0, gdofs, self.n_dofs).ravel(
-            order="F").astype(np.int32)
-
-    def _local_pairs(self):
-        """(rows, cols, keep) of the 9 M local matrix entries, element-major."""
-        gdofs = self.element_dofs
+    def _p1_pattern(self):
+        """``_csc_pattern`` of the 9 M local matrix entries, element-major;
+        an entry at a boundary vertex is left out."""
+        gdofs, n = self.element_dofs, self.n_dofs
         rows = np.repeat(gdofs, 3, axis=1).ravel()
         cols = np.tile(gdofs, (1, 3)).ravel()
-        return rows, cols, (rows >= 0) & (cols >= 0)
+        keys = np.where((rows >= 0) & (cols >= 0), cols * n + rows, n * n)
+        P, slots = _csc_pattern(keys, n)
+        return P, slots.astype(np.int32)
 
-    @cached_property
+    @property
     def pattern(self):
-        """P1 sparsity pattern, CSC with int32 indices."""
-        rows, cols, keep = self._local_pairs()
-        return sp.csc_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
-                             shape=(self.n_dofs, self.n_dofs))
+        """P1 sparsity pattern, canonical CSC with int32 indices."""
+        return self._p1_pattern[0]
 
-    @cached_property
+    @property
     def matrix_slots(self):
-        """(9 M,) int32 slot of each local entry in ``pattern.data``."""
-        rows, cols, keep = self._local_pairs()
-        # a canonical CSC lists its (col, row) keys in sorted order
-        slots = np.searchsorted(_csc_keys(self.pattern, self.n_dofs),
-                                cols * self.n_dofs + rows)
-        return np.where(keep, slots, self.pattern.nnz).astype(np.int32)
+        """(9 M,) int32 slot of each local entry in ``pattern.data``,
+        ``pattern.nnz`` at a boundary vertex."""
+        return self._p1_pattern[1]
 
     @cached_property
     def gradient_operator(self):
@@ -136,10 +130,10 @@ class Mesh2D:
         phi_j + d_y phi_i d_x phi_j (k = 0, 1, 2) at the slot of each local
         entry (i, j) of element e.
 
-        Built as S^T, whose row 3 e + k is B_k(e), with boundary entries
-        and exact zeros dropped as ``element_operator`` drops them, and
-        converted once.  The products are freed before the conversion, so
-        the build peaks near twice S's bytes.
+        Built by ``_block_rows`` as S^T, whose row 3 e + k is B_k(e) with
+        boundary entries and exact zeros dropped, and converted once.  The
+        products are freed before the conversion, so the build peaks near
+        twice S's bytes.
         """
         _, grads = self.geometry
         basis = np.empty((self.n_elements, 3, 3, 3))
@@ -148,16 +142,9 @@ class Mesh2D:
                         out=basis[:, k])
         # numpy buffers the overlapping transposed operand
         basis[:, 2] += basis[:, 2].transpose(0, 2, 1)
-        basis = basis.reshape(-1, 3, 9)
-        nnz = self.pattern.nnz
-        slots = self.matrix_slots.reshape(-1, 1, 9)
-        keep = (basis != 0.0) & (slots < nnz)
-        indptr = np.zeros(keep.shape[0] * 3 + 1, dtype=slots.dtype)
-        np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
-        St = sp.csr_matrix(
-            (basis[keep], np.broadcast_to(slots, keep.shape)[keep], indptr),
-            shape=(indptr.size - 1, nnz))
-        del basis, keep
+        St = _block_rows(basis.reshape(-1, 3, 9),
+                         self.matrix_slots.reshape(-1, 1, 9), self.pattern.nnz)
+        del basis
         return St.T.tocsr()
 
     @cached_property
@@ -181,17 +168,14 @@ class Mesh2D:
         """
         dofs = self.element_dofs
         dofs = dofs if elements is None else dofs[elements]
-        cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
-        keep = (cols >= 0) & (blocks != 0.0)
-        indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=np.int64)
-        np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
-        return sp.csr_matrix((blocks[keep], cols[keep], indptr),
-                             shape=(indptr.size - 1, self.n_dofs))
+        return _block_rows(blocks, dofs[:, None, :], self.n_dofs)
 
     def assemble_vector(self, local):
         """Global vector from element contributions ``local`` (M, 3)."""
-        return np.bincount(self.vector_slots, weights=local.ravel(order="F"),
-                           minlength=self.n_dofs + 1)[:-1]
+        # boundary dofs, -1, land in bin 0, which is dropped
+        return np.bincount(self.element_dofs.ravel(order="F") + 1,
+                           weights=local.ravel(order="F"),
+                           minlength=self.n_dofs + 1)[1:]
 
     def assemble_matrix(self, local):
         """CSC matrix on the P1 pattern from element blocks ``local`` (M, 3, 3)."""
@@ -206,6 +190,20 @@ class Mesh2D:
             (data, self.pattern.indices.copy(), self.pattern.indptr.copy()),
             shape=self.pattern.shape,
         )
+
+
+def _block_rows(blocks, cols, n_cols):
+    """CSR with n_cols columns from ``blocks`` (R, r, b): row r q + i holds
+    blocks[q, i, j] at column cols[q, i, j], in order of j, with ``cols``
+    broadcast to blocks' shape.  Columns outside [0, n_cols) and exact
+    zeros are dropped."""
+    # the column test on cols' own shape, before broadcasting (build peak)
+    keep = ((cols >= 0) & (cols < n_cols)) & (blocks != 0.0)
+    indptr = np.zeros(keep.shape[0] * keep.shape[1] + 1, dtype=cols.dtype)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix(
+        (blocks[keep], np.broadcast_to(cols, keep.shape)[keep], indptr),
+        shape=(indptr.size - 1, n_cols))
 
 
 @dataclass(frozen=True)
@@ -313,11 +311,10 @@ def _check_mesh(mesh):
         raise GeometryError("conducting region touches the outer boundary")
     # conducting elements are linked through the edges they share
     ends = np.sort(c_tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    _, edge = np.unique(ends[:, 0] * mesh.n_vertices + ends[:, 1],
-                        return_inverse=True)
-    incidence = sp.csr_matrix(
-        (np.ones(edge.size), (np.arange(edge.size) // 3, edge.ravel()))
-    )
+    edges, edge = np.unique(ends[:, 0] * mesh.n_vertices + ends[:, 1],
+                            return_inverse=True)
+    incidence = _block_rows(np.ones((c_elems.size, 1, 3)),
+                            edge.reshape(-1, 1, 3), edges.size)
     n_parts, _ = connected_components(incidence @ incidence.T, directed=False)
     if n_parts > 1:
         raise GeometryError("conducting region is not edge-connected")

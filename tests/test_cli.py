@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from mqsflow import cli, config, fem
+from mqsflow import cli, config, fem, material
 from mqsflow.errors import ConfigError, EigenSolveFailure
 
 SMALL = """
@@ -154,6 +154,26 @@ def test_cli_validate_pass_and_fail(tmp_path, small_cfg, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "positive definite" in out
+
+
+@pytest.mark.parametrize("setting, code", [
+    ("mesh.n=8", 0), ("circuit.R=-1.0", 1), ("material.nu_max=9.001", 1),
+    ("mesh.n=3", 1),
+])
+def test_cli_validate_certifies_the_material_once(
+        small_cfg, monkeypatch, capsys, setting, code):
+    calls = []
+    real = material.validate_assumptions
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(material, "validate_assumptions", counted)
+    argv = ["validate", "--config", small_cfg, "--set", setting]
+    assert cli.dispatch(argv) == code
+    assert capsys.readouterr().out.startswith("validation ")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("setting, reason", [

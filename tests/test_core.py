@@ -427,6 +427,77 @@ def test_newton_system_adds_the_lead_gram_on_the_pattern_that_holds_it(
         "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "NATURAL"]
 
 
+def _coo_pattern(keys, n):
+    """Oracle of _csc_pattern: the pattern by COO and the slots by a search
+    in its sorted keys, with the key n * n left out at slot nnz."""
+    kept = keys < n * n
+    P = sp.csc_matrix((np.ones(kept.sum()), (keys[kept] % n, keys[kept] // n)),
+                      shape=(n, n))
+    return P, np.where(kept, np.searchsorted(core._csc_keys(P, n), keys),
+                       P.nnz)
+
+
+@pytest.mark.parametrize("keys", [
+    [5, 0, 5, 16, 3, 16, 15, 0, 9],  # duplicates and the left-out key
+    np.random.default_rng(23).integers(0, 17, 200),
+    [],
+    [16, 16, 16],
+], ids=["duplicates", "random", "empty", "all_left_out"])
+def test_csc_pattern_matches_the_coo_and_search_oracle(keys):
+    n = 4
+    keys = np.asarray(keys, dtype=np.int64)
+    P, slots = core._csc_pattern(keys, n)
+    want, want_slots = _coo_pattern(keys, n)
+    assert P.format == "csc" and P.shape == (n, n)
+    assert P.indices.dtype == np.int32 and P.has_canonical_format
+    assert np.array_equal(P.indptr, want.indptr)
+    assert np.array_equal(P.indices, want.indices)
+    assert not P.data.any()
+    assert np.array_equal(slots, want_slots)
+    assert np.all(slots[keys == n * n] == P.nnz)
+    if not np.any(keys < n * n):
+        assert P.nnz == 0 and np.all(slots == 0)
+
+
+def test_newton_system_patterns_match_the_union_and_rank_oracle(monkeypatch):
+    """K on the union of H's and C's keys, found by np.union1d and
+    searchsorted, and A = P^T K P with each entry at the rank
+    argsort(argsort) of its moved key."""
+    rng = np.random.default_rng(22)
+    E = core.LinearMapE(thin_map(rng), k=2)
+    H = sparse_spd(12, rng)
+    H.sum_duplicates()
+    stub = _RecordingSplu()
+    monkeypatch.setattr(core, "spla", stub)
+    newton = core.NewtonSystem(E, 0.1)
+    newton.solve(H, rng.standard_normal(12))
+    C = newton._block[1]
+    N = C.shape[0]
+    both = [core._csc_keys(H, N), core._csc_keys(C, N)]
+    keys = np.union1d(*both)
+    h_slots, c_slots = (np.searchsorted(keys, k) for k in both)
+    K = sp.csc_matrix((np.zeros(keys.size), (keys % N, keys // N)),
+                      shape=(N, N))
+    K.data[h_slots] = H.data
+    K.data[c_slots] += C.data
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(stub.matrices[0], name),
+                              getattr(K, name)), name
+
+    perm = stub.factors[0].perm_c.astype(np.int64)
+    moved = perm[keys // N] * N + perm[keys % N]
+    lands = np.argsort(np.argsort(moved))
+    A = sp.csc_matrix((np.zeros(keys.size), (moved % N, moved // N)),
+                      shape=(N, N))
+    got, h_lands, c_lands, got_perm, inverse = newton._pattern[2:]
+    assert np.array_equal(got.indptr, A.indptr)
+    assert np.array_equal(got.indices, A.indices)
+    assert np.array_equal(h_lands, lands[h_slots])
+    assert np.array_equal(c_lands, lands[c_slots])
+    assert np.array_equal(got_perm, perm)
+    assert np.array_equal(inverse, np.argsort(perm))
+
+
 def test_quasi_definite_direction_matches_factoring_the_full_matrix():
     rng = np.random.default_rng(22)
     E = core.LinearMapE(thin_map(rng), k=2)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mqsflow import fem, material
+from mqsflow import core, fem, material
 from mqsflow.errors import GeometryError, WindingOverlapsConductor
 
 DISK = (0.5, 0.5, 0.2)
@@ -285,6 +285,12 @@ def _add_at_vector(mesh, contrib):
     return out
 
 
+def _dof_entries(mesh):
+    """(n_dofs,) number of local element entries at each dof."""
+    dofs = mesh.element_dofs
+    return np.bincount(dofs[dofs >= 0], minlength=mesh.n_dofs)
+
+
 def _oracle_tangent_basis(grads):
     """(M, 3, 9) products d_x phi_i d_x phi_j, d_y phi_i d_y phi_j and
     d_x phi_i d_y phi_j + d_y phi_i d_x phi_j per element."""
@@ -343,7 +349,7 @@ def test_dofmap_assembly_matches_coo_and_add_at_oracle():
         fem.curlcurl_residual(mesh, model, a),
         _add_at_vector(mesh, np.einsum("ek,eik->ei", flux, grads)),
         _add_at_vector(mesh, np.einsum("ek,eik->ei", abs(flux), abs(grads))),
-        2 * np.bincount(mesh.vector_slots)[:-1].max(),
+        2 * _dof_entries(mesh).max(),
     )
 
     def f(x, y):
@@ -413,7 +419,7 @@ def test_residual_and_tangent_operators_match_the_einsum_oracle(
     g, s = fem._element_state(mesh, a)
     assert np.any(s == 0.0) and np.any(s > 0.0)
     nu, dgds = fem._element_nu(mesh, model, s)
-    dof_terms = 2 * np.bincount(mesh.vector_slots)[:-1].max()
+    dof_terms = 2 * _dof_entries(mesh).max()
     slot_terms = 3 * np.bincount(mesh.matrix_slots)[:-1].max()
 
     flux = (nu * areas)[:, None] * g
@@ -642,15 +648,41 @@ def test_check_mesh_conducting_region_branches():
         fem._check_mesh(_relabelled([_element_in_cell(0, 3)]))
 
 
+@pytest.mark.parametrize("make_mesh", [
+    lambda: fem.build_mesh(8, DISK),
+    lambda: fem.build_mesh(8, None),
+    lambda: _relabelled([_element_in_cell(3, 3, 0), _element_in_cell(3, 3, 1)]),
+], ids=["conductor", "no_conductor", "hand_built"])
+def test_pattern_and_slots_match_the_coo_and_search_oracle(make_mesh):
+    """The P1 pattern by COO over the local entries, the slots by a search
+    in its sorted keys, boundary entries at slot nnz."""
+    mesh = make_mesh()
+    n, gdofs = mesh.n_dofs, mesh.element_dofs
+    rows = np.repeat(gdofs, 3, axis=1).ravel()
+    cols = np.tile(gdofs, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    want = sp.csc_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])),
+                         shape=(n, n))
+    slots = np.searchsorted(core._csc_keys(want, n), cols * n + rows)
+    slots = np.where(keep, slots, want.nnz)
+    assert mesh.pattern.format == "csc"
+    assert mesh.pattern.indices.dtype == np.int32
+    assert np.array_equal(mesh.pattern.indptr, want.indptr)
+    assert np.array_equal(mesh.pattern.indices, want.indices)
+    assert mesh.matrix_slots.dtype == np.int32
+    assert np.array_equal(mesh.matrix_slots, slots)
+
+
 def test_hand_built_mesh_derives_the_dofs_of_build_mesh():
     base = fem.build_mesh(8, None)
     hand = _relabelled([_element_in_cell(3, 3, 0), _element_in_cell(3, 3, 1)])
-    assert "vector_slots" not in hand.__dict__
+    assert "element_dofs" not in hand.__dict__
     for name in ("vertex_to_dof", "dof_to_vertex", "element_dofs",
-                 "vector_slots", "matrix_slots"):
+                 "matrix_slots"):
         got, want = getattr(hand, name), getattr(base, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert hand.vector_slots.dtype == np.int32
+    assert np.array_equal(_dof_entries(hand), _dof_entries(base))
+    assert hand.matrix_slots.dtype == np.int32
     _assert_same_csr(hand.pattern, base.pattern)
     assert hand.pattern.indices.dtype == np.int32
     _assert_same_csr(fem.assemble_stiffness(hand), fem.assemble_stiffness(base))

@@ -725,6 +725,29 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
     assert bordered < full.nnz
 
 
+def test_a_solve_sorts_each_sparse_pattern_once(monkeypatch):
+    """One solve at n = 16 finds its mesh's pattern with one _csc_pattern
+    call and each Newton pattern with two, K's and its permutation A's."""
+    calls, specs = [], []
+    real_pattern, real_splu = core._csc_pattern, core.spla.splu
+    for module in (core, fem):
+        def counted(keys, n, name=module.__name__):
+            calls.append(name)
+            return real_pattern(keys, n)
+
+        monkeypatch.setattr(module, "_csc_pattern", counted)
+
+    class Spla:
+        def splu(self, A, **kwargs):
+            specs.append(kwargs.get("permc_spec"))
+            return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(core, "spla", Spla())
+    system.solve(system.MQSConfig(n=16))
+    assert specs.count("MMD_AT_PLUS_A") == 1
+    assert calls == ["mqsflow.fem", "mqsflow.core", "mqsflow.core"]
+
+
 def test_a_solve_orders_the_newton_pattern_once(monkeypatch):
     """The first factor of a solve runs the MMD ordering and every later
     one factors in natural order, one factor per Newton system, within
