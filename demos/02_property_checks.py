@@ -12,7 +12,7 @@ Run:  python3 demos/02_property_checks.py
 import numpy as np
 
 from mqsflow import MQSConfig, build_system, monotonicity_probe
-from mqsflow.system import coercivity_bound_check
+from mqsflow.diagnostics import coercivity_bound_check
 
 cfg = MQSConfig(n=32)
 ops = build_system(cfg)[0]
@@ -21,8 +21,8 @@ rng = np.random.default_rng(0)
 
 # 1. strong monotonicity of the nonlinear form
 mono = monotonicity_probe(ops, n_pairs=200, seed=0)
-print(f"monotonicity: min ratio {mono.min_ratio:.4f} over "
-      f"{mono.n_checked} random pairs (>= 1 required)")
+print(f"monotonicity: min ratio {mono.measured['min_ratio']:.4f} over "
+      f"{mono.measured['n_checked']} random pairs (>= 1 required)")
 
 # 2. two-sided energy bound relative to the linear stiffness form
 worst_low, worst_high = np.inf, np.inf
@@ -47,5 +47,5 @@ print(f"gateaux check: finite-difference relative error "
 
 # 4. coercivity of the shifted energy with the certified constant
 out = coercivity_bound_check(ops, n_samples=100, seed=0)
-print(f"coercivity: c = {out['c']:.4f}, sampled minimum slack "
-      f"{out['min_slack']:.3e} (>= 0 required)")
+print(f"coercivity: c = {out.measured['c']:.4f}, sampled minimum slack "
+      f"{out.measured['min_slack']:.3e} (>= 0 required)")

@@ -6,7 +6,7 @@ exact up to one quadratic remainder per step), and the manufactured
 linear problem in both step size (order 1, implicit Euler) and mesh
 width (order 1 in the energy norm, piecewise-linear elements).
 
-Run:  python3 demos/03_convergence.py   (takes ~1 minute)
+Run:  python3 demos/03_convergence.py   (about 2.5 s on a 2-core Xeon)
 """
 
 from mqsflow import MQSConfig, build_system, convergence_study

@@ -16,6 +16,7 @@ from .core import (
 from .diagnostics import (
     ExperimentResult,
     convergence_study,
+    monotonicity_probe,
     perturbation_experiments,
     write_field_vtk,
     write_timeseries_csv,
@@ -38,7 +39,6 @@ from .system import (
     VoltageSignal,
     build_system,
     check_weak_solution,
-    monotonicity_probe,
     schur_step,
     solve,
 )

@@ -112,9 +112,8 @@ def _cmd_validate(args):
     cfg, _ = _load(args)
     try:  # what every other command checks before solving
         ops = system.build_system(cfg)[0]
-    except MqsflowError as exc:
-        reasons = exc.reasons if isinstance(exc, ValidationFailure) else [exc]
-        for reason in reasons:
+    except ValidationFailure as exc:
+        for reason in exc.reasons:
             print(f"validation FAIL: {reason}")
         return 1
     print(f"validation PASS: m_hat={ops.m_hat:.6g}, L_hat={ops.L_hat:.6g}")
@@ -146,23 +145,12 @@ def _experiment_battery(cfg, out_dir):
     diagnostics.balance_order_levels(cfg)
     ops = system.build_system(cfg)[0]
     traj = system.solve(cfg, ops)
-    results = [_weak_residuals(cfg, ops, traj)[0]]
-
-    mono = system.monotonicity_probe(ops, n_pairs=200, seed=cfg.seed)
-    results.append(diagnostics.ExperimentResult(
-        name="monotonicity",
-        passed=mono.passed,
-        measured={"min_ratio": mono.min_ratio, "n_checked": mono.n_checked},
-    ))
-
-    coer = system.coercivity_bound_check(ops, seed=cfg.seed)
-    results.append(diagnostics.ExperimentResult(
-        name="coercivity_bound",
-        passed=bool(coer["passed"]),
-        measured={"c": coer["c"], "min_slack": coer["min_slack"]},
-    ))
-
-    results.append(diagnostics.balance_order_study(cfg, ops, traj=traj))
+    results = [
+        _weak_residuals(cfg, ops, traj)[0],
+        diagnostics.monotonicity_probe(ops, n_pairs=200, seed=cfg.seed),
+        diagnostics.coercivity_bound_check(ops, seed=cfg.seed),
+        diagnostics.balance_order_study(cfg, ops, traj=traj),
+    ]
     for kind in ("uniqueness", "initializability"):
         results.append(
             diagnostics.perturbation_experiments(cfg, ops, traj, kind))

@@ -83,13 +83,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
 
 from .errors import (
-    InfeasibleLevelSet,
-    NonConvergence,
-    OracleLimitExceeded,
-    SingularStep,
-    StepFailure,
-    ValidationFailure,
-    check_choice,
+    NonConvergence, SingularStep, StepFailure, ValidationFailure, check_choice,
     check_finite,
 )
 
@@ -644,14 +638,14 @@ def eval_phi_E(phi, E, z, *, max_iter=100):
     Newton iterations do not reach the tolerance.
     """
     if E.dim_X > ORACLE_DIM_LIMIT:
-        raise OracleLimitExceeded(
+        raise ValidationFailure(
             f"dim_X = {E.dim_X} exceeds oracle limit {ORACLE_DIM_LIMIT}"
         )
     A = E.matrix.toarray() if sp.issparse(E.matrix) else E.matrix
     z = np.asarray(z, dtype=float)
     x_p, *_ = np.linalg.lstsq(A, z, rcond=None)
     if np.linalg.norm(A @ x_p - z) > 1e-10 * (1.0 + np.linalg.norm(z)):
-        raise InfeasibleLevelSet("z is not in the range of E within tolerance")
+        raise ValidationFailure("z is not in the range of E within tolerance")
     N = null_space(A)
     if N.shape[1] == 0:
         return {"value": float(phi.eval(x_p)), "argmin": x_p}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, material, system
-from .errors import InsufficientLevels, check_choice
+from .errors import ValidationFailure, check_choice
 
 
 @dataclass
@@ -51,7 +51,7 @@ def balance_order_levels(config, taus=BALANCE_TAUS):
     """The balance order study's configs, one per step size, each checked
     on construction."""
     if len(taus) < 3:
-        raise InsufficientLevels("balance order study needs >= 3 step sizes")
+        raise ValidationFailure("balance order study needs >= 3 step sizes")
     return [replace(config, tau=tau) for tau in taus]
 
 
@@ -75,6 +75,51 @@ def balance_order_study(config, ops, taus=BALANCE_TAUS, traj=None):
             "observed_order": order,
             **{f"max_abs_delta_{k}": m for k, m in enumerate(maxima)},
         },
+    )
+
+
+def monotonicity_probe(ops, n_pairs=200, seed=42, scale=1.0):
+    """Sampled strong-monotonicity ratio of the nonlinear curl-curl form.
+
+    ratio = <a-b, K(a)-K(b)> / (m_hat (a-b)^T K_lin (a-b)) over random
+    coefficient pairs; values >= 1 certify the discrete monotonicity bound.
+    A pair with a zero denominator is skipped: it is not counted in
+    ``n_checked``, and with none checked ``min_ratio`` is inf.
+    """
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(n_pairs):
+        a = scale * rng.standard_normal(ops.n_dofs)
+        b = scale * rng.standard_normal(ops.n_dofs)
+        d = a - b
+        denom = ops.m_hat * float(d @ (ops.stiffness @ d))
+        if denom <= 0:
+            continue
+        ratios.append(float(d @ (ops.K(a) - ops.K(b))) / denom)
+    min_ratio = float(min(ratios)) if ratios else np.inf
+    return ExperimentResult(
+        name="monotonicity",
+        passed=min_ratio >= 1.0 - 1e-10,
+        measured={"min_ratio": min_ratio, "n_checked": len(ratios)},
+    )
+
+
+def coercivity_bound_check(ops, n_samples=100, seed=0):
+    """Sampled check of Phi(a) + ||E a||^2 / 2 >= c ||a||^2_{L^2} with the
+    certified c = ``ops.coercivity_constant`` (omega = 1)."""
+    rng = np.random.default_rng(seed)
+    c = ops.coercivity_constant
+    worst = np.inf
+    for _ in range(n_samples):
+        a = rng.standard_normal(ops.n_dofs)
+        Ea = ops.E.apply(a)
+        lhs = ops.energy(a) + 0.5 * float(Ea @ Ea)
+        rhs = c * float(a @ (ops.mass @ a))
+        worst = min(worst, lhs - rhs)
+    return ExperimentResult(
+        name="coercivity_bound",
+        passed=bool(worst >= -1e-10),
+        measured={"c": c, "min_slack": float(worst)},
     )
 
 
@@ -223,7 +268,7 @@ def convergence_study(config, levels, refine):
     Every level is configured, and so checked, before the first solve.
     """
     if levels < 3:
-        raise InsufficientLevels(
+        raise ValidationFailure(
             f"convergence study needs >= 3 levels, got {levels}"
         )
     check_choice("refinement kind", refine, ("tau", "h", "both"))

@@ -29,36 +29,13 @@ class SingularStep(StepFailure):
     """The Newton linear system was not solvable (loss of coercivity)."""
 
 
-class InfeasibleLevelSet(MqsflowError):
-    """Target point is not in the range of the metric map."""
-
-
-class OracleLimitExceeded(MqsflowError):
-    """Problem dimension above the configured oracle limit."""
-
-
-class NegativeFieldMagnitude(MqsflowError):
-    """Field magnitude argument must be nonnegative."""
-
-
-class NegativeArgument(MqsflowError):
-    """Energy-density argument must be nonnegative."""
-
-
-class GeometryError(MqsflowError):
-    """Invalid geometry (conductor touching the boundary, clearance, ...)."""
-
-
-class WindingOverlapsConductor(MqsflowError):
-    """Winding support intersects the conducting subdomain."""
-
-
 class EigenSolveFailure(MqsflowError):
     """Generalized eigenvalue solve did not converge."""
 
 
 class ValidationFailure(MqsflowError, ValueError):
-    """A model or configuration assumption check failed (a bad value)."""
+    """Bad input: a value, geometry, model or study setting the package
+    rejects.  ``reasons`` names every cause found."""
 
     def __init__(self, reasons):
         if isinstance(reasons, str):
@@ -102,10 +79,6 @@ def check_choice(what, value, choices):
     if value not in choices:
         raise ValidationFailure(
             f"{what} must be one of {', '.join(choices)}, got {value!r}")
-
-
-class InsufficientLevels(MqsflowError):
-    """A refinement study needs at least three levels."""
 
 
 class ConfigError(MqsflowError):

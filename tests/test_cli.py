@@ -1,12 +1,13 @@
 """Command-line interface and configuration parsing."""
 
 import dataclasses
+import gc
 import os
 
 import numpy as np
 import pytest
 
-from mqsflow import cli, config, fem, material
+from mqsflow import cli, config, core, fem, material, system
 from mqsflow.errors import ConfigError, EigenSolveFailure
 
 SMALL = """
@@ -655,3 +656,22 @@ def test_cli_names_the_input_when_a_solve_overflows(tmp_path, small_cfg,
                          str(tmp_path / "o"), *sets])
     assert code == 1
     assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_cli_operations_leave_no_solver_objects_alive(small_cfg, tmp_path):
+    """Back-to-back operations in one process (as perfbench runs them)
+    free their mesh, operators, Newton systems and trajectory on return."""
+    kinds = (fem.Mesh2D, system.MQSOperators, core.NewtonSystem,
+             core.LinearMapE, system.MQSTrajectory)
+
+    def alive():
+        gc.collect()
+        return [obj for obj in gc.get_objects() if isinstance(obj, kinds)]
+
+    before = alive()
+    for command in ("run", "experiment"):
+        cli.dispatch([command, "--config", small_cfg,
+                      "--out", str(tmp_path / command)])
+    left = [type(obj).__name__ for obj in alive()
+            if not any(obj is old for old in before)]
+    assert left == []

@@ -7,13 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mqsflow import core
-from mqsflow.errors import (
-    InfeasibleLevelSet,
-    NonConvergence,
-    OracleLimitExceeded,
-    SingularStep,
-    ValidationFailure,
-)
+from mqsflow.errors import NonConvergence, SingularStep, ValidationFailure
 
 
 def quadratic(Q, b=None):
@@ -245,7 +239,7 @@ def test_eval_phi_E_infeasible_target():
     A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     E = core.LinearMapE(np.vstack([A, A]))  # rank 2 map into R^4
     phi = quadratic(np.eye(3))
-    with pytest.raises(InfeasibleLevelSet):
+    with pytest.raises(ValidationFailure):
         core.eval_phi_E(phi, E, np.array([1.0, 0.0, 0.0, 1.0]))
 
 
@@ -253,7 +247,7 @@ def test_eval_phi_E_dimension_limit():
     n = 70
     phi = quadratic(np.eye(n))
     E = core.LinearMapE(np.eye(n))
-    with pytest.raises(OracleLimitExceeded):
+    with pytest.raises(ValidationFailure):
         core.eval_phi_E(phi, E, np.zeros(n))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mqsflow import diagnostics, fem, system
-from mqsflow.errors import InsufficientLevels, ValidationFailure
+from mqsflow.errors import ValidationFailure
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def test_observed_order_on_synthetic_sequence():
 
 def test_balance_order_needs_three_levels(small_run):
     cfg, ops, _ = small_run
-    with pytest.raises(InsufficientLevels):
+    with pytest.raises(ValidationFailure):
         diagnostics.balance_order_study(cfg, ops, taus=(0.1, 0.05))
 
 
@@ -105,7 +105,7 @@ def test_unknown_experiment_kind_rejected(small_run):
 
 def test_convergence_study_insufficient_levels():
     cfg = diagnostics.manufactured_config(n=8)
-    with pytest.raises(InsufficientLevels):
+    with pytest.raises(ValidationFailure):
         diagnostics.convergence_study(cfg, 2, "tau")
     with pytest.raises(ValueError):
         diagnostics.convergence_study(cfg, 3, "sideways")

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mqsflow import core, fem, material
-from mqsflow.errors import GeometryError, WindingOverlapsConductor
+from mqsflow.errors import ValidationFailure
 
 DISK = (0.5, 0.5, 0.2)
 
@@ -54,11 +54,11 @@ def test_conductor_labeling_area():
 
 
 def test_geometry_errors():
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValidationFailure):
         fem.build_mesh(2, DISK)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValidationFailure):
         fem.build_mesh(8, (0.5, 0.5, 0.49))  # violates boundary clearance
-    with pytest.raises(GeometryError):
+    with pytest.raises(ValidationFailure):
         fem.build_mesh(8, (0.5, 0.5, -0.1))
 
 
@@ -190,7 +190,7 @@ def test_zero_strength_winding_gives_zero_coupling():
 def test_winding_overlapping_conductor_rejected():
     winding = fem.WindingSpec(rectangles=(((0.4, 0.6, 0.4, 0.6, 1.0),),))
     mesh = fem.build_mesh(8, DISK)
-    with pytest.raises(WindingOverlapsConductor):
+    with pytest.raises(ValidationFailure):
         fem.assemble_coupling(mesh, winding)
 
 
@@ -639,12 +639,12 @@ def test_check_mesh_conducting_region_branches():
     shared = set(vertex_only.triangles[_element_in_cell(3, 3, 0)]) & set(
         vertex_only.triangles[_element_in_cell(4, 4, 0)])
     assert len(shared) == 1
-    with pytest.raises(GeometryError, match="edge-connected"):
+    with pytest.raises(ValidationFailure, match="edge-connected"):
         fem._check_mesh(vertex_only)
-    with pytest.raises(GeometryError, match="edge-connected"):
+    with pytest.raises(ValidationFailure, match="edge-connected"):
         fem._check_mesh(_relabelled([_element_in_cell(2, 2),
                                      _element_in_cell(5, 5)]))
-    with pytest.raises(GeometryError, match="boundary"):
+    with pytest.raises(ValidationFailure, match="boundary"):
         fem._check_mesh(_relabelled([_element_in_cell(0, 3)]))
 
 

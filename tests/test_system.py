@@ -593,31 +593,30 @@ def test_weak_solution_zero_trajectory(default_small):
 def test_monotonicity_constant_model_is_equality():
     cfg = system.MQSConfig(n=8, model=material.constant_model(2.0))
     ops, _, _ = system.build_system(cfg)
-    report = system.monotonicity_probe(ops, n_pairs=50, seed=0)
+    report = diagnostics.monotonicity_probe(ops, n_pairs=50, seed=0)
     # constant nu: <a-b, K(a)-K(b)> = nu (a-b)^T K_lin (a-b), m_hat = nu
-    assert report.min_ratio == pytest.approx(1.0, rel=1e-12)
+    assert report.measured["min_ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_monotonicity_probe_default(default_small):
     _, ops, _, _ = default_small
-    report = system.monotonicity_probe(ops, n_pairs=200, seed=42)
-    assert report.min_ratio >= 1.0 - 1e-10
-    assert report.n_checked == 200
+    report = diagnostics.monotonicity_probe(ops, n_pairs=200, seed=42)
+    assert report.measured["min_ratio"] >= 1.0 - 1e-10
+    assert report.measured["n_checked"] == 200
 
 
 def test_monotonicity_probe_counts_trivial_pairs(default_small):
     _, ops, _, _ = default_small
-    report = system.monotonicity_probe(ops, n_pairs=1, seed=0, scale=0.0)
-    assert report.n_checked == 0
-    assert report.n_trivial == 1
-    assert report.min_ratio == np.inf
+    report = diagnostics.monotonicity_probe(ops, n_pairs=1, seed=0, scale=0.0)
+    assert report.measured["n_checked"] == 0
+    assert report.measured["min_ratio"] == np.inf
 
 
 def test_coercivity_bound_sampled(default_small):
     _, ops, _, _ = default_small
-    out = system.coercivity_bound_check(ops, n_samples=100, seed=0)
-    assert out["passed"]
-    assert out["c"] == pytest.approx(
+    out = diagnostics.coercivity_bound_check(ops, n_samples=100, seed=0)
+    assert out.passed
+    assert out.measured["c"] == pytest.approx(
         min(ops.m_hat, ops.sigma_C) / (2 * ops.L_C)
     )
 
@@ -1094,10 +1093,11 @@ def test_huge_resistance_is_checked_without_overflow():
     report = material.validate_assumptions(
         material.constant_model(1.0), 1.0, np.array([[1e308]]))
     assert report.passed
-    report = material.validate_assumptions(
-        material.constant_model(1.0), 1.0,
-        np.array([[1e308, -1e308], [1e308, 1e308]]))
-    assert "resistance matrix R must be symmetric" in report.reasons
+    with pytest.raises(ValidationFailure) as info:
+        material.validate_assumptions(
+            material.constant_model(1.0), 1.0,
+            np.array([[1e308, -1e308], [1e308, 1e308]]))
+    assert "resistance matrix R must be symmetric" in info.value.reasons
 
 
 @pytest.mark.parametrize("field, value", [
