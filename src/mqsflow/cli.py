@@ -11,8 +11,10 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 validation or experiment
 failure, 2 usage error.  The only environment variable honored is
-MQS_LOG (error|info|debug); everything else comes from the config file
-and the repeatable `--set section.key=value` overrides.
+MQS_LOG (error|info|debug, case-insensitive; another value is an error),
+read on every dispatch; everything else comes from the config file and
+the repeatable `--set section.key=value` overrides.  A failed `run`
+makes no --out directory.
 """
 
 from __future__ import annotations
@@ -34,10 +36,22 @@ _LEVELS = {"error": logging.ERROR, "info": logging.INFO,
            "debug": logging.DEBUG}
 
 
+_handler = logging.StreamHandler()
+_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _setup_logging():
-    level = os.environ.get("MQS_LOG", "error").lower()
-    logging.basicConfig(level=_LEVELS.get(level, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Set the mqsflow logger's level from MQS_LOG, on every dispatch; a
+    value outside _LEVELS is one error line and SystemExit(1)."""
+    value = os.environ.get("MQS_LOG", "error")
+    if value.lower() not in _LEVELS:
+        print(f"error: MQS_LOG must be one of {', '.join(_LEVELS)}, "
+              f"got {value!r}", file=sys.stderr)
+        raise SystemExit(1)
+    log.setLevel(_LEVELS[value.lower()])
+    _handler.stream = sys.stderr  # this dispatch's stderr, as print's
+    if _handler not in log.handlers:
+        log.addHandler(_handler)
 
 
 def _parser():
@@ -68,10 +82,10 @@ def _load(args):
 def _cmd_run(args):
     cfg, entries = _load(args)
     base = config_mod.output_basename(entries)
-    os.makedirs(args.out, exist_ok=True)
     traj = system.solve(cfg)
     ops, _, _ = system.build_system(cfg)
     _check_run(cfg, ops, traj)
+    os.makedirs(args.out, exist_ok=True)  # only for a run that passed
     csv_path = os.path.join(args.out, f"{base}.csv")
     vtk_path = os.path.join(args.out, f"{base}.vtk")
     diagnostics.write_timeseries_csv(traj, csv_path)
@@ -198,8 +212,8 @@ _COMMANDS = {
 
 
 def dispatch(argv):
-    _setup_logging()
     try:
+        _setup_logging()
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

@@ -21,11 +21,13 @@ Recognized sections and keys (all optional; defaults in parentheses):
               or zero
 
 The parser only turns text into values.  It rejects unknown sections or
-keys with the offending line echoed, a value that does not parse with its
-key named, and a [material] key the chosen kind does not read.  Every
-other check (finite numbers, positive times, a whole number of steps,
-known kinds, channel counts, rectangle shapes, ...) is made by the
-library classes it builds, and reported in their wording.
+keys with the offending line echoed, a key set twice in one file with
+both lines named, a value that does not parse with its key named, and a
+[material] key the chosen kind does not read; repeated `--set` overrides
+replace values in order.  Every other check (finite numbers, positive
+times, a whole number of steps, known kinds, channel counts, rectangle
+shapes, ...) is made by the library classes it builds, and reported in
+their wording.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ _SCHEMA = {
 
 def parse_config(text):
     """Parse config text into {(section, key): value} with line context."""
-    entries = {}
+    entries, lines = {}, {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -76,7 +78,12 @@ def parse_config(text):
             )
         key, value = (part.strip() for part in line.split("=", 1))
         _check_key(section, key, lineno, raw)
+        if (section, key) in entries:
+            raise ConfigError(
+                f"line {lineno}: {section}.{key} is already set on line "
+                f"{lines[section, key]}: {raw.strip()!r}")
         entries[(section, key)] = value
+        lines[section, key] = lineno
     return entries
 
 

@@ -4,7 +4,8 @@ The domain is the unit square with a disk-shaped conducting subdomain
 strictly inside it.  The out-of-plane vector potential reduces to a scalar
 nodal field with zero boundary values; its gradient plays the role of the
 curl, so the quasilinear curl-curl form becomes int nu(|grad a|) grad a .
-grad phi_i.
+grad phi_i.  K, its tangent and the magnetic energy at a field point
+share one element pass, with one ``material.model_eval`` per region.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import _csc_pattern
 from .errors import EigenSolveFailure, ValidationFailure, check_finite
+# theta_eval is unused here, but perfbench's measure.SPANS patches it here
 from .material import REGION_CONDUCTOR, REGION_INSULATOR, model_eval, theta_eval
 
 LABEL_I = 0
@@ -396,50 +398,34 @@ def _element_state(mesh, a):
     return g, s
 
 
-def _element_nu(mesh, model, s):
-    """(nu, d(nu s)/ds) per element, one model_eval per region."""
-    nu = np.empty_like(s)
-    dgds = np.empty_like(s)
-    for region, mask in mesh.regions:
-        nu[mask], dgds[mask] = model_eval(model, region, s[mask])
-    return nu, dgds
-
-
 class _FieldPoint:
     """One element pass at a field point a: g = grad a and s = |g| per
-    element, with nu, d(nu s)/ds, the energy and K filled in on first use.
+    element, then one ``model_eval`` per region for nu and d(nu s)/ds per
+    element and the energy sum_e area_e theta(s_e^2); K is filled in on
+    first use.
 
     It holds no reference to its mesh, which holds it (see ``_field_point``).
     """
 
-    __slots__ = ("model", "a", "g", "s", "_nu", "_energy", "_K")
+    __slots__ = ("model", "a", "g", "s", "nu", "dgds", "energy", "_K")
 
     def __init__(self, mesh, model, a):
         self.model, self.a = model, a.copy()
         self.g, self.s = _element_state(mesh, a)
-        self._nu = self._energy = self._K = None
-
-    def nu(self, mesh):
-        if self._nu is None:
-            self._nu = _element_nu(mesh, self.model, self.s)
-        return self._nu
-
-    def energy(self, mesh):
-        if self._energy is None:
-            areas, _ = mesh.geometry
-            rho = self.s * self.s
-            out = 0.0
-            for region, mask in mesh.regions:
-                out += float(np.dot(areas[mask],
-                                    theta_eval(self.model, region, rho[mask])))
-            self._energy = out
-        return self._energy
+        areas, _ = mesh.geometry
+        self.nu = np.empty_like(self.s)
+        self.dgds = np.empty_like(self.s)
+        self.energy = 0.0
+        for region, mask in mesh.regions:
+            self.nu[mask], self.dgds[mask], theta = model_eval(
+                model, region, self.s[mask])
+            self.energy += float(np.dot(areas[mask], theta))
+        self._K = None
 
     def K(self, mesh):
         if self._K is None:
             areas, _ = mesh.geometry
-            nu, _ = self.nu(mesh)
-            flux = (nu * areas)[:, None] * self.g  # (M, 2)
+            flux = (self.nu * areas)[:, None] * self.g  # (M, 2)
             self._K = mesh.gradient_transpose @ flux.ravel()
         return self._K
 
@@ -480,8 +466,7 @@ def curlcurl_jacobian(mesh, model, a):
     """
     areas, _ = mesh.geometry
     pt = _field_point(mesh, model, a)
-    s, g = pt.s, pt.g
-    nu, dgds = pt.nu(mesh)
+    s, g, nu, dgds = pt.s, pt.g, pt.nu, pt.dgds
     coef = np.divide(areas * (dgds - nu), s * s, out=np.zeros_like(s),
                      where=s >= 1e-12)
     iso = nu * areas
@@ -493,7 +478,7 @@ def curlcurl_jacobian(mesh, model, a):
 
 def magnetic_energy(mesh, model, a):
     """Discrete magnetic energy sum_e area_e theta(region_e, |grad a|_e^2)."""
-    return _field_point(mesh, model, a).energy(mesh)
+    return _field_point(mesh, model, a).energy
 
 
 def assemble_load(mesh, func, element_filter=None):

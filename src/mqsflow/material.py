@@ -4,7 +4,8 @@ A reluctivity model maps a field magnitude s = |B| to a positive
 reluctivity nu(s).  The solver requires the flux map s -> nu(s)*s to be
 strongly monotone with some m_hat > 0 and Lipschitz with some
 L_hat < inf; :func:`estimate_constants` certifies both in closed form on
-all of s >= 0.
+all of s >= 0.  :func:`model_eval` evaluates nu, d(nu s)/ds and the
+energy density theta(s^2) = int_0^s nu(z) z dz of a curve together.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def _tab_curve(table, s):
 
 
 def model_eval(model, region, s):
-    """Evaluate nu(s) and d/ds[nu(s)*s] for scalar or array s >= 0."""
+    """nu(s), d/ds[nu(s)*s] and the energy density theta(s^2) = int_0^s
+    nu(z) z dz in closed form (a table's integral exact), for s >= 0."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValidationFailure("field magnitude s must be >= 0")
@@ -154,40 +156,28 @@ def model_eval(model, region, s):
     if model.kind == "constant":
         nu = np.full_like(s, p["nu0"])
         dgds = np.full_like(s, p["nu0"])
+        theta = 0.5 * p["nu0"] * (s * s)
     elif model.kind == "rational_saturation":
         delta = p["nu_max"] - p["nu_min"]
-        one_p = 1.0 + s * s
+        rho = s * s
+        one_p = 1.0 + rho
         nu = p["nu_min"] + delta / one_p
-        dgds = p["nu_min"] + delta * (1.0 - s * s) / (one_p * one_p)
+        dgds = p["nu_min"] + delta * (1.0 - rho) / (one_p * one_p)
+        theta = 0.5 * p["nu_min"] * rho + 0.5 * delta * np.log1p(rho)
     else:
         table = p["table"]
-        g, dgds, _ = _tab_curve(table, s)
+        g, dgds, theta = _tab_curve(table, s)
         nu = np.where(s > 0, g / np.where(s > 0, s, 1.0), table[0, 1])
     if np.ndim(s) == 0:
-        return float(nu), float(dgds)
-    return nu, dgds
+        return float(nu), float(dgds), float(theta)
+    return nu, dgds, theta
 
 
 def theta_eval(model, region, rho):
-    """Magnetic energy density theta(rho) = int_0^sqrt(rho) nu(z) z dz.
-
-    Closed form for every kind; for tabulated curves the integral of the
-    piecewise-linear g is exact.  Accepts scalars or arrays of rho >= 0.
-    """
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
+    """Energy density theta(rho) for rho >= 0, as model_eval's at sqrt(rho)."""
+    if np.any(np.asarray(rho, dtype=float) < 0):
         raise ValidationFailure("energy density argument rho must be >= 0")
-    p = model.region_params(region)
-    if model.kind == "constant":
-        out = 0.5 * p["nu0"] * rho_arr
-    elif model.kind == "rational_saturation":
-        delta = p["nu_max"] - p["nu_min"]
-        out = 0.5 * p["nu_min"] * rho_arr + 0.5 * delta * np.log1p(rho_arr)
-    else:
-        _, _, out = _tab_curve(p["table"], np.sqrt(rho_arr))
-    if np.ndim(rho) == 0:
-        return float(out)
-    return out
+    return model_eval(model, region, np.sqrt(rho))[2]
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mqsflow import cli, config, core, fem, material, system
-from mqsflow.errors import ConfigError, EigenSolveFailure
+from mqsflow.errors import ConfigError, EigenSolveFailure, NonConvergence
 
 SMALL = """
 [mesh]
@@ -46,6 +46,20 @@ def test_parse_config_rejects_unknown_key_with_line():
         config.parse_config("[mesh]\nnn = 12\n")
     assert "line 2" in str(exc.value)
     assert "nn = 12" in str(exc.value)
+
+
+def test_parse_config_rejects_a_key_set_twice_with_both_lines():
+    with pytest.raises(ConfigError) as exc:
+        config.parse_config("[mesh]\nn = 8\nn = 64\n")
+    assert str(exc.value) == "line 3: mesh.n is already set on line 2: 'n = 64'"
+    # a section opened again still holds its keys
+    with pytest.raises(ConfigError) as exc:
+        config.parse_config("[mesh]\nn = 8\n[time]\nT = 1\n[mesh]\nn = 64\n")
+    assert str(exc.value) == "line 6: mesh.n is already set on line 2: 'n = 64'"
+    # repeated overrides still replace values in order
+    entries = config.apply_overrides(config.parse_config("[mesh]\nn = 8\n"),
+                                     ["mesh.n=16", "mesh.n=32"])
+    assert entries == {("mesh", "n"): "32"}
 
 
 def test_parse_config_rejects_key_outside_section():
@@ -675,3 +689,65 @@ def test_cli_operations_leave_no_solver_objects_alive(small_cfg, tmp_path):
     left = [type(obj).__name__ for obj in alive()
             if not any(obj is old for old in before)]
     assert left == []
+
+
+@pytest.fixture()
+def mqsflow_log_level():
+    """Restore the mqsflow logger's level, which dispatch sets."""
+    level = cli.log.level
+    yield
+    cli.log.setLevel(level)
+
+
+def test_cli_mqs_log_applies_on_every_dispatch(
+        tmp_path, small_cfg, monkeypatch, capsys, mqsflow_log_level):
+    """Two runs in one process: the second, at info, logs what it wrote."""
+    argv = ["run", "--config", small_cfg, "--out", str(tmp_path / "o")]
+    monkeypatch.setenv("MQS_LOG", "error")
+    assert cli.dispatch(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setenv("MQS_LOG", "Info")
+    assert cli.dispatch(argv) == 0
+    out = tmp_path / "o"
+    assert capsys.readouterr().err == (
+        f"INFO mqsflow: wrote {out / 'run.csv'} and {out / 'run.vtk'}\n")
+    assert cli.log.handlers.count(cli._handler) == 1
+
+
+def test_cli_rejects_an_unknown_mqs_log_value_before_any_work(
+        tmp_path, monkeypatch, capsys, mqsflow_log_level):
+    def parser():
+        raise AssertionError("arguments parsed")
+
+    monkeypatch.setattr(cli, "_parser", parser)
+    monkeypatch.setenv("MQS_LOG", "verbose")
+    out = tmp_path / "o"
+    assert cli.dispatch(["run", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: MQS_LOG must be one of error, info, "
+                            "debug, got 'verbose'\n")
+    assert not out.exists()
+
+
+def test_cli_failed_run_makes_no_out_directory(
+        tmp_path, small_cfg, monkeypatch, capsys):
+    """Neither a step failure nor a failed self-check leaves --out."""
+    real = system.solve
+
+    def failing(*args, **kwargs):
+        raise NonConvergence("Newton did not converge", step=2)
+
+    def corrupted(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        traj.fields[3] += 1e-3
+        return traj
+
+    for solve, message in ((failing, "error: Newton did not converge\n"),
+                           (corrupted, "error: self-check failed at step 3")):
+        monkeypatch.setattr(system, "solve", solve)
+        out = tmp_path / solve.__name__
+        code = cli.dispatch(["run", "--config", small_cfg, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()

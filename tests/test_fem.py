@@ -291,6 +291,15 @@ def _dof_entries(mesh):
     return np.bincount(dofs[dofs >= 0], minlength=mesh.n_dofs)
 
 
+def _element_nu(mesh, model, s):
+    """(nu, d(nu s)/ds) per element, one model_eval per region."""
+    nu = np.empty_like(s)
+    dgds = np.empty_like(s)
+    for region, mask in mesh.regions:
+        nu[mask], dgds[mask], _ = material.model_eval(model, region, s[mask])
+    return nu, dgds
+
+
 def _oracle_tangent_basis(grads):
     """(M, 3, 9) products d_x phi_i d_x phi_j, d_y phi_i d_y phi_j and
     d_x phi_i d_y phi_j + d_y phi_i d_x phi_j per element."""
@@ -342,7 +351,7 @@ def test_dofmap_assembly_matches_coo_and_add_at_oracle():
     a_vert[mesh.dof_to_vertex] = a
     g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
     assert np.array_equal(fem._element_state(mesh, a)[0], g)
-    nu, _ = fem._element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
+    nu, _ = _element_nu(mesh, model, np.hypot(g[:, 0], g[:, 1]))
     flux = (nu * areas)[:, None] * g
     # K = G^T f sums the products flux_k d_k phi_i in its own order
     _assert_sums_agree(
@@ -384,7 +393,7 @@ def test_dofmap_tangent_matches_coo_oracle():
     a_vert[mesh.dof_to_vertex] = a
     g = np.einsum("ei,eik->ek", a_vert[mesh.triangles], grads)
     s = np.hypot(g[:, 0], g[:, 1])
-    nu, dgds = fem._element_nu(mesh, model, s)
+    nu, dgds = _element_nu(mesh, model, s)
     T = nu[:, None, None] * np.eye(2) + ((dgds - nu) / s ** 2)[:, None, None] \
         * np.einsum("ek,el->ekl", g, g)
     local = areas[:, None, None] * np.einsum("eik,ekl,ejl->eij", grads, T, grads)
@@ -396,8 +405,8 @@ def test_dofmap_tangent_matches_coo_oracle():
 
 def _tabulated_rational():
     knots = np.linspace(0.0, 20.0, 201)
-    nu, _ = material.model_eval(material.rational_saturation_model(1.0, 5.0),
-                                "*", knots)
+    nu, _, _ = material.model_eval(
+        material.rational_saturation_model(1.0, 5.0), "*", knots)
     return material.tabulated_model(np.column_stack([knots, nu]))
 
 
@@ -418,7 +427,7 @@ def test_residual_and_tangent_operators_match_the_einsum_oracle(
     areas, grads = fem._geometry(mesh)
     g, s = fem._element_state(mesh, a)
     assert np.any(s == 0.0) and np.any(s > 0.0)
-    nu, dgds = fem._element_nu(mesh, model, s)
+    nu, dgds = _element_nu(mesh, model, s)
     dof_terms = 2 * _dof_entries(mesh).max()
     slot_terms = 3 * np.bincount(mesh.matrix_slots)[:-1].max()
 
@@ -614,6 +623,114 @@ def test_shared_pass_hands_out_fresh_residuals():
     again = fem.curlcurl_residual(mesh, model, a)
     assert again is not first
     assert np.array_equal(again, kept)
+
+
+def _per_region_rational():
+    return material.ReluctivityModel("rational_saturation", {
+        "C": {"nu_min": 1.0, "nu_max": 5.0},
+        "I": {"nu_min": 2.0, "nu_max": 3.0}})
+
+
+_ONE_PASS_MODELS = {
+    "constant": lambda: material.constant_model(3.0),
+    "rational": lambda: material.rational_saturation_model(1.0, 5.0),
+    "per_region": _per_region_rational,
+    "tabulated": _tabulated_rational,
+}
+
+
+def _two_value_model_eval(model, region, s):
+    """nu and d(nu s)/ds as material evaluated them before theta joined."""
+    p = model.region_params(region)
+    if model.kind == "constant":
+        return np.full_like(s, p["nu0"]), np.full_like(s, p["nu0"])
+    if model.kind == "rational_saturation":
+        delta = p["nu_max"] - p["nu_min"]
+        one_p = 1.0 + s * s
+        return (p["nu_min"] + delta / one_p,
+                p["nu_min"] + delta * (1.0 - s * s) / (one_p * one_p))
+    table = p["table"]
+    g, dgds, _ = material._tab_curve(table, s)
+    return np.where(s > 0, g / np.where(s > 0, s, 1.0), table[0, 1]), dgds
+
+
+def _rho_theta_eval(model, region, rho):
+    """theta(rho) as material evaluated it from rho on its own."""
+    p = model.region_params(region)
+    if model.kind == "constant":
+        return 0.5 * p["nu0"] * rho
+    if model.kind == "rational_saturation":
+        delta = p["nu_max"] - p["nu_min"]
+        return 0.5 * p["nu_min"] * rho + 0.5 * delta * np.log1p(rho)
+    return material._tab_curve(p["table"], np.sqrt(rho))[2]
+
+
+def _two_call_point(mesh, model, a):
+    """K, tangent and energy from one call of each of the two evaluators
+    above per region, in the element arithmetic of ``fem``."""
+    areas, _ = mesh.geometry
+    g, s = fem._element_state(mesh, a)
+    nu, dgds = np.empty_like(s), np.empty_like(s)
+    energy = 0.0
+    for region, mask in mesh.regions:
+        nu[mask], dgds[mask] = _two_value_model_eval(model, region, s[mask])
+        energy += float(np.dot(areas[mask], _rho_theta_eval(
+            model, region, (s * s)[mask])))
+    K = mesh.gradient_transpose @ ((nu * areas)[:, None] * g).ravel()
+    coef = np.divide(areas * (dgds - nu), s * s, out=np.zeros_like(s),
+                     where=s >= 1e-12)
+    iso = nu * areas
+    weights = np.column_stack([iso + coef * g[:, 0] * g[:, 0],
+                               iso + coef * g[:, 1] * g[:, 1],
+                               coef * g[:, 0] * g[:, 1]])
+    return K, mesh.slot_operator @ weights.ravel(), energy
+
+
+@pytest.mark.parametrize("conductor", [DISK, (0.5, 0.5, 0.0)])
+@pytest.mark.parametrize("name", list(_ONE_PASS_MODELS))
+def test_one_pass_matches_the_two_call_oracle_exactly(conductor, name):
+    """K, the tangent's data and the energy from one model_eval per region
+    equal those of a separate nu pass and theta pass, bit for bit."""
+    mesh = fem.build_mesh(12, conductor)
+    model = _ONE_PASS_MODELS[name]()
+    a = 0.3 * np.random.default_rng(13).standard_normal(mesh.n_dofs)
+    a[: mesh.n_dofs // 2] = 0.0  # elements with s = 0
+    s = fem._element_state(mesh, a)[1]
+    assert np.any(s == 0.0)
+    for region, mask in mesh.regions:  # per element, before any sum
+        got = material.model_eval(model, region, s[mask])
+        want = (*_two_value_model_eval(model, region, s[mask]),
+                _rho_theta_eval(model, region, (s * s)[mask]))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+    K, data, energy = _two_call_point(mesh, model, a)
+    assert np.array_equal(fem.curlcurl_residual(mesh, model, a), K)
+    assert np.array_equal(fem.curlcurl_jacobian(mesh, model, a).data, data)
+    assert fem.magnetic_energy(mesh, model, a) == energy
+
+
+@pytest.mark.parametrize("conductor, n_regions", [(DISK, 2),
+                                                  ((0.5, 0.5, 0.0), 1)])
+def test_a_field_point_evaluates_the_material_once_per_region(
+        conductor, n_regions, monkeypatch):
+    calls = {"model_eval": 0, "theta_eval": 0}
+
+    def counted(name):
+        fn = getattr(fem, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fem, name, counted(name))
+    mesh = fem.build_mesh(8, conductor)
+    model = material.rational_saturation_model(1.0, 5.0)
+    a = 0.3 * np.random.default_rng(14).standard_normal(mesh.n_dofs)
+    fem.magnetic_energy(mesh, model, a)
+    fem.curlcurl_residual(mesh, model, a)
+    fem.curlcurl_jacobian(mesh, model, a)
+    assert calls == {"model_eval": n_regions, "theta_eval": 0}
 
 
 def _relabelled(elements):

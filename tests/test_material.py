@@ -10,16 +10,16 @@ from mqsflow.errors import ValidationFailure
 
 def test_constant_model_eval():
     model = material.constant_model(2.5)
-    nu, dgds = material.model_eval(model, "*", 3.0)
+    nu, dgds, _ = material.model_eval(model, "*", 3.0)
     assert nu == 2.5
     assert dgds == 2.5
 
 
 def test_rational_saturation_limits():
     model = material.rational_saturation_model(1.0, 5.0)
-    nu0, _ = material.model_eval(model, "*", 0.0)
+    nu0, _, _ = material.model_eval(model, "*", 0.0)
     assert nu0 == pytest.approx(5.0)
-    nu_inf, _ = material.model_eval(model, "*", 1e6)
+    nu_inf, _, _ = material.model_eval(model, "*", 1e6)
     assert nu_inf == pytest.approx(1.0, abs=1e-9)
 
 
@@ -27,11 +27,11 @@ def test_model_eval_derivative_matches_finite_difference():
     model = material.rational_saturation_model(1.0, 5.0)
     rng = np.random.default_rng(0)
     s = 10.0 * rng.random(20)
-    _, dgds = material.model_eval(model, "*", s)
+    _, dgds, _ = material.model_eval(model, "*", s)
     h = 1e-7
 
     def g(s):
-        nu, _ = material.model_eval(model, "*", s)
+        nu, _, _ = material.model_eval(model, "*", s)
         return nu * s
 
     fd = (g(s + h) - g(s - h)) / (2 * h)
@@ -59,8 +59,11 @@ def test_theta_rational_matches_quadrature_oracle():
 
 def test_theta_rejects_negative_argument():
     model = material.constant_model(1.0)
-    with pytest.raises(ValidationFailure):
+    message = "energy density argument rho must be >= 0"
+    with pytest.raises(ValidationFailure, match=message):
         material.theta_eval(model, "*", -1.0)
+    with pytest.raises(ValidationFailure, match=message):
+        material.theta_eval(model, "*", np.array([0.0, 4.0, -1e-300]))
 
 
 def test_model_eval_rejects_negative_magnitude():
@@ -75,7 +78,7 @@ def test_tabulated_model_interpolates_and_integrates():
     table = np.column_stack([np.linspace(0.0, 10.0, 11),
                              np.full(11, 2.0)])
     model = material.tabulated_model(table)
-    nu, dgds = material.model_eval(model, "*", 3.7)
+    nu, dgds, _ = material.model_eval(model, "*", 3.7)
     assert nu == pytest.approx(2.0, abs=1e-6)
     assert dgds == pytest.approx(2.0, abs=1e-6)
     assert material.theta_eval(model, "*", 9.0) == pytest.approx(9.0, rel=1e-8)
@@ -118,11 +121,11 @@ def test_tabulated_derivative_is_the_segment_slope():
     g = knots * nu
     slopes = np.diff(g) / np.diff(knots)
     # right-continuous: a knot takes the slope of the piece it starts
-    _, at_knots = material.model_eval(model, "*", knots)
+    _, at_knots, _ = material.model_eval(model, "*", knots)
     assert np.array_equal(at_knots, np.append(slopes, slopes[-1]))
-    _, inside = material.model_eval(model, "*", 0.5 * (knots[:-1] + knots[1:]))
+    _, inside, _ = material.model_eval(model, "*", 0.5 * (knots[:-1] + knots[1:]))
     assert np.array_equal(inside, slopes)
-    _, outside = material.model_eval(model, "*", np.array([0.1, 9.0]))
+    _, outside, _ = material.model_eval(model, "*", np.array([0.1, 9.0]))
     assert np.array_equal(outside, [slopes[0], slopes[-1]])
 
 
@@ -296,7 +299,7 @@ def _all_pairs_constants(model, s_max, n_grid):
     """Reference: extremes of every secant slope of nu(s)*s over grid pairs
     and of nu(s) on the grid, s = 0 included."""
     s = np.linspace(0.0, s_max, n_grid)
-    nu, _ = material.model_eval(model, "*", s)
+    nu, _, _ = material.model_eval(model, "*", s)
     g = nu * s
     iu = np.triu_indices(n_grid, k=1)
     slopes = np.subtract.outer(g, g)[iu] / np.subtract.outer(s, s)[iu]

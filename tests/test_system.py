@@ -507,7 +507,7 @@ def test_p1_operators_and_newton_matrix_are_csc():
 def test_tangent_at_zero_field_is_scaled_stiffness():
     """s = 0 everywhere: the rank-one part drops and nu(0) K_lin remains."""
     ops, _, _ = system.build_system(system.MQSConfig(n=8))
-    nu0, _ = material.model_eval(ops.model, "*", 0.0)
+    nu0, _, _ = material.model_eval(ops.model, "*", 0.0)
     J = ops.K_tangent(np.zeros(ops.n_dofs)).toarray()
     ref = nu0 * ops.stiffness.toarray()
     assert np.abs(J - ref).max() <= 1e-15 * np.abs(ref).max()
@@ -523,7 +523,7 @@ def test_tabulated_solve_matches_closed_form_model():
     """
     rational = material.rational_saturation_model(1.0, 5.0)
     knots = np.linspace(0.0, 20.0, 2001)
-    nu, _ = material.model_eval(rational, "*", knots)
+    nu, _, _ = material.model_eval(rational, "*", knots)
     tabulated = material.tabulated_model(np.column_stack([knots, nu]))
     fine = np.linspace(0.0, 20.0, 200001)
     g_second = 8.0 * fine * (fine ** 2 - 3.0) / (1.0 + fine ** 2) ** 3
