@@ -13,8 +13,8 @@ Exit codes: 0 success / all checks pass, 1 validation or experiment
 failure, 2 usage error.  The only environment variable honored is
 MQS_LOG (error|info|debug, case-insensitive; another value is an error),
 read on every dispatch; everything else comes from the config file and
-the repeatable `--set section.key=value` overrides.  A failed `run`
-makes no --out directory.
+the repeatable `--set section.key=value` overrides.  --out is made only
+once outputs are written, so a command stopped by an error leaves none.
 """
 
 from __future__ import annotations
@@ -177,13 +177,13 @@ def _experiment_battery(cfg, out_dir):
         measured=adv.measured,
     ))
 
+    os.makedirs(out_dir, exist_ok=True)  # only for a battery that ran
     diagnostics.write_timeseries_csv(traj, os.path.join(out_dir, "run.csv"))
     return results
 
 
 def _cmd_experiment(args):
     cfg, _ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     results = _experiment_battery(cfg, args.out)
     table_path, _ = diagnostics.write_summary(results, args.out)
     with open(table_path, encoding="utf-8") as fh:
@@ -193,7 +193,6 @@ def _cmd_experiment(args):
 
 def _cmd_convergence(args):
     cfg, _ = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     result = diagnostics.convergence_study(cfg, levels=3, refine="both")
     diagnostics.write_summary([result], args.out)
     for k, v in result.measured.items():

@@ -7,9 +7,10 @@ flux-linkage map, so one prox step minimizes
     J(a) = Phi(a) + 1/(2 tau) sigma_C ||a - a_prev||^2_{M_C}
          + 1/(2 tau) || R^{-1/2} (C^T a - C^T a_prev - tau v_k) ||^2.
 
-Currents are recovered per step as i_k = R^{-1} (v_k - d/dt C^T a).
-An independent Schur-reduced Newton path eliminates the current unknown
-up front and serves as an equivalence witness.
+Currents are recovered per step as i_k = R^{-1} (v_k - d/dt C^T a) and
+returned in an ``MQSTrajectory``: a ``core.DaeTrajectory`` plus the circuit.
+An independent Schur-reduced Newton path, from the same checked setup,
+eliminates the current unknown up front and serves as an equivalence witness.
 """
 
 from __future__ import annotations
@@ -236,23 +237,18 @@ class MQSOperators:
 
 
 @dataclass
-class MQSTrajectory:
-    times: np.ndarray       # (N+1,)
-    fields: np.ndarray      # (N+1, n_dofs)
+class MQSTrajectory(core.DaeTrajectory):
+    """A core.DaeTrajectory, its states the fields a_k, plus the circuit."""
+
     currents: np.ndarray    # (N+1, m); row 0 is nan (undefined by the scheme)
-    energies: np.ndarray    # (N+1,)
     fluxes: np.ndarray      # (N+1, m), C^T a_k
     balance_residuals: np.ndarray  # (N+1,); row 0 is nan
     voltages: np.ndarray    # (N+1, m), samples v(t_k)
-    core_trajectory: core.DaeTrajectory
 
     @property
-    def tau(self):
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def n_steps(self):
-        return self.times.shape[0] - 1
+    def fields(self):
+        """The fields a_k, (N+1, n_dofs): ``states`` itself, read-only."""
+        return self.states
 
 
 def _principal_inv_sqrt(R):
@@ -283,6 +279,7 @@ def _metric_matrix(mesh, sigma_C, coupling, R_inv_sqrt):
 def build_system(config):
     """Assemble the operators; returns ``(ops, ops.phi, ops.E)``.
 
+    A step too large for the energy's ellipticity fails here as in a solve.
     ``ops.L_C`` is left to its first read, which runs the eigensolve and
     raises any ``EigenSolveFailure``.
     """
@@ -311,6 +308,7 @@ def build_system(config):
             _metric_matrix(mesh, config.sigma_C, coupling, R_inv_sqrt),
             k=coupling.shape[1]),
     )
+    core.ProxConfig(config.tau, config.n_steps).check_against(ops.phi)
     return ops, ops.phi, ops.E
 
 
@@ -366,6 +364,21 @@ def power_balance(ops, fields, currents, voltages, energies, tau):
     return out
 
 
+def _setup(config, ops, a0=None):
+    """Both solve paths' start: the checked initial field (``a0`` or the
+    configured one), v(t_k) at t_k = k tau, and the loads (None unforced)."""
+    if a0 is None:
+        a0 = initial_field(config, ops)
+    a0 = check_finite("initial field", a0)
+    if a0.shape != (ops.n_dofs,):
+        raise ValidationFailure(
+            f"initial field has shape {a0.shape}, expected ({ops.n_dofs},)"
+        )
+    times = config.tau * np.arange(config.n_steps + 1)
+    loads = None if config.forcing is None else config.forcing(ops.mesh, times[1:])
+    return a0, config.voltage(times), loads
+
+
 def solve(config, ops=None, a0=None):
     """Run the coupled system over [0, T] with the prox stepper.
 
@@ -376,20 +389,11 @@ def solve(config, ops=None, a0=None):
     """
     if ops is None:
         ops = build_system(config)[0]
-    if a0 is None:
-        a0 = initial_field(config, ops)
-    a0 = check_finite("initial field", a0)
-    if a0.shape != (ops.n_dofs,):
-        raise ValidationFailure(
-            f"initial field has shape {a0.shape}, expected ({ops.n_dofs},)"
-        )
-    times = config.tau * np.arange(config.n_steps + 1)
-    v_samples = config.voltage(times)
+    a0, v_samples, loads = _setup(config, ops, a0)
     prox_cfg = core.ProxConfig(
         tau=config.tau, n_steps=config.n_steps,
         newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
     )
-    loads = None if config.forcing is None else config.forcing(ops.mesh, times[1:])
     try:
         traj = core.solve_trajectory(
             ops.phi, ops.E, a0, _metric_input(ops, v_samples), prox_cfg,
@@ -409,11 +413,10 @@ def solve(config, ops=None, a0=None):
             f"{sizes[name]:.3g}", step=exc.step) from exc
     currents, fluxes = recover_currents(ops, traj.states, v_samples, config.tau)
     return MQSTrajectory(
-        times=traj.times, fields=traj.states, currents=currents,
-        energies=traj.energies, fluxes=fluxes,
+        **vars(traj), currents=currents, fluxes=fluxes,
         balance_residuals=power_balance(ops, traj.states, currents, v_samples,
                                         traj.energies, config.tau),
-        voltages=v_samples, core_trajectory=traj,
+        voltages=v_samples,
     )
 
 
@@ -455,12 +458,10 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
 
 def solve_schur(config, ops):
     """Full trajectory through the Schur-reduced path (equivalence witness)."""
+    a0, v_samples, loads = _setup(config, ops)
     n = config.n_steps
-    times = config.tau * np.arange(n + 1)
-    v_samples = config.voltage(times)
     fields = np.empty((n + 1, ops.n_dofs))
-    fields[0] = initial_field(config, ops)
-    loads = None if config.forcing is None else config.forcing(ops.mesh, times[1:])
+    fields[0] = a0
     for k in range(1, n + 1):
         fields[k] = schur_step(
             ops, fields[k - 1], v_samples[k], config.tau,

@@ -182,7 +182,7 @@ def test_criterion_10_regularity_monitors():
         rows = []
         for tau in taus:
             traj = system.solve(replace(cfg, tau=tau), ops)
-            mon = core.regularity_monitors(traj.core_trajectory)
+            mon = core.regularity_monitors(traj)
             mon["I2"] = float(tau * np.nansum(traj.currents[1:] ** 2))
             rows.append(mon)
         return rows

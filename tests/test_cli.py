@@ -732,7 +732,8 @@ def test_cli_rejects_an_unknown_mqs_log_value_before_any_work(
 
 def test_cli_failed_run_makes_no_out_directory(
         tmp_path, small_cfg, monkeypatch, capsys):
-    """Neither a step failure nor a failed self-check leaves --out."""
+    """Neither a step failure nor a failed self-check leaves --out; nor
+    does an experiment or convergence study that stops with an error."""
     real = system.solve
 
     def failing(*args, **kwargs):
@@ -750,4 +751,51 @@ def test_cli_failed_run_makes_no_out_directory(
         code = cli.dispatch(["run", "--config", small_cfg, "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    monkeypatch.setattr(system, "solve", failing)
+    for argv, message in (
+            (["experiment", "--config", small_cfg],
+             "error: Newton did not converge\n"),
+            (["convergence", "--set", "mesh.n=4"],
+             "error: conductor disk must stay inside the unit square")):
+        out = tmp_path / "later"
+        assert cli.dispatch([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+
+def test_cli_experiment_with_a_failed_verdict_still_writes_its_outputs(
+        tmp_path, small_cfg, monkeypatch, capsys):
+    from mqsflow import diagnostics
+
+    def failed(ops, **kwargs):
+        return diagnostics.ExperimentResult("monotonicity", False,
+                                            {"min_ratio": -1.0})
+
+    monkeypatch.setattr(diagnostics, "monotonicity_probe", failed)
+    out = tmp_path / "o"
+    code = cli.dispatch(["experiment", "--config", small_cfg, "--out", str(out)])
+    assert code == 1
+    assert ["monotonicity", "FAIL", "min_ratio=-1"] in [
+        line.split() for line in capsys.readouterr().out.splitlines()]
+    summary = (out / "summary.kv").read_text(encoding="utf-8").splitlines()
+    assert "monotonicity.pass=false" in summary
+    assert (out / "run.csv").is_file() and (out / "summary.txt").is_file()
+
+
+def test_cli_every_command_rejects_a_step_beyond_the_ellipticity_bound(
+        tmp_path, capsys):
+    """tau < 1 / omega is checked when the system is built, so validate
+    rejects exactly what run and experiment reject, and constants does
+    too.  The input-contract fuzzer never draws a whole step count with
+    tau >= 1."""
+    sets = ["--set", "mesh.n=8", "--set", "time.tau=1", "--set", "time.T=1"]
+    reason = "tau = 1.0 too large for ellipticity omega = 1.0"
+    assert cli.dispatch(["validate", *sets]) == 1
+    assert capsys.readouterr().out == f"validation FAIL: {reason}\n"
+    for command in ("run", "experiment", "constants"):
+        out = tmp_path / command
+        assert cli.dispatch([command, "--out", str(out), *sets]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
         assert not out.exists()

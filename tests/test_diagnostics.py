@@ -183,13 +183,14 @@ def test_timeseries_csv_single_state_trajectory(tmp_path):
     with the undefined fields empty."""
     traj = system.MQSTrajectory(
         times=np.array([0.0]),
-        fields=np.zeros((1, 4)),
-        currents=np.full((1, 2), np.nan),
+        states=np.zeros((1, 4)),
+        rates=np.zeros((0, 3)),
         energies=np.zeros(1),
+        inputs=np.zeros((0, 3)),
+        currents=np.full((1, 2), np.nan),
         fluxes=np.zeros((1, 2)),
         balance_residuals=np.array([np.nan]),
         voltages=np.zeros((1, 2)),
-        core_trajectory=None,
     )
     path = tmp_path / "tiny.csv"
     diagnostics.write_timeseries_csv(traj, path)

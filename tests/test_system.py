@@ -180,6 +180,49 @@ def test_solve_rejects_wrong_shape_initial_field():
     with pytest.raises(ValidationFailure, match="shape"):
         system.solve(cfg, ops, a0=np.zeros(ops.n_dofs + 1))
 
+
+@pytest.mark.parametrize("a0, reason", [
+    (np.zeros(5), "initial field has shape (5,), expected (49,)"),
+    (np.full(49, np.nan), "initial field must be finite"),
+], ids=["wrong_shape", "nan"])
+def test_both_solve_paths_reject_a_bad_initial_field_alike(tmp_path, a0,
+                                                          reason):
+    path = tmp_path / "a0.npy"
+    np.save(path, a0)
+    cfg = system.MQSConfig(n=8, T=0.125, tau=1.0 / 16.0, a0_kind="file",
+                           a0_path=str(path))
+    ops = system.build_system(cfg)[0]
+    messages = []
+    for solve in (system.solve, system.solve_schur):
+        with pytest.raises(ValidationFailure) as exc:
+            solve(cfg, ops)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(reason)
+
+
+def test_build_system_rejects_a_step_beyond_the_ellipticity_bound():
+    """tau < 1 / omega (omega = 1) is checked at build, in ProxConfig's
+    words, as every solve checks it."""
+    with pytest.raises(ValidationFailure) as exc:
+        system.build_system(system.MQSConfig(n=8, T=1.0, tau=1.0))
+    assert str(exc.value) == "tau = 1.0 too large for ellipticity omega = 1.0"
+    system.build_system(system.MQSConfig(n=8, T=1.0, tau=0.5))
+
+
+def test_solve_returns_the_core_trajectory_with_the_circuit_added():
+    """One record: the solve's DaeTrajectory arrays, fields being states."""
+    cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
+    ops = system.build_system(cfg)[0]
+    traj = system.solve(cfg, ops)
+    assert isinstance(traj, core.DaeTrajectory)
+    assert traj.fields is traj.states
+    assert traj.n_steps == 4 and traj.tau == 1.0 / 16.0
+    assert traj.rates.shape == traj.inputs.shape == (4, ops.E.dim_Z)
+    with pytest.raises(AttributeError):
+        traj.fields = traj.states.copy()
+
+
 def test_solve_on_given_operators_matches_solve_from_config():
     cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
     given = system.solve(cfg, system.build_system(cfg)[0])
@@ -567,12 +610,7 @@ def test_weak_residual_detects_corrupted_current(default_small):
     traj = system.solve(cfg, ops)
     corrupted = traj.currents.copy()
     corrupted[3, 0] += 1e-3
-    bad = system.MQSTrajectory(
-        times=traj.times, fields=traj.fields, currents=corrupted,
-        energies=traj.energies, fluxes=traj.fluxes,
-        balance_residuals=traj.balance_residuals, voltages=traj.voltages,
-        core_trajectory=traj.core_trajectory,
-    )
+    bad = replace(traj, currents=corrupted)
     report = system.check_weak_solution(ops, bad)
     assert report.circuit_residuals[2] == pytest.approx(1e-3, rel=1e-6)
 
@@ -638,7 +676,7 @@ def test_power_balance_equals_generic_energy_identity(default_small):
     identity are the same defect, computed from different arrays."""
     cfg, ops, _, _ = default_small
     traj = system.solve(cfg, ops)
-    rho = core.energy_identity_residual(traj.core_trajectory)
+    rho = core.energy_identity_residual(traj)
     assert np.allclose(traj.balance_residuals[1:], rho, atol=1e-12)
 
 
