@@ -9,7 +9,8 @@ stepping is implicit Euler realized as one convex minimization per step:
 
 solved by damped Newton.  Minimizing the E-misfit implicitly projects the
 data onto the closure of range(E), so the degenerate directions never need
-an explicit basis.
+an explicit basis.  A solve's settings are one checked ProxConfig, which
+solve_trajectory and each of its prox_steps take.
 
 Every Newton system (hessian + E^T E / tau) d = rhs, for a dense or
 sparse E whose last k >= 0 rows form a thin block U (k << dim_X), is
@@ -200,17 +201,21 @@ class EllipticFunctional:
 
 @dataclass(frozen=True)
 class ProxConfig:
+    """A solve's settings, checked here and nowhere else."""
+
     tau: float
     n_steps: int
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
+    newton_start: str = "extrapolate"
 
     def __post_init__(self):
         for name in ("n_steps", "newton_max_iter"):
             check_finite(name, getattr(self, name), numbers.Integral)
         for name in ("tau", "newton_tol", "n_steps"):
-            if not check_finite(name, getattr(self, name)) > 0:
-                raise ValidationFailure(f"{name} must be positive")
+            if not check_finite(name, getattr(self, name), numbers.Real) > 0:
+                raise ValidationFailure(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if self.newton_tol < MIN_NEWTON_TOL:
             raise ValidationFailure(
                 f"newton_tol must be at least {MIN_NEWTON_TOL:g}, the rounding "
@@ -218,6 +223,7 @@ class ProxConfig:
         if self.newton_max_iter < 1:
             raise ValidationFailure(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
+        check_choice("newton_start", self.newton_start, NEWTON_STARTS)
 
     def check_against(self, phi):
         omega = phi.ellipticity_omega
@@ -462,10 +468,11 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     )
 
 
-def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
-              newton_tol=1e-10, newton_max_iter=50, newton_system=None):
+def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
+              newton_system=None):
     """One implicit-Euler step as a proximal minimization in the E-metric.
 
+    ``config``, a ProxConfig, gives tau, newton_tol and newton_max_iter.
     Newton starts from ``x_start`` (default x_prev).  With ``guard`` it
     keeps x_start only if the prox objective there is no higher than at
     x_prev, and starts at x_prev otherwise (one extra objective evaluation).
@@ -477,8 +484,7 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
     this E and tau (one made for others is a ValidationFailure); a solve
     passes one to all its steps, and by default the step makes its own.
     """
-    if not check_finite("tau", tau) > 0:
-        raise ValidationFailure("tau must be positive")
+    tau = config.tau
     x_prev = np.asarray(x_prev, dtype=float)
     b = E.apply(x_prev) + tau * np.asarray(f_k, dtype=float)
 
@@ -491,7 +497,7 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
 
     g_prev = residual(x_prev)
     g0_norm = float(np.linalg.norm(g_prev))
-    tol = newton_tol * (1.0 + g0_norm)
+    tol = config.newton_tol * (1.0 + g0_norm)
     if g0_norm <= tol and (x_start is None or guard):
         return x_prev.copy()
     x0, g0, J0 = x_prev, g_prev, None
@@ -507,7 +513,7 @@ def prox_step(phi, E, x_prev, f_k, tau, *, x_start=None, guard=False,
         raise ValidationFailure("newton_system is for another E or tau")
     return newton_minimize(
         objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
-        max_iter=newton_max_iter, newton_system=newton_system,
+        max_iter=config.newton_max_iter, newton_system=newton_system,
     )
 
 
@@ -546,8 +552,9 @@ def _extrapolate(states, k):
     return x
 
 
-def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
-    """Run the prox stepper from x0 over n_steps of size tau.
+def solve_trajectory(phi, E, x0, f, config, loads=None):
+    """Run the prox stepper from x0 over the steps of ``config``, a
+    ProxConfig, each a prox_step with that record.
 
     ``loads`` (n_steps, dim_X), if given, adds the linear term -<load_k, x>
     to Phi in step k; the recorded energies are those of the unloaded Phi.
@@ -555,14 +562,14 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
     in ``step`` and its message led by "step k: ".  A floating-point
     overflow, at x0 or in a step, is a NonConvergence that says the data
     is out of floating-point range and names the step.
-    ``start`` picks each Newton solve's starting point: "extrapolate"
-    (default) the polynomial through the last min(k, 4) states, one step
-    ahead (x_0, 2 x_1 - x_0, 3 x_2 - 3 x_1 + x_0, then
+    ``config.newton_start`` picks each Newton solve's starting point:
+    "extrapolate" (default) the polynomial through the last min(k, 4)
+    states, one step ahead (x_0, 2 x_1 - x_0, 3 x_2 - 3 x_1 + x_0, then
     4 x_{k-1} - 6 x_{k-2} + 4 x_{k-3} - x_{k-4}), which falls back to
     x_{k-1} whenever its prox objective is higher; "zero" x = 0, unguarded.
     """
-    check_choice("start", start, NEWTON_STARTS)
     config.check_against(phi)
+    start = config.newton_start
     x0 = np.asarray(x0, dtype=float)
     n = config.n_steps
     fk = resolve_inputs(f, n, E.dim_Z)
@@ -582,10 +589,8 @@ def solve_trajectory(phi, E, x0, f, config, loads=None, start="extrapolate"):
                 if start == "extrapolate" and k > 1:
                     x_start = _extrapolate(states, k)
                 states[k] = prox_step(
-                    phi_k, E, states[k - 1], fk[k - 1], config.tau,
+                    phi_k, E, states[k - 1], fk[k - 1], config,
                     x_start=x_start, guard=start == "extrapolate",
-                    newton_tol=config.newton_tol,
-                    newton_max_iter=config.newton_max_iter,
                     newton_system=newton_system,
                 )
                 images[k] = E.apply(states[k])

@@ -336,22 +336,6 @@ def write_timeseries_csv(traj, path):
     return path
 
 
-def read_timeseries_csv(path):
-    """Inverse of :func:`write_timeseries_csv`; empty fields become nan."""
-    import csv
-
-    with open(path, encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    cols = {
-        name: np.array(
-            [float(r[j]) if r[j] != "" else np.nan for r in data]
-        )
-        for j, name in enumerate(header)
-    }
-    return cols
-
-
 def write_field_vtk(mesh, a, path):
     """Legacy-ASCII VTK unstructured grid with the scalar field and labels.
 

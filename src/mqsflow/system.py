@@ -120,11 +120,12 @@ class MQSConfig:
     # optional manufactured volumetric forcing added to the field equation;
     # callable (mesh, times) -> one load vector per time, for convergence
     forcing: Optional[Callable] = None
+    prox: core.ProxConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("n", "seed", "newton_max_iter"):
+        for name in ("n", "seed"):
             check_finite(name, getattr(self, name), numbers.Integral)
-        for name in ("conductor_radius", "sigma_C", "T", "tau", "newton_tol"):
+        for name in ("conductor_radius", "sigma_C", "T", "tau"):
             check_finite(name, getattr(self, name), numbers.Real)
         center = check_finite("conductor_center", self.conductor_center)
         if center.shape != (2,):
@@ -135,20 +136,12 @@ class MQSConfig:
         object.__setattr__(self, "R", np.atleast_2d(check_finite("R", self.R)))
         if self.seed < 0:
             raise ValidationFailure(f"seed must be nonnegative, got {self.seed}")
-        if not core.MIN_NEWTON_TOL <= self.newton_tol <= MAX_NEWTON_TOL:
-            raise ValidationFailure(
-                f"newton_tol must be at least {core.MIN_NEWTON_TOL:g} and at "
-                f"most {MAX_NEWTON_TOL:g}, got {self.newton_tol}")
-        check_choice("newton_start", self.newton_start, core.NEWTON_STARTS)
         check_choice("initial field kind", self.a0_kind,
                      ("zero", "random", "file"))
         if self.voltage.m != self.winding.m:
             raise ValidationFailure(
                 f"voltage has {self.voltage.m} channels but there are "
                 f"{self.winding.m} windings")
-        if self.newton_max_iter < 1:
-            raise ValidationFailure(
-                f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
         if self.n > MAX_MESH_N:
             raise ValidationFailure(f"n must be at most {MAX_MESH_N}, got {self.n}")
         if not (self.T > 0 and self.tau > 0):
@@ -167,6 +160,13 @@ class MQSConfig:
             raise ValidationFailure(
                 f"(n - 1)^2 * T / tau = {dofs} dofs * {steps:.6g} steps "
                 f"exceeds the cap of {MAX_DOF_STEPS} dof-steps")
+        object.__setattr__(self, "prox", core.ProxConfig(
+            self.tau, self.n_steps, self.newton_tol, self.newton_max_iter,
+            self.newton_start))
+        if self.newton_tol > MAX_NEWTON_TOL:
+            raise ValidationFailure(
+                f"newton_tol must be at least {core.MIN_NEWTON_TOL:g} and at "
+                f"most {MAX_NEWTON_TOL:g}, got {self.newton_tol}")
 
     @property
     def n_steps(self):
@@ -308,7 +308,7 @@ def build_system(config):
             _metric_matrix(mesh, config.sigma_C, coupling, R_inv_sqrt),
             k=coupling.shape[1]),
     )
-    core.ProxConfig(config.tau, config.n_steps).check_against(ops.phi)
+    config.prox.check_against(ops.phi)
     return ops, ops.phi, ops.E
 
 
@@ -390,15 +390,10 @@ def solve(config, ops=None, a0=None):
     if ops is None:
         ops = build_system(config)[0]
     a0, v_samples, loads = _setup(config, ops, a0)
-    prox_cfg = core.ProxConfig(
-        tau=config.tau, n_steps=config.n_steps,
-        newton_tol=config.newton_tol, newton_max_iter=config.newton_max_iter,
-    )
     try:
         traj = core.solve_trajectory(
-            ops.phi, ops.E, a0, _metric_input(ops, v_samples), prox_cfg,
-            loads=loads, start=config.newton_start,
-        )
+            ops.phi, ops.E, a0, _metric_input(ops, v_samples), config.prox,
+            loads=loads)
     except NonConvergence as exc:
         sizes = {name: np.abs(data).max(initial=0.0) for name, data in (
             ("voltage", v_samples), ("inverse resistance R^-1", ops.R_inv),
@@ -424,13 +419,14 @@ def solve(config, ops=None, a0=None):
 _prox_from = core.prox_step
 
 
-def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
-               forcing_load=None):
+def schur_step(ops, a_prev, v_k, config, *, forcing_load=None):
     """Field-only implicit step after eliminating the circuit unknown.
 
     Solves (M_red / tau)(a - a_prev) + K(a) = C R^{-1} v_k with
-    M_red = sigma_C M_C + C R^{-1} C^T by damped Newton.
+    M_red = sigma_C M_C + C R^{-1} C^T by damped Newton, with tau and
+    Newton's settings from ``config``, a core.ProxConfig.
     """
+    tau = config.tau
     a_prev = np.asarray(a_prev, dtype=float)
     C = sp.csc_matrix(ops.coupling)
     M_red = ops.msigma + C @ sp.csc_matrix(ops.R_inv) @ C.T
@@ -449,10 +445,10 @@ def schur_step(ops, a_prev, v_k, tau, *, newton_tol=1e-10, newton_max_iter=50,
         )
 
     g = residual(a_prev)
-    g0_norm = float(np.linalg.norm(g))
+    tol = config.newton_tol * (1.0 + float(np.linalg.norm(g)))
     return core.newton_minimize(
         merit, residual, lambda a: ops.K_tangent(a) + M_red / tau, a_prev,
-        newton_tol * (1.0 + g0_norm), g0=g, max_iter=newton_max_iter,
+        tol, g0=g, max_iter=config.newton_max_iter,
     )
 
 
@@ -464,9 +460,7 @@ def solve_schur(config, ops):
     fields[0] = a0
     for k in range(1, n + 1):
         fields[k] = schur_step(
-            ops, fields[k - 1], v_samples[k], config.tau,
-            newton_tol=config.newton_tol,
-            newton_max_iter=config.newton_max_iter,
+            ops, fields[k - 1], v_samples[k], config.prox,
             forcing_load=None if loads is None else loads[k - 1],
         )
     return fields

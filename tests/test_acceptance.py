@@ -235,7 +235,8 @@ def test_criterion_12_core_oracle_equivalence():
         x_prev = rng.standard_normal(n)
         f_k = rng.standard_normal(Em.shape[0])
         tau = 0.2
-        x = core.prox_step(phi, E, x_prev, f_k, tau, newton_tol=1e-13)
+        x = core.prox_step(phi, E, x_prev, f_k,
+                           core.ProxConfig(tau, 1, newton_tol=1e-13))
         rhs = b + Em.T @ (Em @ x_prev + tau * f_k) / tau
         x_star = np.linalg.solve(Q + Em.T @ Em / tau, rhs)
         worst_prox = max(worst_prox, float(np.linalg.norm(x - x_star)))
@@ -264,7 +265,8 @@ def test_criterion_12_core_oracle_equivalence():
     x_prev = rng.standard_normal(n)
     f_k = rng.standard_normal(3)
     tau = 0.25
-    x = core.prox_step(phi_nl, E, x_prev, f_k, tau, newton_tol=1e-13)
+    x = core.prox_step(phi_nl, E, x_prev, f_k,
+                       core.ProxConfig(tau, 1, newton_tol=1e-13))
     bb = Em @ x_prev + tau * f_k
 
     def J(x):

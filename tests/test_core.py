@@ -62,8 +62,8 @@ def test_prox_step_matches_kkt_oracle_quadratic():
         x_prev = rng.standard_normal(n)
         f_k = rng.standard_normal(n - 1)
         tau = 0.1
-        x = core.prox_step(quadratic(Q, b), E, x_prev, f_k, tau,
-                           newton_tol=1e-13)
+        x = core.prox_step(quadratic(Q, b), E, x_prev, f_k,
+                           core.ProxConfig(tau, 1, newton_tol=1e-13))
         # oracle: (Q + E^T E / tau) x = b + E^T (E x_prev + tau f) / tau
         rhs = b + E.matrix.T @ (E.matrix @ x_prev + tau * f_k) / tau
         x_star = np.linalg.solve(Q + E.matrix.T @ E.matrix / tau, rhs)
@@ -79,7 +79,8 @@ def test_prox_step_matches_brute_force_on_nonquadratic():
     x_prev = rng.standard_normal(n)
     f_k = rng.standard_normal(3)
     tau = 0.25
-    x = core.prox_step(phi, E, x_prev, f_k, tau, newton_tol=1e-13)
+    x = core.prox_step(phi, E, x_prev, f_k,
+                       core.ProxConfig(tau, 1, newton_tol=1e-13))
     b = E.apply(x_prev) + tau * f_k
 
     def J(x):
@@ -96,7 +97,8 @@ def test_prox_step_stationary_at_minimizer():
     Q = np.diag([2.0, 3.0])
     phi = quadratic(Q)
     E = core.LinearMapE(np.eye(2))
-    x = core.prox_step(phi, E, np.zeros(2), np.zeros(2), 0.5)
+    x = core.prox_step(phi, E, np.zeros(2), np.zeros(2),
+                       core.ProxConfig(0.5, 1))
     assert np.all(x == 0.0)
 
 
@@ -109,7 +111,7 @@ def test_prox_step_concave_functional_raises():
     # with tau large the Hessian -2 I + I/tau is negative: not a descent setup
     with pytest.raises((SingularStep, NonConvergence)):
         core.prox_step(phi, core.LinearMapE(np.eye(2)), np.array([1.0, 1.0]),
-                       np.zeros(2), 10.0)
+                       np.zeros(2), core.ProxConfig(10.0, 1))
 
 
 def test_solve_trajectory_zero_input_decays_energy():
@@ -185,6 +187,19 @@ def test_prox_config_checks_its_counts(kwargs, message):
         core.ProxConfig(**{"tau": 0.1, "n_steps": 1, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tau": [0.1]}, "tau must be a real number, got [0.1]"),
+    ({"tau": [0.1, 0.2]}, "tau must be a real number, got [0.1, 0.2]"),
+    ({"tau": 0.1, "newton_tol": [1e-10]},
+     "newton_tol must be a real number, got [1e-10]"),
+])
+def test_prox_config_rejects_non_scalar_settings(kwargs, message):
+    """A setting is one real number, named when it is not."""
+    with pytest.raises(ValidationFailure) as exc:
+        core.ProxConfig(n_steps=1, **kwargs)
+    assert str(exc.value) == message
+
+
 def test_prox_config_accepts_numpy_integer_counts():
     cfg = core.ProxConfig(tau=0.1, n_steps=np.int64(3),
                           newton_max_iter=np.uint8(5))
@@ -211,10 +226,10 @@ def test_prox_config_rejects_a_tolerance_below_the_rounding_floor():
 
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -0.1])
 def test_prox_step_rejects_non_finite_tau(tau):
+    """A prox step takes its tau from a ProxConfig, which refuses it."""
     reason = "finite" if not np.isfinite(tau) else "positive"
     with pytest.raises(ValidationFailure, match=f"^tau must be {reason}"):
-        core.prox_step(quadratic(np.eye(2)), core.LinearMapE(np.eye(2)),
-                       np.ones(2), np.zeros(2), tau)
+        core.ProxConfig(tau, 1)
 
 
 def test_eval_phi_E_matches_kkt_oracle():
@@ -509,13 +524,14 @@ def test_prox_step_rejects_a_newton_system_of_another_map_or_step():
     other = core.LinearMapE(thin_map(rng), k=2)
     phi = quadratic(sparse_spd(12, rng))
     x_prev, f_k = rng.standard_normal(12), rng.standard_normal(14)
+    cfg = core.ProxConfig(0.05, 1)
     for newton in (core.NewtonSystem(other, 0.05),
                    core.NewtonSystem(E, 0.1)):
         with pytest.raises(ValidationFailure, match="another E or tau"):
-            core.prox_step(phi, E, x_prev, f_k, 0.05, newton_system=newton)
-    x = core.prox_step(phi, E, x_prev, f_k, 0.05,
+            core.prox_step(phi, E, x_prev, f_k, cfg, newton_system=newton)
+    x = core.prox_step(phi, E, x_prev, f_k, cfg,
                        newton_system=core.NewtonSystem(E, 0.05))
-    assert np.array_equal(x, core.prox_step(phi, E, x_prev, f_k, 0.05))
+    assert np.array_equal(x, core.prox_step(phi, E, x_prev, f_k, cfg))
 
 
 def test_dense_map_and_empty_thin_block_match_the_plain_newton_loop():
@@ -553,7 +569,8 @@ def test_dense_map_and_empty_thin_block_match_the_plain_newton_loop():
                        (quart, core.LinearMapE(dense, k=2), core.LinearMapE(dense)),
                        (sparse_quart, core.LinearMapE(sp.csr_matrix(dense)),
                         core.LinearMapE(sp.csr_matrix(dense)))):
-        x = core.prox_step(phi, E, x_prev, f_k, tau, newton_tol=1e-12)
+        x = core.prox_step(phi, E, x_prev, f_k,
+                           core.ProxConfig(tau, 1, newton_tol=1e-12))
         ref = plain(phi, E0)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -567,7 +584,8 @@ def test_dense_hessian_on_a_sparse_thin_block_map():
     dense = rng.standard_normal((4, n))
     E = core.LinearMapE(sp.csr_matrix(dense), k=2)
     x_prev, f_k = rng.standard_normal(n), rng.standard_normal(4)
-    x = core.prox_step(quadratic(Q, b), E, x_prev, f_k, tau, newton_tol=1e-13)
+    x = core.prox_step(quadratic(Q, b), E, x_prev, f_k,
+                       core.ProxConfig(tau, 1, newton_tol=1e-13))
     rhs = b + dense.T @ (dense @ x_prev + tau * f_k) / tau
     ref = np.linalg.solve(Q + dense.T @ dense / tau, rhs)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -864,8 +882,7 @@ def last_state_run(phi, E, x0, f, cfg):
     fk = core.resolve_inputs(f, cfg.n_steps, E.dim_Z)
     states = [np.asarray(x0, dtype=float)]
     for k in range(1, cfg.n_steps + 1):
-        states.append(core.prox_step(phi, E, states[-1], fk[k - 1], cfg.tau,
-                                     newton_tol=cfg.newton_tol))
+        states.append(core.prox_step(phi, E, states[-1], fk[k - 1], cfg))
     return np.array(states)
 
 
@@ -954,14 +971,13 @@ def test_guarded_step_keeps_a_last_state_that_meets_the_tolerance():
     counted = core.EllipticFunctional(
         eval=lambda x: calls.append(1) or phi.eval(x), gateaux=phi.gateaux,
         hessian=phi.hessian)
-    x = core.prox_step(counted, E, x_prev, f_k, tau, x_start=exact, guard=True)
+    cfg = core.ProxConfig(tau, 1)
+    x = core.prox_step(counted, E, x_prev, f_k, cfg, x_start=exact, guard=True)
     assert np.array_equal(x, x_prev) and not calls
-    unguarded = core.prox_step(phi, E, x_prev, f_k, tau, x_start=exact)
+    unguarded = core.prox_step(phi, E, x_prev, f_k, cfg, x_start=exact)
     assert np.array_equal(unguarded, exact)
 
 
 def test_unknown_newton_start_raises():
-    phi, E = quadratic(np.eye(2)), core.LinearMapE(np.eye(2))
-    cfg = core.ProxConfig(tau=0.1, n_steps=2)
     with pytest.raises(ValueError, match="extrapolate, zero, got 'prev'"):
-        core.solve_trajectory(phi, E, np.ones(2), None, cfg, start="prev")
+        core.ProxConfig(tau=0.1, n_steps=2, newton_start="prev")

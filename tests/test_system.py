@@ -491,10 +491,8 @@ def test_schur_equivalence_random_steps(default_small):
         v_k = rng.standard_normal(1)
         f_k = np.zeros(E.dim_Z)
         f_k[-1:] = ops.R_inv_sqrt @ v_k
-        a_prox = core.prox_step(phi, E, a_prev, f_k, cfg.tau,
-                                newton_tol=1e-12)
-        a_schur = system.schur_step(ops, a_prev, v_k, cfg.tau,
-                                    newton_tol=1e-12)
+        a_prox = core.prox_step(phi, E, a_prev, f_k, prox_cfg)
+        a_schur = system.schur_step(ops, a_prev, v_k, prox_cfg)
         scale = 1.0 + np.linalg.norm(a_prox)
         assert np.linalg.norm(a_prox - a_schur) <= 1e-10 * scale
 
@@ -502,7 +500,8 @@ def test_schur_equivalence_random_steps(default_small):
 def test_schur_large_tau_magnetostatic_limit(default_small):
     """tau -> infinity: the step solves K(a) = C R^{-1} v."""
     _, ops, _, _ = default_small
-    a = system.schur_step(ops, np.zeros(ops.n_dofs), np.array([1.0]), 1e12)
+    a = system.schur_step(ops, np.zeros(ops.n_dofs), np.array([1.0]),
+                          core.ProxConfig(1e12, 1))
     rhs = ops.coupling @ (ops.R_inv @ np.array([1.0]))
     assert np.linalg.norm(ops.K(a) - rhs) < 1e-9 * (1 + np.linalg.norm(rhs))
 
@@ -516,8 +515,8 @@ def test_schur_no_coupling_is_mass_parabolic_step():
     rng = np.random.default_rng(8)
     a_prev = 0.1 * rng.standard_normal(ops.n_dofs)
     tau = 0.125
-    a = system.schur_step(ops, a_prev, np.array([0.0]), tau,
-                          newton_tol=1e-13)
+    a = system.schur_step(ops, a_prev, np.array([0.0]),
+                          core.ProxConfig(tau, 1, newton_tol=1e-13))
     # direct linear solve of (M_sigma / tau + K_lin) a = M_sigma a_prev / tau
     A = (ops.msigma / tau + ops.stiffness).toarray()
     a_star = np.linalg.solve(A, ops.msigma @ a_prev / tau)
@@ -530,7 +529,8 @@ def test_schur_step_keeps_the_winding_block_sparse():
     a_prev = 0.1 * np.random.default_rng(9).standard_normal(ops.n_dofs)
     tracemalloc.start()
     try:
-        system.schur_step(ops, a_prev, np.array([1.0]), 1.0 / 64.0)
+        system.schur_step(ops, a_prev, np.array([1.0]),
+                          core.ProxConfig(1.0 / 64.0, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1033,6 +1033,41 @@ def test_config_rejects_unknown_newton_start():
                        match="newton_start must be one of extrapolate, zero, "
                              "got 'prev'"):
         system.MQSConfig(n=8, newton_start="prev")
+
+
+def test_config_builds_one_prox_record_and_replace_rebuilds_it():
+    """MQSConfig.prox is the ProxConfig of its fields, rebuilt by the
+    uniqueness experiment's and the balance study's replace."""
+    cfg = system.MQSConfig(n=8, T=0.5, tau=1.0 / 16.0, newton_tol=1e-9,
+                           newton_max_iter=7)
+    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9, 7, "extrapolate")
+    other = replace(cfg, newton_tol=1e-12, newton_start="zero")
+    assert other.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-12, 7, "zero")
+    finer = replace(cfg, tau=1.0 / 32.0)
+    assert finer.prox == core.ProxConfig(1.0 / 32.0, 16, 1e-9, 7)
+    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9, 7)
+    assert "prox" not in repr(cfg)
+
+
+def test_both_solve_paths_take_the_config_record(monkeypatch):
+    """solve hands config.prox to solve_trajectory, solve_schur to every
+    schur_step."""
+    cfg = system.MQSConfig(n=8, T=0.25, tau=1.0 / 16.0)
+    ops = system.build_system(cfg)[0]
+    seen = []
+    for module, name, at in ((core, "solve_trajectory", 4),
+                             (system, "schur_step", 3)):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, at=at, **kwargs):
+            seen.append(args[at])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    system.solve(cfg, ops)
+    system.solve_schur(cfg, ops)
+    assert len(seen) == 1 + cfg.n_steps
+    assert all(record is cfg.prox for record in seen)
 
 
 @pytest.mark.parametrize("make, fragment", [
