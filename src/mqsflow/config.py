@@ -206,7 +206,9 @@ def _build_voltage(entries, m):
 
 
 def build_config(entries, seed=None):
-    """Turn parsed entries into a run configuration, checked by MQSConfig."""
+    """Turn parsed entries into a run configuration, checked by MQSConfig;
+    the output name is checked here too, so every command refuses a bad one."""
+    output_basename(entries)
     fields = {
         name: _parsed(entries, section, key, parse)
         for (section, key), (name, parse) in _FIELDS.items()

@@ -12,8 +12,11 @@ data onto the closure of range(E), so the degenerate directions never need
 an explicit basis.  A solve's settings are one checked ProxConfig, which
 solve_trajectory and each of its prox_steps take.
 
-Every Newton system (hessian + E^T E / tau) d = rhs, for a dense or
-sparse E whose last k >= 0 rows form a thin block U (k << dim_X), is
+Every Newton system in the package, (hessian + E^T E / tau) d = rhs, goes
+through NewtonSystem: a prox step's, and those of the Schur witness and
+of the oracle eval_phi_E, whose newton_minimize makes one on a map with
+no rows, so that the Newton matrix is the hessian itself.  For a dense or
+sparse E whose last k >= 0 rows form a thin block U (k << dim_X), it is
 solved as the symmetric quasi-definite field-circuit system
 K [d; mu] = [rhs; 0], with K = [[hessian + E_1^T E_1 / tau, U^T],
 [U, -tau I_k]]: the k unknowns mu = U d / tau stay beside d, and the dense
@@ -391,23 +394,13 @@ def _symmetric_permutation(perm, keys):
     return _csc_pattern(perm[keys // n] * n + perm[keys % n], n)
 
 
-def _solve_newton_system(H, rhs, newton_system=None, tol=None):
-    """The Newton direction d.
-
-    With ``newton_system`` (a NewtonSystem, as every prox step passes) H is
-    the functional's hessian and (H + E^T E / tau) d = rhs is solved
-    through it, to the PCG stop (module docstring) set by Newton's
-    tolerance ``tol`` if given.  Without one H is the whole Newton matrix,
-    dense or sparse CSC (SuperLU's defaults: COLAMD, partial pivoting).
-    """
+def _solve_newton_system(H, rhs, newton_system, tol=None):
+    """The Newton direction d of (H + E^T E / tau) d = rhs, for the hessian
+    H, solved through ``newton_system`` (a NewtonSystem) to the PCG stop
+    (module docstring) set by Newton's tolerance ``tol`` if given."""
     try:
-        if newton_system is not None:
-            d = newton_system.solve(H, rhs, tol)
-        elif sp.issparse(H):
-            d = spla.splu(H).solve(rhs)
-        else:
-            d = np.linalg.solve(H, rhs)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        d = newton_system.solve(H, rhs, tol)
+    except RuntimeError as exc:
         raise SingularStep(f"Newton linear system not solvable: {exc}")
     if not np.all(np.isfinite(d)):
         raise SingularStep("Newton linear system produced non-finite direction")
@@ -443,13 +436,16 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
 
     Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` and ``J0`` are
     the gradient and the objective at x0 when the caller already has them.
-    With ``newton_system`` (a NewtonSystem) the Newton matrix is
-    hessian(x) + E^T E / tau, solved through it (see _solve_newton_system)
-    to the PCG stop (module docstring) set by ``tol``.
+    The Newton matrix hessian(x) + E^T E / tau is solved through
+    ``newton_system`` (see _solve_newton_system) to the PCG stop (module
+    docstring) set by ``tol``; by default one on a map with no rows, so
+    that it is hessian(x) itself.
     Raises SingularStep on a non-descent Newton direction and
     NonConvergence when ``max_iter`` iterations do not reach the tolerance.
     """
     x = np.asarray(x0, dtype=float).copy()
+    if newton_system is None:
+        newton_system = NewtonSystem(LinearMapE(np.zeros((0, x.size))), 1.0)
     g = gradient(x) if g0 is None else g0
     J = objective(x) if J0 is None else J0
     for _ in range(max_iter):

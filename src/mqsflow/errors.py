@@ -48,8 +48,10 @@ def check_finite(what, value, kind=None):
     """``value`` as a float array; raises ValidationFailure naming ``what``
     unless it is a regular (non-ragged) array, or a scalar, of finite real
     numbers, and a single number of ``kind`` if given (``numbers.Real``, or
-    ``numbers.Integral`` for a count, numpy integers included)."""
-    if kind is not None and not isinstance(value, kind):
+    ``numbers.Integral`` for a count, numpy integers included; never a
+    ``bool``)."""
+    if kind is not None and (isinstance(value, bool)
+                             or not isinstance(value, kind)):
         noun = "an integer" if kind is numbers.Integral else "a real number"
         shown = " ".join(repr(value).split())
         raise ValidationFailure(f"{what} must be {noun}, got {shown}")

@@ -33,6 +33,8 @@ class VoltageSignal:
 
     kinds: "constant" (value for all t), "step" (0 at t <= 0, value for
     t > 0), "table" (piecewise-linear interpolation of (t, v) samples).
+    The scheme samples v(t_k) only for k >= 1, so "constant" and "step"
+    give the same run: only the recorded v(t_0) differs.
     """
 
     kind: str

@@ -7,7 +7,8 @@ imports mqsflow from ``TREE/src`` and the benchmark's workloads from
 ``mqsflow.cli.dispatch`` in this process:
   - each workload of ``WORKLOADS`` at seeds 9301 and 7, with its generated
     config file (``config_text(seed)``) and its ``argv``;
-  - ``mqsflow constants`` and ``mqsflow convergence`` at their defaults.
+  - ``mqsflow constants``, ``mqsflow convergence`` and ``mqsflow validate``
+    at their defaults.
 Each command writes into ``OUT/<label>/`` (its config file is
 ``OUT/<label>.cfg``), and ``OUT/<label>.log`` holds its exit code, stdout
 and stderr, with OUT's path replaced by the token ``<OUT>``.  OUT must not
@@ -39,7 +40,7 @@ def commands(workloads):
     for name, w in workloads.WORKLOADS.items():
         for seed in SEEDS:
             yield f"{name}-{seed}", w, seed
-    for command in ("constants", "convergence"):
+    for command in ("constants", "convergence", "validate"):
         yield command, command, None
 
 

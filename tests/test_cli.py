@@ -563,6 +563,20 @@ def test_output_basename_must_be_a_plain_name(tmp_path, small_cfg, capsys,
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["validate", "constants"])
+def test_every_command_refuses_a_bad_basename(tmp_path, small_cfg, capsys,
+                                              command):
+    """A name run would refuse fails every command, in run's words."""
+    out = tmp_path / "o"
+    code = cli.dispatch([command, "--config", small_cfg, "--out", str(out),
+                         "--set", "output.basename=.."])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: output.basename must be a plain file "
+                            "name, got '..'\n")
+    assert not out.exists()
+
+
 def test_output_basename_names_the_files(tmp_path, small_cfg):
     assert config.output_basename({}) == "run"
     out = tmp_path / "o"

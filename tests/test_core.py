@@ -284,8 +284,9 @@ def test_regularity_monitors_zero_trajectory():
 
 
 def test_singular_newton_system_raises():
+    no_rows = core.NewtonSystem(core.LinearMapE(np.zeros((0, 2))), 1.0)
     with pytest.raises(SingularStep):
-        core._solve_newton_system(np.zeros((2, 2)), np.ones(2))
+        core._solve_newton_system(np.zeros((2, 2)), np.ones(2), no_rows)
 
 
 def test_trajectory_error_annotated_with_step():

@@ -481,6 +481,20 @@ def test_voltage_lists_behave_as_the_same_arrays():
         system.VoltageSignal("table", table=[[0.0, 0.0], [0.0, 1.0]])
 
 
+def test_constant_and_step_voltages_give_the_same_run():
+    """The scheme reads v(t_k) for k >= 1 only, where both kinds agree."""
+    runs = [system.solve(system.MQSConfig(
+        n=8, T=0.25, tau=0.0625, voltage=system.VoltageSignal(kind, [1.0])))
+        for kind in ("constant", "step")]
+    const, step = runs
+    for name in ("states", "currents", "fluxes", "balance_residuals",
+                 "energies", "rates"):
+        np.testing.assert_array_equal(getattr(const, name),
+                                      getattr(step, name), err_msg=name)
+    np.testing.assert_array_equal(const.voltages[1:], step.voltages[1:])
+    assert const.voltages[0, 0] == 1.0 and step.voltages[0, 0] == 0.0
+
+
 def test_schur_equivalence_random_steps(default_small):
     """Both step formulations solve the same stationarity condition."""
     cfg, ops, phi, E = default_small
@@ -521,6 +535,42 @@ def test_schur_no_coupling_is_mass_parabolic_step():
     A = (ops.msigma / tau + ops.stiffness).toarray()
     a_star = np.linalg.solve(A, ops.msigma @ a_prev / tau)
     assert np.linalg.norm(a - a_star) < 1e-10 * (1 + np.linalg.norm(a_star))
+
+
+def test_witness_and_oracle_solve_through_newton_system(default_small,
+                                                         monkeypatch):
+    """Every Newton direction of a Schur step and of the oracle comes from
+    NewtonSystem.solve, as a prox step's does."""
+    _, ops, _, _ = default_small
+    calls = {"directions": 0, "solves": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(core, "_solve_newton_system",
+                        counted("directions", core._solve_newton_system))
+    monkeypatch.setattr(core.NewtonSystem, "solve",
+                        counted("solves", core.NewtonSystem.solve))
+    a_prev = 0.1 * np.random.default_rng(11).standard_normal(ops.n_dofs)
+    system.schur_step(ops, a_prev, np.array([1.0]),
+                      core.ProxConfig(1.0 / 16.0, 1))
+    witness = dict(calls)
+    assert witness["directions"] > 0
+    assert witness["solves"] == witness["directions"]
+    b = np.array([1.0, -1.0, 0.5])  # off the min-norm point of E x = 2
+    phi = core.EllipticFunctional(  # a quartic, so Newton takes a few steps
+        eval=lambda x: 0.25 * float(x @ x) ** 2 + 0.5 * float(x @ x)
+        - float(b @ x),
+        gateaux=lambda x: (float(x @ x) + 1.0) * x - b,
+        hessian=lambda x: (float(x @ x) + 1.0) * np.eye(3)
+        + 2.0 * np.outer(x, x),
+    )
+    core.eval_phi_E(phi, core.LinearMapE([[1.0, 1.0, 0.0]]), [2.0])
+    assert calls["directions"] > witness["directions"]
+    assert calls["solves"] == calls["directions"]
 
 
 def test_schur_step_keeps_the_winding_block_sparse():
@@ -1109,6 +1159,27 @@ def test_validation_failure_is_a_value_error():
 def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValidationFailure, match=f"{field} must be an integer"):
         system.MQSConfig(**{"n": 8, field: value})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: core.ProxConfig(True, True, newton_max_iter=True),
+     "n_steps must be an integer, got True"),
+    (lambda: core.ProxConfig(0.1, 1, newton_tol=True),
+     "newton_tol must be a real number, got True"),
+    (lambda: system.MQSConfig(n=8, T=True, tau=0.5),
+     "T must be a real number, got True"),
+    (lambda: system.MQSConfig(n=8, tau=True), "tau must be a real number, "
+     "got True"),
+    (lambda: system.MQSConfig(n=True), "n must be an integer, got True"),
+    (lambda: system.MQSConfig(n=8, newton_max_iter=False),
+     "newton_max_iter must be an integer, got False"),
+], ids=["prox-counts", "prox-newton_tol", "mqs-T", "mqs-tau", "mqs-n",
+        "mqs-newton_max_iter"])
+def test_settings_refuse_bool_for_numbers_and_counts(make, message):
+    """bool is a numbers.Integral, yet True is no count, step or size."""
+    with pytest.raises(ValidationFailure) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_config_accepts_numpy_integer_counts():
