@@ -30,7 +30,6 @@ from .material import (
     rational_saturation_model,
     tabulated_model,
     theta_eval,
-    validate_assumptions,
 )
 from .system import (
     MQSConfig,
@@ -53,7 +52,7 @@ __all__ = [
     "write_timeseries_csv", "MqsflowError", "Mesh2D", "WindingSpec",
     "build_mesh", "estimate_coercivity_constant", "ReluctivityModel",
     "constant_model", "estimate_constants", "rational_saturation_model",
-    "tabulated_model", "theta_eval", "validate_assumptions", "MQSConfig",
+    "tabulated_model", "theta_eval", "MQSConfig",
     "MQSOperators", "MQSTrajectory", "VoltageSignal", "build_system",
     "check_weak_solution", "monotonicity_probe", "schur_step", "solve",
 ]

@@ -14,7 +14,10 @@ failure, 2 usage error.  The only environment variable honored is
 MQS_LOG (error|info|debug, case-insensitive; another value is an error),
 read on every dispatch; everything else comes from the config file and
 the repeatable `--set section.key=value` overrides.  --out is made only
-once outputs are written, so a command stopped by an error leaves none.
+once outputs are written, so a command stopped by an error leaves none;
+an --out that is, or lies under, an existing non-directory is refused
+before the command runs, as is an empty one (constants then writes no
+file).
 """
 
 from __future__ import annotations
@@ -68,6 +71,21 @@ def _parser():
                         dest="overrides")
         sp.add_argument("--seed", metavar="N", type=int, default=None)
     return p
+
+
+def _check_out(args):
+    """Raise ValidationFailure for an --out no output could be written to."""
+    if args.command == "validate" or (args.command == "constants"
+                                      and not args.out):
+        return
+    if not args.out:
+        raise ValidationFailure("--out must not be empty")
+    head = args.out  # its longest existing prefix
+    while head and not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ValidationFailure(
+            f"--out {args.out!r}: {head!r} exists and is not a directory")
 
 
 def _load(args):
@@ -217,9 +235,10 @@ def dispatch(argv):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_out(args)
         with np.errstate(all="raise", under="ignore"):  # no silent inf/nan
             return _COMMANDS[args.command](args)
-    except (MqsflowError, FileNotFoundError, FloatingPointError) as exc:
+    except (MqsflowError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

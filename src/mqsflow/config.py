@@ -99,7 +99,12 @@ def _check_key(section, key, lineno=None, raw=None):
 
 def load_config_file(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file {path!r} is not UTF-8 text: {exc}") from exc
+    return parse_config(text)
 
 
 def apply_overrides(entries, overrides):

@@ -97,6 +97,8 @@ NEWTON_STARTS = ("extrapolate", "zero")
 # prox gradient, so Newton spends its whole budget and fails: 1e-15 did at
 # n = 8 and n = 32 on the field-circuit problem, 1e-14 converges.
 MIN_NEWTON_TOL = 1e-14
+# Above MAX_NEWTON_TOL Newton would stop before it moved.
+MAX_NEWTON_TOL = 1e-3
 
 # eval_phi_E builds a dense null-space basis, so it refuses larger maps
 ORACLE_DIM_LIMIT = 64
@@ -223,6 +225,10 @@ class ProxConfig:
             raise ValidationFailure(
                 f"newton_tol must be at least {MIN_NEWTON_TOL:g}, the rounding "
                 f"floor of the prox gradient, got {self.newton_tol}")
+        if self.newton_tol > MAX_NEWTON_TOL:
+            raise ValidationFailure(
+                f"newton_tol must be at least {MIN_NEWTON_TOL:g} and at "
+                f"most {MAX_NEWTON_TOL:g}, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValidationFailure(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")

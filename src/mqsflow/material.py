@@ -6,6 +6,7 @@ strongly monotone with some m_hat > 0 and Lipschitz with some
 L_hat < inf; :func:`estimate_constants` certifies both in closed form on
 all of s >= 0.  :func:`model_eval` evaluates nu, d(nu s)/ds and the
 energy density theta(s^2) = int_0^s nu(z) z dz of a curve together.
+It knows curves only; ``system.build_system`` checks the circuit data.
 """
 
 from __future__ import annotations
@@ -226,37 +227,3 @@ def estimate_constants(model, region="*"):
             f"{model.kind!r} on region {region!r}") from exc
     return MaterialValidationReport(m_hat=float(np.min(bounds)),
                                     L_hat=float(np.max(bounds)))
-
-
-def validate_assumptions(model, sigma_C, R):
-    """Check conductivity, resistance-matrix, and reluctivity requirements.
-
-    Passes iff sigma_C > 0, R is symmetric positive definite, and the
-    reluctivity curve certifies with m_hat > 0 on all subdomains; else
-    raises ValidationFailure naming every failed requirement.  Returns the
-    material report over every region: the least m_hat, the largest L_hat.
-    """
-    reasons = []
-    if not sigma_C > 0:
-        reasons.append("conductivity sigma_C must be positive")
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        reasons.append("resistance matrix R must be square")
-    else:
-        S = R / max(np.abs(R).max(initial=0.0), 1e-300)  # no overflow
-        if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
-            reasons.append("resistance matrix R must be symmetric")
-        else:
-            try:
-                np.linalg.cholesky(R)
-            except np.linalg.LinAlgError:
-                reasons.append("resistance matrix R must be positive definite")
-    reports = {r: estimate_constants(model, r) for r in sorted(model.params)}
-    reasons += [f"reluctivity curve on region {region!r} is not strongly "
-                f"monotone (m_hat = {rep.m_hat:.3e})"
-                for region, rep in reports.items() if not rep.passed]
-    if reasons:
-        raise ValidationFailure(reasons)
-    return MaterialValidationReport(
-        m_hat=min(rep.m_hat for rep in reports.values()),
-        L_hat=max(rep.L_hat for rep in reports.values()))

@@ -89,12 +89,11 @@ DEFAULT_WINDING = fem.WindingSpec(
 
 
 # Desk-scale caps: a run above them would not finish at desk scale (mesh,
-# steps, stored states: 80 MB at the dof-step cap) or would stop Newton
-# before it moved (tolerance; its floor is core.MIN_NEWTON_TOL).
+# steps, stored states: 80 MB at the dof-step cap).  Newton's tolerance
+# bounds are core.ProxConfig's.
 MAX_MESH_N = 256
 MAX_STEPS = 100_000
 MAX_DOF_STEPS = 10_000_000
-MAX_NEWTON_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -165,10 +164,6 @@ class MQSConfig:
         object.__setattr__(self, "prox", core.ProxConfig(
             self.tau, self.n_steps, self.newton_tol, self.newton_max_iter,
             self.newton_start))
-        if self.newton_tol > MAX_NEWTON_TOL:
-            raise ValidationFailure(
-                f"newton_tol must be at least {core.MIN_NEWTON_TOL:g} and at "
-                f"most {MAX_NEWTON_TOL:g}, got {self.newton_tol}")
 
     @property
     def n_steps(self):
@@ -253,11 +248,46 @@ class MQSTrajectory(core.DaeTrajectory):
         return self.states
 
 
-def _principal_inv_sqrt(R):
-    w, V = np.linalg.eigh(R)
-    if np.any(w <= 0):
-        raise ValidationFailure("resistance matrix R must be positive definite")
-    return (V * (1.0 / np.sqrt(w))) @ V.T
+def _admissible_data(config):
+    """The one check of the problem data: sigma_C > 0; R square, symmetric,
+    positive definite, one row per winding; each region's curve strongly
+    monotone.  Raises one ValidationFailure naming every failure; else
+    returns the least m_hat, the largest L_hat, and R^{-1/2}."""
+    reasons = []
+    if not config.sigma_C > 0:
+        reasons.append("conductivity sigma_C must be positive")
+    R = config.R
+    if R.ndim != 2 or R.shape[0] != R.shape[1]:
+        reasons.append("resistance matrix R must be square")
+    else:
+        S = R / max(np.abs(R).max(initial=0.0), 1e-300)  # no overflow
+        if np.linalg.norm(S - S.T) > 1e-12 * np.linalg.norm(S):
+            reasons.append("resistance matrix R must be symmetric")
+        else:
+            try:
+                np.linalg.cholesky(R)
+                w, V = np.linalg.eigh(R)  # for R^{-1/2} below
+            except np.linalg.LinAlgError:
+                w = np.zeros(1)  # not positive definite
+            if np.any(w <= 0):
+                reasons.append("resistance matrix R must be positive definite")
+    if R.shape[0] != config.winding.m:
+        reasons.append(f"R is {R.shape[0]}x{R.shape[1]} but there are "
+                       f"{config.winding.m} windings")
+    reports = {}
+    for region in sorted(config.model.params):
+        try:  # through the module: perfbench wraps estimate_constants
+            reports[region] = material.estimate_constants(config.model, region)
+        except ValidationFailure as exc:  # a curve whose bounds overflow
+            reasons += exc.reasons
+    reasons += [f"reluctivity curve on region {region!r} is not strongly "
+                f"monotone (m_hat = {rep.m_hat:.3e})"
+                for region, rep in reports.items() if not rep.passed]
+    if reasons:
+        raise ValidationFailure(reasons)
+    return (min(r.m_hat for r in reports.values()),
+            max(r.L_hat for r in reports.values()),
+            (V * (1.0 / np.sqrt(w))) @ V.T)
 
 
 def _metric_matrix(mesh, sigma_C, coupling, R_inv_sqrt):
@@ -281,31 +311,26 @@ def _metric_matrix(mesh, sigma_C, coupling, R_inv_sqrt):
 def build_system(config):
     """Assemble the operators; returns ``(ops, ops.phi, ops.E)``.
 
-    A step too large for the energy's ellipticity fails here as in a solve.
+    The problem data are checked first, by ``_admissible_data``.  A step
+    too large for the energy's ellipticity fails here as in a solve.
     ``ops.L_C`` is left to its first read, which runs the eigensolve and
     raises any ``EigenSolveFailure``.
     """
-    report = material.validate_assumptions(config.model, config.sigma_C, config.R)
+    m_hat, L_hat, R_inv_sqrt = _admissible_data(config)
     mesh = fem.build_mesh(
         config.n, (*config.conductor_center, config.conductor_radius)
     )
-    msigma, mass = fem.assemble_sigma_mass(mesh, config.sigma_C)
-    mass_C = msigma / config.sigma_C
+    mass_C, mass = fem.assemble_sigma_mass(mesh, 1.0)
+    msigma = config.sigma_C * mass_C
     stiffness = fem.assemble_stiffness(mesh)
     coupling = fem.assemble_coupling(mesh, config.winding)
     R = config.R
-    if R.shape[0] != config.winding.m:
-        raise ValidationFailure(
-            f"R is {R.shape[0]}x{R.shape[1]} but there are {config.winding.m} windings"
-        )
     R_inv = np.linalg.inv(R)
-    R_inv_sqrt = _principal_inv_sqrt(R)
     ops = MQSOperators(
         mesh=mesh, model=config.model, sigma_C=config.sigma_C,
         R=R, R_inv=R_inv, R_inv_sqrt=R_inv_sqrt,
         msigma=msigma, mass_C=mass_C, mass=mass, stiffness=stiffness,
-        coupling=coupling,
-        m_hat=report.m_hat, L_hat=report.L_hat,
+        coupling=coupling, m_hat=m_hat, L_hat=L_hat,
         E=core.LinearMapE(
             _metric_matrix(mesh, config.sigma_C, coupling, R_inv_sqrt),
             k=coupling.shape[1]),

@@ -8,7 +8,9 @@ imports mqsflow from ``TREE/src`` and the benchmark's workloads from
   - each workload of ``WORKLOADS`` at seeds 9301 and 7, with its generated
     config file (``config_text(seed)``) and its ``argv``;
   - ``mqsflow constants``, ``mqsflow convergence`` and ``mqsflow validate``
-    at their defaults.
+    at their defaults;
+  - ``mqsflow validate`` with one failing override per problem-data check
+    (``FAILING_DATA``): sigma_C, R's row count and the curve.
 Each command writes into ``OUT/<label>/`` (its config file is
 ``OUT/<label>.cfg``), and ``OUT/<label>.log`` holds its exit code, stdout
 and stderr, with OUT's path replaced by the token ``<OUT>``.  OUT must not
@@ -33,15 +35,20 @@ from pathlib import Path
 
 SEEDS = (9301, 7)
 TOKEN = "<OUT>"
+FAILING_DATA = {"sigma_C": "circuit.sigma_C=0", "R": "circuit.R=1 0;0 1",
+                "nu_max": "material.nu_max=9.001"}
 
 
 def commands(workloads):
-    """(label, workload or subcommand, seed or None) of every command."""
+    """(label, workload or subcommand argv, seed or None) of every
+    command."""
     for name, w in workloads.WORKLOADS.items():
         for seed in SEEDS:
             yield f"{name}-{seed}", w, seed
     for command in ("constants", "convergence", "validate"):
-        yield command, command, None
+        yield command, [command], None
+    for key, setting in FAILING_DATA.items():
+        yield f"validate-{key}", ["validate", "--set", setting], None
 
 
 def run(tree, out):
@@ -57,7 +64,7 @@ def run(tree, out):
     for label, what, seed in commands(workloads):
         out_dir = out / label
         if seed is None:
-            argv = [what, "--out", str(out_dir)]
+            argv = [*what, "--out", str(out_dir)]
         else:
             cfg_path = out / f"{label}.cfg"
             cfg_path.write_text(what.config_text(seed), encoding="utf-8")

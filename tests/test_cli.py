@@ -178,17 +178,17 @@ def test_cli_validate_pass_and_fail(tmp_path, small_cfg, capsys):
 def test_cli_validate_certifies_the_material_once(
         small_cfg, monkeypatch, capsys, setting, code):
     calls = []
-    real = material.validate_assumptions
+    real = material.estimate_constants
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(material, "validate_assumptions", counted)
+    monkeypatch.setattr(material, "estimate_constants", counted)
     argv = ["validate", "--config", small_cfg, "--set", setting]
     assert cli.dispatch(argv) == code
     assert capsys.readouterr().out.startswith("validation ")
-    assert len(calls) == 1
+    assert calls == ["*"]  # once per region; the default curve has one
 
 
 @pytest.mark.parametrize("setting, reason", [
@@ -286,6 +286,39 @@ def test_cli_bad_config_file(tmp_path):
 def test_cli_missing_config_file(tmp_path):
     assert cli.dispatch(["run", "--config", str(tmp_path / "none.cfg"),
                          "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--config", "{tmp}"], "error: [Errno 21] Is a directory: "),
+    (["run", "--config", "{tmp}/latin1.cfg", "--out", "{tmp}/o"],
+     "error: config file '{tmp}/latin1.cfg' is not UTF-8 text: "),
+    *[([command, "--config", "{small}", "--out", "{tmp}/file"],
+       "error: --out '{tmp}/file': '{tmp}/file' exists and is not a "
+       "directory") for command in ("run", "experiment", "convergence",
+                                    "constants")],
+    (["experiment", "--config", "{small}", "--out", "{tmp}/file/sub"],
+     "error: --out '{tmp}/file/sub': '{tmp}/file' exists and is not a "
+     "directory"),
+    *[([command, "--config", "{small}", "--out", ""],
+       "error: --out must not be empty")
+      for command in ("run", "experiment", "convergence")],
+], ids=["config_dir", "config_not_utf8",
+        *[f"{c}_out_file" for c in ("run", "experiment", "convergence",
+                                    "constants")],
+        "out_under_a_file",
+        *[f"{c}_out_empty" for c in ("run", "experiment", "convergence")]])
+def test_cli_io_failures_are_one_error_line_before_solving(
+        tmp_path, small_cfg, monkeypatch, capsys, argv, message):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "latin1.cfg").write_bytes(b"[mesh]\nn = 8 # \xe9\n")
+    solves = []
+    monkeypatch.setattr(system, "solve", lambda *a, **k: solves.append(a))
+    fill = {"tmp": str(tmp_path), "small": small_cfg}
+    assert cli.dispatch([a.format(**fill) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message.format(**fill))
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert solves == []
 
 
 def test_cli_set_overrides_applied_before_validation(tmp_path, small_cfg):

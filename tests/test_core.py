@@ -224,6 +224,15 @@ def test_prox_config_rejects_a_tolerance_below_the_rounding_floor():
         assert core.solve_trajectory(phi, E, x0, f[:2], cfg).n_steps == 1
 
 
+def test_prox_config_rejects_a_tolerance_above_the_cap():
+    """Both newton_tol bounds are ProxConfig's, not only MQSConfig's."""
+    with pytest.raises(ValidationFailure, match="^newton_tol must be at least "
+                       "1e-14 and at most 0.001, got 0.01$"):
+        core.ProxConfig(0.1, 1, newton_tol=0.01)
+    assert core.ProxConfig(0.1, 1, newton_tol=1e-3).newton_tol == \
+        core.MAX_NEWTON_TOL
+
+
 @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -0.1])
 def test_prox_step_rejects_non_finite_tau(tau):
     """A prox step takes its tau from a ProxConfig, which refuses it."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mqsflow import material
+from mqsflow import material, system
 from mqsflow.errors import ValidationFailure
 
 
@@ -196,7 +196,7 @@ def test_estimate_constants_rejects_a_rational_curve_that_bends_back(
     assert report.m_hat == pytest.approx(m_hat, rel=1e-9)
     assert report.L_hat == nu_max and not report.passed
     with pytest.raises(ValidationFailure) as info:
-        material.validate_assumptions(model, 1.0, [[1.0]])
+        system.build_system(system.MQSConfig(n=8, model=model))
     assert info.value.reasons == ["reluctivity curve on region '*' is not "
                                   f"strongly monotone (m_hat = {m_hat:.3e})"]
 
@@ -226,11 +226,10 @@ def test_estimate_constants_rejects_a_table_anywhere_on_s_ge_0(table, m_hat):
 
 
 def test_validate_assumptions_passes_on_defaults():
-    report = material.validate_assumptions(
-        material.rational_saturation_model(1.0, 5.0), 1.0, np.array([[1.0]])
-    )
-    assert report.passed
-    assert report.m_hat > 0
+    """The problem-data check of build_system passes the default data."""
+    m_hat, L_hat, R_inv_sqrt = system._admissible_data(system.MQSConfig())
+    assert (m_hat, L_hat) == (0.5, 5.0)
+    assert np.array_equal(R_inv_sqrt, [[1.0]])
 
 
 @pytest.mark.parametrize(
@@ -243,10 +242,10 @@ def test_validate_assumptions_passes_on_defaults():
     ],
 )
 def test_validate_assumptions_rejects_bad_data(sigma, R, fragment):
+    cfg = system.MQSConfig(n=8, model=material.constant_model(1.0),
+                           sigma_C=sigma, R=np.array(R))
     with pytest.raises(ValidationFailure) as info:
-        material.validate_assumptions(
-            material.constant_model(1.0), sigma, np.array(R)
-        )
+        system._admissible_data(cfg)
     assert any(fragment in reason for reason in info.value.reasons)
 
 

@@ -65,12 +65,20 @@ def test_metric_factor_lead_rows_equal_a_coo_build():
 
 
 def test_principal_inverse_square_root():
-    R = np.array([[2.0, 0.5], [0.5, 1.0]])
-    S = system._principal_inv_sqrt(R)
-    assert np.abs(S @ S @ R - np.eye(2)).max() < 1e-12
+    """The problem-data check returns R^{-1/2} from the same decomposition
+    that certifies R positive definite."""
+    winding = fem.WindingSpec(THREE_WINDINGS.rectangles[:2])
+    cfg = system.MQSConfig(n=8, winding=winding,
+                           R=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                           voltage=system.VoltageSignal("step", np.ones(2)))
+    S = system._admissible_data(cfg)[2]
+    assert np.abs(S @ S @ cfg.R - np.eye(2)).max() < 1e-12
     assert np.abs(S - S.T).max() < 1e-13
-    with pytest.raises(ValidationFailure):
-        system._principal_inv_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValidationFailure) as info:
+        system._admissible_data(
+            replace(cfg, R=np.array([[1.0, 2.0], [2.0, 1.0]])))
+    assert info.value.reasons == [
+        "resistance matrix R must be positive definite"]
 
 
 def test_non_spd_resistance_rejected():
@@ -83,6 +91,38 @@ def test_resistance_winding_count_mismatch_rejected():
     cfg = system.MQSConfig(R=np.eye(2))
     with pytest.raises(ValidationFailure):
         system.build_system(cfg)
+
+
+def test_build_system_names_every_failed_assumption_before_the_mesh(
+        monkeypatch):
+    """sigma_C, R's row count and the curve fail together; one failure
+    names all three, and no mesh is built for it."""
+    meshes = []
+    monkeypatch.setattr(fem, "build_mesh",
+                        lambda *args: meshes.append(args))
+    cfg = system.MQSConfig(
+        n=8, sigma_C=0.0, R=np.eye(2),
+        model=material.rational_saturation_model(1.0, 9.001))
+    with pytest.raises(ValidationFailure) as info:
+        system.build_system(cfg)
+    assert info.value.reasons == [
+        "conductivity sigma_C must be positive",
+        "R is 2x2 but there are 1 windings",
+        "reluctivity curve on region '*' is not strongly monotone "
+        "(m_hat = -1.250e-04)"]
+    assert meshes == []
+
+
+def test_conducting_mass_is_assembled_not_recovered():
+    """ops.mass_C is the assembled unit-conductivity mass, not
+    (sigma_C M_C) / sigma_C, and msigma is sigma_C times it."""
+    ops = system.build_system(system.MQSConfig(n=16, sigma_C=7.3))[0]
+    expected = fem._assemble_mass(
+        ops.mesh, ops.mesh.element_labels == fem.LABEL_C)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(ops.mass_C, name),
+                              getattr(expected, name)), name
+    assert np.array_equal(ops.msigma.data, 7.3 * expected.data)
 
 
 def test_energy_gateaux_finite_difference(default_small):
@@ -1234,13 +1274,12 @@ def test_resistance_must_be_a_matrix():
 def test_huge_resistance_is_checked_without_overflow():
     """Symmetry is tested on R scaled to unit size, so the squares of its
     entries cannot overflow."""
-    report = material.validate_assumptions(
-        material.constant_model(1.0), 1.0, np.array([[1e308]]))
-    assert report.passed
+    cfg = system.MQSConfig(n=8, model=material.constant_model(1.0),
+                           R=np.array([[1e308]]))
+    assert system._admissible_data(cfg)[2][0, 0] == pytest.approx(1e-154)
     with pytest.raises(ValidationFailure) as info:
-        material.validate_assumptions(
-            material.constant_model(1.0), 1.0,
-            np.array([[1e308, -1e308], [1e308, 1e308]]))
+        system._admissible_data(
+            replace(cfg, R=np.array([[1e308, -1e308], [1e308, 1e308]])))
     assert "resistance matrix R must be symmetric" in info.value.reasons
 
 
