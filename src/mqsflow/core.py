@@ -107,25 +107,49 @@ ORACLE_DIM_LIMIT = 64
 # PCG on its last kept factor, to the PCG stop (module docstring) within
 # PCG_MAX_ITER iterations; a smaller one is factored.  Solve
 # on the default problem, PCG against factoring every system, in-process,
-# median of 9 (2-core x86 VM, one BLAS thread): n = 12 (121 unknowns) 0.087
-# -> 0.092 s, n = 16 (225) 0.122 -> 0.109 s, n = 20 (361) 0.148 -> 0.127 s,
-# n = 24 (529) 0.194 -> 0.155 s, n = 64 0.98 -> 0.60 s.  So the gain below
-# 400 is at most 0.02 s a solve, and end to end it is none: with the cutoff
-# at 200 the n = 16 experiment battery (perfbench battery_n16) ran 1.10/1.04
-# s against 1.02/1.02 s at 400, and its peak RSS rose by 1 MB, for the
-# factor held across systems.  With the tol / 10 target alone a kept
-# factor serves longer and ages, and CG then gains about 3x an iteration
-# instead of 10x; so the budget is 6, not 10, and an aged factor is replaced
-# sooner.  Factors/PCG systems/CG iterations, to 1e-10 ||rhs|| within 10 ->
-# this target within 6, with the Newton systems unchanged: the default
-# problem at n = 32 4/65/501 -> 3/66/339, at n = 64 5/63/503 -> 4/64/301,
-# the three-winding perfbench run at n = 32 43/139/1463 -> 70/112/757.
+# median of 9 (2-core x86 VM, one BLAS thread), with SuperLU's default
+# supernodes: n = 12 (121 unknowns) 0.087 -> 0.092 s, n = 16 (225) 0.122 ->
+# 0.109 s, n = 20 (361) 0.148 -> 0.127 s, n = 24 (529) 0.194 -> 0.155 s,
+# n = 64 0.98 -> 0.60 s.  Measured again on later code, n = 16 read 0.055
+# -> 0.042 s with the defaults and 0.045 -> 0.040 s with SUPERLU_RELAX and
+# SUPERLU_PANEL_SIZE.  So the gain below 400 is at most 0.02 s a solve,
+# and end to end it is none: with the cutoff at 200 the n = 16 battery
+# (perfbench battery_n16) ran 1.10/1.04 s against 1.02/1.02 s at 400, and
+# its peak RSS rose by 1 MB, for the factor held across systems.  With the
+# tol / 10 target alone a kept factor serves longer and ages, and CG then
+# gains about 3x an iteration instead of 10x; so the budget is 6, not 10,
+# and an aged factor is replaced sooner.  Factors/PCG systems/CG
+# iterations, to 1e-10 ||rhs|| within 10 -> this target within 6, with the
+# Newton systems unchanged: the default problem at n = 32 4/65/501 ->
+# 3/66/339, at n = 64 5/63/503 -> 4/64/301, the three-winding perfbench
+# run at n = 32 43/139/1463 -> 70/112/757.
 # Solve at n = 64, median of 5 in-process: 0.507 s as before, 0.469 s with
 # the target alone, 0.514 s (14 factors) with the budget alone, 0.410 s
 # with both; budgets of 5 and 7 took 0.405 and 0.413 s.
 PCG_MIN_DIM = 400
 PCG_MAX_ITER = 6
 PCG_RTOL = 1e-10
+
+# NewtonSystem's symmetric-mode factors take SuperLU's supernode settings
+# relax = 1 (no relaxed supernodes) and panel_size = 1 at every size, in
+# place of its defaults relax = 10 and panel_size = 20, which are sized for
+# large matrices (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix
+# Anal. Appl. 20(3), 1999); the zero-pivot fallback keeps the defaults.
+# One factor plus one solve of a Newton matrix of the default problem, ms,
+# defaults -> these, median of 9 interleaved rounds in-process (2-core x86
+# VM, one BLAS thread), natural order on the kept ordering | the first,
+# MMD-ordered factor of a solve, with K's unknowns in parentheses:
+#   n = 8    (50)            0.086 -> 0.081 | 0.112 -> 0.101
+#   n = 16   (226)           0.399 -> 0.288 | 0.485 -> 0.439
+#   n = 32   (962)           1.54  -> 0.86  | 2.61  -> 1.89
+#   n = 64   (3970)          8.02  -> 5.63  | 7.78  -> 6.87
+#   n = 128  (16130)         38.4  -> 27.9  | 45.4  -> 35.8
+# Of relax in {1, 2, 4, default} x panel_size in {1, 2, 4, default}, the
+# best with panel_size 1 was within 6 % of the fastest on each matrix;
+# these were within 14 %, and no setting was faster than these at more
+# than three of the five sizes, so no size rule is taken.
+SUPERLU_RELAX = 1
+SUPERLU_PANEL_SIZE = 1
 
 
 class LinearMapE:
@@ -344,10 +368,12 @@ class NewtonSystem:
         return x.take(perm)[:n]
 
     def _factor(self, A, permc_spec):
-        """SuperLU's symmetric-mode factor of A, or its default one (COLAMD,
-        partial pivoting) on a zero pivot."""
+        """SuperLU's symmetric-mode factor of A with SUPERLU_RELAX and
+        SUPERLU_PANEL_SIZE, or its default one (COLAMD, partial pivoting,
+        default supernodes) on a zero pivot."""
         try:
             lu = spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                           relax=SUPERLU_RELAX, panel_size=SUPERLU_PANEL_SIZE,
                            options={"SymmetricMode": True})
         except RuntimeError:  # a zero pivot: SuperLU's defaults
             lu = spla.splu(A)
@@ -489,13 +515,22 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
     tau = config.tau
     x_prev = np.asarray(x_prev, dtype=float)
     b = E.apply(x_prev) + tau * np.asarray(f_k, dtype=float)
+    last = [None, None]  # the last iterate and its misfit E x - b
+
+    def misfit(x):
+        """E x - b, formed once per point: newton_minimize takes the
+        gradient at the very array whose objective the line search accepted,
+        and neither it nor this step changes an array once evaluated."""
+        if x is not last[0]:
+            last[:] = x, E.apply(x) - b
+        return last[1]
 
     def objective(x):
-        mis = E.apply(x) - b
+        mis = misfit(x)
         return phi.eval(x) + 0.5 / tau * float(mis @ mis)
 
     def residual(x):
-        return phi.gateaux(x) + E.apply_adjoint(E.apply(x) - b) / tau
+        return phi.gateaux(x) + E.apply_adjoint(misfit(x)) / tau
 
     g_prev = residual(x_prev)
     g0_norm = float(np.linalg.norm(g_prev))
@@ -503,11 +538,15 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
     if g0_norm <= tol and (x_start is None or guard):
         return x_prev.copy()
     x0, g0, J0 = x_prev, g_prev, None
-    if x_start is not None:
+    if x_start is None:
+        J0 = objective(x_prev)  # on g_prev's misfit
+    else:
         x0, g0 = np.asarray(x_start, dtype=float), None
         if guard:  # x_prev first, so Newton starts at the last point evaluated
             J_prev, J0 = objective(x_prev), objective(x0)
-            if not J0 <= J_prev:
+            if J0 <= J_prev:
+                g0 = residual(x0)  # on J0's misfit
+            else:
                 x0, g0, J0 = x_prev, g_prev, J_prev
     if newton_system is None:
         newton_system = NewtonSystem(E, tau)

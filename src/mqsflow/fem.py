@@ -470,9 +470,18 @@ def curlcurl_jacobian(mesh, model, a):
     coef = np.divide(areas * (dgds - nu), s * s, out=np.zeros_like(s),
                      where=s >= 1e-12)
     iso = nu * areas
-    weights = np.column_stack([iso + coef * g[:, 0] * g[:, 0],
-                               iso + coef * g[:, 1] * g[:, 1],
-                               coef * g[:, 0] * g[:, 1]])
+    # written in place into one (M, 3) buffer, each weight evaluated as
+    # (coef g_x) g_x + iso, (coef g_y) g_y + iso and (coef g_x) g_y
+    gx, gy = g[:, 0], g[:, 1]
+    weights = np.empty((s.size, 3))
+    w_xx, w_yy, w_xy = weights.T
+    np.multiply(coef, gx, out=w_xy)
+    np.multiply(w_xy, gx, out=w_xx)
+    w_xx += iso
+    np.multiply(coef, gy, out=w_yy)
+    w_yy *= gy
+    w_yy += iso
+    w_xy *= gy
     return mesh.on_pattern(mesh.slot_operator @ weights.ravel())
 
 

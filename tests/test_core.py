@@ -93,6 +93,107 @@ def test_prox_step_matches_brute_force_on_nonquadratic():
     assert J(x) <= res.fun + 1e-12
 
 
+class _CountingMapE(core.LinearMapE):
+    """A LinearMapE that counts its products E x."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.products = 0
+
+    def apply(self, x):
+        self.products += 1
+        return super().apply(x)
+
+
+def _two_product_prox_step(phi, E, x_prev, f_k, config, x_start, guard):
+    """A prox step whose objective and gradient each form E x - b: the
+    reference for the shared misfit."""
+    tau = config.tau
+    b = E.apply(x_prev) + tau * f_k
+
+    def objective(x):
+        mis = E.apply(x) - b
+        return phi.eval(x) + 0.5 / tau * float(mis @ mis)
+
+    def residual(x):
+        return phi.gateaux(x) + E.apply_adjoint(E.apply(x) - b) / tau
+
+    g_prev = residual(x_prev)
+    tol = config.newton_tol * (1.0 + float(np.linalg.norm(g_prev)))
+    x0, g0, J0 = x_prev, g_prev, None
+    if x_start is not None:
+        x0, g0 = x_start, None
+        if guard:
+            J_prev, J0 = objective(x_prev), objective(x0)
+            if not J0 <= J_prev:
+                x0, g0, J0 = x_prev, g_prev, J_prev
+    return core.newton_minimize(
+        objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
+        max_iter=config.newton_max_iter,
+        newton_system=core.NewtonSystem(E, tau))
+
+
+@pytest.mark.parametrize("start, guard, extra", [
+    (None, False, 0),   # b and the residual at x_prev
+    ("near", True, 1),  # and the objective at x_start, kept
+    ("far", True, 1),   # and the objective at x_start, dropped
+    ("near", False, 1),  # and the gradient at x_start
+])
+def test_prox_step_forms_one_misfit_per_point(monkeypatch, start, guard,
+                                              extra):
+    """E x - b is formed once at each point the step evaluates, so an
+    accepted Newton iterate costs the one product its line search took,
+    and the step equals the two-product one bit for bit."""
+    rng = np.random.default_rng(31)
+    n = 6
+    phi = quartic(n)
+    matrix = rng.standard_normal((4, n))
+    x_prev, f_k = 2.0 * rng.standard_normal(n), rng.standard_normal(4)
+    cfg = core.ProxConfig(0.25, 1, newton_tol=1e-13)
+    x_start = {None: None, "near": 0.9 * x_prev, "far": 50.0 * x_prev}[start]
+    evals, searches = [], []
+    real_search = core.armijo_search
+
+    def counted_search(objective, *args):
+        def counted(x):
+            evals.append(1)
+            return objective(x)
+        searches.append(1)
+        return real_search(counted, *args)
+
+    monkeypatch.setattr(core, "armijo_search", counted_search)
+    E = _CountingMapE(matrix)
+    x = core.prox_step(phi, E, x_prev, f_k, cfg, x_start=x_start, guard=guard)
+    assert len(searches) >= 3
+    assert E.products == 2 + extra + len(evals)
+    assert np.array_equal(x, _two_product_prox_step(
+        phi, core.LinearMapE(matrix), x_prev, f_k, cfg, x_start, guard))
+
+
+def test_newton_minimize_never_changes_an_array_it_passed_on():
+    """prox_step keys its misfit on array identity, which holds only while
+    no array passed to the objective or the gradient changes."""
+    # sum sqrt(1 + (x - c)^2): a full Newton step from afar overshoots
+    c = np.array([2.0, -1.0, 0.5])
+    seen = {"objective": [], "gradient": []}
+
+    def kept(name, fn):
+        def wrapper(x):
+            seen[name].append((x, x.copy()))
+            return fn(x)
+        return wrapper
+
+    x = core.newton_minimize(
+        kept("objective", lambda x: float(np.sum(np.sqrt(1 + (x - c) ** 2)))),
+        kept("gradient", lambda x: (x - c) / np.sqrt(1 + (x - c) ** 2)),
+        lambda x: np.diag((1 + (x - c) ** 2) ** -1.5),
+        np.array([3.0, -2.5, 1.5]), 1e-12)
+    assert np.abs(x - c).max() < 1e-10
+    assert len(seen["objective"]) > len(seen["gradient"])  # it backtracked
+    assert all(np.array_equal(a, copy)
+               for calls in seen.values() for a, copy in calls)
+
+
 def test_prox_step_stationary_at_minimizer():
     Q = np.diag([2.0, 3.0])
     phi = quadratic(Q)
@@ -662,6 +763,32 @@ def test_symmetric_factor_failure_falls_back_then_raises(monkeypatch):
     monkeypatch.setattr(core, "spla", _FailingSplu(always=True))
     with pytest.raises(SingularStep, match="not solvable"):
         core._solve_newton_system(H, rhs, core.NewtonSystem(E, 0.05))
+
+
+def test_symmetric_factors_take_the_supernode_settings_and_the_fallback_none(
+        monkeypatch):
+    """Both symmetric-mode factors, MMD-ordered and natural, carry
+    SUPERLU_RELAX and SUPERLU_PANEL_SIZE; the zero-pivot fallback is
+    SuperLU's defaults, with no keyword at all."""
+    rng = np.random.default_rng(26)
+    E = core.LinearMapE(thin_map(rng), k=2)
+    H = sparse_spd(12, rng)
+    rhs = rng.standard_normal(12)
+    stub = _RecordingSplu()
+    monkeypatch.setattr(core, "spla", stub)
+    newton = core.NewtonSystem(E, 0.05)
+    for _ in range(2):
+        core._solve_newton_system(H, rhs, newton)
+    assert stub.calls == [
+        {"permc_spec": spec, "diag_pivot_thresh": 0.0, "relax": 1,
+         "panel_size": 1, "options": {"SymmetricMode": True}}
+        for spec in ("MMD_AT_PLUS_A", "NATURAL")]
+
+    stub = _FailingSplu(always=False)
+    monkeypatch.setattr(core, "spla", stub)
+    core._solve_newton_system(H, rhs, core.NewtonSystem(E, 0.05))
+    assert stub.calls[0]["relax"] == stub.calls[0]["panel_size"] == 1
+    assert stub.calls[1:] == [{}]
 
 
 def test_a_kept_ordering_orders_each_new_pattern_afresh(monkeypatch):

@@ -1091,6 +1091,44 @@ def test_newton_system_counts_on_the_default_problem_at_n32(monkeypatch):
     assert newton.cg_iters <= 350
 
 
+def test_newton_system_counts_on_the_default_problem_at_n16(monkeypatch):
+    """Below the cutoff every Newton system is factored: 69 systems, 69
+    factors, no PCG solve (as with SuperLU's default supernodes)."""
+    cfg = system.MQSConfig(n=16)
+    ops = system.build_system(cfg)[0]
+    assert ops.n_dofs < core.PCG_MIN_DIM
+    made, counts = record_newton_systems(monkeypatch)
+    system.solve(cfg, ops)
+    (newton,) = made
+    assert counts["systems"] == 69
+    assert (newton.factors, newton.pcg_systems) == (69, 0)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_direct_solves_of_default_newton_matrices_are_accurate(
+        monkeypatch, n):
+    """Factored with the supernode settings, the first Newton matrices of
+    the default problem, MMD-ordered and then in natural order, leave a
+    relative residual of at most 1e-12."""
+    cfg = system.MQSConfig(n=n, T=2.0 / 64.0)
+    ops = system.build_system(cfg)[0]
+    systems, real_solve = [], core._solve_newton_system
+
+    def recorded(H, rhs, newton_system, tol=None):
+        systems.append((H, rhs, newton_system))
+        return real_solve(H, rhs, newton_system, tol)
+
+    monkeypatch.setattr(core, "_solve_newton_system", recorded)
+    system.solve(cfg, ops)
+    E, tau = systems[0][2].E, systems[0][2].tau
+    newton = core.NewtonSystem(E, tau)
+    for H, rhs, _ in systems[:2]:
+        d = newton.solve(H, rhs)
+        residual = H @ d + E.apply_adjoint(E.apply(d)) / tau - rhs
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+    assert (newton.factors, newton.pcg_systems) == (2, 0)
+
+
 def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
         monkeypatch):
     """Against a predictor stuck at x_{k-1}, which starts every step where
