@@ -45,7 +45,14 @@ down (PCG_RTOL ||rhs|| alone when a caller gives no tol), first on the
 recursive residual and then on the true one; K's own residual can be
 smaller by ||U|| / tau.  When CG misses that within PCG_MAX_ITER = 6
 iterations, or breaks down, the system is refactored and the new factor
-kept.  Below 400 unknowns every system is factored and no factor kept.
+kept.  A miss is called as soon as it shows: from iteration j = 2 on, CG
+ends once the Newton residual ||r_j||, carried on at its mean contraction
+rho = (||r_j|| / ||r_0||)^(1/j) so far, would still be above the stop
+after PCG_MAX_ITER iterations (||r_j|| rho^(PCG_MAX_ITER - j) > bound).
+The system is then refactored as after a full miss, so a miss called
+right gives the same direction; a residual of a lagged factor falls at a
+near-steady rate, and j = 1 alone misjudges systems that CG finishes.
+Below 400 unknowns every system is factored and no factor kept.
 
 Such a residual cannot stop Newton early: the stopping test reads the
 gradient recomputed at the new iterate, never the linear residual.  Nor
@@ -122,7 +129,11 @@ ORACLE_DIM_LIMIT = 64
 # iterations, to 1e-10 ||rhs|| within 10 -> this target within 6, with the
 # Newton systems unchanged: the default problem at n = 32 4/65/501 ->
 # 3/66/339, at n = 64 5/63/503 -> 4/64/301, the three-winding perfbench
-# run at n = 32 43/139/1463 -> 70/112/757.
+# run at n = 32 43/139/1463 -> 70/112/757.  Ending an attempt once its
+# mean contraction calls a miss (module docstring) leaves the factors, PCG
+# systems and fields as they were and cuts the CG iterations that missed:
+# perfbench multiwinding_n32 at seed 9301 71/113/761 -> 71/113/486, the
+# default problem at n = 64 4/64/301 as before.
 # Solve at n = 64, median of 5 in-process: 0.507 s as before, 0.469 s with
 # the target alone, 0.514 s (14 factors) with the budget alone, 0.410 s
 # with both; budgets of 5 and 7 took 0.405 and 0.413 s.
@@ -307,8 +318,10 @@ class NewtonSystem:
 
     ``factors``, ``pcg_systems`` and ``cg_iters`` count the factors taken,
     the systems PCG solved, and every CG iteration, failed attempts
-    included.  A factor is one ``splu`` call, or a second with SuperLU's
-    defaults on a zero pivot, whose column order is then the one kept.
+    included; an attempt ends early, from its second iteration on, once
+    its contraction so far shows that it would miss (``_pcg_will_miss``).
+    A factor is one ``splu`` call, or a second with SuperLU's defaults on
+    a zero pivot, whose column order is then the one kept.
     """
 
     def __init__(self, E, tau):
@@ -389,16 +402,17 @@ class NewtonSystem:
     def _pcg(self, A, b, tol):
         """PCG from 0 on A x = b, preconditioned by the kept factor; None
         when it breaks down or misses the PCG stop (module docstring)
-        within PCG_MAX_ITER iterations."""
+        within PCG_MAX_ITER iterations, or is bound to miss it."""
         lu = self._lagged
-        bound = PCG_RTOL * np.linalg.norm(b)
+        res0 = np.linalg.norm(b)  # the Newton residual of x = 0, ||rhs||
+        bound = PCG_RTOL * res0
         if tol is not None:
             bound = max(bound, 0.1 * tol)
         with np.errstate(all="ignore"):  # a non-finite value breaks down
             x, r = np.zeros_like(b), b.copy()
             p = z = lu.solve(r)
             rz = float(r @ z)
-            for _ in range(PCG_MAX_ITER):
+            for j in range(1, PCG_MAX_ITER + 1):
                 self.cg_iters += 1
                 q = A @ p
                 pq = float(p @ q)
@@ -407,15 +421,26 @@ class NewtonSystem:
                 alpha = rz / pq
                 x += alpha * p
                 r -= alpha * q
-                if self._newton_residual(r) <= bound:  # then the true one
+                res = self._newton_residual(r)
+                if res <= bound:  # then the true one
                     if not self._newton_residual(b - A @ x) <= bound:
                         return None
                     self.pcg_systems += 1
                     return x
+                if j >= 2 and _pcg_will_miss(res, res0, j, bound):
+                    return None
                 z = lu.solve(r)
                 rz, rz_old = float(r @ z), rz
                 p = z + (rz / rz_old) * p
         return None
+
+
+def _pcg_will_miss(res, res0, j, bound):
+    """Whether CG, whose Newton residual fell from ``res0`` to ``res`` in
+    its first j iterations, misses ``bound`` within PCG_MAX_ITER of them
+    if it keeps its mean contraction (res / res0)^(1 / j) so far."""
+    rho = (res / res0) ** (1.0 / j)
+    return res * rho ** (PCG_MAX_ITER - j) > bound
 
 
 def _symmetric_permutation(perm, keys):

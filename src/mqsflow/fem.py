@@ -5,7 +5,8 @@ strictly inside it.  The out-of-plane vector potential reduces to a scalar
 nodal field with zero boundary values; its gradient plays the role of the
 curl, so the quasilinear curl-curl form becomes int nu(|grad a|) grad a .
 grad phi_i.  K, its tangent and the magnetic energy at a field point
-share one element pass, with one ``material.model_eval`` per region.
+share one element pass, with one ``material.model_eval`` per distinct
+curve: one in all when every region resolves to the same parameters.
 """
 
 from __future__ import annotations
@@ -400,8 +401,10 @@ def _element_state(mesh, a):
 
 class _FieldPoint:
     """One element pass at a field point a: g = grad a and s = |g| per
-    element, then one ``model_eval`` per region for nu and d(nu s)/ds per
-    element and the energy sum_e area_e theta(s_e^2); K is filled in on
+    element, then ``model_eval`` for nu, d(nu s)/ds and theta(s^2) per
+    element, once over all elements when every region resolves to the
+    same parameter dict and once per region otherwise, and the energy
+    sum_e area_e theta(s_e^2), summed region by region; K is filled in on
     first use.
 
     It holds no reference to its mesh, which holds it (see ``_field_point``).
@@ -413,13 +416,20 @@ class _FieldPoint:
         self.model, self.a = model, a.copy()
         self.g, self.s = _element_state(mesh, a)
         areas, _ = mesh.geometry
-        self.nu = np.empty_like(self.s)
-        self.dgds = np.empty_like(self.s)
+        regions = mesh.regions
+        first = regions[0][0]
+        params = model.region_params(first)
+        if all(model.region_params(r) is params for r, _ in regions[1:]):
+            self.nu, self.dgds, theta = model_eval(model, first, self.s)
+        else:
+            self.nu, self.dgds, theta = (np.empty_like(self.s)
+                                         for _ in range(3))
+            for region, mask in regions:
+                self.nu[mask], self.dgds[mask], theta[mask] = model_eval(
+                    model, region, self.s[mask])
         self.energy = 0.0
-        for region, mask in mesh.regions:
-            self.nu[mask], self.dgds[mask], theta = model_eval(
-                model, region, self.s[mask])
-            self.energy += float(np.dot(areas[mask], theta))
+        for _, mask in regions:
+            self.energy += float(np.dot(areas[mask], theta[mask]))
         self._K = None
 
     def K(self, mesh):

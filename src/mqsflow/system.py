@@ -446,36 +446,51 @@ def solve(config, ops=None, a0=None):
 _prox_from = core.prox_step
 
 
-def schur_step(ops, a_prev, v_k, config, *, forcing_load=None):
+def _reduced_mass(ops):
+    """M_red = sigma_C M_C + C R^{-1} C^T, sparse."""
+    C = sp.csc_matrix(ops.coupling)
+    return ops.msigma + C @ sp.csc_matrix(ops.R_inv) @ C.T
+
+
+def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
+               reduced_mass=None):
     """Field-only implicit step after eliminating the circuit unknown.
 
     Solves (M_red / tau)(a - a_prev) + K(a) = C R^{-1} v_k with
     M_red = sigma_C M_C + C R^{-1} C^T by damped Newton, with tau and
-    Newton's settings from ``config``, a core.ProxConfig.
+    Newton's settings from ``config``, a core.ProxConfig.  ``reduced_mass``
+    is M_red when the caller already has it (solve_schur builds it once).
     """
     tau = config.tau
     a_prev = np.asarray(a_prev, dtype=float)
-    C = sp.csc_matrix(ops.coupling)
-    M_red = ops.msigma + C @ sp.csc_matrix(ops.R_inv) @ C.T
+    M_red = _reduced_mass(ops) if reduced_mass is None else reduced_mass
     rhs_const = ops.coupling @ (ops.R_inv @ np.atleast_1d(v_k))
     if forcing_load is not None:
         rhs_const = rhs_const + forcing_load
+    last = [None, None]  # the last point and its mass_step
+
+    def mass_step(a):
+        """a - a_prev and M_red (a - a_prev), formed once per point, as
+        prox_step forms its misfit."""
+        if a is not last[0]:
+            d = a - a_prev
+            last[:] = a, (d, M_red @ d)
+        return last[1]
 
     def residual(a):
-        return (M_red @ (a - a_prev)) / tau + ops.K(a) - rhs_const
+        return mass_step(a)[1] / tau + ops.K(a) - rhs_const
 
     def merit(a):
-        d = a - a_prev
-        return (
-            ops.energy(a) + 0.5 / tau * float(d @ (M_red @ d))
-            - float(rhs_const @ a)
-        )
+        d, Md = mass_step(a)
+        return (ops.energy(a) + 0.5 / tau * float(d @ Md)
+                - float(rhs_const @ a))
 
-    g = residual(a_prev)
+    g, J = residual(a_prev), merit(a_prev)
     tol = config.newton_tol * (1.0 + float(np.linalg.norm(g)))
+    M_tau = M_red / tau
     return core.newton_minimize(
-        merit, residual, lambda a: ops.K_tangent(a) + M_red / tau, a_prev,
-        tol, g0=g, max_iter=config.newton_max_iter,
+        merit, residual, lambda a: ops.K_tangent(a) + M_tau, a_prev,
+        tol, g0=g, J0=J, max_iter=config.newton_max_iter,
     )
 
 
@@ -485,10 +500,12 @@ def solve_schur(config, ops):
     n = config.n_steps
     fields = np.empty((n + 1, ops.n_dofs))
     fields[0] = a0
+    M_red = _reduced_mass(ops)
     for k in range(1, n + 1):
         fields[k] = schur_step(
             ops, fields[k - 1], v_samples[k], config.prox,
             forcing_load=None if loads is None else loads[k - 1],
+            reduced_mass=M_red,
         )
     return fields
 

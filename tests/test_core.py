@@ -924,7 +924,9 @@ def test_pcg_bounds_the_newton_residual_under_a_strong_thin_block():
 def test_a_sudden_change_refactors_after_dropping_the_kept_factor(
         monkeypatch):
     """A matrix the kept factor no longer preconditions within the budget
-    is refactored, the kept factor dropped first, and solved directly."""
+    is refactored, the kept factor dropped first, and solved directly.
+    Its CG attempt ends after 2 iterations, once their contraction shows
+    that the budget cannot reach the PCG stop."""
     E, H, rhs, newton = lagged_problem(41)
     for _ in range(3):
         newton.solve(H, rhs)
@@ -944,10 +946,39 @@ def test_a_sudden_change_refactors_after_dropping_the_kept_factor(
     ref = dense_direction(E, newton.tau, changed, rhs)
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
     assert kept_at_factor == [None]
-    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (
-        3, 1, 1 + core.PCG_MAX_ITER)
+    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (3, 1, 3)
+    assert newton.cg_iters < 1 + core.PCG_MAX_ITER
     newton.solve(changed, rhs)  # the new factor serves the next system
     assert (newton.factors, newton.pcg_systems) == (3, 2)
+
+
+def test_pcg_will_miss_extrapolates_the_mean_contraction():
+    """10x an iteration from 1 reaches 10^-PCG_MAX_ITER within the
+    budget: a miss for a bound below that, not for one above."""
+    reach = 10.0 ** -core.PCG_MAX_ITER
+    for j in (2, 3):
+        assert core._pcg_will_miss(10.0 ** -j, 1.0, j, 0.5 * reach)
+        assert not core._pcg_will_miss(10.0 ** -j, 1.0, j, 2.0 * reach)
+
+
+def test_a_predicted_miss_ends_the_attempt_early(monkeypatch):
+    """On a matrix within 5 % of the factored one, CG contracts too slowly
+    to reach the PCG stop within the budget: the attempt ends before
+    PCG_MAX_ITER iterations, and the system is refactored and solved
+    exactly.  Run to the full budget, it misses as predicted and gives the
+    same direction, bit for bit."""
+    E, nearby, rhs, newton = nearby_system(0.05)
+    d = newton.solve(nearby, rhs)
+    assert (newton.factors, newton.pcg_systems) == (3, 0)
+    assert 2 <= newton.cg_iters < core.PCG_MAX_ITER
+    ref = dense_direction(E, newton.tau, nearby, rhs)
+    assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    monkeypatch.setattr(core, "_pcg_will_miss", lambda *args: False)
+    _, nearby, rhs, newton = nearby_system(0.05)
+    assert np.array_equal(newton.solve(nearby, rhs), d)
+    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (
+        3, 0, core.PCG_MAX_ITER)
 
 
 def test_a_newton_matrix_not_positive_definite_raises_above_the_cutoff():

@@ -732,6 +732,8 @@ def test_one_pass_matches_the_two_call_oracle_exactly(conductor, name):
                                                   ((0.5, 0.5, 0.0), 1)])
 def test_a_field_point_evaluates_the_material_once_per_region(
         conductor, n_regions, monkeypatch):
+    """One ``model_eval`` per field point when every region shares one
+    curve, and one per region when their curves differ."""
     calls = {"model_eval": 0, "theta_eval": 0}
 
     def counted(name):
@@ -745,12 +747,18 @@ def test_a_field_point_evaluates_the_material_once_per_region(
     for name in calls:
         monkeypatch.setattr(fem, name, counted(name))
     mesh = fem.build_mesh(8, conductor)
-    model = material.rational_saturation_model(1.0, 5.0)
+    assert len(mesh.regions) == n_regions
+    shared = material.rational_saturation_model(1.0, 5.0)
+    distinct = material.ReluctivityModel("rational_saturation", {
+        "C": {"nu_min": 1.0, "nu_max": 5.0},
+        "I": {"nu_min": 1.0, "nu_max": 5.0}})
     a = 0.3 * np.random.default_rng(14).standard_normal(mesh.n_dofs)
-    fem.magnetic_energy(mesh, model, a)
-    fem.curlcurl_residual(mesh, model, a)
-    fem.curlcurl_jacobian(mesh, model, a)
-    assert calls == {"model_eval": n_regions, "theta_eval": 0}
+    for model, expected in ((shared, 1), (distinct, n_regions)):
+        calls.update(model_eval=0, theta_eval=0)
+        fem.magnetic_energy(mesh, model, a)
+        fem.curlcurl_residual(mesh, model, a)
+        fem.curlcurl_jacobian(mesh, model, a)
+        assert calls == {"model_eval": expected, "theta_eval": 0}
 
 
 def _relabelled(elements):

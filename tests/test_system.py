@@ -613,6 +613,44 @@ def test_witness_and_oracle_solve_through_newton_system(default_small,
     assert calls["solves"] == calls["directions"]
 
 
+def test_schur_step_forms_one_reduced_mass_product_per_point(default_small,
+                                                           monkeypatch):
+    """The witness's merit and residual share M_red (a - a_prev) at each
+    point, so a step takes one product per merit evaluation (a_prev's
+    included), and a prebuilt M_red gives the same step bit for bit."""
+    _, ops, _, _ = default_small
+    a_prev = 0.1 * np.random.default_rng(12).standard_normal(ops.n_dofs)
+    cfg = core.ProxConfig(1.0 / 16.0, 1)
+    M_red = system._reduced_mass(ops)
+
+    class Counted:
+        products = 0
+
+        def __matmul__(self, x):
+            self.products += 1
+            return M_red @ x
+
+        def __truediv__(self, tau):
+            return M_red / tau
+
+    merits, real_newton = [], core.newton_minimize
+
+    def newton_minimize(objective, *args, **kwargs):
+        def counted(a):
+            merits.append(1)
+            return objective(a)
+        return real_newton(counted, *args, **kwargs)
+
+    monkeypatch.setattr(core, "newton_minimize", newton_minimize)
+    counted_mass = Counted()
+    a = system.schur_step(ops, a_prev, np.array([1.0]), cfg,
+                          reduced_mass=counted_mass)
+    assert len(merits) >= 2
+    assert counted_mass.products == 1 + len(merits)
+    assert np.array_equal(a, system.schur_step(ops, a_prev, np.array([1.0]),
+                                               cfg))
+
+
 def test_schur_step_keeps_the_winding_block_sparse():
     """M_red is built from sparse factors, never as a dense n_dofs^2 array."""
     ops, _, _ = system.build_system(system.MQSConfig(n=32))
@@ -1089,6 +1127,32 @@ def test_newton_system_counts_on_the_default_problem_at_n32(monkeypatch):
     assert counts["systems"] == 69
     assert (newton.factors, newton.pcg_systems) == (3, 66)
     assert newton.cg_iters <= 350
+
+
+@pytest.mark.parametrize("make_cfg, counts, max_cg_iters", [
+    (multiwinding_config, (72, 109), 520),
+    (lambda: system.MQSConfig(n=32), (3, 66), 350),
+])
+def test_a_predicted_pcg_miss_moves_no_factor_and_no_field(
+        make_cfg, counts, max_cg_iters, monkeypatch):
+    """Ending a CG attempt once its contraction shows it will miss changes
+    neither the factors nor the PCG systems of a solve run to the full
+    budget, and the fields stay within 1e-12 scale of it.  A guard on the
+    CG iterations: the three-winding problem took 770 to the full budget
+    and 489 when this was written."""
+    cfg = make_cfg()
+    ops = system.build_system(cfg)[0]
+    made, _ = record_newton_systems(monkeypatch)
+    early = system.solve(cfg, ops)
+    monkeypatch.setattr(core, "_pcg_will_miss", lambda *args: False)
+    full = system.solve(cfg, ops)
+    assert [(ns.factors, ns.pcg_systems) for ns in made] == [counts] * 2
+    assert made[0].cg_iters <= max_cg_iters
+    assert made[0].cg_iters <= made[1].cg_iters
+    scale = diagnostics.trajectory_scale(ops, full)
+    assert np.abs(early.fields - full.fields).max() <= 1e-12 * scale
+    assert np.abs(early.currents[1:] - full.currents[1:]).max() <= (
+        1e-12 * scale)
 
 
 def test_newton_system_counts_on_the_default_problem_at_n16(monkeypatch):
