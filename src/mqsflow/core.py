@@ -284,6 +284,7 @@ class DaeTrajectory:
     rates: np.ndarray     # (N, dim_Z), (E x_k - E x_{k-1}) / tau
     energies: np.ndarray  # (N+1,), Phi(x_k)
     inputs: np.ndarray    # (N, dim_Z), the per-step samples f_k
+    subgradients: np.ndarray  # (N+1, dim_X), eta_k = dPhi(x_k)
 
     @property
     def tau(self):
@@ -623,7 +624,10 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
     ProxConfig, each a prox_step with that record.
 
     ``loads`` (n_steps, dim_X), if given, adds the linear term -<load_k, x>
-    to Phi in step k; the recorded energies are those of the unloaded Phi.
+    to Phi in step k; the recorded energies Phi(x_k) and subgradients
+    eta_k = dPhi(x_k) are those of the unloaded Phi.  Newton's last point
+    evaluated is x_k, so a Phi that keeps its last point (the field-circuit
+    one does) records both without a new evaluation.
     A failed step raises its NonConvergence or SingularStep with the step
     in ``step`` and its message led by "step k: ".  A floating-point
     overflow, at x0 or in a step, is a NonConvergence that says the data
@@ -642,6 +646,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
     states = np.empty((n + 1, E.dim_X))
     images = np.empty((n + 1, E.dim_Z))
     energies = np.empty(n + 1)
+    subgradients = np.empty((n + 1, E.dim_X))
     states[0] = x0
     x_start = np.zeros(E.dim_X) if start == "zero" else None
     newton_system = NewtonSystem(E, config.tau)
@@ -650,6 +655,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
         with np.errstate(all="raise", under="ignore"):
             images[0] = E.apply(x0)
             energies[0] = phi.eval(x0)
+            subgradients[0] = phi.gateaux(x0)
             for k in range(1, n + 1):
                 phi_k = phi if loads is None else _with_load(phi, loads[k - 1])
                 if start == "extrapolate" and k > 1:
@@ -661,6 +667,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
                 )
                 images[k] = E.apply(states[k])
                 energies[k] = phi.eval(states[k])
+                subgradients[k] = phi.gateaux(states[k])
     except StepFailure as exc:
         raise type(exc)(f"step {k}: {exc}", step=k) from exc
     except FloatingPointError as exc:
@@ -670,7 +677,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
             step=k or None) from exc
     times = config.tau * np.arange(n + 1)
     rates = np.diff(images, axis=0) / config.tau
-    return DaeTrajectory(times, states, rates, energies, fk)
+    return DaeTrajectory(times, states, rates, energies, fk, subgradients)
 
 
 def energy_identity_residual(traj):

@@ -89,8 +89,8 @@ DEFAULT_WINDING = fem.WindingSpec(
 
 
 # Desk-scale caps: a run above them would not finish at desk scale (mesh,
-# steps, stored states: 80 MB at the dof-step cap).  Newton's tolerance
-# bounds are core.ProxConfig's.
+# steps, the stored record: states and subgradients, 160 MB at the dof-step
+# cap).  Newton's tolerance bounds are core.ProxConfig's.
 MAX_MESH_N = 256
 MAX_STEPS = 100_000
 MAX_DOF_STEPS = 10_000_000
@@ -519,7 +519,15 @@ class WeakResidualReport:
 
 
 def check_weak_solution(ops, traj):
-    """Residuals of both coupled equations tested against every basis function."""
+    """Residuals of both coupled equations tested against every basis function.
+
+    K(a_k) is the trajectory's stored eta_k, ``traj.subgradients[k]``, which
+    the solve recorded at Newton's last point; the rest (M_sigma, C, R and
+    the currents) is computed here from the stored fields.  The Tier-1 test
+    ``test_system.py::test_stored_subgradients_are_K_of_the_stored_fields``
+    pins eta_k to ``ops.K(traj.fields[k])`` bit for bit, so this stays a
+    check of the stored fields.
+    """
     tau = traj.tau
     n = traj.n_steps
     r1 = np.empty(n)
@@ -527,7 +535,7 @@ def check_weak_solution(ops, traj):
     for k in range(1, n + 1):
         da = traj.fields[k] - traj.fields[k - 1]
         field_res = (
-            (ops.msigma @ da) / tau + ops.K(traj.fields[k])
+            (ops.msigma @ da) / tau + traj.subgradients[k]
             - ops.coupling @ traj.currents[k]
         )
         r1[k - 1] = np.max(np.abs(field_res))

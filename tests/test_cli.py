@@ -846,3 +846,36 @@ def test_cli_every_command_rejects_a_step_beyond_the_ellipticity_bound(
         assert cli.dispatch([command, "--out", str(out), *sets]) == 1
         assert capsys.readouterr().err == f"error: {reason}\n"
         assert not out.exists()
+
+
+def count_field_points(monkeypatch):
+    """A list that gains one entry per fem._FieldPoint made."""
+    made = []
+
+    class Counted(fem._FieldPoint):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fem, "_FieldPoint", Counted)
+    return made
+
+
+def test_the_run_self_check_evaluates_no_field_point(monkeypatch, tmp_path):
+    """cli._check_run reads K from the stored subgradients, so a whole
+    `mqsflow run` makes exactly the field points of its solve."""
+    cfg = config.build_config(config.apply_overrides({}, ["mesh.n=16"]))
+    ops = system.build_system(cfg)[0]
+    traj = system.solve(cfg, ops)
+    made = count_field_points(monkeypatch)
+    cli._check_run(cfg, ops, traj)
+    assert made == []
+    system.solve(cfg)
+    solve_alone = len(made)
+    assert solve_alone > 0
+    made.clear()
+    assert cli.dispatch(["run", "--set", "mesh.n=16",
+                         "--out", str(tmp_path)]) == 0
+    assert len(made) == solve_alone

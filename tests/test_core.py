@@ -247,6 +247,32 @@ def test_energy_identity_residual_nonpositive_and_consistent():
     assert np.allclose(rho, manual, atol=1e-14)
 
 
+def test_subgradients_satisfy_the_discrete_inclusion_with_loads():
+    """Row k of subgradients is dPhi(x_k) of the unloaded Phi, and every
+    step meets E^T (f_k - r_k) = eta_k - load_k to Newton's tolerance,
+    newton_tol (1 + ||g(x_{k-1})||) with g step k's prox gradient."""
+    rng = np.random.default_rng(31)
+    n, m, steps = 5, 3, 8
+    Q, b = random_spd(n, rng), rng.standard_normal(n)
+    phi = quadratic(Q, b)
+    E = core.LinearMapE(rng.standard_normal((m, n)))
+    f = rng.standard_normal((steps + 1, m))
+    loads = rng.standard_normal((steps, n))
+    cfg = core.ProxConfig(tau=0.05, n_steps=steps)
+    traj = core.solve_trajectory(phi, E, rng.standard_normal(n), f, cfg,
+                                 loads=loads)
+    assert traj.subgradients.shape == (steps + 1, n)
+    for k in range(steps + 1):
+        assert np.array_equal(traj.subgradients[k], Q @ traj.states[k] - b)
+    A = E.matrix
+    for k in range(1, steps + 1):
+        eta, load = traj.subgradients[k], loads[k - 1]
+        f_k, r_k = traj.inputs[k - 1], traj.rates[k - 1]
+        g_prev = Q @ traj.states[k - 1] - b - load - A.T @ f_k
+        bound = cfg.newton_tol * (1.0 + np.linalg.norm(g_prev))
+        assert np.linalg.norm(eta - load - A.T @ (f_k - r_k)) <= bound
+
+
 def test_resolve_inputs_shapes_and_modes():
     f = np.arange(8.0).reshape(4, 2)
     assert np.array_equal(core.resolve_inputs(f, 3, 2), f[1:])

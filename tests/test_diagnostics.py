@@ -187,6 +187,7 @@ def test_timeseries_csv_single_state_trajectory(tmp_path):
         rates=np.zeros((0, 3)),
         energies=np.zeros(1),
         inputs=np.zeros((0, 3)),
+        subgradients=np.zeros((1, 4)),
         currents=np.full((1, 2), np.nan),
         fluxes=np.zeros((1, 2)),
         balance_residuals=np.array([np.nan]),

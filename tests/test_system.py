@@ -259,6 +259,7 @@ def test_solve_returns_the_core_trajectory_with_the_circuit_added():
     assert traj.fields is traj.states
     assert traj.n_steps == 4 and traj.tau == 1.0 / 16.0
     assert traj.rates.shape == traj.inputs.shape == (4, ops.E.dim_Z)
+    assert traj.subgradients.shape == (5, ops.n_dofs)
     with pytest.raises(AttributeError):
         traj.fields = traj.states.copy()
 
@@ -1523,3 +1524,51 @@ def test_forced_schur_path_matches_the_prox_solve():
     assert np.abs(traj.fields[-1]).max() > 0.1  # the forcing drives the field
     worst = float(np.max(np.linalg.norm(traj.fields - fields_schur, axis=1)))
     assert worst <= 1e-10 * scale
+
+
+SUBGRADIENT_CONFIGS = {
+    "default": lambda: system.MQSConfig(n=16),
+    "random_a0": lambda: system.MQSConfig(n=16, a0_kind="random", seed=7),
+    "manufactured": diagnostics.manufactured_config,
+    "multiwinding": multiwinding_config,
+}
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """(cfg, ops, traj) of a SUBGRADIENT_CONFIGS problem by name, each
+    solved once per module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            cfg = SUBGRADIENT_CONFIGS[name]()
+            ops = system.build_system(cfg)[0]
+            runs[name] = cfg, ops, system.solve(cfg, ops)
+        return runs[name]
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(SUBGRADIENT_CONFIGS))
+def test_stored_subgradients_are_K_of_the_stored_fields(solved, name):
+    """check_weak_solution reads eta_k from the trajectory, so it must be
+    K of the stored field bit for bit at every k, also for the forced
+    problem, whose prox steps minimize Phi minus a load."""
+    _, ops, traj = solved(name)
+    assert traj.subgradients.shape == traj.fields.shape
+    for k in range(traj.n_steps + 1):
+        assert np.array_equal(traj.subgradients[k], ops.K(traj.fields[k])), k
+
+
+@pytest.mark.parametrize("name", ["default", "random_a0"])
+def test_each_step_meets_the_discrete_subgradient_inclusion(solved, name):
+    """E^T (f_k - r_k) = eta_k to Newton's tolerance newton_tol (1 +
+    ||g(x_{k-1})||), g being step k's prox gradient, recomputed here."""
+    cfg, ops, traj = solved(name)
+    adjoint = ops.E.apply_adjoint
+    for k in range(1, traj.n_steps + 1):
+        f_k, r_k = traj.inputs[k - 1], traj.rates[k - 1]
+        g_prev = ops.K(traj.fields[k - 1]) - adjoint(f_k)
+        bound = cfg.newton_tol * (1.0 + np.linalg.norm(g_prev))
+        defect = traj.subgradients[k] - adjoint(f_k - r_k)
+        assert np.linalg.norm(defect) <= bound, k
