@@ -54,6 +54,30 @@ right gives the same direction; a residual of a lagged factor falls at a
 near-steady rate, and j = 1 alone misjudges systems that CG finishes.
 Below 400 unknowns every system is factored and no factor kept.
 
+The Newton directions of a smooth transient are nearly parallel, so PCG
+starts from a Galerkin projection on the last ones (Fischer, Comput.
+Methods Appl. Mech. Engrg. 163, 1998).  Above the cutoff a NewtonSystem
+keeps, in the kept permuted order, the last PCG_HISTORY = 4 solutions X
+of its pattern's systems, direct or PCG, and forgets them on a new
+pattern; x_0 = X (X^T K X)^{-1} X^T [rhs; 0] is accepted with no CG
+iteration when its true residual already meets the PCG stop (a solution
+so found lies in span X and is not kept), and is CG's start otherwise.
+The stop's bound stays the one taken from ||rhs||; the miss test
+measures its contraction from the residual of x_0.  A gate keeps the
+projection only while it pays for itself: it stays open while the cut of
+the Newton residual, ||r(x_0)|| / ||rhs||, is at least that of one CG
+iteration of the last attempt, its mean contraction (1 before the first
+attempt).  A projection that cuts less closes the gate until
+PCG_HISTORY new solutions have replaced the history, and each further
+one in a row on a full history doubles that wait, so a solve whose
+directions are unrelated forms a handful of projections in all.
+Why x_0 keeps descent: every past solution keeps mu = U d / tau, so
+x_0 does too and K acts there as M; with rhs = -g the quadratic
+q(x) = 1/2 x^T K x - [rhs; 0]^T x is 1/2 d^T M d + g^T d, and at the
+Galerkin x_0 it is -1/2 c^T y <= 0 (y the Gram solve, c = X^T [rhs; 0]).
+A start whose computed q(x_0) is positive is dropped for 0.  CG from x_0
+lowers q further, so its d has g^T d <= -1/2 d^T M d < 0.
+
 Such a residual cannot stop Newton early: the stopping test reads the
 gradient recomputed at the new iterate, never the linear residual.  Nor
 can it make Newton miss newton_tol, down to MIN_NEWTON_TOL.  With rhs = -g, a
@@ -65,11 +89,13 @@ Newton's own test as Eisenstat & Walker (SIAM J. Sci. Comput. 17(1),
 gradient of at most tol / 10 (or 1e-10 ||g||) plus the quadratic term any
 Newton step leaves, so wherever that term is below 0.9 tol the step meets
 tol, as an exact solve's would.  And d is a descent direction (CG from 0 gives
-g^T d = -d^T M d < 0), so the line search and the local convergence of
-Newton are kept.  Against factoring every system, at newton_tol 1e-10
-and 1e-14, the default problem at n = 64 took 68/68 and 125/125 Newton
-systems, and the three-winding one at n = 32 181/181 and 219/219, with
-fields and currents within 2.1e-12 of the problem scale.
+g^T d = -d^T M d < 0, from x_0 g^T d < 0 as above), so the line search
+and the local convergence of Newton are kept; Newton still checks it.
+Against factoring every system, at newton_tol 1e-10 and 1e-14, the
+default problem at n = 64 took 68/68 and 125/125 Newton systems, and the
+three-winding one at n = 32 181/181 and 219/219, with fields and
+currents within 2.1e-12 of the problem scale; with the projected start,
+181/181 and 217/219, within 2.3e-12.
 
 Each step's Newton solve starts, by default, from the extrapolation of
 the past states (the standard starting value for Newton inside implicit
@@ -137,8 +163,25 @@ ORACLE_DIM_LIMIT = 64
 # Solve at n = 64, median of 5 in-process: 0.507 s as before, 0.469 s with
 # the target alone, 0.514 s (14 factors) with the budget alone, 0.410 s
 # with both; budgets of 5 and 7 took 0.405 and 0.413 s.
+# With the projected start (PCG_HISTORY) and the cutoff at 100, perfbench
+# battery_n16 at seed 9301 took 95 factors, 866 PCG systems and 2089 CG
+# iterations in place of 961 factors, and its op_s read 0.590/0.573/0.572
+# s against 0.607/0.594/0.603 s at 400 (three alternated 10 s pairs, same
+# 2-core VM), with peak RSS up 0.2-0.4 MB; the cutoff is kept here, so
+# that the small-mesh outputs stay those of factoring every system.
 PCG_MIN_DIM = 400
 PCG_MAX_ITER = 6
+# PCG starts from the Galerkin projection on the last PCG_HISTORY
+# solutions behind its gate (module docstring).  Factors/PCG systems/CG
+# iterations at seed 9301, from 0 -> from the projection, with the Newton
+# systems unchanged: perfbench transient_n64 4/64/301 -> 2/66/188 (60
+# projections), the default problem at n = 32 3/66/339 -> 2/67/191 and at
+# n = 128 4/64/322 -> 2/66/215, perfbench multiwinding_n32 71/113/486 ->
+# 70/114/493 (10 projections in 184 Newton systems).  A gate that opens
+# again after PCG_HISTORY solutions each time, with no doubling, formed 50
+# projections there (70/114/492) for the same transient_n64 counts;
+# doubling from the first closing on took transient_n64 to 2/66/200.
+PCG_HISTORY = 4
 PCG_RTOL = 1e-10
 
 # NewtonSystem's symmetric-mode factors take SuperLU's supernode settings
@@ -315,12 +358,18 @@ class NewtonSystem:
     PCG, which ends at the PCG stop (module docstring).  When
     PCG fails (p^T A p <= 0 or a non-finite value breaks it down), the kept
     factor is dropped, so that two are never alive at once, and A is
-    refactored, solved directly, and its factor kept.
+    refactored, solved directly, and its factor kept.  Each solution on
+    the pattern, from then on, goes into an (N, PCG_HISTORY) buffer over
+    the oldest, and PCG starts from the Galerkin projection on them while
+    its gate is open (module docstring): A X as one sparse-by-dense
+    product, and the PCG_HISTORY x PCG_HISTORY Gram system solved densely.
 
-    ``factors``, ``pcg_systems`` and ``cg_iters`` count the factors taken,
-    the systems PCG solved, and every CG iteration, failed attempts
-    included; an attempt ends early, from its second iteration on, once
-    its contraction so far shows that it would miss (``_pcg_will_miss``).
+    ``factors``, ``pcg_systems``, ``cg_iters`` and ``projections`` count
+    the factors taken, the systems PCG solved (those the projected start
+    solved outright included), every CG iteration, failed attempts
+    included, and the projected starts formed; an attempt ends early, from
+    its second iteration on, once its contraction so far shows that it
+    would miss (``_pcg_will_miss``).
     A factor is one ``splu`` call, or a second with SuperLU's defaults on
     a zero pivot, whose column order is then the one kept.
     """
@@ -329,7 +378,17 @@ class NewtonSystem:
         self.E, self.tau = E, tau
         self._pattern = None  # H's indptr, indices; A, slots, perm, inverse
         self._lagged = None   # a natural-order factor of A
+        self._clear_history()
         self.factors = self.pcg_systems = self.cg_iters = 0
+        self.projections = 0
+
+    def _clear_history(self):
+        """Forget the past solutions and open the gate, for a new pattern."""
+        self._past = None       # (N, PCG_HISTORY) past solutions of A
+        self._stored = 0        # solutions recorded on the pattern
+        self._closed_until = 0  # the gate is closed below this many
+        self._misses = 0        # gate closings in a row on a full history
+        self._rho = 1.0         # the last CG attempt's mean contraction
 
     @cached_property
     def _block(self):
@@ -359,6 +418,7 @@ class NewtonSystem:
             K.data[slots[:H.nnz]] = H.data
             K.data[slots[H.nnz:]] += C.data
             self._pattern = self._lagged = None
+            self._clear_history()
             lu = self._factor(K, "MMD_AT_PLUS_A")
             x, perm = lu.solve(b)[:n], lu.perm_c.astype(np.int64)
             del lu, K  # A is built while no factor is alive (peak RSS)
@@ -376,9 +436,10 @@ class NewtonSystem:
         if x is None:
             self._lagged = None
             lu = self._factor(A, "NATURAL")
+            x = lu.solve(b)
             if n >= PCG_MIN_DIM:
                 self._lagged = lu
-            x = lu.solve(b)
+                self._record(x)
         return x.take(perm)[:n]
 
     def _factor(self, A, permc_spec):
@@ -400,17 +461,59 @@ class NewtonSystem:
         r, n = r.take(self._pattern[5]), Ut.shape[0]  # by perm, to K's order
         return np.linalg.norm(r[:n] + Ut.dot(r[n:] / self.tau))
 
+    def _record(self, x):
+        """Keep the solution x of A in the history, over the oldest."""
+        if self._past is None:
+            self._past = np.empty((x.size, PCG_HISTORY))
+        self._past[:, self._stored % PCG_HISTORY] = x
+        self._stored += 1
+
+    def _projected_start(self, A, b):
+        """The Galerkin start x0 = X (X^T A X)^{-1} X^T b on the history X
+        and its residual b - A x0, or None while the gate is closed or
+        when x0 would not lower 1/2 x^T A x - b^T x below its value at 0."""
+        m = min(self._stored, PCG_HISTORY)
+        if m == 0 or self._stored < self._closed_until:
+            return None
+        self.projections += 1
+        X = self._past[:, :m]
+        AX = A @ X
+        gram, c = X.T @ AX, X.T @ b
+        try:
+            y = np.linalg.solve(gram, c)
+        except np.linalg.LinAlgError:
+            return None
+        if not float(c @ y) >= 0.5 * float(y @ gram @ y):  # or not finite
+            return None
+        return X @ y, b - AX @ y
+
     def _pcg(self, A, b, tol):
-        """PCG from 0 on A x = b, preconditioned by the kept factor; None
-        when it breaks down or misses the PCG stop (module docstring)
-        within PCG_MAX_ITER iterations, or is bound to miss it."""
+        """PCG on A x = b preconditioned by the kept factor, from the
+        projected start while the gate is open and from 0 otherwise (module
+        docstring); None when it breaks down or misses the PCG stop within
+        PCG_MAX_ITER iterations, or is bound to miss it."""
         lu = self._lagged
         res0 = np.linalg.norm(b)  # the Newton residual of x = 0, ||rhs||
         bound = PCG_RTOL * res0
         if tol is not None:
             bound = max(bound, 0.1 * tol)
         with np.errstate(all="ignore"):  # a non-finite value breaks down
-            x, r = np.zeros_like(b), b.copy()
+            start = self._projected_start(A, b)
+            if start is None:
+                x, r = np.zeros_like(b), b.copy()
+            else:
+                x, r = start
+                cut = self._newton_residual(r)
+                if cut <= bound:  # r is the true residual of x
+                    self.pcg_systems += 1
+                    return x
+                if cut > self._rho * res0:
+                    self._closed_until = self._stored + (
+                        PCG_HISTORY << self._misses)
+                    self._misses += self._stored >= PCG_HISTORY
+                else:
+                    self._misses = 0
+                res0 = cut
             p = z = lu.solve(r)
             rz = float(r @ z)
             for j in range(1, PCG_MAX_ITER + 1):
@@ -423,10 +526,12 @@ class NewtonSystem:
                 x += alpha * p
                 r -= alpha * q
                 res = self._newton_residual(r)
+                self._rho = (res / res0) ** (1.0 / j)
                 if res <= bound:  # then the true one
                     if not self._newton_residual(b - A @ x) <= bound:
                         return None
                     self.pcg_systems += 1
+                    self._record(x)
                     return x
                 if j >= 2 and _pcg_will_miss(res, res0, j, bound):
                     return None

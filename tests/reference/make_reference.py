@@ -57,9 +57,12 @@ THREE_WINDINGS = [
     "initial.seed=7",
 ]
 
-# reference file -> (subcommand, --set overrides, the output file it keeps)
+# reference file -> (subcommand, --set overrides, the output file it keeps);
+# n = 24 (529 unknowns) is above core.PCG_MIN_DIM, so its reference guards
+# the lagged-factor PCG path.
 CASES = {
     "run_default_n16.csv": ("run", ["mesh.n=16"], "run.csv"),
+    "run_default_n24.csv": ("run", ["mesh.n=24"], "run.csv"),
     "run_three_windings_n12.csv": ("run", THREE_WINDINGS, "run.csv"),
     "experiment_n8.kv": ("experiment", ["mesh.n=8"], "summary.kv"),
 }

@@ -859,8 +859,8 @@ def dense_direction(E, tau, H, rhs):
 
 def test_a_run_of_equal_newton_matrices_factors_once(monkeypatch):
     """Above the cutoff, after the ordering factor, one natural-order
-    factor serves every later equal system: PCG preconditioned by that
-    exact factor converges in one iteration."""
+    factor serves every later equal system: the projected start on that
+    factor's solution already meets the PCG stop, with no CG iteration."""
     E, H, rhs, newton = lagged_problem(40)
     stub = _RecordingSplu()
     monkeypatch.setattr(core, "spla", stub)
@@ -870,7 +870,7 @@ def test_a_run_of_equal_newton_matrices_factors_once(monkeypatch):
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
     assert [c["permc_spec"] for c in stub.calls] == ["MMD_AT_PLUS_A",
                                                      "NATURAL"]
-    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (2, 4, 4)
+    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (2, 4, 0)
 
 
 def nearby_system(spread):
@@ -951,8 +951,10 @@ def test_a_sudden_change_refactors_after_dropping_the_kept_factor(
         monkeypatch):
     """A matrix the kept factor no longer preconditions within the budget
     is refactored, the kept factor dropped first, and solved directly.
-    Its CG attempt ends after 2 iterations, once their contraction shows
-    that the budget cannot reach the PCG stop."""
+    The third equal system takes no CG iteration (the projected start
+    solves it); the changed one's CG attempt, from the projection on that
+    solution, ends after 2 iterations, once their contraction shows that
+    the budget cannot reach the PCG stop."""
     E, H, rhs, newton = lagged_problem(41)
     for _ in range(3):
         newton.solve(H, rhs)
@@ -972,7 +974,7 @@ def test_a_sudden_change_refactors_after_dropping_the_kept_factor(
     ref = dense_direction(E, newton.tau, changed, rhs)
     assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
     assert kept_at_factor == [None]
-    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (3, 1, 3)
+    assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (3, 1, 2)
     assert newton.cg_iters < 1 + core.PCG_MAX_ITER
     newton.solve(changed, rhs)  # the new factor serves the next system
     assert (newton.factors, newton.pcg_systems) == (3, 2)
@@ -1026,6 +1028,73 @@ def test_a_newton_matrix_not_positive_definite_raises_above_the_cutoff():
                                  x0, 1e-10, newton_system=ns)
         assert (ns._lagged is not None) == pcg
     assert (newton.factors, newton.pcg_systems, newton.cg_iters) == (3, 0, 1)
+
+
+class _CountingFactor:
+    """Stands in for a kept factor and counts its triangular solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def test_a_repeated_system_is_solved_by_the_projected_start():
+    """Each repeat of a system on a kept factor is accepted from the
+    projected start: no CG iteration, no triangular solve, one projection
+    per PCG system, and the direction of a dense solve."""
+    E, H, rhs, newton = lagged_problem(48)
+    for _ in range(2):  # the ordering factor, then the kept one
+        newton.solve(H, rhs)
+    kept = newton._lagged = _CountingFactor(newton._lagged)
+    ref = dense_direction(E, newton.tau, H, rhs)
+    for _ in range(5):
+        d = newton.solve(H, rhs)
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert kept.solves == 0 and newton.cg_iters == 0
+    assert newton.projections == newton.pcg_systems == 5
+    assert newton.factors == 2
+
+
+def test_unrelated_systems_form_few_projections():
+    """Fresh random right-hand sides leave the projection nothing to reuse,
+    so the gate closes, and each closing in a row on a full history
+    doubles its wait: at most ceil(systems / PCG_HISTORY) + 1 projections,
+    and every direction meets the PCG stop."""
+    E, H, _, newton = lagged_problem(49)
+    M = (H + gram(E) / newton.tau).toarray()
+    rng = np.random.default_rng(50)
+    systems = 48
+    for _ in range(systems):
+        rhs = rng.standard_normal(H.shape[0])
+        d = newton.solve(H, rhs)
+        assert np.linalg.norm(M @ d - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert newton.factors == 2 and newton.pcg_systems == systems - 2
+    assert 0 < newton.projections <= -(-systems // core.PCG_HISTORY) + 1
+
+
+def test_a_new_pattern_clears_the_history():
+    """Solutions on one pattern never start PCG on another: a new pattern
+    empties the history, which then fills with its own solutions."""
+    E, H, rhs, newton = lagged_problem(51)
+    for _ in range(3):
+        newton.solve(H, rhs)
+    assert newton._stored == 1
+    other = sparse_spd(H.shape[0], np.random.default_rng(52),
+                       density=4.0 / H.shape[0])
+    assert other.nnz != H.nnz
+    newton.solve(other, rhs)
+    assert newton._stored == 0 and newton._past is None
+    d = newton.solve(other, rhs)  # factored, and kept
+    A, _, _, perm, inverse = newton._pattern[2:]
+    assert newton._stored == 1
+    assert np.array_equal(newton._past[:, 0].take(perm)[:H.shape[0]], d)
+    before = newton.cg_iters
+    again = newton.solve(other, rhs)  # from the projection on d alone
+    assert np.linalg.norm(again - d) <= 1e-12 * np.linalg.norm(d)
+    assert newton.cg_iters == before and newton.projections == 2
 
 
 def smooth_core_problems():

@@ -4,6 +4,7 @@ The bounds are set out in tests/reference/make_reference.py, which also
 rewrites the references, deliberately, when a change moves the numbers.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -61,3 +62,29 @@ def test_kv_flags_integers_and_relative_values(tmp_path):
                           lambda t: t.replace(old, new))
         problems, _ = make_reference.compare(ref, edited)
         assert len(problems) == 1, (old, problems)
+
+
+def test_compare_trees_bounds_values_and_matches_other_bytes(
+        tmp_path, monkeypatch, capsys):
+    """outputs.py --compare: CSV and VTK numbers within their bounds pass,
+    a VTK number beyond 1e-10 * (1 + the file's largest magnitude), a
+    changed log byte and a file only on one side are each a problem."""
+    monkeypatch.syspath_prepend(str(make_reference.HERE))
+    outputs = importlib.import_module("outputs")
+    a, b = tmp_path / "a", tmp_path / "b"
+    vtk = "POINTS 2 double\n0 0 0\n1 1 {}\n"
+    for root, z in ((a, 2.5), (b, 2.5 + 0.5e-10 * 3.5)):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "run.csv").write_text(f"t,i_1\n0,\n0.5,{z!r}\n")
+        (root / "run" / "run.vtk").write_text(vtk.format(repr(z)))
+        (root / "run.log").write_text("exit 0\n")
+    assert outputs.compare_trees(a, b) == 0
+    assert "run/run.vtk: largest drift" in capsys.readouterr().out
+    (b / "run" / "run.vtk").write_text(vtk.format(repr(2.5 + 2e-10 * 3.5)))
+    (b / "run.log").write_text("exit 1\n")
+    (b / "extra.txt").write_text("")
+    assert outputs.compare_trees(a, b) == 3
+    problems = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("PROBLEM")]
+    assert [p.split(":")[0] for p in problems] == [
+        "PROBLEM extra.txt", "PROBLEM run/run.vtk", "PROBLEM run.log"]

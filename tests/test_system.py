@@ -1117,22 +1117,23 @@ def test_pcg_to_a_tenth_of_the_newton_tolerance_costs_no_newton_system(
 
 def test_newton_system_counts_on_the_default_problem_at_n32(monkeypatch):
     """A guard on the work PCG does, with no timing involved: 69 Newton
-    systems, 3 factors, 66 PCG solves and at most 350 CG iterations (339
-    when this was written; PCG to 1e-10 ||rhs|| within 10 iterations took
-    4 factors and 501)."""
+    systems, 2 factors, 67 PCG solves and at most 200 CG iterations (191
+    when this was written, with the projected start; 3 factors and 339
+    from 0; PCG to 1e-10 ||rhs|| within 10 iterations took 4 factors and
+    501)."""
     cfg = system.MQSConfig(n=32)
     ops = system.build_system(cfg)[0]
     made, counts = record_newton_systems(monkeypatch)
     system.solve(cfg, ops)
     (newton,) = made
     assert counts["systems"] == 69
-    assert (newton.factors, newton.pcg_systems) == (3, 66)
-    assert newton.cg_iters <= 350
+    assert (newton.factors, newton.pcg_systems) == (2, 67)
+    assert newton.cg_iters <= 200
 
 
 @pytest.mark.parametrize("make_cfg, counts, max_cg_iters", [
     (multiwinding_config, (72, 109), 520),
-    (lambda: system.MQSConfig(n=32), (3, 66), 350),
+    (lambda: system.MQSConfig(n=32), (2, 67), 350),
 ])
 def test_a_predicted_pcg_miss_moves_no_factor_and_no_field(
         make_cfg, counts, max_cg_iters, monkeypatch):
@@ -1154,6 +1155,48 @@ def test_a_predicted_pcg_miss_moves_no_factor_and_no_field(
     assert np.abs(early.fields - full.fields).max() <= 1e-12 * scale
     assert np.abs(early.currents[1:] - full.currents[1:]).max() <= (
         1e-12 * scale)
+
+
+def test_projected_pcg_starts_keep_every_direction_a_descent_direction(
+        monkeypatch):
+    """On the three-winding problem, whose random a0 and sign-reversing
+    voltages leave successive directions unrelated, every Newton direction
+    d, projected start or not, has g^T d <= -1/2 d^T M d < 0: the prox
+    quadratic 1/2 d^T M d + g^T d is at most 0 at d."""
+    cfg = multiwinding_config()
+    ops = system.build_system(cfg)[0]
+    made, _ = record_newton_systems(monkeypatch)
+    real_solve, margins = core._solve_newton_system, []
+
+    def checked(H, rhs, newton_system, tol=None):
+        d = real_solve(H, rhs, newton_system, tol)
+        E = newton_system.E
+        dMd = float(d @ (H @ d)) + float(np.sum(E.apply(d) ** 2)) / (
+            newton_system.tau)
+        margins.append(-float(rhs @ d) / (0.5 * dMd))  # g = -rhs
+        return d
+
+    monkeypatch.setattr(core, "_solve_newton_system", checked)
+    system.solve(cfg, ops)
+    (newton,) = made
+    assert newton.projections > 0
+    assert len(margins) == newton.factors + newton.pcg_systems
+    assert max(margins) <= -1.0
+
+
+def test_newton_system_counts_on_the_default_problem_at_n64(monkeypatch):
+    """A guard on the projected start where it pays, the smooth transient
+    of the default problem at n = 64: 68 Newton systems, at most 2
+    factors and at most 200 CG iterations (2 and 188 when this was
+    written; 4 factors and 301 from 0)."""
+    cfg = system.MQSConfig(n=64)
+    ops = system.build_system(cfg)[0]
+    made, counts = record_newton_systems(monkeypatch)
+    system.solve(cfg, ops)
+    (newton,) = made
+    assert counts["systems"] == 68
+    assert newton.factors <= 2
+    assert newton.cg_iters <= 200
 
 
 def test_newton_system_counts_on_the_default_problem_at_n16(monkeypatch):
