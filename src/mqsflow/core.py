@@ -109,6 +109,7 @@ x_{k-1} already meets it returns x_{k-1}.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -411,8 +412,8 @@ class NewtonSystem:
         b = np.zeros(N)
         b[:n] = rhs
         kept = self._pattern
-        if kept is None or not (np.array_equal(H.indptr, kept[0])
-                                and np.array_equal(H.indices, kept[1])):
+        if kept is None or not (H.indptr.tobytes() == kept[0]
+                                and H.indices.tobytes() == kept[1]):
             keys = np.concatenate([_csc_keys(H, N), _csc_keys(C, N)])
             K, slots = _csc_pattern(keys, N)
             K.data[slots[:H.nnz]] = H.data
@@ -423,7 +424,7 @@ class NewtonSystem:
             x, perm = lu.solve(b)[:n], lu.perm_c.astype(np.int64)
             del lu, K  # A is built while no factor is alive (peak RSS)
             A, lands = _symmetric_permutation(perm, keys)
-            self._pattern = (H.indptr.copy(), H.indices.copy(), A,
+            self._pattern = (H.indptr.tobytes(), H.indices.tobytes(), A,
                              lands[:H.nnz], lands[H.nnz:], perm,
                              np.argsort(perm))
             return x
@@ -459,7 +460,8 @@ class NewtonSystem:
         """||r_1 + U^T r_2 / tau|| of a residual r of A, in A's order."""
         Ut = self._block[0]
         r, n = r.take(self._pattern[5]), Ut.shape[0]  # by perm, to K's order
-        return np.linalg.norm(r[:n] + Ut.dot(r[n:] / self.tau))
+        v = r[:n] + Ut.dot(r[n:] / self.tau)
+        return math.sqrt(v.dot(v))
 
     def _record(self, x):
         """Keep the solution x of A in the history, over the oldest."""
@@ -493,7 +495,7 @@ class NewtonSystem:
         docstring); None when it breaks down or misses the PCG stop within
         PCG_MAX_ITER iterations, or is bound to miss it."""
         lu = self._lagged
-        res0 = np.linalg.norm(b)  # the Newton residual of x = 0, ||rhs||
+        res0 = math.sqrt(b.dot(b))  # the Newton residual of x = 0, ||rhs||
         bound = PCG_RTOL * res0
         if tol is not None:
             bound = max(bound, 0.1 * tol)
@@ -612,7 +614,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     g = gradient(x) if g0 is None else g0
     J = objective(x) if J0 is None else J0
     for _ in range(max_iter):
-        if np.linalg.norm(g) <= tol:
+        if math.sqrt(g.dot(g)) <= tol:
             return x
         d = _solve_newton_system(hessian(x), -g, newton_system, tol)
         slope = float(g @ d)
@@ -620,7 +622,7 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
             raise SingularStep("Newton direction is not a descent direction")
         x, J = armijo_search(objective, x, d, J, slope)
         g = gradient(x)
-    if np.linalg.norm(g) <= tol:
+    if math.sqrt(g.dot(g)) <= tol:
         return x
     raise NonConvergence(
         f"Newton did not reach tolerance {tol:.3e} in {max_iter} iterations"
@@ -664,7 +666,7 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
         return phi.gateaux(x) + E.apply_adjoint(misfit(x)) / tau
 
     g_prev = residual(x_prev)
-    g0_norm = float(np.linalg.norm(g_prev))
+    g0_norm = math.sqrt(g_prev.dot(g_prev))
     tol = config.newton_tol * (1.0 + g0_norm)
     if g0_norm <= tol and (x_start is None or guard):
         return x_prev.copy()

@@ -393,50 +393,71 @@ def assemble_coupling(mesh, winding):
 
 
 def _element_state(mesh, a):
-    """Per-element field gradient (M, 2) and its magnitude (M,)."""
-    g = (mesh.gradient_operator @ a).reshape(-1, 2)
+    """Per-element field gradient (M, 2) and its magnitude (M,) of a dof
+    vector ``a``; (M, 2, P) and (M, P) of a block (n_dofs, P) of them."""
+    g = (mesh.gradient_operator @ a).reshape(mesh.n_elements, 2, *a.shape[1:])
     s = np.hypot(g[:, 0], g[:, 1])
     return g, s
 
 
+def _material_pass(mesh, model, s):
+    """nu, d(nu s)/ds and theta(s^2) per element of the magnitudes ``s``
+    (M, ...): one ``model_eval`` over all elements when every region
+    resolves to the same parameter dict, one per region otherwise."""
+    regions = mesh.regions
+    first = regions[0][0]
+    params = model.region_params(first)
+    if all(model.region_params(r) is params for r, _ in regions[1:]):
+        return model_eval(model, first, s)
+    out = tuple(np.empty_like(s) for _ in range(3))
+    for region, mask in regions:
+        for whole, part in zip(out, model_eval(model, region, s[mask])):
+            whole[mask] = part
+    return out
+
+
+def _flux_residual(mesh, nu, g):
+    """K = G^T (nu area g) of an element pass, nu (M, ...) and g (M, 2,
+    ...): each column of a block is bit for bit the K of that column alone,
+    as csr_matvecs sums each row in csr_matvec's order."""
+    areas, _ = mesh.geometry
+    flux = (nu * areas.reshape(-1, *(1,) * (nu.ndim - 1)))[:, None] * g
+    return mesh.gradient_transpose @ flux.reshape(-1, *nu.shape[1:])
+
+
+def curlcurl_residuals(mesh, model, a):
+    """K of each column of a block ``a`` (n_dofs, P) in one element pass,
+    each bit for bit ``curlcurl_residual`` of the column; it leaves the
+    shared field point as it was."""
+    g, s = _element_state(mesh, np.asarray(a, dtype=float))
+    return _flux_residual(mesh, _material_pass(mesh, model, s)[0], g)
+
+
 class _FieldPoint:
     """One element pass at a field point a: g = grad a and s = |g| per
-    element, then ``model_eval`` for nu, d(nu s)/ds and theta(s^2) per
-    element, once over all elements when every region resolves to the
-    same parameter dict and once per region otherwise, and the energy
-    sum_e area_e theta(s_e^2), summed region by region; K is filled in on
-    first use.
+    element, then ``_material_pass`` for nu, d(nu s)/ds and theta(s^2)
+    per element, and the energy sum_e area_e theta(s_e^2), summed region
+    by region; K is filled in on first use.
 
     It holds no reference to its mesh, which holds it (see ``_field_point``).
     """
 
-    __slots__ = ("model", "a", "g", "s", "nu", "dgds", "energy", "_K")
+    __slots__ = ("model", "shape", "key", "g", "s", "nu", "dgds", "energy",
+                 "_K")
 
     def __init__(self, mesh, model, a):
-        self.model, self.a = model, a.copy()
+        self.model, self.shape, self.key = model, a.shape, a.tobytes()
         self.g, self.s = _element_state(mesh, a)
         areas, _ = mesh.geometry
-        regions = mesh.regions
-        first = regions[0][0]
-        params = model.region_params(first)
-        if all(model.region_params(r) is params for r, _ in regions[1:]):
-            self.nu, self.dgds, theta = model_eval(model, first, self.s)
-        else:
-            self.nu, self.dgds, theta = (np.empty_like(self.s)
-                                         for _ in range(3))
-            for region, mask in regions:
-                self.nu[mask], self.dgds[mask], theta[mask] = model_eval(
-                    model, region, self.s[mask])
+        self.nu, self.dgds, theta = _material_pass(mesh, model, self.s)
         self.energy = 0.0
-        for _, mask in regions:
+        for _, mask in mesh.regions:
             self.energy += float(np.dot(areas[mask], theta[mask]))
         self._K = None
 
     def K(self, mesh):
         if self._K is None:
-            areas, _ = mesh.geometry
-            flux = (self.nu * areas)[:, None] * self.g  # (M, 2)
-            self._K = mesh.gradient_transpose @ flux.ravel()
+            self._K = _flux_residual(mesh, self.nu, self.g)
         return self._K
 
 
@@ -448,14 +469,19 @@ def _field_point(mesh, model, a):
     properties are, and lives exactly as long as the mesh.  One suffices:
     a guarded prox step evaluates x_{k-1} before its start, so Newton's
     first iterate is the last point evaluated.  A point matches on
-    ``model`` identity and on the values of ``a``, compared with a stored
-    copy, so an array mutated in place is a new point.  Models and meshes
-    are treated as immutable, as the cached properties of ``Mesh2D``
-    already assume.
+    ``model`` identity, on the shape of ``a`` and on the exact bits of its
+    values, compared with the stored ``a.tobytes()``, so an array mutated
+    in place is a new point, and so are -0.0 against 0.0 and NaNs of
+    different payloads: a match is never looser than value equality.
+    The bytes cost less than ``np.array_equal`` (0.15 against 2.0 us at
+    225 values, 1.4 against 2.8 us at 3969, the n = 64 mesh; 2-core x86
+    VM).  Models and meshes are treated as immutable, as the cached
+    properties of ``Mesh2D`` already assume.
     """
     a = np.asarray(a, dtype=float)
     pt = mesh.__dict__.get("_field_point")
-    if pt is None or pt.model is not model or not np.array_equal(pt.a, a):
+    if (pt is None or pt.model is not model or pt.shape != a.shape
+            or pt.key != a.tobytes()):
         pt = mesh.__dict__["_field_point"] = _FieldPoint(mesh, model, a)
     return pt
 

@@ -453,13 +453,16 @@ def _reduced_mass(ops):
 
 
 def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
-               reduced_mass=None):
+               reduced_mass=None, newton_system=None):
     """Field-only implicit step after eliminating the circuit unknown.
 
     Solves (M_red / tau)(a - a_prev) + K(a) = C R^{-1} v_k with
     M_red = sigma_C M_C + C R^{-1} C^T by damped Newton, with tau and
     Newton's settings from ``config``, a core.ProxConfig.  ``reduced_mass``
     is M_red when the caller already has it (solve_schur builds it once).
+    Its Newton matrices K_tangent + M_red / tau, assembled here, go
+    through ``newton_system``, a core.NewtonSystem on a map with no rows;
+    by default newton_minimize makes one for the step.
     """
     tau = config.tau
     a_prev = np.asarray(a_prev, dtype=float)
@@ -491,21 +494,29 @@ def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
     return core.newton_minimize(
         merit, residual, lambda a: ops.K_tangent(a) + M_tau, a_prev,
         tol, g0=g, J0=J, max_iter=config.newton_max_iter,
+        newton_system=newton_system,
     )
 
 
 def solve_schur(config, ops):
-    """Full trajectory through the Schur-reduced path (equivalence witness)."""
+    """Full trajectory through the Schur-reduced path (equivalence witness).
+
+    M_red and one Newton system serve every step, as solve_trajectory's
+    NewtonSystem serves its prox steps: the Newton pattern is sorted and
+    ordered once per solve.
+    """
     a0, v_samples, loads = _setup(config, ops)
     n = config.n_steps
     fields = np.empty((n + 1, ops.n_dofs))
     fields[0] = a0
     M_red = _reduced_mass(ops)
+    newton_system = core.NewtonSystem(
+        core.LinearMapE(np.zeros((0, ops.n_dofs))), 1.0)
     for k in range(1, n + 1):
         fields[k] = schur_step(
             ops, fields[k - 1], v_samples[k], config.prox,
             forcing_load=None if loads is None else loads[k - 1],
-            reduced_mass=M_red,
+            reduced_mass=M_red, newton_system=newton_system,
         )
     return fields
 

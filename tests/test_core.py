@@ -842,6 +842,31 @@ def test_a_kept_ordering_orders_each_new_pattern_afresh(monkeypatch):
     assert not (first.has_sorted_indices or second.has_sorted_indices)
 
 
+def test_the_pattern_check_matches_the_exact_index_arrays(monkeypatch):
+    """A Newton matrix whose index arrays equal the kept ones, in other
+    arrays, is on the kept pattern; one with as many entries, a pair of
+    them in other rows, is a new pattern and gets a fresh ordering."""
+    rng = np.random.default_rng(26)
+    E = core.LinearMapE(thin_map(rng), k=2)
+
+    def coupled(i, j):
+        off = sp.csc_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=(12, 12))
+        return (12.0 * sp.eye(12, format="csc") + off).tocsc()
+
+    H, moved = coupled(0, 1), coupled(0, 2)
+    assert moved.nnz == H.nnz
+    stub = _RecordingSplu()
+    monkeypatch.setattr(core, "spla", stub)
+    newton = core.NewtonSystem(E, 0.05)
+    rhs = rng.standard_normal(12)
+    for M in (H, H.copy(), moved, H):
+        d = newton.solve(M, rhs)
+        ref = np.linalg.solve((M + gram(E) / 0.05).toarray(), rhs)
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert [c["permc_spec"] for c in stub.calls] == [
+        "MMD_AT_PLUS_A", "NATURAL", "MMD_AT_PLUS_A", "MMD_AT_PLUS_A"]
+
+
 def lagged_problem(seed, n=core.PCG_MIN_DIM + 100, tau=0.1):
     """A sparse E with a two-row thin block, a sparse SPD hessian, a
     right-hand side and a NewtonSystem, at n unknowns."""

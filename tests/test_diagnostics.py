@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mqsflow import diagnostics, fem, system
+from mqsflow import diagnostics, fem, material, system
 from mqsflow.errors import ValidationFailure
 
 
@@ -314,3 +314,34 @@ def test_trajectory_scale(small_run):
         "ki,ki->k", traj.fields, (ops.stiffness @ traj.fields.T).T
     ))
     assert s >= 1.0 + norms.max()
+
+
+def _pairwise_probe(ops, n_pairs, seed, scale=1.0):
+    """The monotonicity probe's measured values, one K per field."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(n_pairs):
+        a = scale * rng.standard_normal(ops.n_dofs)
+        b = scale * rng.standard_normal(ops.n_dofs)
+        d = a - b
+        denom = ops.m_hat * float(d @ (ops.stiffness @ d))
+        if denom > 0:
+            ratios.append(float(d @ (ops.K(a) - ops.K(b))) / denom)
+    return {"min_ratio": float(min(ratios)) if ratios else np.inf,
+            "n_checked": len(ratios)}
+
+
+@pytest.mark.parametrize("block_bytes", [1, diagnostics.PROBE_BLOCK_BYTES])
+def test_the_blocked_probe_measures_what_one_k_per_field_does(
+        block_bytes, monkeypatch):
+    """Blocks of pairs, one pair each or many with the last one partial,
+    give the probe's min_ratio and count bit for bit, on a model with
+    distinct curves per region."""
+    model = material.ReluctivityModel("rational_saturation", {
+        "C": {"nu_min": 1.0, "nu_max": 5.0},
+        "I": {"nu_min": 2.0, "nu_max": 3.0}})
+    ops = system.build_system(system.MQSConfig(n=12, model=model))[0]
+    monkeypatch.setattr(diagnostics, "PROBE_BLOCK_BYTES", block_bytes)
+    for n_pairs in (1, 7, 200):
+        result = diagnostics.monotonicity_probe(ops, n_pairs=n_pairs, seed=5)
+        assert result.measured == _pairwise_probe(ops, n_pairs, seed=5)

@@ -834,3 +834,53 @@ def test_hand_built_mesh_derives_the_dofs_of_build_mesh():
     areas, grads = hand.geometry
     local = areas[:, None, None] * np.einsum("eik,ejk->eij", grads, grads)
     _assert_same_csr(fem.assemble_stiffness(hand), _coo_matrix(hand, local))
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_PASS_MODELS))
+@pytest.mark.parametrize("n", [16, 33])
+def test_a_block_of_fields_gives_each_residual_bit_for_bit(name, n):
+    """K of a block (n_dofs, P) in one element pass is, column by column,
+    the K of each field alone, for a shared curve, a table and distinct
+    curves per region."""
+    mesh = fem.build_mesh(n, DISK)
+    model = _ONE_PASS_MODELS[name]()
+    block = 0.3 * np.random.default_rng(n).standard_normal((mesh.n_dofs, 5))
+    K = fem.curlcurl_residuals(mesh, model, block)
+    assert K.shape == block.shape
+    for j in range(block.shape[1]):
+        assert np.array_equal(K[:, j],
+                              fem.curlcurl_residual(mesh, model, block[:, j]))
+
+
+def test_the_field_point_check_matches_exact_bits_and_shape(monkeypatch):
+    """A lookup hits on an equal array, a copy included, and misses on
+    another shape with the same bytes, on an array mutated in place and on
+    -0.0 against 0.0."""
+    made = []
+
+    class Keyed(fem._FieldPoint):
+        """Only the keys the lookup reads, no element pass."""
+        __slots__ = ()
+
+        def __init__(self, mesh, model, a):
+            made.append(a.shape)
+            self.model, self.shape, self.key = model, a.shape, a.tobytes()
+
+    monkeypatch.setattr(fem, "_FieldPoint", Keyed)
+    mesh = fem.build_mesh(8, DISK)
+    model = material.rational_saturation_model(1.0, 5.0)
+    a = 0.3 * np.random.default_rng(15).standard_normal(mesh.n_dofs)
+    zero = np.zeros(mesh.n_dofs)
+    first = fem._field_point(mesh, model, a)
+    assert fem._field_point(mesh, model, a.copy()) is first
+    assert fem._field_point(mesh, model, list(a)) is first
+    assert len(made) == 1
+    fem._field_point(mesh, model, a.reshape(-1, 1))
+    assert made[-1] == (mesh.n_dofs, 1)
+    fem._field_point(mesh, model, a)
+    a[3] = np.nextafter(a[3], np.inf)  # one ulp, in place
+    fem._field_point(mesh, model, a)
+    zeros = fem._field_point(mesh, model, zero)
+    assert fem._field_point(mesh, model, zero.copy()) is zeros
+    assert fem._field_point(mesh, model, -zero) is not zeros
+    assert len(made) == 6

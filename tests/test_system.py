@@ -1569,6 +1569,28 @@ def test_forced_schur_path_matches_the_prox_solve():
     assert worst <= 1e-10 * scale
 
 
+
+def test_solve_schur_orders_its_newton_pattern_once(monkeypatch):
+    """One NewtonSystem serves every step of solve_schur, so the Newton
+    pattern is ordered twice in all: at a0 = 0, where the sum K_tangent +
+    M_red / tau drops the tangent's exact zeros, and at the next system,
+    on the full pattern; every later factor is in natural order."""
+    cfg = system.MQSConfig(n=8, T=8.0 / 64.0)
+    ops = system.build_system(cfg)[0]
+    made, _ = record_newton_systems(monkeypatch)
+    specs, real_splu = [], core.spla.splu
+
+    class Spla:
+        def splu(self, A, **kwargs):
+            specs.append(kwargs.get("permc_spec"))
+            return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(core, "spla", Spla())
+    system.solve_schur(cfg, ops)
+    assert len(made) == 1
+    assert specs[:2] == ["MMD_AT_PLUS_A"] * 2
+    assert set(specs[2:]) == {"NATURAL"} and len(specs) > cfg.n_steps
+
 SUBGRADIENT_CONFIGS = {
     "default": lambda: system.MQSConfig(n=16),
     "random_a0": lambda: system.MQSConfig(n=16, a0_kind="random", seed=7),
