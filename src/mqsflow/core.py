@@ -31,7 +31,7 @@ pattern fills the kept one and is factored in natural order.
 
 The Newton matrix M is SPD (E-ellipticity) and, from the extrapolated
 start, changes little from one Newton system to the next.  So from
-PCG_MIN_DIM = 400 unknowns on, a NewtonSystem keeps its last factor and
+PCG_MIN_DIM = 100 unknowns on, a NewtonSystem keeps its last factor and
 solves a later system by conjugate gradients on K preconditioned with it
 (a lagged preconditioner inside Newton; Knoll & Keyes, J. Comput. Phys.
 193, 2004, sec. 3).  CG from 0 keeps mu = U d / tau in every iterate, as
@@ -52,7 +52,7 @@ after PCG_MAX_ITER iterations (||r_j|| rho^(PCG_MAX_ITER - j) > bound).
 The system is then refactored as after a full miss, so a miss called
 right gives the same direction; a residual of a lagged factor falls at a
 near-steady rate, and j = 1 alone misjudges systems that CG finishes.
-Below 400 unknowns every system is factored and no factor kept.
+Below 100 unknowns every system is factored and no factor kept.
 
 The Newton directions of a smooth transient are nearly parallel, so PCG
 starts from a Galerkin projection on the last ones (Fischer, Comput.
@@ -119,6 +119,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
+from scipy.linalg.lapack import dposv
 
 from .errors import (
     NonConvergence, SingularStep, StepFailure, ValidationFailure, check_choice,
@@ -139,38 +140,19 @@ ORACLE_DIM_LIMIT = 64
 
 # NewtonSystem solves a Newton system of at least PCG_MIN_DIM unknowns by
 # PCG on its last kept factor, to the PCG stop (module docstring) within
-# PCG_MAX_ITER iterations; a smaller one is factored.  Solve
-# on the default problem, PCG against factoring every system, in-process,
-# median of 9 (2-core x86 VM, one BLAS thread), with SuperLU's default
-# supernodes: n = 12 (121 unknowns) 0.087 -> 0.092 s, n = 16 (225) 0.122 ->
-# 0.109 s, n = 20 (361) 0.148 -> 0.127 s, n = 24 (529) 0.194 -> 0.155 s,
-# n = 64 0.98 -> 0.60 s.  Measured again on later code, n = 16 read 0.055
-# -> 0.042 s with the defaults and 0.045 -> 0.040 s with SUPERLU_RELAX and
-# SUPERLU_PANEL_SIZE.  So the gain below 400 is at most 0.02 s a solve,
-# and end to end it is none: with the cutoff at 200 the n = 16 battery
-# (perfbench battery_n16) ran 1.10/1.04 s against 1.02/1.02 s at 400, and
-# its peak RSS rose by 1 MB, for the factor held across systems.  With the
-# tol / 10 target alone a kept factor serves longer and ages, and CG then
-# gains about 3x an iteration instead of 10x; so the budget is 6, not 10,
-# and an aged factor is replaced sooner.  Factors/PCG systems/CG
-# iterations, to 1e-10 ||rhs|| within 10 -> this target within 6, with the
-# Newton systems unchanged: the default problem at n = 32 4/65/501 ->
-# 3/66/339, at n = 64 5/63/503 -> 4/64/301, the three-winding perfbench
-# run at n = 32 43/139/1463 -> 70/112/757.  Ending an attempt once its
-# mean contraction calls a miss (module docstring) leaves the factors, PCG
-# systems and fields as they were and cuts the CG iterations that missed:
-# perfbench multiwinding_n32 at seed 9301 71/113/761 -> 71/113/486, the
-# default problem at n = 64 4/64/301 as before.
-# Solve at n = 64, median of 5 in-process: 0.507 s as before, 0.469 s with
-# the target alone, 0.514 s (14 factors) with the budget alone, 0.410 s
-# with both; budgets of 5 and 7 took 0.405 and 0.413 s.
-# With the projected start (PCG_HISTORY) and the cutoff at 100, perfbench
-# battery_n16 at seed 9301 took 95 factors, 866 PCG systems and 2089 CG
-# iterations in place of 961 factors, and its op_s read 0.590/0.573/0.572
-# s against 0.607/0.594/0.603 s at 400 (three alternated 10 s pairs, same
-# 2-core VM), with peak RSS up 0.2-0.4 MB; the cutoff is kept here, so
-# that the small-mesh outputs stay those of factoring every system.
-PCG_MIN_DIM = 400
+# PCG_MAX_ITER iterations; a smaller one is factored.  PCG_MIN_DIM is the
+# smallest size from which PCG won this sweep: solve on the default
+# problem, PCG against factoring every system, in alternated in-process
+# pairs (2-core x86 VM, one BLAS thread); median time ratio, PCG's wins:
+#   n = 8   (49 unknowns)   +4.9 %  10/25      n = 12  (121)  -3.6 %  15/25
+#   n = 9   (64)            +3.6 %   8/25      n = 13  (144)  -8.0 %  21/25
+#   n = 10  (81)            +3.0 %   6/25      n = 16  (225)   -20 %  14/15
+#   n = 11  (100)           -4.1 %  16/25      n = 20  (361)   -29 %  13/15
+# The budget: with the tol / 10 target a kept factor serves longer and
+# ages, and CG gains about 3x an iteration, not 10x, so an aged factor is
+# replaced after 6; solve at n = 64 took 0.410 s, 0.405 and 0.413 s with
+# budgets of 5 and 7, and 0.469 s with 10.
+PCG_MIN_DIM = 100
 PCG_MAX_ITER = 6
 # PCG starts from the Galerkin projection on the last PCG_HISTORY
 # solutions behind its gate (module docstring).  Factors/PCG systems/CG
@@ -378,6 +360,7 @@ class NewtonSystem:
     def __init__(self, E, tau):
         self.E, self.tau = E, tau
         self._pattern = None  # H's indptr, indices; A, slots, perm, inverse
+        self._thin = None     # U's places in A, and U^T (k, N) in A's order
         self._lagged = None   # a natural-order factor of A
         self._clear_history()
         self.factors = self.pcg_systems = self.cg_iters = 0
@@ -427,6 +410,9 @@ class NewtonSystem:
             self._pattern = (H.indptr.tobytes(), H.indices.tobytes(), A,
                              lands[:H.nnz], lands[H.nnz:], perm,
                              np.argsort(perm))
+            Ut = np.zeros((N - n, N))  # U^T's columns in A's order
+            Ut[:, perm[:n]] = self._block[0].T
+            self._thin = perm[n:], Ut
             return x
         A, h_slots, c_slots, perm, inverse = kept[2:]
         A.data[:] = 0.0
@@ -457,10 +443,12 @@ class NewtonSystem:
         return lu
 
     def _newton_residual(self, r):
-        """||r_1 + U^T r_2 / tau|| of a residual r of A, in A's order."""
-        Ut = self._block[0]
-        r, n = r.take(self._pattern[5]), Ut.shape[0]  # by perm, to K's order
-        v = r[:n] + Ut.dot(r[n:] / self.tau)
+        """||r_1 + U^T r_2 / tau|| of a residual r of A, summed in A's
+        order: r plus U^T r_2 / tau, with the places of r_2 zeroed."""
+        thin, Ut = self._thin
+        v = (r[thin] / self.tau).dot(Ut)
+        v += r
+        v[thin] = 0.0
         return math.sqrt(v.dot(v))
 
     def _record(self, x):
@@ -480,12 +468,9 @@ class NewtonSystem:
         self.projections += 1
         X = self._past[:, :m]
         AX = A @ X
-        gram, c = X.T @ AX, X.T @ b
-        try:
-            y = np.linalg.solve(gram, c)
-        except np.linalg.LinAlgError:
-            return None
-        if not float(c @ y) >= 0.5 * float(y @ gram @ y):  # or not finite
+        gram, c = X.T @ AX, b.dot(X)
+        _, y, info = dposv(gram, c)  # X^T A X is SPD on the kept solutions
+        if info or not c.dot(y) >= 0.5 * y.dot(gram.dot(y)):  # or not finite
             return None
         return X @ y, b - AX @ y
 
@@ -517,12 +502,12 @@ class NewtonSystem:
                     self._misses = 0
                 res0 = cut
             p = z = lu.solve(r)
-            rz = float(r @ z)
+            rz = r.dot(z)
             for j in range(1, PCG_MAX_ITER + 1):
                 self.cg_iters += 1
                 q = A @ p
-                pq = float(p @ q)
-                if not (0.0 < pq < np.inf and 0.0 < rz < np.inf):
+                pq = p.dot(q)
+                if not (0.0 < pq < math.inf and 0.0 < rz < math.inf):
                     return None
                 alpha = rz / pq
                 x += alpha * p
@@ -538,7 +523,7 @@ class NewtonSystem:
                 if j >= 2 and _pcg_will_miss(res, res0, j, bound):
                     return None
                 z = lu.solve(r)
-                rz, rz_old = float(r @ z), rz
+                rz, rz_old = r.dot(z), rz
                 p = z + (rz / rz_old) * p
         return None
 

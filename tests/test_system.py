@@ -860,8 +860,9 @@ def test_thin_block_stays_out_of_the_factor(monkeypatch):
     pattern bordered by the m winding rows U, their columns U^T and an
     m x m diagonal.  That is sparser than the pattern of the whole Newton
     matrix, where U^T U fills in, and there is one factor per Newton
-    system."""
-    cfg = system.MQSConfig(n=16, T=4.0 / 64.0)
+    system below the PCG cutoff."""
+    cfg = system.MQSConfig(n=10, T=4.0 / 64.0)
+    assert (cfg.n - 1) ** 2 < core.PCG_MIN_DIM
     ops, _, E = system.build_system(cfg)
     factored, shapes = [], set()
     newton_systems = []
@@ -916,10 +917,12 @@ def test_a_solve_sorts_each_sparse_pattern_once(monkeypatch):
 
 def test_a_solve_orders_the_newton_pattern_once(monkeypatch):
     """The first factor of a solve runs the MMD ordering and every later
-    one factors in natural order, one factor per Newton system, within
-    1e-12 scale of a run that orders every factor afresh."""
-    cfg = system.MQSConfig(n=16)
+    one factors in natural order, one factor per Newton system below the
+    PCG cutoff, within 1e-12 scale of a run that orders every factor
+    afresh."""
+    cfg = system.MQSConfig(n=10)
     ops = system.build_system(cfg)[0]
+    assert ops.n_dofs < core.PCG_MIN_DIM
     specs, newton_systems = [], []
     real_splu, real_solve = core.spla.splu, core._solve_newton_system
 
@@ -1003,7 +1006,7 @@ def record_newton_systems(monkeypatch):
     return made, counts
 
 
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 10])
 def test_below_the_cutoff_every_newton_system_is_factored_as_before(
         n, monkeypatch):
     """One factor per Newton system, none kept, and the trajectory within
@@ -1025,7 +1028,7 @@ def test_below_the_cutoff_every_newton_system_is_factored_as_before(
         1e-12 * scale)
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [10, 32])
 def test_a_run_with_no_conductor_solves_and_passes_the_self_check(
         n, monkeypatch):
     """conductor_radius = 0 leaves E_1 with no rows, so the field-circuit
@@ -1093,6 +1096,52 @@ def test_a_lagged_factor_solve_matches_factoring_every_system(
     assert np.abs(lagged.currents[1:] - direct.currents[1:]).max() <= (
         1e-10 * scale)
 
+
+
+@pytest.mark.parametrize("newton_tol", [1e-10, 1e-14])
+def test_a_lagged_factor_solve_at_n16_matches_factoring_every_system(
+        newton_tol, monkeypatch):
+    """On the default problem at n = 16, above the cutoff, PCG leaves the
+    trajectory within 1e-10 scale, and the Newton systems within 1 %, of
+    a solve that factors every Newton system."""
+    cfg = system.MQSConfig(n=16, newton_tol=newton_tol)
+    ops = system.build_system(cfg)[0]
+    assert ops.n_dofs >= core.PCG_MIN_DIM
+    made, counts = record_newton_systems(monkeypatch)
+    lagged = system.solve(cfg, ops)
+    n_lagged = counts["systems"]
+    assert made[0].pcg_systems > 0
+    monkeypatch.setattr(core, "NewtonSystem", _FactorEverySystem)
+    direct = system.solve(cfg, ops)
+    n_direct = counts["systems"] - n_lagged
+    assert abs(n_lagged - n_direct) <= 0.01 * n_direct
+    scale = diagnostics.trajectory_scale(ops, direct)
+    assert np.abs(lagged.fields - direct.fields).max() <= 1e-10 * scale
+    assert np.abs(lagged.currents[1:] - direct.currents[1:]).max() <= (
+        1e-10 * scale)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_each_newton_system_is_one_factor_or_one_pcg_solve(
+        n, monkeypatch, tmp_path):
+    """Every NewtonSystem of the experiment battery, on each side of the
+    cutoff, took exactly one factor or one PCG solve per Newton system
+    passed to it: factors + pcg_systems counts the Newton systems."""
+    made, _ = record_newton_systems(monkeypatch)
+    passed, real_solve = {}, core._solve_newton_system
+
+    def counted(H, rhs, newton_system, tol=None):
+        passed[id(newton_system)] = passed.get(id(newton_system), 0) + 1
+        return real_solve(H, rhs, newton_system, tol)
+
+    monkeypatch.setattr(core, "_solve_newton_system", counted)
+    assert cli.dispatch(["experiment", "--set", f"mesh.n={n}",
+                         "--out", str(tmp_path)]) == 0
+    assert len(made) > 1
+    assert (sum(ns.pcg_systems for ns in made) > 0) == (
+        (n - 1) ** 2 >= core.PCG_MIN_DIM)
+    for newton in made:
+        assert newton.factors + newton.pcg_systems == passed.get(id(newton), 0)
 
 def test_pcg_to_a_tenth_of_the_newton_tolerance_costs_no_newton_system(
         monkeypatch):
@@ -1199,10 +1248,10 @@ def test_newton_system_counts_on_the_default_problem_at_n64(monkeypatch):
     assert newton.cg_iters <= 200
 
 
-def test_newton_system_counts_on_the_default_problem_at_n16(monkeypatch):
+def test_newton_system_counts_on_the_default_problem_at_n10(monkeypatch):
     """Below the cutoff every Newton system is factored: 69 systems, 69
-    factors, no PCG solve (as with SuperLU's default supernodes)."""
-    cfg = system.MQSConfig(n=16)
+    factors, no PCG solve."""
+    cfg = system.MQSConfig(n=10)
     ops = system.build_system(cfg)[0]
     assert ops.n_dofs < core.PCG_MIN_DIM
     made, counts = record_newton_systems(monkeypatch)
@@ -1210,6 +1259,21 @@ def test_newton_system_counts_on_the_default_problem_at_n16(monkeypatch):
     (newton,) = made
     assert counts["systems"] == 69
     assert (newton.factors, newton.pcg_systems) == (69, 0)
+
+
+def test_newton_system_counts_on_the_default_problem_at_n16(monkeypatch):
+    """Above the cutoff: the 69 Newton systems of factoring every one,
+    in 2 factors and 67 PCG solves, with at most 170 CG iterations (158
+    when this was written)."""
+    cfg = system.MQSConfig(n=16)
+    ops = system.build_system(cfg)[0]
+    assert ops.n_dofs >= core.PCG_MIN_DIM
+    made, counts = record_newton_systems(monkeypatch)
+    system.solve(cfg, ops)
+    (newton,) = made
+    assert counts["systems"] == 69
+    assert (newton.factors, newton.pcg_systems) == (2, 67)
+    assert newton.cg_iters <= 170
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
