@@ -95,7 +95,8 @@ Against factoring every system, at newton_tol 1e-10 and 1e-14, the
 default problem at n = 64 took 68/68 and 125/125 Newton systems, and the
 three-winding one at n = 32 181/181 and 219/219, with fields and
 currents within 2.1e-12 of the problem scale; with the projected start,
-181/181 and 217/219, within 2.3e-12.
+181/181 and 217/219, within 2.3e-12, and the default problem at n = 16
+69/69 and 127/126, within 5.6e-13.
 
 Each step's Newton solve starts, by default, from the extrapolation of
 the past states (the standard starting value for Newton inside implicit
@@ -119,7 +120,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
-from scipy.linalg.lapack import dposv
 
 from .errors import (
     NonConvergence, SingularStep, StepFailure, ValidationFailure, check_choice,
@@ -335,7 +335,8 @@ class NewtonSystem:
     second time moved by the permutation.  Every later H
     on that pattern fills A, which is factored in natural order (the same
     pivots without the ordering's cost), with the right-hand side gathered
-    in and the solution back as one vector each.
+    in and the solution back as one vector each.  An H is on the kept
+    pattern when its index arrays have the kept ones' exact bytes.
 
     From PCG_MIN_DIM unknowns on, the last natural-order factor is kept for
     PCG, which ends at the PCG stop (module docstring).  When
@@ -346,6 +347,8 @@ class NewtonSystem:
     the oldest, and PCG starts from the Galerkin projection on them while
     its gate is open (module docstring): A X as one sparse-by-dense
     product, and the PCG_HISTORY x PCG_HISTORY Gram system solved densely.
+    PCG reads the Newton residual off A's residual in A's
+    order, with U^T moved to that order once per pattern.
 
     ``factors``, ``pcg_systems``, ``cg_iters`` and ``projections`` count
     the factors taken, the systems PCG solved (those the projected start
@@ -469,8 +472,11 @@ class NewtonSystem:
         X = self._past[:, :m]
         AX = A @ X
         gram, c = X.T @ AX, b.dot(X)
-        _, y, info = dposv(gram, c)  # X^T A X is SPD on the kept solutions
-        if info or not c.dot(y) >= 0.5 * y.dot(gram.dot(y)):  # or not finite
+        try:
+            y = np.linalg.solve(gram, c)
+        except np.linalg.LinAlgError:
+            return None
+        if not c.dot(y) >= 0.5 * y.dot(gram.dot(y)):  # or not finite
             return None
         return X @ y, b - AX @ y
 
