@@ -347,8 +347,8 @@ class NewtonSystem:
     the oldest, and PCG starts from the Galerkin projection on them while
     its gate is open (module docstring): A X as one sparse-by-dense
     product, and the PCG_HISTORY x PCG_HISTORY Gram system solved densely.
-    PCG reads the Newton residual off A's residual in A's
-    order, with U^T moved to that order once per pattern.
+    PCG reads the Newton residual off A's residual in A's order, with U^T
+    moved to that order once per pattern.
 
     ``factors``, ``pcg_systems``, ``cg_iters`` and ``projections`` count
     the factors taken, the systems PCG solved (those the projected start
