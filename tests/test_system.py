@@ -1097,7 +1097,6 @@ def test_a_lagged_factor_solve_matches_factoring_every_system(
         1e-10 * scale)
 
 
-
 @pytest.mark.parametrize("newton_tol", [1e-10, 1e-14])
 def test_a_lagged_factor_solve_at_n16_matches_factoring_every_system(
         newton_tol, monkeypatch):
@@ -1142,6 +1141,7 @@ def test_each_newton_system_is_one_factor_or_one_pcg_solve(
         (n - 1) ** 2 >= core.PCG_MIN_DIM)
     for newton in made:
         assert newton.factors + newton.pcg_systems == passed.get(id(newton), 0)
+
 
 def test_pcg_to_a_tenth_of_the_newton_tolerance_costs_no_newton_system(
         monkeypatch):
@@ -1633,8 +1633,7 @@ def test_forced_schur_path_matches_the_prox_solve():
     assert worst <= 1e-10 * scale
 
 
-
-def test_solve_schur_orders_its_newton_pattern_once(monkeypatch):
+def test_solve_schur_keeps_one_newton_system_for_all_its_steps(monkeypatch):
     """One NewtonSystem serves every step of solve_schur, so the Newton
     pattern is ordered twice in all: at a0 = 0, where the sum K_tangent +
     M_red / tau drops the tangent's exact zeros, and at the next system,
