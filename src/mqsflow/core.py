@@ -110,6 +110,7 @@ x_{k-1} already meets it returns x_{k-1}.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -120,6 +121,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import null_space
+# private: the compiled kernels behind A @ x (see _matvec); pyproject.toml
+# bounds scipy below 1.18, and tests/test_system.py checks the kernels
+# against A @ x bit for bit
+from scipy.sparse import _sparsetools
 
 from .errors import (
     NonConvergence, SingularStep, StepFailure, ValidationFailure, check_choice,
@@ -189,6 +194,46 @@ SUPERLU_RELAX = 1
 SUPERLU_PANEL_SIZE = 1
 
 
+# the kernels behind A @ x of a CSR and a CSC A: (matvec, matvecs)
+_KERNELS = {fmt: (getattr(_sparsetools, fmt + "_matvec"),
+                  getattr(_sparsetools, fmt + "_matvecs"))
+            for fmt in ("csr", "csc")}
+
+
+def _matvec(A, x):
+    """A @ x, bit for bit, without SciPy's Python dispatch.
+
+    For a CSR or CSC A of float64 data and a float64 ndarray x of shape
+    (N,) or (N, P), P != 1, of A's N columns, this is what A @ x runs
+    behind ``_spbase._matmul_dispatch`` in SciPy 1.17:
+    ``_cs_matrix._matmul_vector`` or ``_matmul_multivector`` in
+    ``scipy/sparse/_compressed.py``, which zero a result and call
+    ``_sparsetools.<fmt>_matvec`` or ``<fmt>_matvecs`` on A's own indptr,
+    indices and data (a block raveled in C order).  The kernels check no
+    length, so the shape is checked here; every other input, (N, 1)
+    included, goes to A @ x, which raises SciPy's ValueError on a wrong
+    one.  On the default
+    problem at n = 16, the products of E, E^T, G, G^T, S and PCG's A took
+    2.2-10.3 us this way against 3.9-13.4 us through A @ x (best of 7
+    timeit rounds, 2-core x86 VM).
+    """
+    kernels = _KERNELS.get(A.format)
+    if (kernels is None or x.__class__ is not np.ndarray
+            or x.dtype != np.float64 or A.dtype != np.float64):
+        return A @ x
+    n_row, n_col = A.shape
+    if x.shape == (n_col,):
+        y = np.zeros(n_row)
+        kernels[0](n_row, n_col, A.indptr, A.indices, A.data, x, y)
+        return y
+    if x.ndim == 2 and x.shape[0] == n_col and x.shape[1] != 1:
+        y = np.zeros((n_row, x.shape[1]))
+        kernels[1](n_row, n_col, x.shape[1], A.indptr, A.indices, A.data,
+                   x.ravel(), y.ravel())
+        return y
+    return A @ x
+
+
 class LinearMapE:
     """Linear metric map E : R^dim_X -> R^dim_Z, dense or sparse, immutable.
 
@@ -201,6 +246,7 @@ class LinearMapE:
         if not sp.issparse(matrix):
             matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.matrix = matrix
+        self._sparse = sp.issparse(matrix)
         self.dim_Z, self.dim_X = matrix.shape
         if not 0 <= k <= self.dim_Z:
             raise ValidationFailure(
@@ -208,10 +254,10 @@ class LinearMapE:
         self.k = k
 
     def apply(self, x):
-        return self.matrix @ x
+        return _matvec(self.matrix, x) if self._sparse else self.matrix @ x
 
     def apply_adjoint(self, z):
-        return self.adjoint @ z
+        return _matvec(self.adjoint, z) if self._sparse else self.adjoint @ z
 
     @cached_property
     def adjoint(self):
@@ -248,6 +294,24 @@ def _csc_pattern(keys, n):
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return sp.csc_matrix((np.zeros(keys.size), (keys % n).astype(np.int32),
                           indptr), shape=(n, n)), slots
+
+
+def _freeze_pattern(P):
+    """Make the index arrays of the canonical CSC P read-only and set its
+    canonical flag, so that ``_on_frozen_pattern`` may share them: an
+    in-place prune of P or of such a matrix raises instead of changing P."""
+    P.indptr.flags.writeable = P.indices.flags.writeable = False
+    P.has_canonical_format = True
+    return P
+
+
+def _on_frozen_pattern(P, data):
+    """A canonical CSC with ``data`` on the pattern P of
+    ``_freeze_pattern``, sharing P's index arrays: a shallow copy of P,
+    with neither SciPy's format checks nor an index copy."""
+    A = copy.copy(P)
+    A.data = data
+    return A
 
 
 @dataclass
@@ -336,7 +400,9 @@ class NewtonSystem:
     on that pattern fills A, which is factored in natural order (the same
     pivots without the ordering's cost), with the right-hand side gathered
     in and the solution back as one vector each.  An H is on the kept
-    pattern when its index arrays have the kept ones' exact bytes.
+    pattern when its index arrays are the kept ones themselves, read-only
+    (the tangent's share ``fem.Mesh2D.pattern``'s), or have their exact
+    bytes.
 
     From PCG_MIN_DIM unknowns on, the last natural-order factor is kept for
     PCG, which ends at the PCG stop (module docstring).  When
@@ -363,6 +429,7 @@ class NewtonSystem:
     def __init__(self, E, tau):
         self.E, self.tau = E, tau
         self._pattern = None  # H's indptr, indices; A, slots, perm, inverse
+        self._shared = None   # H's index arrays themselves, when read-only
         self._thin = None     # U's places in A, and U^T (k, N) in A's order
         self._lagged = None   # a natural-order factor of A
         self._clear_history()
@@ -397,9 +464,11 @@ class NewtonSystem:
         n, N = H.shape[0], C.shape[0]
         b = np.zeros(N)
         b[:n] = rhs
-        kept = self._pattern
-        if kept is None or not (H.indptr.tobytes() == kept[0]
-                                and H.indices.tobytes() == kept[1]):
+        kept, shared = self._pattern, self._shared
+        if kept is None or not (
+                (shared is not None and H.indptr is shared[0]
+                 and H.indices is shared[1])
+                or _index_bytes(H) == kept[:2]):
             keys = np.concatenate([_csc_keys(H, N), _csc_keys(C, N)])
             K, slots = _csc_pattern(keys, N)
             K.data[slots[:H.nnz]] = H.data
@@ -410,9 +479,11 @@ class NewtonSystem:
             x, perm = lu.solve(b)[:n], lu.perm_c.astype(np.int64)
             del lu, K  # A is built while no factor is alive (peak RSS)
             A, lands = _symmetric_permutation(perm, keys)
-            self._pattern = (H.indptr.tobytes(), H.indices.tobytes(), A,
-                             lands[:H.nnz], lands[H.nnz:], perm,
-                             np.argsort(perm))
+            self._pattern = (*_index_bytes(H), A, lands[:H.nnz],
+                             lands[H.nnz:], perm, np.argsort(perm))
+            self._shared = None
+            if not (H.indptr.flags.writeable or H.indices.flags.writeable):
+                self._shared = H.indptr, H.indices
             Ut = np.zeros((N - n, N))  # U^T's columns in A's order
             Ut[:, perm[:n]] = self._block[0].T
             self._thin = perm[n:], Ut
@@ -470,7 +541,7 @@ class NewtonSystem:
             return None
         self.projections += 1
         X = self._past[:, :m]
-        AX = A @ X
+        AX = _matvec(A, X)
         gram, c = X.T @ AX, b.dot(X)
         try:
             y = np.linalg.solve(gram, c)
@@ -511,7 +582,7 @@ class NewtonSystem:
             rz = r.dot(z)
             for j in range(1, PCG_MAX_ITER + 1):
                 self.cg_iters += 1
-                q = A @ p
+                q = _matvec(A, p)
                 pq = p.dot(q)
                 if not (0.0 < pq < math.inf and 0.0 < rz < math.inf):
                     return None
@@ -521,7 +592,7 @@ class NewtonSystem:
                 res = self._newton_residual(r)
                 self._rho = (res / res0) ** (1.0 / j)
                 if res <= bound:  # then the true one
-                    if not self._newton_residual(b - A @ x) <= bound:
+                    if not self._newton_residual(b - _matvec(A, x)) <= bound:
                         return None
                     self.pcg_systems += 1
                     self._record(x)
@@ -532,6 +603,11 @@ class NewtonSystem:
                 rz, rz_old = r.dot(z), rz
                 p = z + (rz / rz_old) * p
         return None
+
+
+def _index_bytes(H):
+    """The exact bytes of a CSC H's indptr and indices."""
+    return H.indptr.tobytes(), H.indices.tobytes()
 
 
 def _pcg_will_miss(res, res0, j, bound):
@@ -638,8 +714,9 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
     """
     tau = config.tau
     x_prev = np.asarray(x_prev, dtype=float)
-    b = E.apply(x_prev) + tau * np.asarray(f_k, dtype=float)
-    last = [None, None]  # the last iterate and its misfit E x - b
+    image = E.apply(x_prev)  # E x_prev, for b and for x_prev's misfit
+    b = image + tau * np.asarray(f_k, dtype=float)
+    last = [x_prev, image - b]  # the last iterate and its misfit E x - b
 
     def misfit(x):
         """E x - b, formed once per point: newton_minimize takes the

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .core import _csc_pattern
+from .core import _csc_pattern, _freeze_pattern, _matvec, _on_frozen_pattern
 from .errors import EigenSolveFailure, ValidationFailure, check_finite
 # theta_eval is unused here, but perfbench's measure.SPANS patches it here
 from .material import REGION_CONDUCTOR, REGION_INSULATOR, model_eval, theta_eval
@@ -46,7 +46,8 @@ class Mesh2D:
     bin, which is dropped.  The P1 pattern and the slot of each local
     matrix entry in it come from one sort of the entries' keys
     (``core._csc_pattern``).  Every assembled matrix is CSC on that
-    pattern, the format SuperLU and ARPACK factor.
+    pattern, the format SuperLU and ARPACK factor.  The pattern's index
+    arrays are read-only, and the tangent shares them.
     """
 
     vertices: np.ndarray      # (n_vertices, 2)
@@ -91,11 +92,12 @@ class Mesh2D:
         cols = np.tile(gdofs, (1, 3)).ravel()
         keys = np.where((rows >= 0) & (cols >= 0), cols * n + rows, n * n)
         P, slots = _csc_pattern(keys, n)
-        return P, slots.astype(np.int32)
+        return _freeze_pattern(P), slots.astype(np.int32)
 
     @property
     def pattern(self):
-        """P1 sparsity pattern, canonical CSC with int32 indices."""
+        """P1 sparsity pattern, canonical CSC with int32 indices, which are
+        read-only (``core._freeze_pattern``)."""
         return self._p1_pattern[0]
 
     @property
@@ -157,6 +159,13 @@ class Mesh2D:
                 out.append((region, mask))
         return tuple(out)
 
+    @cached_property
+    def _region_areas(self):
+        """(elements, their areas) of each region of ``regions``, in order."""
+        areas, _ = self.geometry
+        return tuple((elements, areas[elements]) for elements in (
+            np.flatnonzero(mask) for _, mask in self.regions))
+
     def element_operator(self, blocks, elements=None):
         """CSR with r rows per element from ``blocks`` (|elements|, r, 3):
         row r q + i holds blocks[q, i, j] at the dof of local vertex j of
@@ -184,8 +193,8 @@ class Mesh2D:
             minlength=self.pattern.nnz + 1)[:-1])
 
     def on_pattern(self, data):
-        """CSC matrix with ``data`` on the P1 pattern."""
-        # own index arrays: callers may prune the result in place
+        """CSC matrix with ``data`` on the P1 pattern and index arrays of
+        its own, which callers may prune in place."""
         return sp.csc_matrix(
             (data, self.pattern.indices.copy(), self.pattern.indptr.copy()),
             shape=self.pattern.shape,
@@ -395,7 +404,8 @@ def assemble_coupling(mesh, winding):
 def _element_state(mesh, a):
     """Per-element field gradient (M, 2) and its magnitude (M,) of a dof
     vector ``a``; (M, 2, P) and (M, P) of a block (n_dofs, P) of them."""
-    g = (mesh.gradient_operator @ a).reshape(mesh.n_elements, 2, *a.shape[1:])
+    g = _matvec(mesh.gradient_operator, a).reshape(mesh.n_elements, 2,
+                                                   *a.shape[1:])
     s = np.hypot(g[:, 0], g[:, 1])
     return g, s
 
@@ -422,7 +432,7 @@ def _flux_residual(mesh, nu, g):
     as csr_matvecs sums each row in csr_matvec's order."""
     areas, _ = mesh.geometry
     flux = (nu * areas.reshape(-1, *(1,) * (nu.ndim - 1)))[:, None] * g
-    return mesh.gradient_transpose @ flux.reshape(-1, *nu.shape[1:])
+    return _matvec(mesh.gradient_transpose, flux.reshape(-1, *nu.shape[1:]))
 
 
 def curlcurl_residuals(mesh, model, a):
@@ -448,11 +458,10 @@ class _FieldPoint:
     def __init__(self, mesh, model, a):
         self.model, self.shape, self.key = model, a.shape, a.tobytes()
         self.g, self.s = _element_state(mesh, a)
-        areas, _ = mesh.geometry
         self.nu, self.dgds, theta = _material_pass(mesh, model, self.s)
         self.energy = 0.0
-        for _, mask in mesh.regions:
-            self.energy += float(np.dot(areas[mask], theta[mask]))
+        for elements, areas in mesh._region_areas:
+            self.energy += float(np.dot(areas, theta[elements]))
         self._K = None
 
     def K(self, mesh):
@@ -499,6 +508,8 @@ def curlcurl_jacobian(mesh, model, a):
     grad a; the rank-one term vanishes in the isotropic limit s = 0.  With
     g = grad a its data is ``Mesh2D.slot_operator`` applied to the weights
     nu area + c g_x^2, nu area + c g_y^2 and c g_x g_y of each element.
+    The result shares ``mesh.pattern``'s read-only index arrays, so no
+    sparse matrix is built per call; an in-place prune of it raises.
     """
     areas, _ = mesh.geometry
     pt = _field_point(mesh, model, a)
@@ -518,7 +529,8 @@ def curlcurl_jacobian(mesh, model, a):
     w_yy *= gy
     w_yy += iso
     w_xy *= gy
-    return mesh.on_pattern(mesh.slot_operator @ weights.ravel())
+    return _on_frozen_pattern(mesh.pattern,
+                              _matvec(mesh.slot_operator, weights.ravel()))
 
 
 def magnetic_energy(mesh, model, a):

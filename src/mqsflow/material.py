@@ -151,7 +151,7 @@ def model_eval(model, region, s):
     """nu(s), d/ds[nu(s)*s] and the energy density theta(s^2) = int_0^s
     nu(z) z dz in closed form (a table's integral exact), for s >= 0."""
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
+    if (s < 0).any():
         raise ValidationFailure("field magnitude s must be >= 0")
     p = model.region_params(region)
     if model.kind == "constant":

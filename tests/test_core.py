@@ -134,7 +134,7 @@ def _two_product_prox_step(phi, E, x_prev, f_k, config, x_start, guard):
 
 
 @pytest.mark.parametrize("start, guard, extra", [
-    (None, False, 0),   # b and the residual at x_prev
+    (None, False, 0),   # E x_prev, for b and the misfit at x_prev
     ("near", True, 1),  # and the objective at x_start, kept
     ("far", True, 1),   # and the objective at x_start, dropped
     ("near", False, 1),  # and the gradient at x_start
@@ -143,7 +143,8 @@ def test_prox_step_forms_one_misfit_per_point(monkeypatch, start, guard,
                                               extra):
     """E x - b is formed once at each point the step evaluates, so an
     accepted Newton iterate costs the one product its line search took,
-    and the step equals the two-product one bit for bit."""
+    x_prev's misfit shares b's product E x_prev, and the step equals the
+    two-product one bit for bit."""
     rng = np.random.default_rng(31)
     n = 6
     phi = quartic(n)
@@ -165,7 +166,7 @@ def test_prox_step_forms_one_misfit_per_point(monkeypatch, start, guard,
     E = _CountingMapE(matrix)
     x = core.prox_step(phi, E, x_prev, f_k, cfg, x_start=x_start, guard=guard)
     assert len(searches) >= 3
-    assert E.products == 2 + extra + len(evals)
+    assert E.products == 1 + extra + len(evals)
     assert np.array_equal(x, _two_product_prox_step(
         phi, core.LinearMapE(matrix), x_prev, f_k, cfg, x_start, guard))
 

@@ -884,3 +884,24 @@ def test_the_field_point_check_matches_exact_bits_and_shape(monkeypatch):
     assert fem._field_point(mesh, model, zero.copy()) is zeros
     assert fem._field_point(mesh, model, -zero) is not zeros
     assert len(made) == 6
+
+
+def test_a_tangent_shares_the_read_only_pattern_and_cannot_be_pruned():
+    """The tangent is a CSC on mesh.pattern's own index arrays, which are
+    read-only: pruning its exact zeros in place (at a = 0) raises, and the
+    pattern and the tangent stay as they were."""
+    mesh = fem.build_mesh(8, (0.5, 0.5, 0.2))
+    P = mesh.pattern
+    indptr, indices = P.indptr.copy(), P.indices.copy()
+    model = material.rational_saturation_model(1.0, 5.0)
+    J = fem.curlcurl_jacobian(mesh, model, np.zeros(mesh.n_dofs))
+    assert J.indptr is P.indptr and J.indices is P.indices
+    assert J.format == "csc" and J.has_canonical_format
+    data = J.data.copy()
+    assert (data == 0.0).any()
+    with pytest.raises(ValueError):
+        J.eliminate_zeros()
+    assert np.array_equal(P.indptr, indptr)
+    assert np.array_equal(P.indices, indices)
+    assert J.nnz == P.nnz and np.array_equal(J.data, data)
+    assert np.array_equal(J.toarray(), mesh.on_pattern(data).toarray())

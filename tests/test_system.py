@@ -1634,10 +1634,10 @@ def test_forced_schur_path_matches_the_prox_solve():
 
 
 def test_solve_schur_keeps_one_newton_system_for_all_its_steps(monkeypatch):
-    """One NewtonSystem serves every step of solve_schur, so the Newton
-    pattern is ordered twice in all: at a0 = 0, where the sum K_tangent +
-    M_red / tau drops the tangent's exact zeros, and at the next system,
-    on the full pattern; every later factor is in natural order."""
+    """One NewtonSystem serves every step of solve_schur, and every Newton
+    matrix lies on one pattern, the one at a0 = 0 included, whose tangent
+    has exact zeros: the pattern is ordered once, and every later factor
+    is in natural order."""
     cfg = system.MQSConfig(n=8, T=8.0 / 64.0)
     ops = system.build_system(cfg)[0]
     made, _ = record_newton_systems(monkeypatch)
@@ -1651,8 +1651,8 @@ def test_solve_schur_keeps_one_newton_system_for_all_its_steps(monkeypatch):
     monkeypatch.setattr(core, "spla", Spla())
     system.solve_schur(cfg, ops)
     assert len(made) == 1
-    assert specs[:2] == ["MMD_AT_PLUS_A"] * 2
-    assert set(specs[2:]) == {"NATURAL"} and len(specs) > cfg.n_steps
+    assert specs[0] == "MMD_AT_PLUS_A"
+    assert set(specs[1:]) == {"NATURAL"} and len(specs) > cfg.n_steps
 
 SUBGRADIENT_CONFIGS = {
     "default": lambda: system.MQSConfig(n=16),
@@ -1700,3 +1700,136 @@ def test_each_step_meets_the_discrete_subgradient_inclusion(solved, name):
         bound = cfg.newton_tol * (1.0 + np.linalg.norm(g_prev))
         defect = traj.subgradients[k] - adjoint(f_k - r_k)
         assert np.linalg.norm(defect) <= bound, k
+
+
+def _loop_weak_residuals(ops, traj):
+    """check_weak_solution's residuals formed one step at a time: the
+    reference for its block products."""
+    tau = traj.tau
+    r1, r2 = np.empty(traj.n_steps), np.empty(traj.n_steps)
+    for k in range(1, traj.n_steps + 1):
+        da = traj.fields[k] - traj.fields[k - 1]
+        field_res = ((ops.msigma @ da) / tau + traj.subgradients[k]
+                     - ops.coupling @ traj.currents[k])
+        r1[k - 1] = np.max(np.abs(field_res))
+        flux_rate = (traj.fluxes[k] - traj.fluxes[k - 1]) / tau
+        r2[k - 1] = np.linalg.norm(
+            flux_rate + ops.R @ traj.currents[k] - traj.voltages[k])
+    return r1, r2
+
+
+@pytest.mark.parametrize("name", sorted(SUBGRADIENT_CONFIGS))
+def test_weak_check_blocks_match_the_step_loop(solved, name, monkeypatch):
+    """With one winding, the block products give every step's residuals
+    bit for bit, in blocks of one step, of five and of the default size;
+    with three, the coupling's and R's dense sums may round apart, within
+    1e-15 of the trajectory scale."""
+    _, ops, traj = solved(name)
+    r1, r2 = _loop_weak_residuals(ops, traj)
+    scale = diagnostics.trajectory_scale(ops, traj)
+    for block_bytes in (1, 5 * 8 * ops.n_dofs, system.WEAK_CHECK_BLOCK_BYTES):
+        monkeypatch.setattr(system, "WEAK_CHECK_BLOCK_BYTES", block_bytes)
+        report = system.check_weak_solution(ops, traj)
+        got = report.field_residuals, report.circuit_residuals
+        if ops.m == 1:
+            assert got[0].tobytes() == r1.tobytes()
+            assert got[1].tobytes() == r2.tobytes()
+        else:
+            assert np.abs(got[0] - r1).max() <= 1e-15 * scale
+            assert np.abs(got[1] - r2).max() <= 1e-15 * scale
+        assert report.max_field_residual == got[0].max()
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_direct_kernel_products_are_the_scipy_products(n):
+    """core._matvec of every sparse operator of the Newton path, on a
+    vector, a block, a column and non-contiguous or integer inputs, has the
+    bytes of A @ x: a SciPy whose private kernels stop matching its public
+    product fails here."""
+    cfg = system.MQSConfig(n=n)
+    ops, _, E = system.build_system(cfg)
+    mesh, rng = ops.mesh, np.random.default_rng(n)
+    a = 0.3 * rng.standard_normal(ops.n_dofs)
+    newton = core.NewtonSystem(E, cfg.tau)
+    newton.solve(ops.K_tangent(a), rng.standard_normal(ops.n_dofs))
+    operators = {
+        "E": E.matrix, "E^T": E.adjoint, "G": mesh.gradient_operator,
+        "G^T": mesh.gradient_transpose, "S": mesh.slot_operator,
+        "A": newton._pattern[2], "tangent": ops.K_tangent(a),
+        "M_sigma": ops.msigma,
+    }
+    assert {A.format for A in operators.values()} == {"csr", "csc"}
+    for name, A in operators.items():
+        wide = rng.standard_normal((A.shape[1], 6))
+        inputs = {
+            "vector": wide[:, 0].copy(), "block": wide[:, :3].copy(),
+            "strided vector": wide[:, 1], "strided block": wide[:, ::2],
+            "F-ordered block": np.asfortranarray(wide), "column": wide[:, :1],
+            "integer vector": np.arange(A.shape[1]),
+        }
+        for kind, x in inputs.items():
+            got, want = core._matvec(A, x), A @ x
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (name, kind)
+
+
+def test_direct_kernel_products_reject_a_wrong_length():
+    """The compiled kernel checks no length, so _matvec hands a wrong one
+    to A @ x, which raises SciPy's ValueError."""
+    ops = system.build_system(system.MQSConfig(n=8))[0]
+    for A in (ops.mesh.gradient_operator, ops.mesh.gradient_transpose,
+              ops.msigma):
+        n_col = A.shape[1]
+        for shape in ((n_col + 1,), (n_col - 1,), (n_col - 1, 3),
+                      (n_col + 1, 1)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                core._matvec(A, np.ones(shape))
+
+
+def test_a_tangent_on_the_kept_pattern_is_known_by_identity(monkeypatch):
+    """NewtonSystem knows a tangent's pattern by its shared read-only index
+    arrays: with the byte comparison patched out, a second tangent keeps
+    the pattern and its ordering, and its direction has the bytes of one
+    whose index arrays are copies, which the byte comparison matches."""
+    cfg = system.MQSConfig(n=8)
+    ops, _, E = system.build_system(cfg)
+    rng = np.random.default_rng(17)
+    a1, a2 = 0.3 * rng.standard_normal((2, ops.n_dofs))
+    rhs = rng.standard_normal(ops.n_dofs)
+
+    def copied(J):
+        return sp.csc_matrix((J.data, J.indices.copy(), J.indptr.copy()),
+                             shape=J.shape)
+
+    by_bytes = core.NewtonSystem(E, cfg.tau)
+    by_bytes.solve(copied(ops.K_tangent(a1)), rhs)
+    want = by_bytes.solve(copied(ops.K_tangent(a2)), rhs)
+    assert by_bytes._shared is None
+    shared = core.NewtonSystem(E, cfg.tau)
+    shared.solve(ops.K_tangent(a1), rhs)
+    kept = shared._pattern
+
+    def no_bytes(H):
+        raise AssertionError("the kept pattern was compared by its bytes")
+
+    monkeypatch.setattr(core, "_index_bytes", no_bytes)
+    got = shared.solve(ops.K_tangent(a2), rhs)
+    assert shared._pattern is kept and shared.factors == 2
+    assert got.tobytes() == want.tobytes()
+
+
+def test_schur_newton_matrices_share_the_union_pattern(default_small):
+    """K_tangent + M_red / tau on the union of both patterns, explicit
+    zeros kept: the values of the sparse sum, and one pattern at a = 0,
+    where the sum drops the tangent's exact zeros, as at any other a."""
+    cfg, ops, _, _ = default_small
+    M_tau = system._reduced_mass(ops) / cfg.tau
+    newton_matrix = system._schur_newton_matrix(ops.mesh.pattern, M_tau)
+    zero, a = np.zeros(ops.n_dofs), np.random.default_rng(3).random(ops.n_dofs)
+    H0, H = newton_matrix(ops.K_tangent(zero)), newton_matrix(ops.K_tangent(a))
+    assert H0.indices is H.indices and H0.indptr is H.indptr
+    assert H0.format == "csc" and H0.has_canonical_format
+    sum0 = ops.K_tangent(zero) + M_tau
+    assert sum0.nnz < H0.nnz
+    assert np.array_equal(H0.toarray(), sum0.toarray())
+    assert np.array_equal(H.toarray(), (ops.K_tangent(a) + M_tau).toarray())
