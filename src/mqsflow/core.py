@@ -13,9 +13,10 @@ an explicit basis.  A solve's settings are one checked ProxConfig, which
 solve_trajectory and each of its prox_steps take.
 
 Every Newton system in the package, (hessian + E^T E / tau) d = rhs, goes
-through NewtonSystem: a prox step's, and those of the Schur witness and
-of the oracle eval_phi_E, whose newton_minimize makes one on a map with
-no rows, so that the Newton matrix is the hessian itself.  For a dense or
+through NewtonSystem: a prox step's and a Schur witness step's, on the
+same E, and that of the oracle eval_phi_E, whose newton_minimize makes
+one on a map with no rows, so that the Newton matrix is the hessian
+itself (as for any newton_minimize given none).  For a dense or
 sparse E whose last k >= 0 rows form a thin block U (k << dim_X), it is
 solved as the symmetric quasi-definite field-circuit system
 K [d; mu] = [rhs; 0], with K = [[hessian + E_1^T E_1 / tau, U^T],
@@ -626,6 +627,16 @@ def _symmetric_permutation(perm, keys):
     return _csc_pattern(perm[keys // n] * n + perm[keys % n], n)
 
 
+def _newton_system_for(E, tau, newton_system=None):
+    """``newton_system``, which must be a NewtonSystem of this E and tau
+    (one made for others is a ValidationFailure), or a new one of them."""
+    if newton_system is None:
+        return NewtonSystem(E, tau)
+    if newton_system.E is not E or newton_system.tau != tau:
+        raise ValidationFailure("newton_system is for another E or tau")
+    return newton_system
+
+
 def _solve_newton_system(H, rhs, newton_system, tol=None):
     """The Newton direction d of (H + E^T E / tau) d = rhs, for the hessian
     H, solved through ``newton_system`` (a NewtonSystem) to the PCG stop
@@ -749,13 +760,10 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
                 g0 = residual(x0)  # on J0's misfit
             else:
                 x0, g0, J0 = x_prev, g_prev, J_prev
-    if newton_system is None:
-        newton_system = NewtonSystem(E, tau)
-    elif newton_system.E is not E or newton_system.tau != tau:
-        raise ValidationFailure("newton_system is for another E or tau")
     return newton_minimize(
         objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
-        max_iter=config.newton_max_iter, newton_system=newton_system,
+        max_iter=config.newton_max_iter,
+        newton_system=_newton_system_for(E, tau, newton_system),
     )
 
 

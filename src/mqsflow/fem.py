@@ -47,7 +47,9 @@ class Mesh2D:
     matrix entry in it come from one sort of the entries' keys
     (``core._csc_pattern``).  Every assembled matrix is CSC on that
     pattern, the format SuperLU and ARPACK factor.  The pattern's index
-    arrays are read-only, and the tangent shares them.
+    arrays are read-only, and the mass, the stiffness and the tangent
+    share them; the conducting mass ``mass_C`` is a copy pruned to the
+    conducting elements' pattern.
     """
 
     vertices: np.ndarray      # (n_vertices, 2)
@@ -187,18 +189,11 @@ class Mesh2D:
                            minlength=self.n_dofs + 1)[1:]
 
     def assemble_matrix(self, local):
-        """CSC matrix on the P1 pattern from element blocks ``local`` (M, 3, 3)."""
-        return self.on_pattern(np.bincount(
+        """CSC matrix on the P1 pattern from element blocks ``local`` (M, 3, 3),
+        sharing the pattern's read-only index arrays."""
+        return _on_frozen_pattern(self.pattern, np.bincount(
             self.matrix_slots, weights=local.ravel(),
             minlength=self.pattern.nnz + 1)[:-1])
-
-    def on_pattern(self, data):
-        """CSC matrix with ``data`` on the P1 pattern and index arrays of
-        its own, which callers may prune in place."""
-        return sp.csc_matrix(
-            (data, self.pattern.indices.copy(), self.pattern.indptr.copy()),
-            shape=self.pattern.shape,
-        )
 
 
 def _block_rows(blocks, cols, n_cols):
@@ -337,7 +332,10 @@ def _assemble_mass(mesh, element_filter=None):
     if element_filter is not None:
         areas = np.where(element_filter, areas, 0.0)
     M = mesh.assemble_matrix(areas[:, None, None] * _LOCAL_MASS)
-    M.eliminate_zeros()  # a filtered mass keeps only its elements' pattern
+    if element_filter is None:
+        return M
+    M = M.copy()  # index arrays of its own, pruned to its elements' pattern
+    M.eliminate_zeros()
     return M
 
 

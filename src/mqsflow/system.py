@@ -10,7 +10,10 @@ flux-linkage map, so one prox step minimizes
 Currents are recovered per step as i_k = R^{-1} (v_k - d/dt C^T a) and
 returned in an ``MQSTrajectory``: a ``core.DaeTrajectory`` plus the circuit.
 An independent Schur-reduced Newton path, from the same checked setup,
-eliminates the current unknown up front and serves as an equivalence witness.
+eliminates the current unknown up front and serves as an equivalence
+witness.  Its equation and merit are built from sigma_C M_C, C and R^{-1},
+not from E; its Newton matrices, K_tangent + M_red / tau with
+M_red = E^T E, are solved by the prox path's NewtonSystem.
 """
 
 from __future__ import annotations
@@ -446,53 +449,30 @@ def solve(config, ops=None, a0=None):
 _prox_from = core.prox_step
 
 
-def _reduced_mass(ops):
-    """M_red = sigma_C M_C + C R^{-1} C^T, sparse."""
-    C = sp.csc_matrix(ops.coupling)
-    return ops.msigma + C @ sp.csc_matrix(ops.R_inv) @ C.T
-
-
-def _schur_newton_matrix(pattern, M_tau):
-    """J -> J + M_tau for tangents J on the P1 ``pattern``, on the union of
-    both patterns with its explicit zeros kept.  A sparse sum drops exact
-    zeros, and the tangent at a = 0 has some, so J + M_tau would give a
-    solve from a0 = 0 a sparser first Newton pattern than the later ones;
-    on the union every Newton matrix of a solve has one pattern."""
-    n = pattern.shape[0]
-    M_tau.sum_duplicates()  # its entries one slot each
-    keys = np.concatenate([core._csc_keys(pattern, n),
-                           core._csc_keys(M_tau, n)])
-    union, slots = core._csc_pattern(keys, n)
-    core._freeze_pattern(union)
-    j_slots, m_slots = slots[:pattern.nnz], slots[pattern.nnz:]
-
-    def newton_matrix(J):
-        data = np.zeros(union.nnz)
-        data[j_slots] = J.data
-        data[m_slots] += M_tau.data
-        return core._on_frozen_pattern(union, data)
-    return newton_matrix
-
-
 def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
-               reduced_mass=None, newton_matrix=None, newton_system=None):
+               newton_system=None):
     """Field-only implicit step after eliminating the circuit unknown.
 
     Solves (M_red / tau)(a - a_prev) + K(a) = C R^{-1} v_k with
     M_red = sigma_C M_C + C R^{-1} C^T by damped Newton, with tau and
-    Newton's settings from ``config``, a core.ProxConfig.  ``reduced_mass``
-    is M_red, and ``newton_matrix`` the ``_schur_newton_matrix`` of
-    M_red / tau, when the caller already has them (solve_schur builds both
-    once).  Its Newton matrices K_tangent + M_red / tau go through
-    ``newton_system``, a core.NewtonSystem on a map with no rows; by
-    default newton_minimize makes one for the step.
+    Newton's settings from ``config``, a core.ProxConfig.  Its Newton
+    matrices K_tangent + E^T E / tau = K_tangent + M_red / tau are the
+    prox path's: they go through ``newton_system``, a core.NewtonSystem
+    of ``ops.E`` and tau (one made for others is a ValidationFailure; by
+    default the step makes its own), in the quasi-definite form.
+
+    The witness stays independent of E where it matters: the equation
+    above, Newton's stop, and the merit the line search descends are
+    built from sigma_C M_C, C and R^{-1}, never through E.  The Newton
+    matrix only steers the iteration, so a wrong E moves the prox
+    solution, which minimizes in E's metric, and not this one: criterion
+    07 sees the difference.
     """
     tau = config.tau
+    newton_system = core._newton_system_for(ops.E, tau, newton_system)
     a_prev = np.asarray(a_prev, dtype=float)
-    M_red = _reduced_mass(ops) if reduced_mass is None else reduced_mass
-    if newton_matrix is None:
-        newton_matrix = _schur_newton_matrix(ops.mesh.pattern, M_red / tau)
-    rhs_const = ops.coupling @ (ops.R_inv @ np.atleast_1d(v_k))
+    C, R_inv = ops.coupling, ops.R_inv
+    rhs_const = C @ (R_inv @ np.atleast_1d(v_k))
     if forcing_load is not None:
         rhs_const = rhs_const + forcing_load
     last = [None, None]  # the last point and its mass_step
@@ -502,7 +482,7 @@ def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
         prox_step forms its misfit."""
         if a is not last[0]:
             d = a - a_prev
-            last[:] = a, (d, M_red @ d)
+            last[:] = a, (d, ops.msigma @ d + C @ (R_inv @ (C.T @ d)))
         return last[1]
 
     def residual(a):
@@ -516,32 +496,27 @@ def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
     g, J = residual(a_prev), merit(a_prev)
     tol = config.newton_tol * (1.0 + float(np.linalg.norm(g)))
     return core.newton_minimize(
-        merit, residual, lambda a: newton_matrix(ops.K_tangent(a)), a_prev,
-        tol, g0=g, J0=J, max_iter=config.newton_max_iter,
-        newton_system=newton_system,
+        merit, residual, ops.K_tangent, a_prev, tol, g0=g, J0=J,
+        max_iter=config.newton_max_iter, newton_system=newton_system,
     )
 
 
 def solve_schur(config, ops):
     """Full trajectory through the Schur-reduced path (equivalence witness).
 
-    M_red, its Newton matrices' union pattern and one Newton system serve
-    every step, as solve_trajectory's NewtonSystem serves its prox steps:
-    the Newton pattern is sorted and ordered once per solve.
+    One NewtonSystem of ``ops.E`` serves every step, as solve_trajectory's
+    serves its prox steps: the Newton pattern is sorted and ordered once
+    per solve.
     """
     a0, v_samples, loads = _setup(config, ops)
     n = config.n_steps
     fields = np.empty((n + 1, ops.n_dofs))
     fields[0] = a0
-    M_red = _reduced_mass(ops)
-    newton_matrix = _schur_newton_matrix(ops.mesh.pattern, M_red / config.tau)
-    newton_system = core.NewtonSystem(
-        core.LinearMapE(np.zeros((0, ops.n_dofs))), 1.0)
+    newton_system = core.NewtonSystem(ops.E, config.tau)
     for k in range(1, n + 1):
         fields[k] = schur_step(
             ops, fields[k - 1], v_samples[k], config.prox,
             forcing_load=None if loads is None else loads[k - 1],
-            reduced_mass=M_red, newton_matrix=newton_matrix,
             newton_system=newton_system,
         )
     return fields

@@ -887,21 +887,36 @@ def test_the_field_point_check_matches_exact_bits_and_shape(monkeypatch):
 
 
 def test_a_tangent_shares_the_read_only_pattern_and_cannot_be_pruned():
-    """The tangent is a CSC on mesh.pattern's own index arrays, which are
-    read-only: pruning its exact zeros in place (at a = 0) raises, and the
-    pattern and the tangent stay as they were."""
-    mesh = fem.build_mesh(8, (0.5, 0.5, 0.2))
+    """The tangent, the mass and the stiffness are CSC on mesh.pattern's own
+    index arrays, which are read-only: pruning one in place (the tangent
+    at a = 0 has exact zeros) raises, and the pattern and the matrix stay
+    as they were.  The conducting mass has writable index arrays of its
+    own, with only the conducting elements' pattern, whose empty columns
+    diagnostics._invisible_perturbation reads as its support."""
+    mesh = fem.build_mesh(8, DISK)
     P = mesh.pattern
     indptr, indices = P.indptr.copy(), P.indices.copy()
     model = material.rational_saturation_model(1.0, 5.0)
     J = fem.curlcurl_jacobian(mesh, model, np.zeros(mesh.n_dofs))
-    assert J.indptr is P.indptr and J.indices is P.indices
-    assert J.format == "csc" and J.has_canonical_format
-    data = J.data.copy()
-    assert (data == 0.0).any()
-    with pytest.raises(ValueError):
-        J.eliminate_zeros()
-    assert np.array_equal(P.indptr, indptr)
-    assert np.array_equal(P.indices, indices)
-    assert J.nnz == P.nnz and np.array_equal(J.data, data)
-    assert np.array_equal(J.toarray(), mesh.on_pattern(data).toarray())
+    assert (J.data == 0.0).any()
+    mass_C, mass = fem.assemble_sigma_mass(mesh, 1.0)
+    for A in (J, mass, fem.assemble_stiffness(mesh)):
+        assert A.indptr is P.indptr and A.indices is P.indices
+        assert A.format == "csc" and A.has_canonical_format
+        data = A.data.copy()
+        with pytest.raises(ValueError):
+            A.eliminate_zeros()
+        assert np.array_equal(P.indptr, indptr)
+        assert np.array_equal(P.indices, indices)
+        assert A.nnz == P.nnz and np.array_equal(A.data, data)
+        oracle = sp.csc_matrix((data, indices.copy(), indptr.copy()),
+                               shape=P.shape)
+        assert np.array_equal(A.toarray(), oracle.toarray())
+    assert mass_C.indptr.flags.writeable and mass_C.indices.flags.writeable
+    assert not np.shares_memory(mass_C.indices, P.indices)
+    dofs = mesh.element_dofs[mesh.element_labels == fem.LABEL_C]
+    pairs = {(i, j) for tri in dofs for i in tri for j in tri
+             if i >= 0 and j >= 0}
+    rows, cols = mass_C.nonzero()
+    assert set(zip(rows.tolist(), cols.tolist())) == pairs
+    assert mass_C.nnz == len(pairs) < P.nnz

@@ -617,22 +617,18 @@ def test_witness_and_oracle_solve_through_newton_system(default_small,
 def test_schur_step_forms_one_reduced_mass_product_per_point(default_small,
                                                            monkeypatch):
     """The witness's merit and residual share M_red (a - a_prev) at each
-    point, so a step takes one product per merit evaluation (a_prev's
-    included), and a prebuilt M_red gives the same step bit for bit."""
+    point, so a step takes one M_sigma product per merit evaluation (a_prev's
+    included), and counting them leaves the step the same bit for bit."""
     _, ops, _, _ = default_small
     a_prev = 0.1 * np.random.default_rng(12).standard_normal(ops.n_dofs)
     cfg = core.ProxConfig(1.0 / 16.0, 1)
-    M_red = system._reduced_mass(ops)
 
     class Counted:
         products = 0
 
         def __matmul__(self, x):
             self.products += 1
-            return M_red @ x
-
-        def __truediv__(self, tau):
-            return M_red / tau
+            return ops.msigma @ x
 
     merits, real_newton = [], core.newton_minimize
 
@@ -644,16 +640,36 @@ def test_schur_step_forms_one_reduced_mass_product_per_point(default_small,
 
     monkeypatch.setattr(core, "newton_minimize", newton_minimize)
     counted_mass = Counted()
-    a = system.schur_step(ops, a_prev, np.array([1.0]), cfg,
-                          reduced_mass=counted_mass)
+    a = system.schur_step(replace(ops, msigma=counted_mass), a_prev,
+                          np.array([1.0]), cfg)
     assert len(merits) >= 2
     assert counted_mass.products == 1 + len(merits)
     assert np.array_equal(a, system.schur_step(ops, a_prev, np.array([1.0]),
                                                cfg))
 
 
+def test_schur_step_refuses_a_newton_system_of_another_map_or_step(
+        default_small):
+    """As prox_step does, schur_step takes only a NewtonSystem of ops.E and
+    its own tau: one of another tau, or one on a map with no rows, whose
+    Newton matrix would lack M_red / tau, is a ValidationFailure.  One of
+    ops.E and tau gives the default step bit for bit."""
+    _, ops, _, _ = default_small
+    a_prev = 0.1 * np.random.default_rng(13).standard_normal(ops.n_dofs)
+    cfg, v = core.ProxConfig(1.0 / 16.0, 1), np.array([1.0])
+    no_rows = core.LinearMapE(np.zeros((0, ops.n_dofs)))
+    for other in (core.NewtonSystem(ops.E, 2.0 * cfg.tau),
+                  core.NewtonSystem(no_rows, cfg.tau)):
+        with pytest.raises(ValidationFailure, match="another E or tau"):
+            system.schur_step(ops, a_prev, v, cfg, newton_system=other)
+    own = system.schur_step(ops, a_prev, v, cfg,
+                            newton_system=core.NewtonSystem(ops.E, cfg.tau))
+    assert own.tobytes() == system.schur_step(ops, a_prev, v, cfg).tobytes()
+
+
 def test_schur_step_keeps_the_winding_block_sparse():
-    """M_red is built from sparse factors, never as a dense n_dofs^2 array."""
+    """The witness applies C R^{-1} C^T through C, never as a dense
+    n_dofs^2 array."""
     ops, _, _ = system.build_system(system.MQSConfig(n=32))
     a_prev = 0.1 * np.random.default_rng(9).standard_normal(ops.n_dofs)
     tracemalloc.start()
@@ -1634,10 +1650,11 @@ def test_forced_schur_path_matches_the_prox_solve():
 
 
 def test_solve_schur_keeps_one_newton_system_for_all_its_steps(monkeypatch):
-    """One NewtonSystem serves every step of solve_schur, and every Newton
-    matrix lies on one pattern, the one at a0 = 0 included, whose tangent
-    has exact zeros: the pattern is ordered once, and every later factor
-    is in natural order."""
+    """One NewtonSystem, of ops.E and the step tau, as the prox path's,
+    serves every step of solve_schur, and every Newton matrix lies on one
+    pattern, the one at a0 = 0 included, whose tangent has exact zeros:
+    the pattern is ordered once, and every later factor is in natural
+    order."""
     cfg = system.MQSConfig(n=8, T=8.0 / 64.0)
     ops = system.build_system(cfg)[0]
     made, _ = record_newton_systems(monkeypatch)
@@ -1651,6 +1668,7 @@ def test_solve_schur_keeps_one_newton_system_for_all_its_steps(monkeypatch):
     monkeypatch.setattr(core, "spla", Spla())
     system.solve_schur(cfg, ops)
     assert len(made) == 1
+    assert made[0].E is ops.E and made[0].tau == cfg.tau
     assert specs[0] == "MMD_AT_PLUS_A"
     assert set(specs[1:]) == {"NATURAL"} and len(specs) > cfg.n_steps
 
@@ -1816,20 +1834,3 @@ def test_a_tangent_on_the_kept_pattern_is_known_by_identity(monkeypatch):
     got = shared.solve(ops.K_tangent(a2), rhs)
     assert shared._pattern is kept and shared.factors == 2
     assert got.tobytes() == want.tobytes()
-
-
-def test_schur_newton_matrices_share_the_union_pattern(default_small):
-    """K_tangent + M_red / tau on the union of both patterns, explicit
-    zeros kept: the values of the sparse sum, and one pattern at a = 0,
-    where the sum drops the tangent's exact zeros, as at any other a."""
-    cfg, ops, _, _ = default_small
-    M_tau = system._reduced_mass(ops) / cfg.tau
-    newton_matrix = system._schur_newton_matrix(ops.mesh.pattern, M_tau)
-    zero, a = np.zeros(ops.n_dofs), np.random.default_rng(3).random(ops.n_dofs)
-    H0, H = newton_matrix(ops.K_tangent(zero)), newton_matrix(ops.K_tangent(a))
-    assert H0.indices is H.indices and H0.indptr is H.indptr
-    assert H0.format == "csc" and H0.has_canonical_format
-    sum0 = ops.K_tangent(zero) + M_tau
-    assert sum0.nnz < H0.nnz
-    assert np.array_equal(H0.toarray(), sum0.toarray())
-    assert np.array_equal(H.toarray(), (ops.K_tangent(a) + M_tau).toarray())
