@@ -18,7 +18,8 @@ Recognized sections and keys (all optional; defaults in parentheses):
   [core]      newton_tol (1e-10; 1e-14 to 1e-3), newton_max_iter (50),
               newton_start extrapolate|zero (extrapolate): Newton's start
               in each step, the guarded extrapolation of the last states
-              or zero
+              (at step 1, the lower of the initial field's prox objective
+              and zero's) or zero
 
 The parser only turns text into values.  It rejects unknown sections or
 keys with the offending line echoed, a key set twice in one file with

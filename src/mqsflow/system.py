@@ -506,7 +506,9 @@ def solve_schur(config, ops):
 
     One NewtonSystem of ``ops.E`` serves every step, as solve_trajectory's
     serves its prox steps: the Newton pattern is sorted and ordered once
-    per solve.
+    per solve.  Each step starts Newton at a_{k-1}, step 1 at a0 too, so
+    from a rough a0 its step-1 Newton path is not the prox path's, which
+    may start at 0 (core's module docstring); both solve the same step.
     """
     a0, v_samples, loads = _setup(config, ops)
     n = config.n_steps

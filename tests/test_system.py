@@ -1197,7 +1197,7 @@ def test_newton_system_counts_on_the_default_problem_at_n32(monkeypatch):
 
 
 @pytest.mark.parametrize("make_cfg, counts, max_cg_iters", [
-    (multiwinding_config, (72, 109), 520),
+    (multiwinding_config, (54, 108), 520),
     (lambda: system.MQSConfig(n=32), (2, 67), 350),
 ])
 def test_a_predicted_pcg_miss_moves_no_factor_and_no_field(
@@ -1205,8 +1205,9 @@ def test_a_predicted_pcg_miss_moves_no_factor_and_no_field(
     """Ending a CG attempt once its contraction shows it will miss changes
     neither the factors nor the PCG systems of a solve run to the full
     budget, and the fields stay within 1e-12 scale of it.  A guard on the
-    CG iterations: the three-winding problem took 770 to the full budget
-    and 489 when this was written."""
+    CG iterations: the three-winding problem took 653 to the full budget
+    and 449 with the early miss once step 1 could start at 0 (770 and 489
+    when it started at a0)."""
     cfg = make_cfg()
     ops = system.build_system(cfg)[0]
     made, _ = record_newton_systems(monkeypatch)
@@ -1341,6 +1342,120 @@ def test_extrapolated_start_cuts_newton_solves_on_the_default_problem(
     scale = diagnostics.trajectory_scale(ops, last)
     assert np.abs(extra.fields - last.fields).max() <= 1e-10 * scale
     assert np.abs(extra.currents[1:] - last.currents[1:]).max() <= 1e-10 * scale
+
+
+_UNPATCHED_STEP = core.prox_step, core.newton_minimize, core._solve_newton_system
+
+
+def record_prox_steps(monkeypatch, start_at_a0=False):
+    """Per prox step of a solve: the candidate start it is given, Newton's
+    start and its Newton systems.  With ``start_at_a0`` the first step
+    recorded gets no candidate, so that Newton starts it at a0."""
+    steps = []
+    real_step, real_newton, real_solve = _UNPATCHED_STEP
+
+    def prox_step(*args, x_start=None, **kwargs):
+        if start_at_a0 and not steps:
+            x_start = None
+        steps.append({"x_start": x_start, "solves": 0})
+        return real_step(*args, x_start=x_start, **kwargs)
+
+    def newton_minimize(objective, gradient, hessian, x0, *args, **kwargs):
+        steps[-1]["start"] = x0
+        return real_newton(objective, gradient, hessian, x0, *args, **kwargs)
+
+    def solve(*args, **kwargs):
+        steps[-1]["solves"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(core, "prox_step", prox_step)
+    monkeypatch.setattr(core, "newton_minimize", newton_minimize)
+    monkeypatch.setattr(core, "_solve_newton_system", solve)
+    return steps
+
+
+def rough_three_windings():
+    """The three-winding problem at n = 16, from its random a0."""
+    return replace(multiwinding_config(), n=16)
+
+
+def test_step_one_starts_a_rough_initial_field_at_zero(monkeypatch):
+    """A random a0 is rough where E does not see it, so step 1's prox
+    objective is lower at 0 and the guard starts Newton there: at most 4
+    Newton systems (22 from a0 at n = 32, 16 at n = 16), with fields and
+    currents within 1e-10 scale of a run whose step 1 starts at a0."""
+    cfg = rough_three_windings()
+    ops = system.build_system(cfg)[0]
+    steps = record_prox_steps(monkeypatch)
+    from_zero = system.solve(cfg, ops)
+    first = steps[0]
+    assert not first["x_start"].any() and not first["start"].any()
+    assert first["solves"] <= 4
+    steps = record_prox_steps(monkeypatch, start_at_a0=True)
+    from_a0 = system.solve(cfg, ops)
+    assert np.array_equal(steps[0]["start"], from_a0.fields[0])
+    assert steps[0]["solves"] > 2 * first["solves"]
+    scale = diagnostics.trajectory_scale(ops, from_a0)
+    assert np.abs(from_zero.fields - from_a0.fields).max() <= 1e-10 * scale
+    assert np.abs(from_zero.currents[1:] - from_a0.currents[1:]).max() <= (
+        1e-10 * scale)
+
+
+def test_step_one_keeps_a_consistent_initial_field(monkeypatch):
+    """From the last field of a default solve the prox objective is lower
+    at a0 than at the candidate 0, so the guard keeps a0 and step 1 takes
+    the Newton systems it takes with no candidate."""
+    cfg = system.MQSConfig(n=16)
+    ops = system.build_system(cfg)[0]
+    a0 = system.solve(cfg, ops).fields[-1]
+    counts = {}
+    for start_at_a0 in (False, True):
+        steps = record_prox_steps(monkeypatch, start_at_a0)
+        system.solve(cfg, ops, a0=a0)
+        assert np.array_equal(steps[0]["start"], a0)
+        counts[start_at_a0] = steps[0]["solves"]
+        if not start_at_a0:
+            assert not steps[0]["x_start"].any()  # the candidate 0
+    assert counts[False] == counts[True] == 2
+
+
+def test_step_one_of_a_zero_initial_field_gets_no_candidate(monkeypatch):
+    """a0 = 0 is its own candidate: step 1 is given none, evaluates no
+    extra objective, and starts Newton at a0."""
+    cfg = system.MQSConfig(n=16)
+    ops = system.build_system(cfg)[0]
+    steps = record_prox_steps(monkeypatch)
+    system.solve(cfg, ops)
+    assert steps[0]["x_start"] is None
+    assert steps[1]["x_start"] is not None
+
+
+def _negated(voltage):
+    if voltage.kind == "table":
+        table = voltage.table.copy()
+        table[:, 1:] *= -1.0
+        return system.VoltageSignal("table", table=table)
+    return system.VoltageSignal(voltage.kind, value=-voltage.value)
+
+
+@pytest.mark.parametrize("make_cfg", [
+    rough_three_windings,
+    lambda: system.MQSConfig(n=8),
+    lambda: system.MQSConfig(n=8, a0_kind="random", seed=5),
+], ids=["three_windings_n16_random", "default_n8", "default_n8_random"])
+def test_negated_voltage_and_initial_field_negate_the_run_bit_for_bit(
+        make_cfg):
+    """The energy is even and K odd, so v -> -v with a0 -> -a0 gives
+    exactly -a and -i: every step, guard and factor sees negated data, and
+    rounding to nearest commutes with negation.  A sign-asymmetric start or
+    guard breaks it."""
+    cfg = make_cfg()
+    ops = system.build_system(cfg)[0]
+    run = system.solve(cfg, ops)
+    mirrored = system.solve(replace(cfg, voltage=_negated(cfg.voltage)), ops,
+                            a0=-run.fields[0])
+    assert np.array_equal(mirrored.fields, -run.fields)
+    assert np.array_equal(mirrored.currents[1:], -run.currents[1:])
 
 
 def test_config_rejects_unknown_newton_start():
