@@ -15,11 +15,7 @@ Recognized sections and keys (all optional; defaults in parentheses):
               at most 100000, and (n - 1)^2 * T / tau at most 10^7
   [initial]   kind (zero), seed (42), path
   [output]    basename (run; a plain file name)
-  [core]      newton_tol (1e-10; 1e-14 to 1e-3), newton_max_iter (50),
-              newton_start extrapolate|zero (extrapolate): Newton's start
-              in each step, the guarded extrapolation of the last states
-              (at step 1, the lower of the initial field's prox objective
-              and zero's) or zero
+  [core]      newton_tol (1e-10; 1e-14 to 1e-3), newton_max_iter (50)
 
 The parser only turns text into values.  It rejects unknown sections or
 keys with the offending line echoed, a key set twice in one file with
@@ -50,7 +46,7 @@ _SCHEMA = {
     "time": {"T", "tau"},
     "initial": {"kind", "seed", "path"},
     "output": {"basename"},
-    "core": {"newton_tol", "newton_max_iter", "newton_start"},
+    "core": {"newton_tol", "newton_max_iter"},
 }
 
 
@@ -147,7 +143,6 @@ _FIELDS = {
     ("initial", "path"): ("a0_path", str),
     ("core", "newton_tol"): ("newton_tol", float),
     ("core", "newton_max_iter"): ("newton_max_iter", int),
-    ("core", "newton_start"): ("newton_start", str),
 }
 
 

@@ -99,8 +99,8 @@ currents within 2.1e-12 of the problem scale; with the projected start,
 181/181 and 217/219, within 2.3e-12, and the default problem at n = 16
 69/69 and 127/126, within 5.6e-13.
 
-Each step's Newton solve starts, by default, from the extrapolation of
-the past states (the standard starting value for Newton inside implicit
+Each step's Newton solve starts from the extrapolation of the past
+states (the standard starting value for Newton inside implicit
 integrators): the polynomial through the last min(k, 4) states, taken one
 step ahead, so 2 x_1 - x_0 at step 2, the parabola at step 3 and the
 cubic from step 4 on.  A guard keeps it only if its prox objective is no
@@ -116,8 +116,9 @@ x_0, 0.36 at 0 and 0.054 at its minimizer, and Newton took 21 systems
 from x_0 and 3 from 0.  A consistent x_0, such as the field of an
 earlier step, has the lower objective and is kept (0.17 against 3.6 on
 the default problem at n = 16).  The prox objective is strictly convex,
-so the minimizer does not depend on the start.  The stopping tolerance,
-newton_tol (1 + ||g(x_{k-1})||), is the same either way, and a step
+so the minimizer does not depend on the start: a start changes a step's
+cost, never its answer, and is no setting.  The stopping tolerance,
+newton_tol (1 + ||g(x_{k-1})||), is the same from any start, and a step
 whose x_{k-1} already meets it returns x_{k-1}.
 """
 
@@ -140,11 +141,8 @@ from scipy.linalg import null_space
 from scipy.sparse import _sparsetools
 
 from .errors import (
-    NonConvergence, SingularStep, StepFailure, ValidationFailure, check_choice,
-    check_finite,
+    NonConvergence, SingularStep, StepFailure, ValidationFailure, check_finite,
 )
-
-NEWTON_STARTS = ("extrapolate", "zero")
 
 # Below MIN_NEWTON_TOL the tolerance sits under the rounding floor of the
 # prox gradient, so Newton spends its whole budget and fails: 1e-15 did at
@@ -350,7 +348,6 @@ class ProxConfig:
     n_steps: int
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    newton_start: str = "extrapolate"
 
     def __post_init__(self):
         for name in ("n_steps", "newton_max_iter"):
@@ -370,7 +367,6 @@ class ProxConfig:
         if self.newton_max_iter < 1:
             raise ValidationFailure(
                 f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
-        check_choice("newton_start", self.newton_start, NEWTON_STARTS)
 
     def check_against(self, phi):
         omega = phi.ellipticity_omega
@@ -719,18 +715,17 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     )
 
 
-def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
+def prox_step(phi, E, x_prev, f_k, config, *, x_start=None,
               newton_system=None):
     """One implicit-Euler step as a proximal minimization in the E-metric.
 
     ``config``, a ProxConfig, gives tau, newton_tol and newton_max_iter.
-    Newton starts from ``x_start`` (default x_prev).  With ``guard`` it
-    keeps x_start only if the prox objective there is no higher than at
-    x_prev, and starts at x_prev otherwise (one extra objective evaluation).
+    Newton starts from ``x_start`` if its prox objective is no higher than
+    at x_prev (one extra objective evaluation), and from x_prev otherwise.
     Returns x_k with
     || dPhi(x_k) + (1/tau) E^T (E x_k - E x_prev - tau f_k) ||
     <= newton_tol * (1 + residual norm at x_prev), and x_prev itself when
-    x_prev already meets that bound (unless an unguarded x_start is given).
+    x_prev already meets that bound.
     Every Newton system goes through ``newton_system``, a NewtonSystem of
     this E and tau (one made for others is a ValidationFailure); a solve
     passes one to all its steps, and by default the step makes its own.
@@ -759,19 +754,15 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None, guard=False,
     g_prev = residual(x_prev)
     g0_norm = math.sqrt(g_prev.dot(g_prev))
     tol = config.newton_tol * (1.0 + g0_norm)
-    if g0_norm <= tol and (x_start is None or guard):
+    if g0_norm <= tol:
         return x_prev.copy()
-    x0, g0, J0 = x_prev, g_prev, None
-    if x_start is None:
-        J0 = objective(x_prev)  # on g_prev's misfit
-    else:
-        x0, g0 = np.asarray(x_start, dtype=float), None
-        if guard:  # x_prev first, so Newton starts at the last point evaluated
-            J_prev, J0 = objective(x_prev), objective(x0)
-            if J0 <= J_prev:
-                g0 = residual(x0)  # on J0's misfit
-            else:
-                x0, g0, J0 = x_prev, g_prev, J_prev
+    x0, g0, J0 = x_prev, g_prev, objective(x_prev)  # on g_prev's misfit
+    if x_start is not None:
+        # after x_prev, so a kept x_start's residual reuses its misfit
+        x_start = np.asarray(x_start, dtype=float)
+        J_start = objective(x_start)
+        if J_start <= J0:
+            x0, g0, J0 = x_start, residual(x_start), J_start
     return newton_minimize(
         objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
         max_iter=config.newton_max_iter,
@@ -827,17 +818,15 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
     in ``step`` and its message led by "step k: ".  A floating-point
     overflow, at x0 or in a step, is a NonConvergence that says the data
     is out of floating-point range and names the step.
-    ``config.newton_start`` picks each Newton solve's starting point:
-    "extrapolate" (default) the polynomial through the last min(k, 4)
-    states, one step ahead (2 x_1 - x_0, 3 x_2 - 3 x_1 + x_0, then
-    4 x_{k-1} - 6 x_{k-2} + 4 x_{k-3} - x_{k-4}), and 0 at step 1 unless
-    x0 = 0, each of which falls back to x_{k-1} whenever its prox
-    objective is higher; "zero" x = 0, unguarded.  The trajectory depends
-    on x0 only through E x0, so a rough x0 slows step 1 only where Newton
-    starts from it (module docstring); the guard keeps a consistent one.
+    Each Newton solve's candidate start is the polynomial through the
+    last min(k, 4) states, one step ahead (2 x_1 - x_0, 3 x_2 - 3 x_1 + x_0,
+    then 4 x_{k-1} - 6 x_{k-2} + 4 x_{k-3} - x_{k-4}), and 0 at step 1
+    unless x0 = 0; prox_step falls back to x_{k-1} whenever the candidate's
+    prox objective is higher.  The trajectory depends on x0 only through
+    E x0, so a rough x0 slows step 1 only where Newton starts from it
+    (module docstring); the guard keeps a consistent one.
     """
     config.check_against(phi)
-    start = config.newton_start
     x0 = np.asarray(x0, dtype=float)
     n = config.n_steps
     fk = resolve_inputs(f, n, E.dim_Z)
@@ -847,7 +836,7 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
     subgradients = np.empty((n + 1, E.dim_X))
     states[0] = x0
     # step 1's candidate start 0 (module docstring); a zero x0 needs none
-    x_start = np.zeros(E.dim_X) if start == "zero" or x0.any() else None
+    x_start = np.zeros(E.dim_X) if x0.any() else None
     newton_system = NewtonSystem(E, config.tau)
     k = 0
     try:
@@ -857,12 +846,11 @@ def solve_trajectory(phi, E, x0, f, config, loads=None):
             subgradients[0] = phi.gateaux(x0)
             for k in range(1, n + 1):
                 phi_k = phi if loads is None else _with_load(phi, loads[k - 1])
-                if start == "extrapolate" and k > 1:
+                if k > 1:
                     x_start = _extrapolate(states, k)
                 states[k] = prox_step(
                     phi_k, E, states[k - 1], fk[k - 1], config,
-                    x_start=x_start, guard=start == "extrapolate",
-                    newton_system=newton_system,
+                    x_start=x_start, newton_system=newton_system,
                 )
                 images[k] = E.apply(states[k])
                 energies[k] = phi.eval(states[k])

@@ -144,8 +144,11 @@ def perturbation_experiments(config, ops, traj, kind, adversarial=False):
 
     ``traj`` is ``system.solve(config, ops)``, the first of each pair.
 
-    uniqueness: same data, different Newton starts and inner tolerances;
-    pass iff trajectories agree to 100 * newton_tol * scale.
+    uniqueness: the same data through the Schur-reduced witness,
+    ``system.solve_schur`` at newton_tol 1e-12, with its own equation, its
+    own merit and Newton started at a_{k-1}; pass iff the fields agree to
+    100 * newton_tol * scale.  The scale is ``traj``'s alone, so a
+    diverging witness cannot widen its own bound.
 
     initializability: initial fields differing by a perturbation invisible
     to the metric map (zero on the conducting region, orthogonal to the
@@ -155,17 +158,18 @@ def perturbation_experiments(config, ops, traj, kind, adversarial=False):
     the experiment is expected to FAIL.
     """
     check_choice("experiment kind", kind, ("uniqueness", "initializability"))
+    scale = trajectory_scale(ops, traj)
     if kind == "uniqueness":
-        other = replace(config, newton_tol=1e-12, newton_start="zero")
-        traj_b = system.solve(other, ops)
+        fields_b = system.solve_schur(replace(config, newton_tol=1e-12), ops)
     else:
         w = _invisible_perturbation(ops, seed=config.seed, visible=adversarial)
         a0 = system.initial_field(config, ops) + w
         traj_b = system.solve(config, ops, a0=a0)
-    scale = max(trajectory_scale(ops, traj), trajectory_scale(ops, traj_b))
+        scale = max(scale, trajectory_scale(ops, traj_b))
+        fields_b = traj_b.fields
     start = 1 if kind == "initializability" else 0
     discrepancy = float(np.max(np.linalg.norm(
-        traj.fields[start:] - traj_b.fields[start:], axis=1
+        traj.fields[start:] - fields_b[start:], axis=1
     )))
     bound = 100.0 * config.newton_tol * scale
     passed = discrepancy <= bound

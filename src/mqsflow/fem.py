@@ -474,7 +474,7 @@ def _field_point(mesh, model, a):
     Damped Newton asks for all three at nearly the same few iterates, so
     the last point is kept in the mesh's ``__dict__``, as its cached
     properties are, and lives exactly as long as the mesh.  One suffices:
-    a guarded prox step evaluates x_{k-1} before its start, so Newton's
+    a prox step evaluates x_{k-1} before its candidate start, so Newton's
     first iterate is the last point evaluated.  A point matches on
     ``model`` identity, on the shape of ``a`` and on the exact bits of its
     values, compared with the stored ``a.tobytes()``, so an array mutated

@@ -120,7 +120,6 @@ class MQSConfig:
     seed: int = 42
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
-    newton_start: str = "extrapolate"  # extrapolate | zero, see core
     # optional manufactured volumetric forcing added to the field equation;
     # callable (mesh, times) -> one load vector per time, for convergence
     forcing: Optional[Callable] = None
@@ -165,8 +164,7 @@ class MQSConfig:
                 f"(n - 1)^2 * T / tau = {dofs} dofs * {steps:.6g} steps "
                 f"exceeds the cap of {MAX_DOF_STEPS} dof-steps")
         object.__setattr__(self, "prox", core.ProxConfig(
-            self.tau, self.n_steps, self.newton_tol, self.newton_max_iter,
-            self.newton_start))
+            self.tau, self.n_steps, self.newton_tol, self.newton_max_iter))
 
     @property
     def n_steps(self):
@@ -502,13 +500,15 @@ def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
 
 
 def solve_schur(config, ops):
-    """Full trajectory through the Schur-reduced path (equivalence witness).
+    """Full trajectory through the Schur-reduced path: the equivalence
+    witness of criterion 07 and the partner of the uniqueness experiment
+    (diagnostics.perturbation_experiments).
 
     One NewtonSystem of ``ops.E`` serves every step, as solve_trajectory's
     serves its prox steps: the Newton pattern is sorted and ordered once
-    per solve.  Each step starts Newton at a_{k-1}, step 1 at a0 too, so
-    from a rough a0 its step-1 Newton path is not the prox path's, which
-    may start at 0 (core's module docstring); both solve the same step.
+    per solve.  Each step starts Newton at a_{k-1}, with no extrapolation
+    and no guard, so its Newton path is not the prox path's (core's module
+    docstring); both solve the same step.
     """
     a0, v_samples, loads = _setup(config, ops)
     n = config.n_steps

@@ -443,7 +443,7 @@ def test_experiment_battery_builds_once_and_reuses_its_trajectory(
         tmp_path, small_cfg, monkeypatch):
     from mqsflow import system
 
-    calls = {"build_system": 0, "solve": 0}
+    calls = {"build_system": 0, "solve": 0, "solve_schur": 0}
 
     def counted(name):
         real = getattr(system, name)
@@ -459,8 +459,9 @@ def test_experiment_battery_builds_once_and_reuses_its_trajectory(
     results = cli._experiment_battery(cfg, str(tmp_path))
     assert all(r.passed for r in results)
     # the base solve, the four balance-order step sizes other than the
-    # base tau = 1/16, one partner per perturbation experiment
-    assert calls == {"build_system": 1, "solve": 8}
+    # base tau = 1/16, the partners of the two initializability
+    # experiments; uniqueness's partner is the Schur-reduced witness
+    assert calls == {"build_system": 1, "solve": 7, "solve_schur": 1}
 
 
 def test_experiment_rejects_an_over_cap_balance_level_before_solving(
@@ -505,15 +506,23 @@ def test_cli_run_rejects_output_that_fails_its_weak_residual_check(
     assert not (out / "run.csv").exists()
 
 
-def test_cli_newton_start_setting(tmp_path, small_cfg, capsys):
-    out = tmp_path / "o"
-    argv = ["run", "--config", small_cfg, "--out", str(out)]
-    assert cli.dispatch(argv + ["--set", "core.newton_start=extrapolate"]) == 0
-    capsys.readouterr()
-    assert cli.dispatch(argv + ["--set", "core.newton_start=guess"]) == 1
+@pytest.mark.parametrize("where", ["--set", "file"])
+def test_cli_rejects_newton_start_as_an_unknown_key(tmp_path, small_cfg,
+                                                    capsys, where):
+    """Newton's start is no setting: the key is unknown, in an override
+    and in a config file alike."""
+    argv = ["run", "--out", str(tmp_path / "o")]
+    if where == "--set":
+        argv += ["--config", small_cfg, "--set", "core.newton_start=zero"]
+    else:
+        cfg = tmp_path / "start.cfg"
+        cfg.write_text(SMALL + "[core]\nnewton_start = extrapolate\n")
+        argv += ["--config", str(cfg)]
+    assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: newton_start must be one of")
-    assert "extrapolate, zero" in err
+    assert err.count("\n") == 1 and err.count("error:") == 1
+    assert err.startswith("error: ") and "unknown key core.newton_start" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_build_config_takes_every_default_from_mqsconfig():

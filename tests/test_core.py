@@ -105,7 +105,7 @@ class _CountingMapE(core.LinearMapE):
         return super().apply(x)
 
 
-def _two_product_prox_step(phi, E, x_prev, f_k, config, x_start, guard):
+def _two_product_prox_step(phi, E, x_prev, f_k, config, x_start):
     """A prox step whose objective and gradient each form E x - b: the
     reference for the shared misfit."""
     tau = config.tau
@@ -123,24 +123,21 @@ def _two_product_prox_step(phi, E, x_prev, f_k, config, x_start, guard):
     x0, g0, J0 = x_prev, g_prev, None
     if x_start is not None:
         x0, g0 = x_start, None
-        if guard:
-            J_prev, J0 = objective(x_prev), objective(x0)
-            if not J0 <= J_prev:
-                x0, g0, J0 = x_prev, g_prev, J_prev
+        J_prev, J0 = objective(x_prev), objective(x0)
+        if not J0 <= J_prev:
+            x0, g0, J0 = x_prev, g_prev, J_prev
     return core.newton_minimize(
         objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
         max_iter=config.newton_max_iter,
         newton_system=core.NewtonSystem(E, tau))
 
 
-@pytest.mark.parametrize("start, guard, extra", [
-    (None, False, 0),   # E x_prev, for b and the misfit at x_prev
-    ("near", True, 1),  # and the objective at x_start, kept
-    ("far", True, 1),   # and the objective at x_start, dropped
-    ("near", False, 1),  # and the gradient at x_start
+@pytest.mark.parametrize("start, extra", [
+    (None, 0),    # E x_prev, for b and the misfit at x_prev
+    ("near", 1),  # and the objective at x_start, kept
+    ("far", 1),   # and the objective at x_start, dropped
 ])
-def test_prox_step_forms_one_misfit_per_point(monkeypatch, start, guard,
-                                              extra):
+def test_prox_step_forms_one_misfit_per_point(monkeypatch, start, extra):
     """E x - b is formed once at each point the step evaluates, so an
     accepted Newton iterate costs the one product its line search took,
     x_prev's misfit shares b's product E x_prev, and the step equals the
@@ -164,11 +161,11 @@ def test_prox_step_forms_one_misfit_per_point(monkeypatch, start, guard,
 
     monkeypatch.setattr(core, "armijo_search", counted_search)
     E = _CountingMapE(matrix)
-    x = core.prox_step(phi, E, x_prev, f_k, cfg, x_start=x_start, guard=guard)
+    x = core.prox_step(phi, E, x_prev, f_k, cfg, x_start=x_start)
     assert len(searches) >= 3
     assert E.products == 1 + extra + len(evals)
     assert np.array_equal(x, _two_product_prox_step(
-        phi, core.LinearMapE(matrix), x_prev, f_k, cfg, x_start, guard))
+        phi, core.LinearMapE(matrix), x_prev, f_k, cfg, x_start))
 
 
 def test_newton_minimize_never_changes_an_array_it_passed_on():
@@ -1261,12 +1258,5 @@ def test_guarded_step_keeps_a_last_state_that_meets_the_tolerance():
         eval=lambda x: calls.append(1) or phi.eval(x), gateaux=phi.gateaux,
         hessian=phi.hessian)
     cfg = core.ProxConfig(tau, 1)
-    x = core.prox_step(counted, E, x_prev, f_k, cfg, x_start=exact, guard=True)
+    x = core.prox_step(counted, E, x_prev, f_k, cfg, x_start=exact)
     assert np.array_equal(x, x_prev) and not calls
-    unguarded = core.prox_step(phi, E, x_prev, f_k, cfg, x_start=exact)
-    assert np.array_equal(unguarded, exact)
-
-
-def test_unknown_newton_start_raises():
-    with pytest.raises(ValueError, match="extrapolate, zero, got 'prev'"):
-        core.ProxConfig(tau=0.1, n_steps=2, newton_start="prev")

@@ -84,6 +84,46 @@ def test_uniqueness_experiment(small_run):
     assert result.measured["discrepancy"] <= result.measured["bound"]
 
 
+def test_uniqueness_partner_is_one_tight_schur_witness(small_run,
+                                                       monkeypatch):
+    """The partner is system.solve_schur at newton_tol 1e-12, never a
+    second prox solve, and the bound's scale is the first run's alone."""
+    cfg, ops, traj = small_run
+    real, tols = system.solve_schur, []
+
+    def schur(config, ops):
+        tols.append(config.newton_tol)
+        return real(config, ops)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("system.solve reached")
+
+    monkeypatch.setattr(system, "solve_schur", schur)
+    monkeypatch.setattr(system, "solve", solve)
+    result = diagnostics.perturbation_experiments(cfg, ops, traj, "uniqueness")
+    assert result.passed and tols == [1e-12]
+    assert result.measured["scale"] == diagnostics.trajectory_scale(ops, traj)
+
+
+def test_uniqueness_fails_on_a_witness_one_step_off(small_run, monkeypatch):
+    """A witness whose field at one step is moved by 1e-6 * scale, far
+    beyond the bound of 100 * newton_tol * scale, fails the experiment."""
+    cfg, ops, traj = small_run
+    scale = diagnostics.trajectory_scale(ops, traj)
+    real = system.solve_schur
+
+    def moved(config, ops):
+        fields = real(config, ops)
+        fields[5, 0] += 1e-6 * scale
+        return fields
+
+    monkeypatch.setattr(system, "solve_schur", moved)
+    result = diagnostics.perturbation_experiments(cfg, ops, traj, "uniqueness")
+    assert not result.passed
+    assert result.measured["discrepancy"] == pytest.approx(1e-6 * scale,
+                                                           rel=1e-2)
+
+
 def test_initializability_experiment(small_run):
     result = diagnostics.perturbation_experiments(*small_run,
                                                   "initializability")

@@ -1458,12 +1458,34 @@ def test_negated_voltage_and_initial_field_negate_the_run_bit_for_bit(
     assert np.array_equal(mirrored.currents[1:], -run.currents[1:])
 
 
-def test_config_rejects_unknown_newton_start():
-    assert system.MQSConfig(n=8).newton_start == "extrapolate"
-    with pytest.raises(ValidationFailure,
-                       match="newton_start must be one of extrapolate, zero, "
-                             "got 'prev'"):
-        system.MQSConfig(n=8, newton_start="prev")
+def _relabeled(cfg, perm):
+    """``cfg`` with winding j the old winding perm[j]: its rectangles, R's
+    rows and columns and the voltage table's columns."""
+    perm = list(perm)
+    table = cfg.voltage.table[:, [0] + [1 + j for j in perm]]
+    return replace(
+        cfg, winding=fem.WindingSpec(
+            tuple(cfg.winding.rectangles[j] for j in perm)),
+        R=cfg.R[np.ix_(perm, perm)],
+        voltage=system.VoltageSignal("table", table=table))
+
+
+@pytest.mark.parametrize("perm", [(2, 0, 1), (1, 0, 2)], ids=["201", "102"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_relabeled_windings_give_the_same_fields_and_permuted_currents(
+        n, perm):
+    """Numbering the windings otherwise is no change to the problem: the
+    fields agree and current j is the old current perm[j], to rounding
+    (the ordering of the circuit block may change).  An index slip
+    between C, R and v breaks it."""
+    cfg = replace(multiwinding_config(), n=n, seed=7)
+    ops = system.build_system(cfg)[0]
+    run = system.solve(cfg, ops)
+    other = system.solve(_relabeled(cfg, perm))
+    scale = diagnostics.trajectory_scale(ops, run)
+    assert np.abs(other.fields - run.fields).max() <= 1e-12 * scale
+    assert np.abs(other.currents[1:] - run.currents[1:, list(perm)]).max() <= (
+        1e-12 * scale)
 
 
 def test_config_builds_one_prox_record_and_replace_rebuilds_it():
@@ -1471,9 +1493,9 @@ def test_config_builds_one_prox_record_and_replace_rebuilds_it():
     uniqueness experiment's and the balance study's replace."""
     cfg = system.MQSConfig(n=8, T=0.5, tau=1.0 / 16.0, newton_tol=1e-9,
                            newton_max_iter=7)
-    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9, 7, "extrapolate")
-    other = replace(cfg, newton_tol=1e-12, newton_start="zero")
-    assert other.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-12, 7, "zero")
+    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9, 7)
+    other = replace(cfg, newton_tol=1e-12)
+    assert other.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-12, 7)
     finer = replace(cfg, tau=1.0 / 32.0)
     assert finer.prox == core.ProxConfig(1.0 / 32.0, 16, 1e-9, 7)
     assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9, 7)
