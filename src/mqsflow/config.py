@@ -13,18 +13,20 @@ Recognized sections and keys (all optional; defaults in parentheses):
               voltage_table (rows "t v_1 .. v_m" ';'-separated, t increasing)
   [time]      T (1), tau (0.015625); T / tau must be a whole number,
               at most 100000, and (n - 1)^2 * T / tau at most 10^7
-  [initial]   kind (zero), seed (42), path
+  [initial]   kind (zero), seed (42), path (read by kind file)
   [output]    basename (run; a plain file name)
-  [core]      newton_tol (1e-10; 1e-14 to 1e-3), newton_max_iter (50)
+  [core]      newton_tol (1e-10; 1e-14 to 1e-3)
 
 The parser only turns text into values.  It rejects unknown sections or
 keys with the offending line echoed, a key set twice in one file with
 both lines named, a value that does not parse with its key named, and a
-[material] key the chosen kind does not read; repeated `--set` overrides
-replace values in order.  Every other check (finite numbers, positive
-times, a whole number of steps, known kinds, channel counts, rectangle
-shapes, ...) is made by the library classes it builds, and reported in
-their wording.
+key the chosen kind does not read: a [material] parameter, the
+[circuit] voltage_value or voltage_table, or [initial] path.  The
+library classes never see such a key, so only the parser can tell that
+it would be dropped.  Repeated `--set` overrides replace values in
+order.  Every other check (finite numbers, positive times, a whole
+number of steps, known kinds, channel counts, rectangle shapes, ...) is
+made by the library classes it builds, and reported in their wording.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ _SCHEMA = {
     "time": {"T", "tau"},
     "initial": {"kind", "seed", "path"},
     "output": {"basename"},
-    "core": {"newton_tol", "newton_max_iter"},
+    "core": {"newton_tol"},
 }
 
 
@@ -142,7 +144,6 @@ _FIELDS = {
     ("initial", "seed"): ("seed", int),
     ("initial", "path"): ("a0_path", str),
     ("core", "newton_tol"): ("newton_tol", float),
-    ("core", "newton_max_iter"): ("newton_max_iter", int),
 }
 
 
@@ -164,15 +165,45 @@ _MATERIAL_KEYS = {
 }
 
 
+# [section] -> its kind key, the default kind and, for each kind, the
+# keys it reads of those that only some kinds of the section read
+_KIND_READS = {
+    "material": ("kind", "rational_saturation", material._KIND_KEYS),
+    "circuit": ("voltage_kind", "step", {
+        kind: ("voltage_table",) if kind == "table" else ("voltage_value",)
+        for kind in system.VOLTAGE_KINDS}),
+    "initial": ("kind", "zero", {
+        kind: ("path",) if kind == "file" else ()
+        for kind in system.A0_KINDS}),
+}
+
+
+def _kind(entries, section):
+    kind_key, default, _ = _KIND_READS[section]
+    return entries.get((section, kind_key), default)
+
+
+def _refuse_unread_keys(entries):
+    """A key that the section's chosen kind does not read is an error; an
+    unknown kind is named by the library class instead."""
+    for section, (_, _, reads) in _KIND_READS.items():
+        kind = _kind(entries, section)
+        if kind not in reads:
+            continue
+        optional = {key for keys in reads.values() for key in keys}
+        unread = [key for s, key in entries if s == section
+                  and key in optional and key not in reads[kind]]
+        if unread:
+            which = f", which reads {', '.join(reads[kind])}" \
+                if reads[kind] else ""
+            raise ConfigError(f"{section}.{unread[0]} is not read by kind "
+                              f"{kind!r}{which}")
+
+
 def _build_material(entries):
-    """``[material]`` as a model; a key its kind does not read is an error."""
-    kind = entries.get(("material", "kind"), "rational_saturation")
+    """``[material]`` as a model of its kind's keys."""
+    kind = _kind(entries, "material")
     keys = material._KIND_KEYS.get(kind, ())
-    unread = [key for section, key in entries
-              if section == "material" and key not in ("kind", *keys)]
-    if unread and keys:  # an unknown kind is named by the model instead
-        raise ConfigError(f"material.{unread[0]} is not read by kind "
-                          f"{kind!r}, which reads {', '.join(keys)}")
     return material.ReluctivityModel(kind, {"*": {
         key: _parsed(entries, "material", key, parse, default)
         for key, (default, parse) in _MATERIAL_KEYS.items()
@@ -196,7 +227,7 @@ def _build_winding(entries):
 
 
 def _build_voltage(entries, m):
-    kind = entries.get(("circuit", "voltage_kind"), "step")
+    kind = _kind(entries, "circuit")
     if kind == "table":
         return system.VoltageSignal("table", table=_parsed(
             entries, "circuit", "voltage_table", _matrix))
@@ -217,6 +248,7 @@ def build_config(entries, seed=None):
     }
     if seed is not None:
         fields["seed"] = seed
+    _refuse_unread_keys(entries)
     try:
         winding = _build_winding(entries)
         return system.MQSConfig(

@@ -150,6 +150,9 @@ from .errors import (
 MIN_NEWTON_TOL = 1e-14
 # Above MAX_NEWTON_TOL Newton would stop before it moved.
 MAX_NEWTON_TOL = 1e-3
+# Every Newton loop's iteration budget.  Each step is a strictly convex
+# minimization, so the budget changes no answer of a step that passes.
+NEWTON_MAX_ITER = 50
 
 # eval_phi_E builds a dense null-space basis, so it refuses larger maps
 ORACLE_DIM_LIMIT = 64
@@ -347,11 +350,9 @@ class ProxConfig:
     tau: float
     n_steps: int
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
 
     def __post_init__(self):
-        for name in ("n_steps", "newton_max_iter"):
-            check_finite(name, getattr(self, name), numbers.Integral)
+        check_finite("n_steps", self.n_steps, numbers.Integral)
         for name in ("tau", "newton_tol", "n_steps"):
             if not check_finite(name, getattr(self, name), numbers.Real) > 0:
                 raise ValidationFailure(
@@ -364,9 +365,6 @@ class ProxConfig:
             raise ValidationFailure(
                 f"newton_tol must be at least {MIN_NEWTON_TOL:g} and at "
                 f"most {MAX_NEWTON_TOL:g}, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValidationFailure(
-                f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
 
     def check_against(self, phi):
         omega = phi.ellipticity_omega
@@ -682,7 +680,7 @@ def armijo_search(objective, x, d, J, slope):
 
 
 def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
-                    J0=None, max_iter=50, newton_system=None):
+                    J0=None, newton_system=None):
     """Damped Newton with Armijo backtracking for a smooth convex objective.
 
     Iterates from x0 until ||gradient(x)|| <= tol.  ``g0`` and ``J0`` are
@@ -692,14 +690,15 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     docstring) set by ``tol``; by default one on a map with no rows, so
     that it is hessian(x) itself.
     Raises SingularStep on a non-descent Newton direction and
-    NonConvergence when ``max_iter`` iterations do not reach the tolerance.
+    NonConvergence when NEWTON_MAX_ITER iterations do not reach the
+    tolerance.
     """
     x = np.asarray(x0, dtype=float).copy()
     if newton_system is None:
         newton_system = NewtonSystem(LinearMapE(np.zeros((0, x.size))), 1.0)
     g = gradient(x) if g0 is None else g0
     J = objective(x) if J0 is None else J0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if math.sqrt(g.dot(g)) <= tol:
             return x
         d = _solve_newton_system(hessian(x), -g, newton_system, tol)
@@ -711,7 +710,8 @@ def newton_minimize(objective, gradient, hessian, x0, tol, *, g0=None,
     if math.sqrt(g.dot(g)) <= tol:
         return x
     raise NonConvergence(
-        f"Newton did not reach tolerance {tol:.3e} in {max_iter} iterations"
+        f"Newton did not reach tolerance {tol:.3e} in {NEWTON_MAX_ITER} "
+        "iterations"
     )
 
 
@@ -719,7 +719,7 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None,
               newton_system=None):
     """One implicit-Euler step as a proximal minimization in the E-metric.
 
-    ``config``, a ProxConfig, gives tau, newton_tol and newton_max_iter.
+    ``config``, a ProxConfig, gives tau and newton_tol.
     Newton starts from ``x_start`` if its prox objective is no higher than
     at x_prev (one extra objective evaluation), and from x_prev otherwise.
     Returns x_k with
@@ -765,7 +765,6 @@ def prox_step(phi, E, x_prev, f_k, config, *, x_start=None,
             x0, g0, J0 = x_start, residual(x_start), J_start
     return newton_minimize(
         objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
-        max_iter=config.newton_max_iter,
         newton_system=_newton_system_for(E, tau, newton_system),
     )
 
@@ -895,11 +894,11 @@ def regularity_monitors(traj):
     }
 
 
-def eval_phi_E(phi, E, z, *, max_iter=100):
+def eval_phi_E(phi, E, z):
     """Pushforward functional: inf of Phi over the affine set {x : E x = z}.
 
     Computed by a null-space parameterization plus Newton.  Returns a dict
-    with "value" and "argmin"; raises NonConvergence when ``max_iter``
+    with "value" and "argmin"; raises NonConvergence when NEWTON_MAX_ITER
     Newton iterations do not reach the tolerance.
     """
     if E.dim_X > ORACLE_DIM_LIMIT:
@@ -920,7 +919,6 @@ def eval_phi_E(phi, E, z, *, max_iter=100):
         lambda y: N.T @ phi.gateaux(x_p + N @ y),
         lambda y: N.T @ (phi.hessian(x_p + N @ y) @ N),
         np.zeros(N.shape[1]), 1e-12 * (1.0 + abs(phi.eval(x_p))),
-        max_iter=max_iter,
     )
     x = x_p + N @ y
     return {"value": float(phi.eval(x)), "argmin": x}

@@ -241,7 +241,7 @@ def manufactured_config(n=16, tau=1.0 / 64.0, T=1.0):
     return system.MQSConfig(
         n=n, winding=winding, model=material.constant_model(_NU0),
         sigma_C=_SIGMA_C, T=T, tau=tau,
-        voltage=system.VoltageSignal("constant", np.array([0.0])),
+        voltage=system.VoltageSignal("step", np.array([0.0])),
         forcing=_manufactured_forcing,
     )
 

@@ -30,22 +30,26 @@ from . import core, fem, material
 from .errors import NonConvergence, ValidationFailure, check_choice, check_finite
 
 
+# the kinds of VoltageSignal and of MQSConfig's initial field
+VOLTAGE_KINDS = ("step", "table")
+A0_KINDS = ("zero", "random", "file")
+
+
 @dataclass(frozen=True)
 class VoltageSignal:
     """Applied winding voltages as a function of time.
 
-    kinds: "constant" (value for all t), "step" (0 at t <= 0, value for
-    t > 0), "table" (piecewise-linear interpolation of (t, v) samples).
-    The scheme samples v(t_k) only for k >= 1, so "constant" and "step"
-    give the same run: only the recorded v(t_0) differs.
+    kinds: "step" (0 at t <= 0, value for t > 0), "table" (piecewise-
+    linear interpolation of (t, v) samples).  The scheme samples v(t_k)
+    only for k >= 1, so a value held for all t is a step.
     """
 
     kind: str
-    value: np.ndarray = None          # (m,) for constant/step
+    value: np.ndarray = None          # (m,) for step
     table: np.ndarray = None          # (k, 1+m) rows of t, v_1..v_m
 
     def __post_init__(self):
-        check_choice("voltage kind", self.kind, ("constant", "step", "table"))
+        check_choice("voltage kind", self.kind, VOLTAGE_KINDS)
         name = "table" if self.kind == "table" else "value"
         data = getattr(self, name)
         if data is None:
@@ -74,8 +78,7 @@ class VoltageSignal:
             ts = self.table[:, 0]
             return np.stack([np.interp(t, ts, vs) for vs in self.table[:, 1:].T],
                             axis=-1)
-        on = np.full(t.shape, True) if self.kind == "constant" else t > 0
-        return np.where(on[..., None], self.value, 0.0)
+        return np.where((t > 0)[..., None], self.value, 0.0)
 
     @property
     def m(self):
@@ -119,7 +122,6 @@ class MQSConfig:
     a0_path: str = ""
     seed: int = 42
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     # optional manufactured volumetric forcing added to the field equation;
     # callable (mesh, times) -> one load vector per time, for convergence
     forcing: Optional[Callable] = None
@@ -139,8 +141,7 @@ class MQSConfig:
         object.__setattr__(self, "R", np.atleast_2d(check_finite("R", self.R)))
         if self.seed < 0:
             raise ValidationFailure(f"seed must be nonnegative, got {self.seed}")
-        check_choice("initial field kind", self.a0_kind,
-                     ("zero", "random", "file"))
+        check_choice("initial field kind", self.a0_kind, A0_KINDS)
         if self.voltage.m != self.winding.m:
             raise ValidationFailure(
                 f"voltage has {self.voltage.m} channels but there are "
@@ -164,7 +165,7 @@ class MQSConfig:
                 f"(n - 1)^2 * T / tau = {dofs} dofs * {steps:.6g} steps "
                 f"exceeds the cap of {MAX_DOF_STEPS} dof-steps")
         object.__setattr__(self, "prox", core.ProxConfig(
-            self.tau, self.n_steps, self.newton_tol, self.newton_max_iter))
+            self.tau, self.n_steps, self.newton_tol))
 
     @property
     def n_steps(self):
@@ -453,7 +454,7 @@ def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
 
     Solves (M_red / tau)(a - a_prev) + K(a) = C R^{-1} v_k with
     M_red = sigma_C M_C + C R^{-1} C^T by damped Newton, with tau and
-    Newton's settings from ``config``, a core.ProxConfig.  Its Newton
+    Newton's tolerance from ``config``, a core.ProxConfig.  Its Newton
     matrices K_tangent + E^T E / tau = K_tangent + M_red / tau are the
     prox path's: they go through ``newton_system``, a core.NewtonSystem
     of ``ops.E`` and tau (one made for others is a ValidationFailure; by
@@ -495,7 +496,7 @@ def schur_step(ops, a_prev, v_k, config, *, forcing_load=None,
     tol = config.newton_tol * (1.0 + float(np.linalg.norm(g)))
     return core.newton_minimize(
         merit, residual, ops.K_tangent, a_prev, tol, g0=g, J0=J,
-        max_iter=config.newton_max_iter, newton_system=newton_system,
+        newton_system=newton_system,
     )
 
 

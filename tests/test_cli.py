@@ -2,13 +2,19 @@
 
 import dataclasses
 import gc
+import importlib.util
 import os
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mqsflow import cli, config, core, fem, material, system
 from mqsflow.errors import ConfigError, EigenSolveFailure, NonConvergence
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = """
 [mesh]
@@ -415,11 +421,11 @@ def test_cli_rejects_invalid_settings_before_solving(tmp_path, small_cfg,
 
 
 def test_cli_names_the_step_whose_newton_solve_fails(tmp_path, small_cfg,
-                                                    capsys):
+                                                    capsys, monkeypatch):
     """A Newton failure inside a step says which step, once."""
+    monkeypatch.setattr(core, "NEWTON_MAX_ITER", 1)
     code = cli.dispatch(["run", "--config", small_cfg, "--out",
-                         str(tmp_path / "o"),
-                         "--set", "core.newton_max_iter=1"])
+                         str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: step 1: Newton did not reach tolerance ")
@@ -525,6 +531,53 @@ def test_cli_rejects_newton_start_as_an_unknown_key(tmp_path, small_cfg,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, text, cause", [
+    (["--set", "core.newton_max_iter=50"], "",
+     "unknown key core.newton_max_iter"),
+    ([], "[core]\nnewton_max_iter = 50\n", "unknown key core.newton_max_iter"),
+    (["--set", "circuit.voltage_kind=constant"], "",
+     "voltage kind must be one of step, table, got 'constant'"),
+    ([], "[circuit]\nvoltage_kind = constant\n",
+     "voltage kind must be one of step, table, got 'constant'"),
+], ids=["budget-set", "budget-file", "constant-set", "constant-file"])
+def test_cli_refuses_the_removed_budget_and_constant_voltage(
+        tmp_path, capsys, argv, text, cause):
+    """Newton's budget is no setting and a held voltage is a step: each
+    spelling gets one error line before any work."""
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL + text)
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")] + argv
+    assert cli.dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and cause in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sets, cause", [
+    (["circuit.voltage_table=0 1 ; 1 2"], "circuit.voltage_table is not "
+     "read by kind 'step', which reads voltage_value"),
+    (["initial.path=/nonexistent.npy"],
+     "initial.path is not read by kind 'zero'"),
+    (["circuit.voltage_kind=table", "circuit.voltage_table=0 1 ; 1 2",
+      "circuit.voltage_value=5"], "circuit.voltage_value is not read by "
+     "kind 'table', which reads voltage_table"),
+    (["initial.kind=random", "initial.path=a0.npy"],
+     "initial.path is not read by kind 'random'"),
+], ids=["table-under-step", "path-under-zero", "value-under-table",
+        "path-under-random"])
+def test_cli_refuses_a_key_the_chosen_kind_does_not_read(small_cfg, capsys,
+                                                         sets, cause):
+    """A voltage or initial-field key that the chosen kind would drop is an
+    error naming the key and the kind, as a [material] one is."""
+    argv = ["validate", "--config", small_cfg]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cause}\n"
+
+
 def test_build_config_takes_every_default_from_mqsconfig():
     """A key left out takes the MQSConfig field's default."""
     from mqsflow import system
@@ -549,7 +602,7 @@ def test_build_config_takes_every_default_from_mqsconfig():
     ({("circuit", "voltage_kind"): "table"},
      "voltage table is required for kind 'table'"),
     ({("circuit", "voltage_kind"): "ramp"},
-     "voltage kind must be one of constant, step, table, got 'ramp'"),
+     "voltage kind must be one of step, table, got 'ramp'"),
     ({("circuit", "R"): "1 ; 1 2"}, "R must be a numeric array"),
     ({("time", "tau"): "2.0", ("time", "T"): "1.0"},
      "T = 1.0 is not a whole number of steps tau = 2.0 (T / tau = 0.5)"),
@@ -888,3 +941,68 @@ def test_the_run_self_check_evaluates_no_field_point(monkeypatch, tmp_path):
     assert cli.dispatch(["run", "--set", "mesh.n=16",
                          "--out", str(tmp_path)]) == 0
     assert len(made) == solve_alone
+
+
+def test_cli_convergence_prints_what_it_stores(tmp_path, capsys):
+    """`mqsflow convergence` runs both refinements and prints each order
+    and error it writes to summary.kv, then its verdict."""
+    out = tmp_path / "o"
+    code = cli.dispatch(["convergence", "--set", "mesh.n=8",
+                         "--set", "time.tau=0.0625", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and lines[-1] == "convergence PASS"
+    kv = dict(line.split("=", 1) for line in
+              (out / "summary.kv").read_text(encoding="utf-8").splitlines())
+    assert kv.pop("convergence_both.pass") == "true"
+    stored = {key[len("convergence_both."):]: float(value)
+              for key, value in kv.items()}
+    printed = dict(line.split("=", 1) for line in lines[:-1])
+    assert printed.keys() == stored.keys()
+    assert {"tau_observed_order", "h_observed_order"} <= stored.keys()
+    assert all(key.startswith(("tau_", "h_")) for key in stored)
+    for key, value in stored.items():
+        assert printed[key] == f"{value:.6g}", key
+
+
+def test_perfbench_configs_build(tmp_path, monkeypatch):
+    """Each benchmark workload's generated config names only keys its
+    kinds read (configs/default.cfg: test_default_cfg_file_gives_...)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(workload.config_text(9301))
+        assert workloads.load_config(str(path), 9301).seed == 9301
+
+
+def _readme_config_rows():
+    """README's configuration table: {section: its keys cell}."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("| section | keys (default) |\n|---|---|\n", 1)[1]
+    rows = []
+    for line in table.splitlines():
+        if not line.startswith("| `["):
+            break
+        rows.append(re.fullmatch(r"\| `\[(\w+)\]` \| (.*) \|", line).groups())
+    sections = [section for section, _ in rows]
+    assert len(sections) == len(set(sections)), sections
+    return dict(rows)
+
+
+def test_readme_config_table_follows_the_schema():
+    """README's table has one row per config section, names each of its
+    keys, and lists each kind key's choices as the library accepts them."""
+    rows = _readme_config_rows()
+    assert set(rows) == set(config._SCHEMA)
+    for section, keys in config._SCHEMA.items():
+        for key in sorted(keys or {"w1"}):
+            assert f"`{key}`" in rows[section], (section, key)
+    for section, key, kinds in [
+            ("material", "kind", tuple(material._KIND_KEYS)),
+            ("circuit", "voltage_kind", system.VOLTAGE_KINDS),
+            ("initial", "kind", system.A0_KINDS)]:
+        listed = re.search(rf"`{key}` `([^`]*)`", rows[section]).group(1)
+        assert tuple(listed.split("\\|")) == kinds, (section, listed)

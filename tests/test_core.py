@@ -128,7 +128,6 @@ def _two_product_prox_step(phi, E, x_prev, f_k, config, x_start):
             x0, g0, J0 = x_prev, g_prev, J_prev
     return core.newton_minimize(
         objective, residual, phi.hessian, x0, tol, g0=g0, J0=J0,
-        max_iter=config.newton_max_iter,
         newton_system=core.NewtonSystem(E, tau))
 
 
@@ -304,8 +303,6 @@ def test_prox_config_rejects_non_finite_tau_and_tolerance(kwargs, name):
 
 @pytest.mark.parametrize("kwargs, message", [
     ({"n_steps": 2.5}, "n_steps must be an integer, got 2.5"),
-    ({"newton_max_iter": 2.5}, "newton_max_iter must be an integer, got 2.5"),
-    ({"newton_max_iter": 0}, "newton_max_iter must be at least 1, got 0"),
 ])
 def test_prox_config_checks_its_counts(kwargs, message):
     with pytest.raises(ValidationFailure, match=f"^{message}$"):
@@ -326,8 +323,7 @@ def test_prox_config_rejects_non_scalar_settings(kwargs, message):
 
 
 def test_prox_config_accepts_numpy_integer_counts():
-    cfg = core.ProxConfig(tau=0.1, n_steps=np.int64(3),
-                          newton_max_iter=np.uint8(5))
+    cfg = core.ProxConfig(tau=0.1, n_steps=np.int64(3))
     traj = core.solve_trajectory(quadratic(np.eye(2)), core.LinearMapE(
         np.eye(2)), np.ones(2), None, cfg)
     assert traj.n_steps == 3
@@ -462,11 +458,12 @@ def test_newton_minimize_concave_objective_raises_singular_step():
         )
 
 
-def test_newton_minimize_exhausted_budget_raises():
+def test_newton_minimize_exhausted_budget_raises(monkeypatch):
+    monkeypatch.setattr(core, "NEWTON_MAX_ITER", 0)
     phi = quadratic(np.eye(2))
     with pytest.raises(NonConvergence):
         core.newton_minimize(phi.eval, phi.gateaux, phi.hessian, np.ones(2),
-                             1e-10, max_iter=0)
+                             1e-10)
 
 
 def cosh_sum(c):
@@ -478,11 +475,13 @@ def cosh_sum(c):
     )
 
 
-def test_eval_phi_E_exhausted_budget_raises():
+def test_eval_phi_E_exhausted_budget_raises(monkeypatch):
     phi = cosh_sum(np.array([2.0, -1.0, 0.5]))
     E = core.LinearMapE(np.ones((1, 3)))
-    with pytest.raises(NonConvergence):
-        core.eval_phi_E(phi, E, np.zeros(1), max_iter=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NonConvergence):
+            core.eval_phi_E(phi, E, np.zeros(1))
     # with the default budget the reduced gradient vanishes: equal sinh
     x = core.eval_phi_E(phi, E, np.zeros(1))["argmin"]
     assert abs(x.sum()) < 1e-12

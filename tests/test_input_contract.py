@@ -99,7 +99,6 @@ VALUES = {
     ("output", "basename"): st.sampled_from([
         "run", "out2", "", ".", "..", "sub/run", "../escaped", "a\0b"]),
     ("core", "newton_tol"): _key("1e-10", "1e-8", "1e-3", "2e-3"),
-    ("core", "newton_max_iter"): _key("50", "1", "3", "2.5"),
 }
 FILE_KEYS = {("material", "table"), ("initial", "path")}
 
@@ -261,7 +260,6 @@ LIBRARY_ARGS = st.fixed_dictionaries({
     "a0_kind": st.sampled_from(["zero", "random", "file", "telepathic"]),
     "seed": _either(st.sampled_from([0, 7, np.int32(3), 1.5, -1])),
     "newton_tol": _either(st.sampled_from([1e-10, 1e-3])),
-    "newton_max_iter": _either(st.sampled_from([50, 1, 2.5, 0])),
     "winding": st.tuples(_either(st.lists(_either(RECTS), min_size=1,
                                           max_size=3))),
     "voltage": st.tuples(

@@ -150,7 +150,7 @@ def test_zero_voltage_zero_initial_stays_zero(default_small):
     from dataclasses import replace
 
     quiet = replace(
-        cfg, voltage=system.VoltageSignal("constant", np.array([0.0]))
+        cfg, voltage=system.VoltageSignal("step", np.array([0.0]))
     )
     traj = system.solve(quiet, ops)
     assert np.all(traj.fields == 0.0)
@@ -369,9 +369,7 @@ def test_config_rejects_negative_seed_and_bad_newton_settings():
                            match="newton_tol must be at least 1e-14"):
             system.MQSConfig(n=8, newton_tol=tol)
     assert system.MQSConfig(n=8, newton_tol=1e-14).newton_tol == 1e-14
-    with pytest.raises(ValidationFailure, match="newton_max_iter"):
-        system.MQSConfig(n=8, newton_max_iter=0)
-    assert system.MQSConfig(n=8, seed=0, newton_max_iter=1).seed == 0
+    assert system.MQSConfig(n=8, seed=0).seed == 0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -430,15 +428,15 @@ def test_voltage_signals():
     step = system.VoltageSignal("step", np.array([2.0]))
     assert step(0.0) == np.array([0.0])
     assert step(0.5) == np.array([2.0])
-    const = system.VoltageSignal("constant", np.array([3.0, 1.0]))
-    assert const.m == 2
+    two = system.VoltageSignal("step", np.array([3.0, 1.0]))
+    assert two.m == 2 and np.array_equal(two(1.0), [3.0, 1.0])
     table = system.VoltageSignal(
         "table", table=np.array([[0.0, 0.0], [1.0, 2.0]])
     )
     assert table(0.5) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("kind", ["constant", "step", "table"])
+@pytest.mark.parametrize("kind", ["step", "table"])
 @pytest.mark.parametrize("m", [1, 3])
 def test_voltage_signal_on_a_time_grid_equals_its_scalar_calls(kind, m):
     """One call on an array of times returns (len(t), m), bit for bit the
@@ -467,11 +465,11 @@ def test_voltage_table_times_must_increase():
 
 @pytest.mark.parametrize("make, fragment", [
     (lambda: system.VoltageSignal("ramp", np.array([1.0])),
-     "voltage kind must be one of constant, step, table, got 'ramp'"),
+     "voltage kind must be one of step, table, got 'ramp'"),
     (lambda: system.VoltageSignal("step"),
      "voltage value is required for kind 'step'"),
-    (lambda: system.VoltageSignal("constant", table=np.ones((2, 2))),
-     "voltage value is required for kind 'constant'"),
+    (lambda: system.VoltageSignal("step", table=np.ones((2, 2))),
+     "voltage value is required for kind 'step'"),
     (lambda: system.VoltageSignal("table", np.array([1.0])),
      "voltage table is required for kind 'table'"),
     (lambda: system.MQSConfig(
@@ -491,9 +489,9 @@ def test_voltage_table_times_must_increase():
      "voltage table must be 2-D"),
     (lambda: system.VoltageSignal("step", np.ones((2, 1))),
      "voltage value must be 1-D, got shape (2, 1)"),
-    (lambda: system.VoltageSignal("constant", np.array(1.0)),
+    (lambda: system.VoltageSignal("step", np.array(1.0)),
      "voltage value must be 1-D, got shape ()"),
-], ids=["unknown_kind", "step_without_value", "constant_without_value",
+], ids=["unknown_kind", "step_without_value", "step_with_only_a_table",
         "table_without_table", "two_channels_one_winding",
         "one_channel_three_windings", "table_1d", "table_without_voltage",
         "table_without_rows", "value_2d", "value_0d"])
@@ -505,6 +503,38 @@ def test_voltage_kind_data_and_channels_are_checked(make, fragment):
     assert fragment in str(info.value)
 
 
+def test_a_voltage_held_for_all_time_is_no_kind():
+    """A value held from t = 0 is a step, since the scheme samples v(t_k)
+    only for k >= 1."""
+    with pytest.raises(ValidationFailure) as info:
+        system.VoltageSignal("constant", [1.0])
+    assert str(info.value) == (
+        "voltage kind must be one of step, table, got 'constant'")
+
+
+@pytest.mark.parametrize("newton", ["prox_step", "schur_step", "eval_phi_E"])
+def test_every_newton_loop_stops_at_the_one_budget(monkeypatch, newton):
+    """core.NEWTON_MAX_ITER is the budget of the prox step, the Schur
+    witness step and the oracle alike."""
+    cfg = system.MQSConfig(n=8, T=0.25, tau=0.0625)
+    ops = system.build_system(cfg)[0]
+    a0, v1 = np.zeros(ops.n_dofs), cfg.voltage(cfg.tau)
+    z = ops.E.apply(np.random.default_rng(5).standard_normal(ops.n_dofs))
+    call = {
+        "prox_step": lambda: core.prox_step(
+            ops.phi, ops.E, a0, system._metric_input(ops, v1[None])[0],
+            cfg.prox),
+        "schur_step": lambda: system.schur_step(ops, a0, v1, cfg.prox),
+        "eval_phi_E": lambda: core.eval_phi_E(ops.phi, ops.E, z),
+    }[newton]
+    call()  # converges within the default budget
+    monkeypatch.setattr(core, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NonConvergence) as info:
+        call()
+    assert str(info.value).startswith("Newton did not reach tolerance ")
+    assert str(info.value).endswith(" in 1 iterations")
+
+
 def test_voltage_lists_behave_as_the_same_arrays():
     rows = [[0.0, 0.0], [0.5, 2.0], [1.0, -1.0]]
     listed = system.VoltageSignal("table", table=rows)
@@ -512,28 +542,13 @@ def test_voltage_lists_behave_as_the_same_arrays():
     assert listed.table.dtype == float and listed.m == arrayed.m == 1
     for t in (-1.0, 0.0, 0.25, 0.5, 0.9, 2.0):
         assert np.array_equal(listed(t), arrayed(t))
-    for kind in ("constant", "step"):
-        listed = system.VoltageSignal(kind, [1, -2])
-        arrayed = system.VoltageSignal(kind, np.array([1.0, -2.0]))
-        assert listed.value.dtype == float and listed.m == 2
-        for t in (0.0, 0.5):
-            assert np.array_equal(listed(t), arrayed(t))
+    listed = system.VoltageSignal("step", [1, -2])
+    arrayed = system.VoltageSignal("step", np.array([1.0, -2.0]))
+    assert listed.value.dtype == float and listed.m == 2
+    for t in (0.0, 0.5):
+        assert np.array_equal(listed(t), arrayed(t))
     with pytest.raises(ValidationFailure, match="strictly increasing"):
         system.VoltageSignal("table", table=[[0.0, 0.0], [0.0, 1.0]])
-
-
-def test_constant_and_step_voltages_give_the_same_run():
-    """The scheme reads v(t_k) for k >= 1 only, where both kinds agree."""
-    runs = [system.solve(system.MQSConfig(
-        n=8, T=0.25, tau=0.0625, voltage=system.VoltageSignal(kind, [1.0])))
-        for kind in ("constant", "step")]
-    const, step = runs
-    for name in ("states", "currents", "fluxes", "balance_residuals",
-                 "energies", "rates"):
-        np.testing.assert_array_equal(getattr(const, name),
-                                      getattr(step, name), err_msg=name)
-    np.testing.assert_array_equal(const.voltages[1:], step.voltages[1:])
-    assert const.voltages[0, 0] == 1.0 and step.voltages[0, 0] == 0.0
 
 
 def test_schur_equivalence_random_steps(default_small):
@@ -765,7 +780,7 @@ def test_weak_solution_zero_trajectory(default_small):
     from dataclasses import replace
 
     quiet = replace(
-        cfg, voltage=system.VoltageSignal("constant", np.array([0.0]))
+        cfg, voltage=system.VoltageSignal("step", np.array([0.0]))
     )
     traj = system.solve(quiet, ops)
     report = system.check_weak_solution(ops, traj)
@@ -809,7 +824,7 @@ def test_power_balance_zero_trajectory(default_small):
     from dataclasses import replace
 
     quiet = replace(
-        cfg, voltage=system.VoltageSignal("constant", np.array([0.0]))
+        cfg, voltage=system.VoltageSignal("step", np.array([0.0]))
     )
     traj = system.solve(quiet, ops)
     assert np.all(traj.balance_residuals[1:] == 0.0)
@@ -1430,12 +1445,12 @@ def test_step_one_of_a_zero_initial_field_gets_no_candidate(monkeypatch):
     assert steps[1]["x_start"] is not None
 
 
-def _negated(voltage):
+def _scaled(voltage, factor):
     if voltage.kind == "table":
         table = voltage.table.copy()
-        table[:, 1:] *= -1.0
+        table[:, 1:] *= factor
         return system.VoltageSignal("table", table=table)
-    return system.VoltageSignal(voltage.kind, value=-voltage.value)
+    return system.VoltageSignal(voltage.kind, value=factor * voltage.value)
 
 
 @pytest.mark.parametrize("make_cfg", [
@@ -1452,7 +1467,8 @@ def test_negated_voltage_and_initial_field_negate_the_run_bit_for_bit(
     cfg = make_cfg()
     ops = system.build_system(cfg)[0]
     run = system.solve(cfg, ops)
-    mirrored = system.solve(replace(cfg, voltage=_negated(cfg.voltage)), ops,
+    mirrored = system.solve(replace(cfg, voltage=_scaled(cfg.voltage, -1.0)),
+                            ops,
                             a0=-run.fields[0])
     assert np.array_equal(mirrored.fields, -run.fields)
     assert np.array_equal(mirrored.currents[1:], -run.currents[1:])
@@ -1488,17 +1504,43 @@ def test_relabeled_windings_give_the_same_fields_and_permuted_currents(
         1e-12 * scale)
 
 
+@pytest.mark.parametrize("make_cfg", [
+    lambda n: system.MQSConfig(n=n, a0_kind="random", seed=3),
+    lambda n: replace(multiwinding_config(), n=n),
+], ids=["default_random", "three_windings_random"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_a_linear_run_superposes(n, make_cfg):
+    """With a constant reluctivity each step is linear in (a_{k-1}, v_k),
+    so the run from (a0, 3.5 v) is the run from (a0, v) minus the run from
+    (0, -2.5 v), to Newton's tolerance.  Any state dependence leaking into
+    the linear path, or an affine term in the input, breaks it."""
+    cfg = replace(make_cfg(n), model=material.constant_model(3.0))
+    ops = system.build_system(cfg)[0]
+    run = system.solve(cfg, ops)
+
+    def driven(factor, a0):
+        return system.solve(
+            replace(cfg, voltage=_scaled(cfg.voltage, factor)), ops, a0=a0)
+
+    whole = driven(3.5, run.fields[0])
+    part = driven(-2.5, np.zeros(ops.n_dofs))
+    scale = diagnostics.trajectory_scale(ops, whole)
+    assert np.abs(whole.fields - (run.fields - part.fields)).max() <= (
+        1e-11 * scale)
+    assert np.abs(whole.currents[1:] - (run.currents[1:] - part.currents[1:])
+                  ).max() <= 1e-11 * scale
+
+
 def test_config_builds_one_prox_record_and_replace_rebuilds_it():
     """MQSConfig.prox is the ProxConfig of its fields, rebuilt by the
     uniqueness experiment's and the balance study's replace."""
-    cfg = system.MQSConfig(n=8, T=0.5, tau=1.0 / 16.0, newton_tol=1e-9,
-                           newton_max_iter=7)
-    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9, 7)
+    cfg = system.MQSConfig(n=8, T=0.5, tau=1.0 / 16.0, newton_tol=1e-9)
+    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9)
     other = replace(cfg, newton_tol=1e-12)
-    assert other.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-12, 7)
+    assert other.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-12)
     finer = replace(cfg, tau=1.0 / 32.0)
-    assert finer.prox == core.ProxConfig(1.0 / 32.0, 16, 1e-9, 7)
-    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9, 7)
+    assert finer.prox == core.ProxConfig(1.0 / 32.0, 16, 1e-9)
+    assert cfg.prox == core.ProxConfig(1.0 / 16.0, 8, 1e-9)
     assert "prox" not in repr(cfg)
 
 
@@ -1556,7 +1598,7 @@ def test_validation_failure_is_a_value_error():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n", 8.5), ("n", "8"), ("newton_max_iter", 2.5), ("seed", 1.5),
+    ("n", 8.5), ("n", "8"), ("seed", 1.5),
     ("seed", np.float64(3.0)),
 ])
 def test_config_rejects_non_integer_counts(field, value):
@@ -1565,7 +1607,7 @@ def test_config_rejects_non_integer_counts(field, value):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: core.ProxConfig(True, True, newton_max_iter=True),
+    (lambda: core.ProxConfig(True, True),
      "n_steps must be an integer, got True"),
     (lambda: core.ProxConfig(0.1, 1, newton_tol=True),
      "newton_tol must be a real number, got True"),
@@ -1574,10 +1616,7 @@ def test_config_rejects_non_integer_counts(field, value):
     (lambda: system.MQSConfig(n=8, tau=True), "tau must be a real number, "
      "got True"),
     (lambda: system.MQSConfig(n=True), "n must be an integer, got True"),
-    (lambda: system.MQSConfig(n=8, newton_max_iter=False),
-     "newton_max_iter must be an integer, got False"),
-], ids=["prox-counts", "prox-newton_tol", "mqs-T", "mqs-tau", "mqs-n",
-        "mqs-newton_max_iter"])
+], ids=["prox-counts", "prox-newton_tol", "mqs-T", "mqs-tau", "mqs-n"])
 def test_settings_refuse_bool_for_numbers_and_counts(make, message):
     """bool is a numbers.Integral, yet True is no count, step or size."""
     with pytest.raises(ValidationFailure) as info:
@@ -1586,8 +1625,8 @@ def test_settings_refuse_bool_for_numbers_and_counts(make, message):
 
 
 def test_config_accepts_numpy_integer_counts():
-    cfg = system.MQSConfig(n=np.int64(8), seed=np.int32(3),
-                           newton_max_iter=np.uint8(5), T=0.25, tau=0.0625)
+    cfg = system.MQSConfig(n=np.int64(8), seed=np.int32(3), T=0.25,
+                           tau=0.0625)
     traj = system.solve(cfg)
     assert traj.n_steps == 4 and traj.fields.shape == (5, 49)
 
@@ -1647,14 +1686,14 @@ def test_huge_resistance_is_checked_without_overflow():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("seed", 10 ** 23), ("n", -10 ** 20), ("newton_max_iter", 2 ** 64),
+    ("seed", 10 ** 23), ("n", -10 ** 20),
 ])
 def test_config_names_an_integer_beyond_64_bits(field, value):
     with pytest.raises(ValidationFailure,
                        match=f"^{field} is out of range, got {value}$"):
         system.MQSConfig(**{field: value})
     with pytest.raises(ValidationFailure, match="out of range"):
-        system.VoltageSignal("constant", [1.0, value])
+        system.VoltageSignal("step", [1.0, value])
 
 
 def test_reluctivity_overflow_is_named():
